@@ -4,9 +4,11 @@ package facile_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"facile"
+	"facile/internal/bhive"
 )
 
 // Allocation regression guards for the engine hot paths, excluded under the
@@ -122,5 +124,98 @@ func TestAnalyzeWarmHitZeroAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("warm Analyze(%v) hit allocates %.1f/op, want 0", d, allocs)
 		}
+	}
+}
+
+// TestEngineColdStreamAllocFlat: on a stream of distinct blocks every
+// Analyze is a cache miss, and a miss must cost the same allocation late in
+// the stream as early on. Engine state shared across misses that grows with
+// the number of distinct instructions seen (such as a copy-on-write
+// descriptor memo republished as it grows) makes the last window's bytes per
+// block a multiple of the first's.
+func TestEngineColdStreamAllocFlat(t *testing.T) {
+	const (
+		n      = 8000
+		window = 1000
+	)
+	seen := make(map[string]bool, n)
+	var codes [][]byte
+	for _, b := range bhive.GenerateBlocks(3, n+n/100) {
+		if len(codes) < n && !seen[string(b.Code)] {
+			seen[string(b.Code)] = true
+			codes = append(codes, b.Code)
+		}
+	}
+	if len(codes) < n {
+		t.Fatalf("only %d distinct blocks generated, want %d", len(codes), n)
+	}
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+	ctx := context.Background()
+	var ms runtime.MemStats
+	totalAlloc := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	analyze := func(lo, hi int) uint64 {
+		before := totalAlloc()
+		for i := lo; i < hi; i++ {
+			req := facile.Request{Code: codes[i], Arch: "SKL", Mode: facile.Unroll}
+			if _, err := e.Analyze(ctx, req); err != nil {
+				t.Fatalf("block %d: %v", i, err)
+			}
+		}
+		return totalAlloc() - before
+	}
+	first := analyze(0, window)
+	analyze(window, n-window)
+	last := analyze(n-window, n)
+	if st := e.Stats(); st.Misses != n {
+		t.Fatalf("misses = %d, want %d (every block distinct)", st.Misses, n)
+	}
+	ratio := float64(last) / float64(first)
+	t.Logf("bytes/block: first %d, last %d (ratio %.2f)", first/window, last/window, ratio)
+	if ratio > 1.25 {
+		t.Errorf("bytes allocated per cold block grew %.2fx from the first %d blocks to the last %d, want <= 1.25x",
+			ratio, window, window)
+	}
+}
+
+// TestEngineEntrySizeTracksHeap: the accounted size of cached entries
+// (Stats.SizeBytes, which byte budgets and snapshot weighting use) stays
+// within 2x of the heap bytes those entries actually retain.
+func TestEngineEntrySizeTracksHeap(t *testing.T) {
+	const n = 2000
+	var codes [][]byte
+	for _, b := range bhive.GenerateBlocks(5, n) {
+		codes = append(codes, b.Code)
+	}
+	// One shard holding every entry: nothing is evicted during the run.
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: 2 * n, CacheShards: 1})
+	ctx := context.Background()
+	var ms runtime.MemStats
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// One analysis first, so one-time engine state is not charged to the
+	// entries.
+	if _, err := e.Analyze(ctx, facile.Request{Code: codes[0], Arch: "SKL", Mode: facile.Unroll}); err != nil {
+		t.Fatal(err)
+	}
+	before := heapAlloc()
+	sizeBefore := e.Stats().SizeBytes
+	for _, code := range codes[1:] {
+		if _, err := e.Analyze(ctx, facile.Request{Code: code, Arch: "SKL", Mode: facile.Unroll}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := float64(heapAlloc() - before)
+	accounted := float64(e.Stats().SizeBytes - sizeBefore)
+	runtime.KeepAlive(codes)
+	t.Logf("per entry: accounted %.0f B, retained %.0f B", accounted/(n-1), retained/(n-1))
+	if accounted > 2*retained || retained > 2*accounted {
+		t.Errorf("accounted %.0f B per entry, heap retains %.0f B: not within 2x", accounted/(n-1), retained/(n-1))
 	}
 }

@@ -245,14 +245,13 @@ func remove(names []string, drop string) []string {
 
 // buildOpponents assembles the shoot-out field for one arch, training the
 // learned entrants on a disjoint corpus (same recipe as internal/eval:
-// bhive.Generate + shared builder + pipesim measurements).
+// bhive.Generate + bb.Build + pipesim measurements).
 func buildOpponents(cfg *uarch.Config, names []string, trainSeed int64, trainN int, referee *mca.Referee, mcaLimit int64) []accuracy.Opponent {
 	var blocks []*bb.Block
 	var meas []float64
 	if needsTraining(names) {
-		builder := bb.NewBuilder(cfg)
 		for _, bm := range bhive.Generate(trainSeed, trainN) {
-			block, err := builder.Build(bm.Code)
+			block, err := bb.Build(cfg, bm.Code)
 			if err != nil {
 				continue
 			}

@@ -12,6 +12,7 @@ import (
 
 	"facile/internal/bb"
 	"facile/internal/core"
+	"facile/internal/isa"
 	"facile/internal/lru"
 	"facile/internal/uarch"
 )
@@ -87,8 +88,8 @@ type EngineConfig struct {
 // public entrypoint, Analyze. Constructed once per microarchitecture set, it
 // amortizes all per-call setup that a one-shot analysis pays every time:
 //
-//   - per-microarchitecture configuration and instruction descriptors are
-//     resolved once and shared across calls (via bb.Builder memoization);
+//   - per-microarchitecture configurations are resolved through the
+//     registry; each cache miss builds its block with bb.Build;
 //   - decoded blocks and complete analyses — prediction, ordered bound
 //     breakdown, counterfactual speedups, structured report — are memoized
 //     in a bounded LRU keyed by (code bytes, microarchitecture, mode);
@@ -109,7 +110,6 @@ type Engine struct {
 	pub      *ArchRegistry                         // the public view handed out by Registry()
 	restrict map[string]bool                       // non-nil iff EngineConfig.Archs was set; canonical names
 	archs    []string                              // configured order when restricted
-	builders sync.Map                              // canonical name -> *builderSlot
 	cache    *lru.Sharded[engineKey, *engineEntry] // nil when memoization is disabled
 	workers  int
 	maxCode  int
@@ -121,15 +121,6 @@ type Engine struct {
 	// nil); cached resolutions are counted by per-shard cache counters and
 	// summed in Stats.
 	uncached atomic.Uint64
-}
-
-// builderSlot holds a memoized per-arch Builder and the registry version of
-// the config it was built from (the version also scopes cache keys). Names
-// are immutable within a registry and an engine's registry is fixed, so a
-// slot never goes stale.
-type builderSlot struct {
-	ver uint64
-	bd  *bb.Builder
 }
 
 // engineKey identifies one memoized analysis. The registry version makes
@@ -169,15 +160,15 @@ func hashEngineKey(k engineKey) uint64 {
 }
 
 // entryBaseBytes is the fixed per-entry footprint estimate: the entry
-// struct, its cache bookkeeping (map slot, list element), and the decoded
-// block skeleton. The accounted sizes are deterministic estimates for
-// budgeting and snapshot weighting, not measured heap bytes.
+// struct and its cache bookkeeping (map slot, list element). The accounted
+// sizes are deterministic estimates for budgeting and snapshot weighting,
+// not measured heap bytes.
 const entryBaseBytes = 512
 
 // entrySizeBytes estimates an entry's resident footprint once its analysis
 // is computed: the durable code copy (shared by the cache key), the bound
-// breakdown, and the prediction's per-instruction payloads. Error entries
-// carry only the base and the code.
+// breakdown, the prediction's per-instruction payloads, and the decoded
+// block. Error entries carry only the base and the code.
 func entrySizeBytes(ent *engineEntry) int {
 	n := entryBaseBytes + len(ent.code)
 	if ent.err != nil {
@@ -192,8 +183,16 @@ func entrySizeBytes(ent *engineEntry) int {
 	for _, s := range ent.pred.Bottlenecks {
 		n += 16 + len(s)
 	}
-	if ent.block != nil {
-		n += 64 * len(ent.pred.Instructions)
+	if b := ent.block; b != nil {
+		// The block owns its instructions, each with its own descriptor and
+		// µop list, and the derived execution-µop and decode-unit views. Its
+		// code aliases ent.code.
+		const uop = int(unsafe.Sizeof(isa.Uop{}))
+		n += int(unsafe.Sizeof(*b))
+		for i := range b.Insts {
+			n += int(unsafe.Sizeof(b.Insts[i])+unsafe.Sizeof(*b.Insts[i].Desc)) + uop*len(b.Insts[i].Desc.Uops)
+		}
+		n += uop*len(b.ExecUops()) + int(unsafe.Sizeof(&b.Insts[0]))*len(b.DecodeUnits())
 	}
 	return n
 }
@@ -348,15 +347,15 @@ func (e *Engine) Restricted() bool { return e.restrict != nil }
 // HasArch reports whether the engine can serve arch (case-insensitively)
 // right now.
 func (e *Engine) HasArch(arch string) bool {
-	_, _, err := e.builder(arch)
+	_, _, err := e.resolve(arch)
 	return err == nil
 }
 
-// builder resolves arch through the registry (case-insensitively) and
-// returns the memoized per-arch Builder, creating it on first use. Lookup
-// and restriction failures are classified as ErrBadRequest: the arch name is
-// client input.
-func (e *Engine) builder(arch string) (*bb.Builder, uint64, error) {
+// resolve resolves arch through the registry (case-insensitively) and
+// returns its configuration and the registry version, which scopes cache
+// keys. Lookup and restriction failures are classified as ErrBadRequest: the
+// arch name is client input.
+func (e *Engine) resolve(arch string) (*uarch.Config, uint64, error) {
 	uc, ver, err := e.reg.Resolve(arch)
 	if err != nil {
 		return nil, 0, asBadRequest(err)
@@ -365,16 +364,7 @@ func (e *Engine) builder(arch string) (*bb.Builder, uint64, error) {
 		return nil, 0, badRequestf("facile: engine not configured for microarchitecture %q (one of %s)",
 			arch, strings.Join(e.archs, ", "))
 	}
-	if s, ok := e.builders.Load(uc.Name); ok {
-		return s.(*builderSlot).bd, ver, nil
-	}
-	slot := &builderSlot{ver: ver, bd: bb.NewBuilder(uc)}
-	// Two racing callers may both build; LoadOrStore keeps exactly one so
-	// the descriptor memo is shared from then on.
-	if s, raced := e.builders.LoadOrStore(uc.Name, slot); raced {
-		return s.(*builderSlot).bd, ver, nil
-	}
-	return slot.bd, ver, nil
+	return uc, ver, nil
 }
 
 // checkCode validates the block bytes at the Analyze boundary.
@@ -399,11 +389,11 @@ func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode)
 	if err := checkMode(mode); err != nil {
 		return nil, err
 	}
-	bd, ver, err := e.builder(arch)
+	cfg, ver, err := e.resolve(arch)
 	if err != nil {
 		return nil, err
 	}
-	canon := bd.Cfg().Name
+	canon := cfg.Name
 	if err := e.checkCode(code); err != nil {
 		return nil, err
 	}
@@ -415,7 +405,7 @@ func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode)
 	ent.once.Do(func() {
 		computed = true
 		defer func() { ent.size = entrySizeBytes(ent) }()
-		block, err := bd.Build(ent.blockBytes(code))
+		block, err := bb.Build(cfg, ent.blockBytes(code))
 		if err != nil {
 			// Decode failures are about the request's bytes: classify them
 			// into the uniform bad-request vocabulary (text unchanged).
@@ -596,22 +586,13 @@ func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Re
 		}
 		return out
 	}
-	vt := &variantTarget{bd: v.builder(), canon: v.cfg.Name}
-	return e.analyzeBatch(ctx, vt, reqs, workers)
-}
-
-// variantTarget pins a batch to one pre-resolved ephemeral target: its
-// builder and canonical name stand in for the per-chunk registry resolution
-// of the arch-keyed path.
-type variantTarget struct {
-	bd    *bb.Builder
-	canon string
+	return e.analyzeBatch(ctx, v.cfg, reqs, workers)
 }
 
 // analyzeBatch is the shared chunked batch kernel behind AnalyzeBatchN
-// (vt == nil: arch-keyed, cached) and AnalyzeVariantBatchN (vt != nil:
-// variant-scoped, uncached).
-func (e *Engine) analyzeBatch(ctx context.Context, vt *variantTarget, reqs []Request, workers int) []AnalysisResult {
+// (variant == nil: arch-keyed, cached) and AnalyzeVariantBatchN (variant !=
+// nil: variant-scoped, uncached).
+func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs []Request, workers int) []AnalysisResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -630,7 +611,7 @@ func (e *Engine) analyzeBatch(ctx context.Context, vt *variantTarget, reqs []Req
 	if workers <= 1 {
 		sc := batchScratch{ana: e.analyses.Get().(*core.Analysis)}
 		for _, g := range groups {
-			e.processChunk(ctx, vt, reqs, out, order, g, &sc)
+			e.processChunk(ctx, variant, reqs, out, order, g, &sc)
 		}
 		e.analyses.Put(sc.ana)
 		return out
@@ -650,7 +631,7 @@ func (e *Engine) analyzeBatch(ctx context.Context, vt *variantTarget, reqs []Req
 				if ci >= len(chunks) {
 					return
 				}
-				e.processChunk(ctx, vt, reqs, out, order, chunks[ci], &sc)
+				e.processChunk(ctx, variant, reqs, out, order, chunks[ci], &sc)
 			}
 		}()
 	}
@@ -790,29 +771,21 @@ func splitChunks(groups []batchChunk, workers, n int) []batchChunk {
 // scratch. Error precedence per request is identical to Analyze's (detail,
 // mode, arch, code bytes), and the context is observed per position so a
 // cancelled batch stops computing while keeping one deterministic result
-// per request. A non-nil vt replaces the per-chunk registry resolution with
-// the pre-resolved variant target and forces every entry private (uncached).
-func (e *Engine) processChunk(ctx context.Context, vt *variantTarget, reqs []Request, out []AnalysisResult, order []int, c batchChunk, sc *batchScratch) {
+// per request. A non-nil variant replaces the per-chunk registry resolution
+// and forces every entry private (uncached).
+func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs []Request, out []AnalysisResult, order []int, c batchChunk, sc *batchScratch) {
 	idx0 := c.lo
 	if order != nil {
 		idx0 = order[c.lo]
 	}
 	modeErr := checkMode(reqs[idx0].Mode)
 	var (
-		bd    *bb.Builder
-		ver   uint64
-		canon string
-		bdErr error
+		cfg    = variant
+		ver    uint64
+		cfgErr error
 	)
-	if modeErr == nil {
-		if vt != nil {
-			bd, canon = vt.bd, vt.canon
-		} else {
-			bd, ver, bdErr = e.builder(reqs[idx0].Arch)
-			if bdErr == nil {
-				canon = bd.Cfg().Name
-			}
-		}
+	if modeErr == nil && cfg == nil {
+		cfg, ver, cfgErr = e.resolve(reqs[idx0].Arch)
 	}
 	for i := c.lo; i < c.hi; i++ {
 		idx := i
@@ -832,8 +805,8 @@ func (e *Engine) processChunk(ctx context.Context, vt *variantTarget, reqs []Req
 			out[idx].Err = modeErr
 			continue
 		}
-		if bdErr != nil {
-			out[idx].Err = bdErr
+		if cfgErr != nil {
+			out[idx].Err = cfgErr
 			continue
 		}
 		if err := e.checkCode(req.Code); err != nil {
@@ -841,14 +814,14 @@ func (e *Engine) processChunk(ctx context.Context, vt *variantTarget, reqs []Req
 			continue
 		}
 		var ent *engineEntry
-		if vt != nil {
+		if variant != nil {
 			// Variant analyses never touch the cache: every position gets a
 			// private entry (the context was already observed above).
 			e.uncached.Add(1)
 			ent = &engineEntry{}
 		} else {
 			var err error
-			ent, err = e.resolveEntry(ctx, req.Code, canon, ver, req.Mode)
+			ent, err = e.resolveEntry(ctx, req.Code, cfg.Name, ver, req.Mode)
 			if err != nil {
 				out[idx].Err = err
 				continue
@@ -858,18 +831,18 @@ func (e *Engine) processChunk(ctx context.Context, vt *variantTarget, reqs []Req
 		ent.once.Do(func() {
 			computed = true
 			defer func() { ent.size = entrySizeBytes(ent) }()
-			block, err := bd.Build(ent.blockBytes(req.Code))
+			block, err := bb.Build(cfg, ent.blockBytes(req.Code))
 			if err != nil {
 				ent.err = asBadRequest(err)
 				return
 			}
 			ent.block = block
 			ent.core = sc.ana.PredictArena(block, coreMode(req.Mode), core.Options{}, &sc.arena)
-			ent.pred = publicPredictionSlab(&ent.core, block, canon, req.Mode, sc)
+			ent.pred = publicPredictionSlab(&ent.core, block, cfg.Name, req.Mode, sc)
 			ent.bounds = componentBoundsSlab(&ent.core, sc)
 		})
 		if computed {
-			e.recordEntrySize(ent, canon, ver, req.Mode)
+			e.recordEntrySize(ent, cfg.Name, ver, req.Mode)
 		}
 		if ent.err != nil {
 			out[idx].Err = ent.err

@@ -483,7 +483,7 @@ func TestEngineMaxCacheBytes(t *testing.T) {
 
 	// A tight budget on a single shard forces byte-budget evictions.
 	e := newTestEngine(t, facile.EngineConfig{
-		Archs: []string{"SKL"}, CacheShards: 1, MaxCacheBytes: 2048,
+		Archs: []string{"SKL"}, CacheShards: 1, MaxCacheBytes: 8192,
 	})
 	corpus := bhive.Generate(eval.DefaultSeed, 24)
 	want := make(map[int]float64)
@@ -512,8 +512,8 @@ func TestEngineMaxCacheBytes(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("stats = %+v, want byte-budget evictions", st)
 	}
-	if st.SizeBytes > 2048 {
-		t.Fatalf("SizeBytes = %d exceeds the 2048-byte budget", st.SizeBytes)
+	if st.SizeBytes > 8192 {
+		t.Fatalf("SizeBytes = %d exceeds the 8192-byte budget", st.SizeBytes)
 	}
 }
 

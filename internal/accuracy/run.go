@@ -25,8 +25,8 @@ type RunOptions struct {
 	// with a disabled cache (EngineConfig.CacheSize < 0) for corpus streams:
 	// corpus blocks do not repeat, so memoization only churns.
 	Engine *facile.Engine
-	// Cfg is the target microarchitecture (for the opponents' shared block
-	// builder). Its name must be served by Engine.
+	// Cfg is the target microarchitecture the opponents' blocks are built
+	// for. Its name must be served by Engine.
 	Cfg *uarch.Config
 	// Chunk is the streaming granularity; 0 selects DefaultChunk.
 	Chunk int
@@ -66,7 +66,6 @@ func RunCorpus(ctx context.Context, opt RunOptions, mode facile.Mode, file strin
 	}
 	arch := opt.Cfg.Name
 	res := &CorpusResult{Arch: arch, Mode: string(modeText), File: file}
-	builder := bb.NewBuilder(opt.Cfg)
 	loop := mode == facile.Loop
 
 	facAcc := &Accumulator{}
@@ -132,7 +131,7 @@ func RunCorpus(ctx context.Context, opt RunOptions, mode facile.Mode, file strin
 				blocks = append(blocks, noOpponentBlock)
 				continue
 			}
-			block, err := builder.Build(rows[i].Code)
+			block, err := bb.Build(opt.Cfg, rows[i].Code)
 			if err != nil {
 				// Unreachable when facile accepted the code; keep the row
 				// out of every population if it ever happens.

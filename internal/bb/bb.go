@@ -36,7 +36,7 @@ type Block struct {
 	Code  []byte
 	Insts []Instr
 
-	// Derived state, precomputed by assemble (see the package comment).
+	// Derived state, precomputed by Build (see the package comment).
 	fusedUops   int
 	issueUops   int
 	execUops    []isa.Uop
@@ -44,21 +44,10 @@ type Block struct {
 	jccErratum  bool
 }
 
-// Build decodes code and resolves descriptors and macro-fusion for cfg.
-// It is the one-shot path: every descriptor is derived from scratch. Bulk
-// workloads should construct a Builder once per microarchitecture and reuse
-// it, which memoizes descriptor derivation across blocks.
+// Build decodes code and assembles the block for cfg: each instruction's
+// descriptor, its layout, and macro-fusion marking. Every descriptor is
+// derived afresh by isa.Lookup and owned by the returned block.
 func Build(cfg *uarch.Config, code []byte) (*Block, error) {
-	return assemble(cfg, code, func(inst *x86.Inst, _ []byte) (*isa.Desc, error) {
-		return isa.Lookup(cfg, inst)
-	})
-}
-
-// assemble decodes code and assembles the block, resolving each instruction's
-// descriptor through lookup (which receives the instruction and its raw
-// encoding bytes). Descriptors returned by lookup are treated as immutable:
-// macro-fusion rewrites work on copies, so lookup may hand out shared ones.
-func assemble(cfg *uarch.Config, code []byte, lookup func(*x86.Inst, []byte) (*isa.Desc, error)) (*Block, error) {
 	insts, err := x86.DecodeBlock(code)
 	if err != nil {
 		return nil, err
@@ -69,7 +58,7 @@ func assemble(cfg *uarch.Config, code []byte, lookup func(*x86.Inst, []byte) (*i
 	b := &Block{Cfg: cfg, Code: code, Insts: make([]Instr, len(insts))}
 	off := 0
 	for k := range insts {
-		desc, err := lookup(&insts[k], code[off:off+insts[k].Len])
+		desc, err := isa.Lookup(cfg, &insts[k])
 		if err != nil {
 			return nil, fmt.Errorf("bb: instruction %d (%s): %w", k, insts[k].String(), err)
 		}
@@ -89,17 +78,16 @@ func assemble(cfg *uarch.Config, code []byte, lookup func(*x86.Inst, []byte) (*i
 		if isa.CanMacroFuse(cfg, cur.Desc, &cur.Inst, &next.Inst) {
 			cur.FusedWithNext = true
 			next.FusedWithPrev = true
-			// The pair's compute µop executes on the branch ports.
-			d := *cur.Desc
-			d.Uops = append([]isa.Uop(nil), cur.Desc.Uops...)
-			for j := range d.Uops {
-				if d.Uops[j].Role == uarch.RoleALU {
-					d.Uops[j].Role = uarch.RoleBranch
-					d.Uops[j].Ports = cfg.PortsFor(uarch.RoleBranch)
+			// The pair's compute µop executes on the branch ports. The
+			// descriptor is the block's own, so it is rewritten in place.
+			uops := cur.Desc.Uops
+			for j := range uops {
+				if uops[j].Role == uarch.RoleALU {
+					uops[j].Role = uarch.RoleBranch
+					uops[j].Ports = cfg.PortsFor(uarch.RoleBranch)
 					break
 				}
 			}
-			cur.Desc = &d
 		}
 	}
 

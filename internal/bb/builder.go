@@ -1,108 +1,23 @@
 package bb
 
-import (
-	"sync"
-	"sync/atomic"
+import "facile/internal/uarch"
 
-	"facile/internal/isa"
-	"facile/internal/uarch"
-	"facile/internal/x86"
-)
-
-// maxDescCacheEntries bounds the Builder's descriptor memo. The set of
-// distinct instruction encodings seen by a real workload is small (BHive has
-// a few thousand), so the bound exists only as a safety valve; once reached,
-// new encodings are derived without being retained.
-const maxDescCacheEntries = 1 << 16
-
-// Builder prepares basic blocks for one microarchitecture while sharing the
-// immutable per-instruction state across blocks: descriptor derivation
-// (µop breakdown, port assignment, decoder constraints, fusion flags) is
-// memoized by instruction encoding, so bulk workloads — batch evaluation,
-// superoptimizer search loops — pay it once per distinct instruction rather
-// than once per occurrence. A Builder is safe for concurrent use.
-//
-// The memo is a copy-on-write map with an amortizing staging level: warm
-// lookups — the per-instruction hot path of every parallel batch worker —
-// read the published map with no lock and no allocation. A new encoding is
-// first staged in a small mutex-guarded pending map; only when the pending
-// level reaches republishBatch entries is the published map copied and
-// republished with the batch merged in. Copying per batch rather than per
-// insert keeps low-reuse workloads (corpus streams whose random immediates
-// defeat memoization) linear instead of quadratic in distinct encodings.
+// Builder prepares basic blocks for one microarchitecture. It is a thin form
+// of Build and retains nothing between blocks; it remains only because the
+// benchmark's per-layer replay (bench/layers.go) calls NewBuilder, Build and
+// DescCacheLen, and the benchmark is not edited together with the code it
+// measures. New code should call Build directly. A Builder is safe for
+// concurrent use.
 type Builder struct {
 	cfg *uarch.Config
-
-	descs atomic.Pointer[map[string]*isa.Desc]
-	mu    sync.Mutex // guards pending and republishing
-	pend  map[string]*isa.Desc
 }
-
-// republishBatch is the pending-level size that triggers merging into the
-// published map. Each merge copies the published map once, so the amortized
-// copy cost per insert is len(published)/republishBatch entries.
-const republishBatch = 256
 
 // NewBuilder returns a Builder preparing blocks for cfg.
-func NewBuilder(cfg *uarch.Config) *Builder {
-	bd := &Builder{cfg: cfg, pend: make(map[string]*isa.Desc)}
-	m := make(map[string]*isa.Desc)
-	bd.descs.Store(&m)
-	return bd
-}
+func NewBuilder(cfg *uarch.Config) *Builder { return &Builder{cfg: cfg} }
 
-// Cfg returns the microarchitecture the Builder prepares blocks for.
-func (bd *Builder) Cfg() *uarch.Config { return bd.cfg }
+// Build is Build(cfg, code) for the Builder's configuration.
+func (bd *Builder) Build(code []byte) (*Block, error) { return Build(bd.cfg, code) }
 
-// Build decodes code and resolves descriptors and macro-fusion, reusing
-// memoized descriptors for instruction encodings seen before.
-func (bd *Builder) Build(code []byte) (*Block, error) {
-	return assemble(bd.cfg, code, bd.lookup)
-}
-
-// DescCacheLen returns the number of memoized instruction descriptors
-// (published and staged).
-func (bd *Builder) DescCacheLen() int {
-	bd.mu.Lock()
-	defer bd.mu.Unlock()
-	return len(*bd.descs.Load()) + len(bd.pend)
-}
-
-func (bd *Builder) lookup(inst *x86.Inst, enc []byte) (*isa.Desc, error) {
-	if d, ok := (*bd.descs.Load())[string(enc)]; ok {
-		return d, nil
-	}
-	bd.mu.Lock()
-	if d, ok := bd.pend[string(enc)]; ok {
-		bd.mu.Unlock()
-		return d, nil
-	}
-	bd.mu.Unlock()
-	d, err := isa.Lookup(bd.cfg, inst)
-	if err != nil {
-		return nil, err
-	}
-	bd.mu.Lock()
-	// A concurrent builder may have staged the same encoding already; both
-	// descriptors are identical, so the existing one wins. Beyond the
-	// safety-valve bound, new encodings are derived without being retained.
-	cur := *bd.descs.Load()
-	_, inCur := cur[string(enc)]
-	_, inPend := bd.pend[string(enc)]
-	if !inCur && !inPend && len(cur)+len(bd.pend) < maxDescCacheEntries {
-		bd.pend[string(enc)] = d
-		if len(bd.pend) >= republishBatch {
-			next := make(map[string]*isa.Desc, len(cur)+len(bd.pend))
-			for k, v := range cur {
-				next[k] = v
-			}
-			for k, v := range bd.pend {
-				next[k] = v
-			}
-			bd.descs.Store(&next)
-			bd.pend = make(map[string]*isa.Desc)
-		}
-	}
-	bd.mu.Unlock()
-	return d, nil
-}
+// DescCacheLen reports the number of instruction descriptors the Builder
+// retains across blocks, which is always 0.
+func (bd *Builder) DescCacheLen() int { return 0 }

@@ -3,7 +3,6 @@ package bb
 import (
 	"encoding/hex"
 	"reflect"
-	"sync"
 	"testing"
 
 	"facile/internal/uarch"
@@ -18,8 +17,8 @@ func mustHex(t *testing.T, s string) []byte {
 	return code
 }
 
-// TestBuilderMatchesBuild checks that the memoized path produces blocks
-// identical to the one-shot path, including macro-fusion rewrites.
+// TestBuilderMatchesBuild checks that the Builder form produces blocks
+// identical to Build, including macro-fusion rewrites.
 func TestBuilderMatchesBuild(t *testing.T) {
 	codes := [][]byte{
 		mustHex(t, "4801d8480fafc3"),       // add rax,rbx; imul rax,rbx
@@ -31,7 +30,7 @@ func TestBuilderMatchesBuild(t *testing.T) {
 		bd := NewBuilder(cfg)
 		for _, code := range codes {
 			want, errWant := Build(cfg, code)
-			// Build twice so the second pass exercises the memoized hits.
+			// Build twice: a Builder retains nothing between blocks.
 			for pass := 0; pass < 2; pass++ {
 				got, errGot := bd.Build(code)
 				if (errWant == nil) != (errGot == nil) {
@@ -49,28 +48,9 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	}
 }
 
-func TestBuilderMemoizes(t *testing.T) {
-	bd := NewBuilder(uarch.MustByName("SKL"))
-	code := mustHex(t, "4801d84801d84801d8") // the same add three times
-	if _, err := bd.Build(code); err != nil {
-		t.Fatal(err)
-	}
-	if n := bd.DescCacheLen(); n != 1 {
-		t.Fatalf("DescCacheLen = %d, want 1 (one distinct encoding)", n)
-	}
-	// Identical instructions must share one memoized descriptor.
-	block, err := bd.Build(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if block.Insts[0].Desc != block.Insts[1].Desc {
-		t.Fatal("identical encodings should share a descriptor")
-	}
-}
-
 // TestBuilderFusionDoesNotPoisonCache checks that the macro-fusion rewrite
-// (which retargets the compute µop to the branch ports) does not leak into
-// the shared memoized descriptor.
+// (which retargets the compute µop to the branch ports) stays inside the
+// fused block and does not leak into a later block's descriptor.
 func TestBuilderFusionDoesNotPoisonCache(t *testing.T) {
 	bd := NewBuilder(uarch.MustByName("SKL"))
 	fused := mustHex(t, "48ffc975fb") // dec rcx; jne  (fuses)
@@ -88,79 +68,7 @@ func TestBuilderFusionDoesNotPoisonCache(t *testing.T) {
 	}
 	want, _ := Build(uarch.MustByName("SKL"), alone)
 	if !reflect.DeepEqual(want.Insts[0].Desc, blockAlone.Insts[0].Desc) {
-		t.Fatalf("memoized descriptor was mutated by fusion:\nwant %+v\ngot  %+v",
+		t.Fatalf("descriptor was mutated by fusion:\nwant %+v\ngot  %+v",
 			want.Insts[0].Desc, blockAlone.Insts[0].Desc)
-	}
-}
-
-func TestBuilderConcurrent(t *testing.T) {
-	bd := NewBuilder(uarch.MustByName("RKL"))
-	codes := [][]byte{
-		mustHex(t, "4801d8"),
-		mustHex(t, "480fafc3"),
-		mustHex(t, "48030748ffc975f8"),
-		mustHex(t, "90"),
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				code := codes[i%len(codes)]
-				block, err := bd.Build(code)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(block.Insts) == 0 {
-					t.Error("empty block")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestBuilderStagedMemoAcrossRepublish drives the memo through several
-// republish batches with distinct encodings (mov reg, imm32 over varying
-// immediates) and checks that every encoding still resolves to the same
-// descriptor as the one-shot path — staged entries, merged entries, and
-// republish boundaries included.
-func TestBuilderStagedMemoAcrossRepublish(t *testing.T) {
-	cfg := uarch.MustByName("SKL")
-	bd := NewBuilder(cfg)
-	const distinct = 3*republishBatch + 17
-	codes := make([][]byte, distinct)
-	for i := range codes {
-		// mov eax, imm32 with a unique immediate: one distinct encoding each.
-		codes[i] = []byte{0xb8, byte(i), byte(i >> 8), byte(i >> 16), 0x01}
-	}
-	for _, code := range codes {
-		if _, err := bd.Build(code); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := bd.DescCacheLen(); n != distinct {
-		t.Fatalf("DescCacheLen = %d, want %d", n, distinct)
-	}
-	// Every encoding — whether published or still staged — must hit the memo
-	// and match the one-shot block.
-	for i, code := range codes {
-		want, err := Build(cfg, code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bd.Build(code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("encoding %d: memoized block differs from one-shot block", i)
-		}
-	}
-	if n := bd.DescCacheLen(); n != distinct {
-		t.Fatalf("DescCacheLen grew to %d on warm hits, want %d", n, distinct)
 	}
 }

@@ -12,8 +12,7 @@
 // accessors are plain field reads that never allocate. Callers must treat
 // the slices returned by those accessors as read-only.
 //
-// A Builder memoizes per-(opcode, microarchitecture) instruction
-// descriptors across blocks; facile.Engine holds one Builder per served
-// microarchitecture so descriptor resolution is paid once per distinct
-// instruction, not once per block.
+// Build derives every instruction descriptor afresh and shares none between
+// blocks, so each block owns all of its state; facile.Engine calls Build
+// once per cache miss.
 package bb

@@ -50,45 +50,6 @@ func MaxRatio(g *Graph) (Result, error) {
 	return res, err
 }
 
-// subgraph is one strongly connected component with its edge-index mapping
-// back to the parent graph (test-facing view of the Solver decomposition).
-type subgraph struct {
-	g       *Graph
-	edgeMap []int
-}
-
-// prune removes nodes that cannot lie on a cycle and returns the remaining
-// subgraph with renumbered nodes plus a mapping from new edge index to old
-// edge index. Test-facing wrapper over Solver.prune.
-func prune(g *Graph) (*Graph, []int) {
-	s := NewSolver()
-	s.prune(g)
-	return &s.pruned, s.remap
-}
-
-// hasZeroTransitCycle detects a cycle consisting solely of T == 0 edges.
-// Test-facing wrapper over the Solver method.
-func hasZeroTransitCycle(g *Graph) bool {
-	return NewSolver().hasZeroTransitCycle(g)
-}
-
-// sccSubgraphs decomposes g into the strongly connected components that
-// contain at least one edge. Test-facing wrapper over Solver.decompose.
-func sccSubgraphs(g *Graph) []subgraph {
-	s := NewSolver()
-	s.decompose(g)
-	out := make([]subgraph, s.nSCCs)
-	for i := 0; i < s.nSCCs; i++ {
-		out[i] = subgraph{g: &s.sccs[i].g, edgeMap: s.sccs[i].edgeMap}
-	}
-	return out
-}
-
-// howard is the test-facing wrapper over the Solver method.
-func howard(g *Graph) (Result, int, bool) {
-	return NewSolver().howard(g)
-}
-
 // MaxRatioReference computes the maximum cycle ratio with the parametric
 // binary-search solver only (used to cross-check Howard's algorithm).
 func MaxRatioReference(g *Graph) (float64, error) {

@@ -15,16 +15,19 @@ import (
 // paper Figure 4).
 func TestHowardConvergenceStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	s := NewSolver()
 	worst, fails, total := 0, 0, 0
 	for k := 0; k < 300; k++ {
 		g := randomGraph(rng, 60, 240)
-		core, _ := prune(g)
-		if core.N == 0 || hasZeroTransitCycle(core) {
+		s.prune(g)
+		core := &s.pruned
+		if core.N == 0 || s.hasZeroTransitCycle(core) {
 			continue
 		}
 		total++
-		for _, comp := range sccSubgraphs(core) {
-			_, iters, ok := howard(comp.g)
+		s.decompose(core)
+		for i := 0; i < s.nSCCs; i++ {
+			_, iters, ok := s.howard(&s.sccs[i].g)
 			if !ok {
 				fails++
 				continue
@@ -50,6 +53,7 @@ func TestHowardConvergenceStatistics(t *testing.T) {
 // backward iteration edges) must converge without the fallback.
 func TestHowardConvergesOnDependenceShapedGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	s := NewSolver()
 	fails := 0
 	total := 0
 	for k := 0; k < 200; k++ {
@@ -68,15 +72,16 @@ func TestHowardConvergesOnDependenceShapedGraphs(t *testing.T) {
 			to := rng.Intn(from + 1)
 			g.AddEdge(from, to, 0, 1)
 		}
-		core, _ := prune(g)
-		if core.N == 0 {
+		s.prune(g)
+		if s.pruned.N == 0 {
 			continue
 		}
 		total++
 		// MaxRatio solves per strongly connected component; each component
 		// must converge without the Bellman-Ford fallback.
-		for _, comp := range sccSubgraphs(core) {
-			if _, _, ok := howard(comp.g); !ok {
+		s.decompose(&s.pruned)
+		for i := 0; i < s.nSCCs; i++ {
+			if _, _, ok := s.howard(&s.sccs[i].g); !ok {
 				fails++
 			}
 		}

@@ -108,12 +108,12 @@ type Options struct {
 // Fuzzer runs differential comparisons. Construct with New; a Fuzzer is safe
 // for use by one Run at a time.
 type Fuzzer struct {
-	opt      Options
-	eng      *facile.Engine
-	reg      *uarch.Registry
-	targets  []Target
-	builders map[string]*bb.Builder // arch name -> shared descriptor-memoizing builder
-	mca      *mca.Referee
+	opt     Options
+	eng     *facile.Engine
+	reg     *uarch.Registry
+	targets []Target
+	cfgs    map[string]*uarch.Config // target arch name -> its configuration
+	mca     *mca.Referee
 }
 
 // New validates opts, resolves the target list, and returns a ready Fuzzer.
@@ -157,9 +157,9 @@ func New(opt Options) (*Fuzzer, error) {
 				Target{Arch: name, Mode: facile.Loop})
 		}
 	}
-	f.builders = make(map[string]*bb.Builder, len(f.targets))
+	f.cfgs = make(map[string]*uarch.Config, len(f.targets))
 	for _, t := range f.targets {
-		if _, ok := f.builders[t.Arch]; ok {
+		if _, ok := f.cfgs[t.Arch]; ok {
 			continue
 		}
 		cfg, err := f.reg.ByName(t.Arch)
@@ -169,7 +169,7 @@ func New(opt Options) (*Fuzzer, error) {
 		if !f.eng.HasArch(t.Arch) {
 			return nil, fmt.Errorf("difffuzz: engine does not serve target arch %q", t.Arch)
 		}
-		f.builders[t.Arch] = bb.NewBuilder(cfg)
+		f.cfgs[t.Arch] = cfg
 	}
 	if opt.MCAPath != "" {
 		f.mca = mca.NewReferee(opt.MCAPath)
@@ -208,8 +208,8 @@ func Diverges(facileTP, pipesimTP, relThreshold, absThreshold float64) (relDiff 
 
 // compare runs both models on code for one target. The facile side goes
 // through the public Engine.Analyze entrypoint (the exact surface every
-// client uses); the pipesim side goes through the shared per-arch builder
-// and the stable pipesim.PredictBlock entrypoint. Every recorded value comes
+// client uses); the pipesim side builds the block with bb.Build and runs the
+// stable pipesim.PredictBlock entrypoint. Every recorded value comes
 // from this full-window comparison, so corpus entries replay identically
 // through pipesim.Predict's defaults.
 func (f *Fuzzer) compare(ctx context.Context, code []byte, t Target) (comparison, error) {
@@ -233,7 +233,7 @@ func (f *Fuzzer) compareWindow(ctx context.Context, code []byte, t Target, quick
 	if err != nil {
 		return comparison{}, fmt.Errorf("facile %s: %w", t, err)
 	}
-	block, err := f.builders[t.Arch].Build(code)
+	block, err := bb.Build(f.cfgs[t.Arch], code)
 	if err != nil {
 		return comparison{}, fmt.Errorf("build %s: %w", t, err)
 	}

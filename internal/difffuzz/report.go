@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"facile/internal/bb"
 	"facile/internal/bhive"
 	"facile/internal/x86"
 )
@@ -131,7 +132,7 @@ func FindingID(hexCode, arch, mode string) string {
 // sorted set of µop roles it dispatches, with "elim" standing in for
 // instructions that never execute (eliminated moves, zero idioms, NOPs).
 func (f *Fuzzer) signature(code []byte, arch string) (string, error) {
-	block, err := f.builders[arch].Build(code)
+	block, err := bb.Build(f.cfgs[arch], code)
 	if err != nil {
 		return "", fmt.Errorf("signature: %w", err)
 	}

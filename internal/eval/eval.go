@@ -31,19 +31,16 @@ type Suite struct {
 }
 
 // BuildSuite prepares blocks and measurements for cfg. Benchmarks that the
-// microarchitecture cannot execute are skipped. Block building goes through
-// a shared bb.Builder so descriptor derivation is amortized across the
-// corpus. Measurements run in parallel; results are deterministic regardless
-// of parallelism.
+// microarchitecture cannot execute are skipped. Measurements run in
+// parallel; results are deterministic regardless of parallelism.
 func BuildSuite(cfg *uarch.Config, corpus []bhive.Benchmark) *Suite {
 	s := &Suite{Cfg: cfg}
-	builder := bb.NewBuilder(cfg)
 	for _, bm := range corpus {
-		blockU, err := builder.Build(bm.Code)
+		blockU, err := bb.Build(cfg, bm.Code)
 		if err != nil {
 			continue
 		}
-		blockL, err := builder.Build(bm.LoopCode)
+		blockL, err := bb.Build(cfg, bm.LoopCode)
 		if err != nil {
 			continue
 		}
@@ -95,11 +92,10 @@ func parallelFor(n int, fn func(int)) {
 // microarchitecture. trainN controls the training-corpus size.
 func Predictors(cfg *uarch.Config, trainN int) []baselines.Predictor {
 	trainCorpus := bhive.Generate(DefaultTrainSeed, trainN)
-	builder := bb.NewBuilder(cfg)
 	var blocks []*bb.Block
 	var meas []float64
 	for _, bm := range trainCorpus {
-		block, err := builder.Build(bm.Code)
+		block, err := bb.Build(cfg, bm.Code)
 		if err != nil {
 			continue
 		}

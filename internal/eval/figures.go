@@ -257,15 +257,13 @@ func BottleneckFlow(corpusN int, chain []*uarch.Config) string {
 	comps := []core.Component{core.Predec, core.Dec, core.Issue, core.Ports, core.Precedence}
 
 	// bottlenecks[ci][bi] = component (or -1 if the block is unsupported).
-	// One shared Analysis serves the whole sweep; descriptor derivation is
-	// amortized per microarchitecture through a Builder.
+	// One shared Analysis serves the whole sweep.
 	a := core.NewAnalysis()
 	bottlenecks := make([][]int, len(chain))
 	for ci, cfg := range chain {
-		builder := bb.NewBuilder(cfg)
 		bottlenecks[ci] = make([]int, len(corpus))
 		for bi, bm := range corpus {
-			block, err := builder.Build(bm.Code)
+			block, err := bb.Build(cfg, bm.Code)
 			if err != nil {
 				bottlenecks[ci][bi] = -1
 				continue

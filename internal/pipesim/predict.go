@@ -12,9 +12,8 @@ import (
 // (internal/difffuzz): decode and prepare code for cfg, simulate it under the
 // requested throughput notion, and return the steady-state cycles per
 // iteration. It is a pure convenience over bb.Build + Run with the default
-// measurement window; callers that prepare many blocks for the same
-// microarchitecture should build through a shared bb.Builder and call
-// PredictBlock instead, which memoizes descriptor derivation.
+// measurement window; callers that already hold a built block call
+// PredictBlock instead.
 func Predict(cfg *uarch.Config, code []byte, loop bool) (float64, error) {
 	block, err := bb.Build(cfg, code)
 	if err != nil {

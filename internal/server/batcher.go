@@ -158,12 +158,14 @@ func (b *batcher) process(items []batchItem, reqs []facile.Request) []facile.Req
 	// already honored above, and one caller's deadline must not abort its
 	// groupmates' work.
 	results := b.engine.AnalyzeBatch(context.Background(), reqs)
-	for i, it := range live {
-		it.res <- results[i]
-	}
+	// Count the group before delivering its results, so a caller that has
+	// its answer also sees the group in the counters.
 	b.batches.Add(1)
 	b.blocks.Add(uint64(len(live)))
 	b.sizes.Observe(float64(len(live)))
+	for i, it := range live {
+		it.res <- results[i]
+	}
 	return reqs
 }
 

@@ -132,7 +132,7 @@ func TestSnapshotEndpointMaxBytes(t *testing.T) {
 	if all != len(blocks) {
 		t.Fatalf("full export = %d entries, want %d", all, len(blocks))
 	}
-	_, bounded := snapshotGet(t, s, "?max_bytes=1200")
+	_, bounded := snapshotGet(t, s, "?max_bytes=2000")
 	if bounded == 0 || bounded >= all {
 		t.Fatalf("bounded export = %d entries, want strictly between 0 and %d", bounded, all)
 	}

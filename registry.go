@@ -5,9 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
-	"facile/internal/bb"
 	"facile/internal/uarch"
 )
 
@@ -89,12 +87,9 @@ func (ar *ArchRegistry) Derive(name, base string, overlay []byte) (ArchInfo, err
 // cannot collide with (or poison the cache-key versioning of) registered
 // arches. Analyze a workload against one with Engine.AnalyzeVariantBatchN.
 //
-// A Variant memoizes its per-instruction descriptor state across calls and
-// is safe for concurrent use.
+// A Variant is immutable and safe for concurrent use.
 type Variant struct {
-	cfg    *uarch.Config
-	bdOnce sync.Once
-	bd     *bb.Builder
+	cfg *uarch.Config
 }
 
 // Name returns the variant's name (as passed to DeriveVariant).
@@ -108,13 +103,6 @@ func (v *Variant) Info() ArchInfo { return infoFor(v.cfg) }
 // would recreate it (via LoadSpec or DeriveVariant with no overlay).
 func (v *Variant) Spec() ([]byte, error) {
 	return uarch.SpecFromConfig(v.cfg).JSON()
-}
-
-// builder returns the variant's memoized block builder, creating it on
-// first use.
-func (v *Variant) builder() *bb.Builder {
-	v.bdOnce.Do(func() { v.bd = bb.NewBuilder(v.cfg) })
-	return v.bd
 }
 
 // DeriveVariant builds and validates a variant of base under name without

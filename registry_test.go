@@ -110,7 +110,7 @@ func TestEngineServesRegistryDynamically(t *testing.T) {
 }
 
 // TestEngineRegistryIsolation: same-named arches in two registries must not
-// share cache entries or builders.
+// share cache entries or configurations.
 func TestEngineRegistryIsolation(t *testing.T) {
 	regA, regB := NewArchRegistry(), NewArchRegistry()
 	// Same name, different machines: A's X is SKL-like, B's X single-ported.

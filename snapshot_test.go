@@ -137,7 +137,7 @@ func TestSnapshotByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tight bytes.Buffer
-	if _, err := src.ExportSnapshot(&tight, 4096); err != nil {
+	if _, err := src.ExportSnapshot(&tight, 12288); err != nil {
 		t.Fatal(err)
 	}
 	dst := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
