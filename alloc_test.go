@@ -182,40 +182,57 @@ func TestEngineColdStreamAllocFlat(t *testing.T) {
 
 // TestEngineEntrySizeTracksHeap: the accounted size of cached entries
 // (Stats.SizeBytes, which byte budgets and snapshot weighting use) stays
-// within 2x of the heap bytes those entries actually retain.
+// within 2x of the heap bytes those entries actually retain — whether each
+// entry is computed by Analyze or by the batch kernel, here in batches of
+// one, the shape of a small /v1/predict/batch call. A batch must not leave
+// a slab sized for many blocks reachable from the one entry it computed.
 func TestEngineEntrySizeTracksHeap(t *testing.T) {
 	const n = 2000
 	var codes [][]byte
 	for _, b := range bhive.GenerateBlocks(5, n) {
 		codes = append(codes, b.Code)
 	}
-	// One shard holding every entry: nothing is evicted during the run.
-	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: 2 * n, CacheShards: 1})
-	ctx := context.Background()
-	var ms runtime.MemStats
-	heapAlloc := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	// One analysis first, so one-time engine state is not charged to the
-	// entries.
-	if _, err := e.Analyze(ctx, facile.Request{Code: codes[0], Arch: "SKL", Mode: facile.Unroll}); err != nil {
-		t.Fatal(err)
-	}
-	before := heapAlloc()
-	sizeBefore := e.Stats().SizeBytes
-	for _, code := range codes[1:] {
-		if _, err := e.Analyze(ctx, facile.Request{Code: code, Arch: "SKL", Mode: facile.Unroll}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	retained := float64(heapAlloc() - before)
-	accounted := float64(e.Stats().SizeBytes - sizeBefore)
-	runtime.KeepAlive(codes)
-	t.Logf("per entry: accounted %.0f B, retained %.0f B", accounted/(n-1), retained/(n-1))
-	if accounted > 2*retained || retained > 2*accounted {
-		t.Errorf("accounted %.0f B per entry, heap retains %.0f B: not within 2x", accounted/(n-1), retained/(n-1))
+	for _, tc := range []struct {
+		name    string
+		analyze func(e *facile.Engine, req facile.Request) error
+	}{
+		{"Analyze", func(e *facile.Engine, req facile.Request) error {
+			_, err := e.Analyze(context.Background(), req)
+			return err
+		}},
+		{"AnalyzeBatchOfOne", func(e *facile.Engine, req facile.Request) error {
+			return e.AnalyzeBatch(context.Background(), []facile.Request{req})[0].Err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One shard holding every entry: nothing is evicted during the run.
+			e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: 2 * n, CacheShards: 1})
+			var ms runtime.MemStats
+			heapAlloc := func() uint64 {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			// One analysis first, so one-time engine state is not charged to
+			// the entries.
+			if err := tc.analyze(e, facile.Request{Code: codes[0], Arch: "SKL", Mode: facile.Unroll}); err != nil {
+				t.Fatal(err)
+			}
+			before := heapAlloc()
+			sizeBefore := e.Stats().SizeBytes
+			for _, code := range codes[1:] {
+				if err := tc.analyze(e, facile.Request{Code: code, Arch: "SKL", Mode: facile.Unroll}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			retained := float64(heapAlloc() - before)
+			accounted := float64(e.Stats().SizeBytes - sizeBefore)
+			runtime.KeepAlive(codes)
+			t.Logf("per entry: accounted %.0f B, retained %.0f B", accounted/(n-1), retained/(n-1))
+			if accounted > 2*retained || retained > 2*accounted {
+				t.Errorf("accounted %.0f B per entry, heap retains %.0f B: not within 2x", accounted/(n-1), retained/(n-1))
+			}
+		})
 	}
 }

@@ -192,7 +192,7 @@ func componentBounds(p *core.Prediction) []ComponentBound {
 // batch worker's slab instead of a per-block allocation. Across a chunk the
 // breakdowns land contiguously — one flat block×component slab.
 func componentBoundsSlab(p *core.Prediction, sc *batchScratch) []ComponentBound {
-	out := sc.boundSlab(bits.OnesCount8(uint8(p.Bounds.Present)))
+	out := sc.bounds.Carve(bits.OnesCount8(uint8(p.Bounds.Present)))
 	i := 0
 	p.EachBound(func(c core.Component, cycles float64, bottleneck bool) {
 		out[i] = ComponentBound{Component: c.String(), Cycles: cycles, Bottleneck: bottleneck}

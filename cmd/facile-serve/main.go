@@ -5,7 +5,7 @@
 //
 //	facile-serve [-addr :8629] [-archs SKL,RKL] [-arch-dir ./myarchs]
 //	             [-cache 4096] [-cache-shards 0] [-cache-bytes 0] [-workers 0]
-//	             [-max-batch 64] [-timeout 10s]
+//	             [-timeout 10s]
 //	             [-max-inflight 0] [-max-queue 0] [-client-concurrency 0] [-retry-after 1]
 //	             [-snapshot warm.facsnp] [-snapshot-interval 5m]
 //	             [-pprof]
@@ -40,7 +40,8 @@
 // the server starts cold rather than not at all), and on graceful shutdown
 // the warm working set is exported back to it (atomically, via a temp file).
 // -snapshot-interval additionally exports periodically, so a crash loses at
-// most one interval of warmth.
+// most one interval of warmth; shutdown waits for a periodic export in
+// progress before writing the final one.
 //
 // Load shedding: -max-inflight bounds concurrently processed analysis
 // requests; -max-queue more wait for a slot and the rest are answered 429
@@ -55,8 +56,8 @@
 // of the public API, and exposes goroutine/heap internals.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener stops
-// accepting, in-flight requests (and in-flight micro-batches) complete,
-// then the engine-facing machinery is torn down and the snapshot written.
+// accepting, in-flight requests complete, then the server is closed and the
+// snapshot written.
 package main
 
 import (
@@ -71,6 +72,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -88,7 +90,6 @@ func main() {
 		cacheShards = flag.Int("cache-shards", 0, "prediction-cache shard count, rounded up to a power of two (0: 4x GOMAXPROCS)")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "prediction-cache byte budget by accounted entry size (0: none)")
 		workers     = flag.Int("workers", 0, "engine worker-pool size (<=0: GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", 0, "micro-batch size cap for /v1/predict (0: default, <0: disable)")
 		timeout     = flag.Duration("timeout", 0, "per-request handling deadline (0: default, <0: none)")
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently processed analysis requests (0: unlimited)")
 		maxQueue    = flag.Int("max-queue", 0, "admission control: max requests waiting for a slot (0: same as -max-inflight, <0: no queue)")
@@ -132,7 +133,7 @@ func main() {
 		os.Exit(1)
 	}
 	svc, err := server.New(server.Config{
-		Engine: engine, MaxBatch: *maxBatch, RequestTimeout: *timeout,
+		Engine: engine, RequestTimeout: *timeout,
 		MaxInFlight: *maxInflight, MaxQueue: *maxQueue,
 		ClientConcurrency: *clientConc, RetryAfter: *retryAfter,
 		MaxSweepPoints: *sweepPoints,
@@ -171,8 +172,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	// The final export waits for the periodic exporter to return, so the
+	// two never share the temp file.
+	var snapWG sync.WaitGroup
 	if *snapshot != "" && *snapEvery > 0 {
+		snapWG.Add(1)
 		go func() {
+			defer snapWG.Done()
 			tick := time.NewTicker(*snapEvery)
 			defer tick.Stop()
 			for {
@@ -203,11 +209,12 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("facile-serve: shutdown: %v", err)
 	}
-	svc.Close() // after the listener drains: no handler is left submitting
+	svc.Close() // after the listener drains
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("facile-serve: %v", err)
 	}
 	if *snapshot != "" {
+		snapWG.Wait()
 		exportSnapshot(engine, *snapshot)
 	}
 	stats := engine.Stats()
@@ -238,24 +245,42 @@ func importSnapshot(engine *facile.Engine, path string) {
 }
 
 // exportSnapshot writes the warm working set to path atomically: a temp file
-// in the same directory, then rename, so a crash mid-write never leaves a
-// truncated snapshot for the next boot.
+// in the same directory, synced to disk, then renamed, so a crash mid-write
+// never leaves a truncated snapshot for the next boot. Only one export may
+// run at a time: they share the temp file.
 func exportSnapshot(engine *facile.Engine, path string) {
 	var buf bytes.Buffer
 	n, err := engine.ExportSnapshot(&buf, 0)
+	if err == nil {
+		err = writeFileAtomic(path, buf.Bytes())
+	}
 	if err != nil {
 		log.Printf("facile-serve: snapshot export: %v", err)
 		return
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		log.Printf("facile-serve: snapshot export: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		log.Printf("facile-serve: snapshot export: %v", err)
-		return
-	}
 	log.Printf("facile-serve: exported %d cache entries to %s", n, path)
+}
+
+// writeFileAtomic replaces path with data through path+".tmp", syncing the
+// temp file before the rename; on failure the temp file is removed.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

@@ -647,48 +647,20 @@ type batchChunk struct{ lo, hi int }
 
 // batchScratch is one batch worker's reusable state: a single analysis
 // scratch context drawn from the engine pool once per batch (not once per
-// block), an arena for prediction payload copies, and slabs that bound
-// breakdowns and name lists are carved from. A chunk of cache hits touches
-// none of it; a chunk of misses allocates only when a slab drains.
+// block), and slabs that prediction payloads, bound breakdowns and name
+// lists are carved from. A chunk of cache hits touches none of it; a chunk
+// of misses allocates only when a slab drains.
 type batchScratch struct {
-	ana   *core.Analysis
-	arena core.Arena
-	cb    []ComponentBound
-	strs  []string
+	ana    *core.Analysis
+	ints   core.Slab[int]
+	bounds core.Slab[ComponentBound]
+	strs   core.Slab[string]
 }
 
-// boundSlab carves n ComponentBound entries from the worker slab.
-func (sc *batchScratch) boundSlab(n int) []ComponentBound {
-	if n == 0 {
-		return nil
-	}
-	if cap(sc.cb)-len(sc.cb) < n {
-		size := n
-		if size < 64*int(core.NumComponents) {
-			size = 64 * int(core.NumComponents)
-		}
-		sc.cb = make([]ComponentBound, 0, size)
-	}
-	lo := len(sc.cb)
-	sc.cb = sc.cb[:lo+n]
-	return sc.cb[lo : lo+n : lo+n]
-}
-
-// strSlab carves n string slots from the worker slab.
-func (sc *batchScratch) strSlab(n int) []string {
-	if n == 0 {
-		return nil
-	}
-	if cap(sc.strs)-len(sc.strs) < n {
-		size := n
-		if size < 512 {
-			size = 512
-		}
-		sc.strs = make([]string, 0, size)
-	}
-	lo := len(sc.strs)
-	sc.strs = sc.strs[:lo+n]
-	return sc.strs[lo : lo+n : lo+n]
+// blocksLeft sizes the worker's fresh slabs for the n blocks, the current
+// one included, left in its chunk.
+func (sc *batchScratch) blocksLeft(n int) {
+	sc.ints.Blocks, sc.bounds.Blocks, sc.strs.Blocks = n, n, n
 }
 
 // groupBatch partitions a batch into (arch, mode) groups. The common
@@ -837,7 +809,8 @@ func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs [
 				return
 			}
 			ent.block = block
-			ent.core = sc.ana.PredictArena(block, coreMode(req.Mode), core.Options{}, &sc.arena)
+			sc.blocksLeft(c.hi - i)
+			ent.core = sc.ana.PredictSlab(block, coreMode(req.Mode), core.Options{}, &sc.ints)
 			ent.pred = publicPredictionSlab(&ent.core, block, cfg.Name, req.Mode, sc)
 			ent.bounds = componentBoundsSlab(&ent.core, sc)
 		})

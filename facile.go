@@ -232,10 +232,14 @@ func publicPredictionSlab(p *core.Prediction, block *bb.Block, arch string, mode
 		ContendedPorts:     p.ContendedPorts,
 		ContendedInstrs:    p.ContendedInstrs,
 	}
+	// One carve holds the bottleneck names, then the instruction texts.
 	// Bottlenecks is a subset of the computed components, so its size is
-	// known up front and the carved slab fills by append without growing.
-	if nb := bits.OnesCount8(uint8(p.Bottlenecks)); nb > 0 {
-		out.Bottlenecks = sc.strSlab(nb)[:0]
+	// known up front and its part of the carve fills by append without
+	// growing.
+	nb := bits.OnesCount8(uint8(p.Bottlenecks))
+	strs := sc.strs.Carve(nb + len(block.Insts))
+	if nb > 0 {
+		out.Bottlenecks = strs[:0:nb]
 	}
 	p.EachBound(func(c core.Component, v float64, bottleneck bool) {
 		out.Components[c.String()] = v
@@ -246,7 +250,7 @@ func publicPredictionSlab(p *core.Prediction, block *bb.Block, arch string, mode
 	if mode == Loop {
 		out.FrontEndSource = p.FrontEndSource.String()
 	}
-	ins := sc.strSlab(len(block.Insts))
+	ins := strs[nb:]
 	for k := range block.Insts {
 		ins[k] = block.Insts[k].Inst.String()
 	}

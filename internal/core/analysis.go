@@ -150,15 +150,15 @@ func (a *Analysis) Predict(block *bb.Block, mode Mode, opts Options) Prediction 
 	return a.predict(block, mode, opts, nil)
 }
 
-// PredictArena is Predict with the prediction's owned payload slices
-// (critical chain, contended instructions) carved from ar instead of
-// individually heap-allocated — the batch-kernel variant, where ar amortizes
-// those copies across a whole chunk of blocks.
-func (a *Analysis) PredictArena(block *bb.Block, mode Mode, opts Options, ar *Arena) Prediction {
+// PredictSlab is Predict with the prediction's owned payload slices
+// (critical chain, contended instructions) carved from ar in one Carve call
+// instead of individually heap-allocated — the batch-kernel variant, where
+// ar amortizes those copies across a whole chunk of blocks.
+func (a *Analysis) PredictSlab(block *bb.Block, mode Mode, opts Options, ar *Slab[int]) Prediction {
 	return a.predict(block, mode, opts, ar)
 }
 
-func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Arena) Prediction {
+func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Slab[int]) Prediction {
 	b, det := a.computeBounds(block, mode, opts)
 	comb := b.Combine(mode, opts.include())
 	p := Prediction{
@@ -177,16 +177,20 @@ func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Arena) 
 		}
 	}
 	// The interpretability payloads point into scratch; copy them so the
-	// Prediction outlives the Analysis's next use (from the arena when the
+	// Prediction outlives the Analysis's next use (from the slab when the
 	// caller supplied one).
 	if ar != nil {
+		var chain, instrs []int
 		if b.Has(Precedence) {
-			p.CriticalChain = ar.CopyInts(det.chain)
+			chain = det.chain
 		}
 		if b.Has(Ports) {
-			p.ContendedInstrs = ar.CopyInts(det.instrs)
+			instrs = det.instrs
 			p.ContendedPorts = det.ports
 		}
+		buf := ar.Carve(len(chain) + len(instrs))
+		p.CriticalChain = carveCopy(&buf, chain)
+		p.ContendedInstrs = carveCopy(&buf, instrs)
 		return p
 	}
 	if b.Has(Precedence) {
@@ -211,6 +215,18 @@ func (a *Analysis) ComputeBounds(block *bb.Block, mode Mode, opts Options) Bound
 func (a *Analysis) IdealizationSpeedups(block *bb.Block, mode Mode) [NumComponents]float64 {
 	b, _ := a.computeBounds(block, mode, Options{})
 	return b.Speedups(mode)
+}
+
+// carveCopy copies s into the front of *buf and advances *buf past it;
+// empty input yields nil, matching copyInts.
+func carveCopy(buf *[]int, s []int) []int {
+	if len(s) == 0 {
+		return nil
+	}
+	out := (*buf)[:len(s):len(s)]
+	copy(out, s)
+	*buf = (*buf)[len(s):]
+	return out
 }
 
 func copyInts(s []int) []int {

@@ -2,52 +2,42 @@ package core
 
 import "facile/internal/bb"
 
-// Arena is an append-only bump allocator for the small per-prediction output
-// payloads of batch kernels (critical-chain and contended-instruction
-// lists). Predictions must own these slices — they outlive the Analysis
-// scratch they are copied out of — so a batch path that calls Predict pays
-// one heap allocation per block for them. An Arena amortizes that cost:
-// slices are carved off large slabs, a drained slab is replaced (never
-// recycled), and carved memory stays valid for the lifetime of whatever
-// retains it. The zero value is ready to use. An Arena is NOT safe for
-// concurrent use; give each worker its own.
-type Arena struct {
-	ints []int
+// Slab is an append-only bump allocator for the small per-block payloads of
+// batch kernels (critical-chain and contended-instruction lists, bound
+// breakdowns, name lists). The payloads must be owned — they outlive the
+// scratch they are copied out of — so a batch path that allocated them per
+// block would pay one heap allocation each. A Slab amortizes that cost:
+// each block carves its payload with one Carve call, a drained backing
+// array is replaced (never recycled), and carved memory stays valid for the
+// lifetime of whatever retains it. The zero value is ready to use. A Slab
+// is NOT safe for concurrent use; give each worker its own.
+type Slab[T any] struct {
+	buf []T
+	// Blocks is how many blocks, the current one included, are still to
+	// carve from the slab; zero counts as one. A fresh backing array holds
+	// the current carve for each of them, up to slabBlocks blocks, so the
+	// few results of a short batch never keep a large array reachable.
+	Blocks int
 }
 
-// arenaSlabInts is the minimum slab granularity: large enough that a chunk
-// of typical blocks (chains and contended lists are a handful of indices
-// each) costs one allocation, small enough to waste little on drop.
-const arenaSlabInts = 1024
+// slabBlocks is how many blocks one backing array is sized for at most:
+// enough that a chunk of typical blocks costs a handful of allocations,
+// few enough to waste little on drop.
+const slabBlocks = 64
 
-// Ints carves an owned, uninitialized []int of length n from the arena.
-func (ar *Arena) Ints(n int) []int {
+// Carve returns an owned, uninitialized []T of length n; n == 0 yields nil.
+func (s *Slab[T]) Carve(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if cap(ar.ints)-len(ar.ints) < n {
-		size := n
-		if size < arenaSlabInts {
-			size = arenaSlabInts
-		}
-		ar.ints = make([]int, 0, size)
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]T, 0, n*min(max(s.Blocks, 1), slabBlocks))
 	}
-	lo := len(ar.ints)
-	ar.ints = ar.ints[:lo+n]
+	lo := len(s.buf)
+	s.buf = s.buf[:lo+n]
 	// Full slice expression: the caller's slice can never grow into the
-	// arena's tail and clobber a later carve.
-	return ar.ints[lo : lo+n : lo+n]
-}
-
-// CopyInts copies s into arena storage; empty input yields nil, matching the
-// allocating copy the non-arena path uses.
-func (ar *Arena) CopyInts(s []int) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	out := ar.Ints(len(s))
-	copy(out, s)
-	return out
+	// slab's tail and clobber a later carve.
+	return s.buf[lo : lo+n : lo+n]
 }
 
 // BoundsMatrix is a structure-of-arrays bound store for batch kernels: the

@@ -9,11 +9,11 @@ import (
 )
 
 // Admission control sits in front of the analysis endpoints (and therefore in
-// front of the micro-batcher): at most maxInFlight requests are processed at
-// once, at most maxQueue more wait for a slot, and everything beyond that is
-// shed immediately with 429 and a Retry-After hint. Shedding is the
-// load-survival strategy — a saturated server answers the requests it has
-// admitted at its normal latency and rejects the rest in microseconds,
+// front of every engine call they make): at most maxInFlight requests are
+// processed at once, at most maxQueue more wait for a slot, and everything
+// beyond that is shed immediately with 429 and a Retry-After hint. Shedding
+// is the load-survival strategy — a saturated server answers the requests it
+// has admitted at its normal latency and rejects the rest in microseconds,
 // instead of queueing unboundedly until every client times out.
 //
 // An optional per-client concurrency cap (keyed by X-API-Key, falling back to

@@ -244,7 +244,7 @@ func TestSaturationLatency(t *testing.T) {
 	}
 	// One slot, no queue: admitted requests run alone, so their latency is
 	// the service time regardless of offered load.
-	s := newTestServer(t, Config{Engine: engine, MaxInFlight: 1, MaxQueue: -1, MaxBatch: -1})
+	s := newTestServer(t, Config{Engine: engine, MaxInFlight: 1, MaxQueue: -1})
 	body := `{"code":"` + slowBlockHex() + `","arch":"SKL"}`
 
 	request := func() (int, time.Duration, string) {
@@ -340,7 +340,7 @@ func BenchmarkServerSaturation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Engine: engine, MaxInFlight: 1, MaxQueue: -1, MaxBatch: -1})
+	s, err := New(Config{Engine: engine, MaxInFlight: 1, MaxQueue: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestBatchEndpointZeroPerBlockAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Engine: engine, MaxBatch: -1})
+	s, err := New(Config{Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,9 +125,7 @@ func TestEndpointsSingleResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Micro-batching disabled so the handler path is the only engine
-	// caller.
-	s := newTestServer(t, Config{Engine: engine, MaxBatch: -1})
+	s := newTestServer(t, Config{Engine: engine})
 	body := map[string]string{"code": testBlockHex, "arch": "SKL", "mode": "loop"}
 
 	// Warm the entry.
@@ -151,39 +149,30 @@ func TestEndpointsSingleResolution(t *testing.T) {
 
 // TestAbandonedRequestNotComputed: a request whose client has already gone
 // away is answered with the 499-style abandonment status without the
-// engine computing anything — the context is observed before compute on
-// both the direct and the micro-batched path.
+// engine computing anything — Engine.Analyze observes the context between
+// its cache probe and the compute. Every request takes the direct path.
 func TestAbandonedRequestNotComputed(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		maxBatch int
-	}{{"direct", -1}, {"microbatch", 8}} {
-		t.Run(tc.name, func(t *testing.T) {
-			engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := newTestServer(t, Config{Engine: engine, MaxBatch: tc.maxBatch})
+	t.Run("direct", func(t *testing.T) {
+		engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{Engine: engine})
 
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			// A cold block: computing it would show up as a cache miss.
-			req := httptest.NewRequest("POST", "/v1/analyze",
-				bytes.NewReader([]byte(`{"code":"48ffc94829d84801d8","arch":"SKL","mode":"loop"}`)))
-			req = req.WithContext(ctx)
-			before := engine.Stats()
-			w := httptest.NewRecorder()
-			s.ServeHTTP(w, req)
-			if w.Code != 499 {
-				t.Fatalf("status %d, want 499", w.Code)
-			}
-			// The batcher may race the enqueued item against its drop check;
-			// give its collector a moment, then require that nothing was
-			// computed.
-			s.Close()
-			if after := engine.Stats(); after.Misses != before.Misses {
-				t.Errorf("abandoned request was computed: %+v -> %+v", before, after)
-			}
-		})
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		// A cold block: computing it would show up as a cache miss.
+		req := httptest.NewRequest("POST", "/v1/analyze",
+			bytes.NewReader([]byte(`{"code":"48ffc94829d84801d8","arch":"SKL","mode":"loop"}`)))
+		req = req.WithContext(ctx)
+		before := engine.Stats()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != 499 {
+			t.Fatalf("status %d, want 499", w.Code)
+		}
+		if after := engine.Stats(); after.Misses != before.Misses {
+			t.Errorf("abandoned request was computed: %+v -> %+v", before, after)
+		}
+	})
 }

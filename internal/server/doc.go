@@ -7,21 +7,25 @@
 //
 // The server exposes a small JSON API (documented in docs/API.md):
 //
-//	POST /v1/predict        one block; coalesced by the micro-batcher
-//	POST /v1/predict/batch  many blocks; bounded per-request concurrency
-//	POST /v1/explain        memoized human-readable bottleneck report
-//	POST /v1/speedups       memoized counterfactual idealization factors
-//	GET  /v1/archs          the served microarchitectures (paper Table 1)
-//	GET  /healthz           liveness
-//	GET  /metrics           Prometheus text: request counts, latency
-//	                        histograms, micro-batch shape, engine cache
+//	POST /v1/analyze         one block: prediction, bounds, speedups, report
+//	POST /v1/predict         one block; the prediction view of /v1/analyze
+//	POST /v1/predict/batch   many blocks; bounded per-request concurrency
+//	POST /v1/explain         one block; the rendered bottleneck report
+//	POST /v1/speedups        one block; counterfactual idealization factors
+//	POST /v1/sweep           a design-space grid over a block workload
+//	GET  /v1/archs           the served microarchitectures (paper Table 1)
+//	POST /v1/archs           register a spec or variant without restart
+//	GET  /v1/cache/snapshot  export the warm working set, hottest first
+//	PUT  /v1/cache/snapshot  import a snapshot (re-analyzed on arrival)
+//	GET  /healthz            liveness
+//	GET  /metrics            Prometheus text: request counts, latency
+//	                         histograms, admission, sweeps, engine cache
 //
 // The layer owns everything HTTP-shaped so the engine does not have to:
 // request validation (hex/base64 block bytes, arch, mode — nothing reaches
 // the engine undecoded), body and batch-size limits, per-request deadline
-// installation and propagation, graceful shutdown, and adaptive
-// micro-batching: concurrent single-block requests are drained into one
-// Engine.PredictBatch call sized by the instantaneous load, so an idle
-// server adds no latency while a loaded one amortizes dispatch across the
-// engine's worker pool (see batcher.go).
+// installation and propagation, admission control (429 load shedding), and
+// graceful shutdown. Every single-block endpoint is a view over one
+// Engine.Analyze call made on the request's own goroutine; the batch
+// endpoint makes one Engine.AnalyzeBatchN call.
 package server

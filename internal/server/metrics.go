@@ -13,7 +13,8 @@ import (
 
 // handleMetrics renders the server's operational counters in the Prometheus
 // text exposition format: per-endpoint request counts and latency
-// histograms, micro-batching shape, and the engine's cache accounting.
+// histograms, admission and sweep counters, and the engine's cache
+// accounting.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (any, error) {
 	var sb strings.Builder
 
@@ -43,20 +44,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (any, err
 			continue
 		}
 		writeHistogram(&sb, "facile_request_seconds", fmt.Sprintf("endpoint=%q", rm.name), snap)
-	}
-
-	if b := s.batcher; b != nil {
-		sb.WriteString("# HELP facile_microbatch_batches_total Micro-batched PredictBatch calls.\n")
-		sb.WriteString("# TYPE facile_microbatch_batches_total counter\n")
-		fmt.Fprintf(&sb, "facile_microbatch_batches_total %d\n", b.batches.Load())
-		sb.WriteString("# HELP facile_microbatch_blocks_total Blocks served through the micro-batcher.\n")
-		sb.WriteString("# TYPE facile_microbatch_blocks_total counter\n")
-		fmt.Fprintf(&sb, "facile_microbatch_blocks_total %d\n", b.blocks.Load())
-		if snap := b.sizes.Snapshot(); snap.Count > 0 {
-			sb.WriteString("# HELP facile_microbatch_size Blocks coalesced per micro-batch.\n")
-			sb.WriteString("# TYPE facile_microbatch_size histogram\n")
-			writeHistogram(&sb, "facile_microbatch_size", "", snap)
-		}
 	}
 
 	if a := s.admit; a != nil {

@@ -20,7 +20,6 @@ import (
 // Defaults for Config fields left zero.
 const (
 	DefaultRequestTimeout = 10 * time.Second
-	DefaultMaxBatch       = 64
 	DefaultMaxBlockBytes  = 4096
 	DefaultMaxBatchItems  = 1024
 	DefaultMaxBodyBytes   = 1 << 20
@@ -33,14 +32,11 @@ type Config struct {
 	// Engine answers all predictions. Required.
 	Engine *facile.Engine
 	// RequestTimeout bounds the server-side handling of one request; the
-	// deadline is installed on the request context, so a request stuck
-	// behind a loaded batcher times out instead of queueing forever.
+	// deadline is installed on the request context, so a request waiting
+	// for an admission slot or a shared in-flight computation times out
+	// instead of waiting forever.
 	// Zero selects DefaultRequestTimeout; negative disables the limit.
 	RequestTimeout time.Duration
-	// MaxBatch bounds how many concurrent /v1/predict requests one
-	// micro-batch coalesces. Zero selects DefaultMaxBatch; negative
-	// disables micro-batching (each request calls the engine directly).
-	MaxBatch int
 	// MaxBlockBytes bounds the byte length of one basic block.
 	// Zero selects DefaultMaxBlockBytes.
 	MaxBlockBytes int
@@ -84,7 +80,6 @@ const DefaultMaxSnapshotBytes = 256 << 20
 type Server struct {
 	engine         *facile.Engine
 	mux            *http.ServeMux
-	batcher        *batcher   // nil when micro-batching is disabled
 	admit          *admission // nil when admission control is disabled
 	timeout        time.Duration
 	maxBlockBytes  int
@@ -97,8 +92,8 @@ type Server struct {
 	sweepPoints   atomic.Uint64
 	sweepAnalyses atomic.Uint64
 
-	routes    []*routeMetrics
-	closeOnce sync.Once
+	routes []*routeMetrics
+	closed atomic.Bool
 }
 
 // routeMetrics accumulates per-endpoint request counts (by status code) and
@@ -147,14 +142,6 @@ func New(cfg Config) (*Server, error) {
 	if s.maxBodyBytes <= 0 {
 		s.maxBodyBytes = DefaultMaxBodyBytes
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if maxBatch > 0 {
-		s.batcher = newBatcher(cfg.Engine, maxBatch)
-		s.batcher.start()
-	}
 	if cfg.MaxInFlight > 0 {
 		maxQueue := cfg.MaxQueue
 		if maxQueue == 0 {
@@ -184,15 +171,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the micro-batcher; in-flight groups finish, queued requests
-// fail with 503. Close the Server only after the HTTP listener has drained
-// (http.Server.Shutdown), so no handler is left submitting.
+// errShuttingDown answers single-block requests that arrive after Close;
+// the HTTP layer maps it to 503.
+var errShuttingDown = errors.New("server is shutting down")
+
+// Close marks the server as shutting down: single-block analysis requests
+// arriving afterwards fail with 503, while requests already computing
+// finish. Close is idempotent; call it after the HTTP listener has drained
+// (http.Server.Shutdown).
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.batcher != nil {
-			s.batcher.close()
-		}
-	})
+	s.closed.Store(true)
 }
 
 // ServeHTTP implements http.Handler.
@@ -309,12 +297,12 @@ func (s *Server) readBlockRequest(r *http.Request) (facile.Request, error) {
 }
 
 // analyze answers one validated single-block request with exactly one
-// engine analysis — through the micro-batcher when enabled (which drops
-// context-cancelled requests before computing), directly otherwise. Every
+// engine analysis on the handler goroutine; the engine drops a request
+// whose context is done between its cache probe and the compute. Every
 // single-block endpoint is a view over this call.
 func (s *Server) analyze(ctx context.Context, req facile.Request) (*facile.Analysis, error) {
-	if s.batcher != nil {
-		return s.batcher.analyze(ctx, req)
+	if s.closed.Load() {
+		return nil, errShuttingDown
 	}
 	return s.engine.Analyze(ctx, req)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,22 @@ import (
 
 // testBlock is "add rax,rbx; imul rax,rbx" — the README quick-start block.
 const testBlockHex = "4801d8480fafc3"
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// uniqueBlock is "mov eax, <imm32>" followed by the test block: a distinct
+// cache key per imm with full analysis cost.
+func uniqueBlock(t testing.TB, imm uint32) []byte {
+	raw := []byte{0xb8, byte(imm), byte(imm >> 8), byte(imm >> 16), byte(imm >> 24)}
+	return append(raw, mustHex(t, testBlockHex)...)
+}
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -330,8 +347,6 @@ func TestMetrics(t *testing.T) {
 		"facile_engine_cache_hits_total 1",
 		"facile_engine_cache_misses_total 1",
 		"facile_engine_cache_entries 1",
-		"facile_microbatch_batches_total",
-		"facile_microbatch_blocks_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
@@ -356,10 +371,73 @@ func TestGracefulClose(t *testing.T) {
 	}
 }
 
+// TestManyClientsDistinctMisses: concurrent clients sending distinct,
+// uncached blocks each get exactly their own analysis — every response is
+// 200 and byte-identical to the rendering of an uncached Engine.Analyze of
+// the same block.
+func TestManyClientsDistinctMisses(t *testing.T) {
+	const (
+		clients = 16
+		perC    = 25
+	)
+	engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Engine: engine})
+	bodies := make([][]byte, clients*perC)
+	want := make([][]byte, clients*perC)
+	for i := range bodies {
+		code := uniqueBlock(t, uint32(i))
+		bodies[i] = []byte(fmt.Sprintf(`{"code":"%x","arch":"SKL","mode":"loop","detail":"full"}`, code))
+		ana, err := uncached.Analyze(context.Background(),
+			facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: facile.DetailFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, wireAnalysis(ana))
+		want[i] = w.Body.Bytes()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c * perC; i < (c+1)*perC; i++ {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(bodies[i])))
+				if w.Code != http.StatusOK {
+					errs <- fmt.Errorf("block %d: status %d: %s", i, w.Code, w.Body.String())
+					return
+				}
+				if !bytes.Equal(w.Body.Bytes(), want[i]) {
+					errs <- fmt.Errorf("block %d: response differs from the uncached analysis:\n%s\nwant:\n%s",
+						i, w.Body.Bytes(), want[i])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := engine.Stats(); st.Misses != clients*perC {
+		t.Errorf("engine misses = %d, want %d (one per distinct block)", st.Misses, clients*perC)
+	}
+}
+
 func TestRequestTimeout(t *testing.T) {
 	// With a negative timeout the deadline machinery is off; with a tiny
-	// positive one, a request that must wait behind the batcher times out
-	// as 504 instead of hanging.
+	// positive one, a request whose block is not cached times out as 504
+	// before the engine computes it.
 	engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
 	if err != nil {
 		t.Fatal(err)
