@@ -21,12 +21,13 @@
 // and folded into constant-size accumulators — memory does not grow with the
 // corpus, and the report bytes are identical for every -workers value.
 //
-// Opponents (-predictors) come from internal/baselines; learned entrants
-// (ithemal, difftune, learning-bl) are trained per arch on a disjoint
-// -train-n/-train-seed corpus before evaluation. The special entrant "mca"
-// runs the external llvm-mca binary through the internal/mca subprocess
-// adapter, budgeted to -mca-limit blocks; when no binary is found the
-// entrant is skipped with a note rather than failing the run.
+// Opponents (-predictors) are names in the internal/baselines registry,
+// the one list the flag's help and its error message print. The registry
+// builds one field per arch, training the learned entrants (ithemal,
+// difftune, learning-bl) once on a disjoint -train-n/-train-seed corpus.
+// The "mca" entrant runs the external llvm-mca binary through the
+// internal/mca subprocess adapter, budgeted to -mca-limit blocks; when no
+// binary is found it is skipped with a note rather than failing the run.
 package main
 
 import (
@@ -41,8 +42,6 @@ import (
 	"facile"
 	"facile/internal/accuracy"
 	"facile/internal/baselines"
-	"facile/internal/bb"
-	"facile/internal/bhive"
 	"facile/internal/mca"
 	"facile/internal/uarch"
 )
@@ -72,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		predictors = fs.String("predictors", defaultPredictors,
-			"comma-separated opponents: uica, ithemal, difftune, learning-bl, llvm-mca, osaca, cqa, iaca, mca (external binary)")
+			"comma-separated opponents from: "+strings.Join(baselines.Names(), ", ")+" (facile always runs; mca needs an llvm-mca binary)")
 		trainN    = fs.Int("train-n", 256, "training-corpus size for the learned opponents")
 		trainSeed = fs.Int64("train-seed", 1001, "training-corpus seed (disjoint from evaluation corpora)")
 		chunk     = fs.Int("chunk", accuracy.DefaultChunk, "streaming chunk size (rows per AnalyzeBatchN call)")
@@ -104,23 +103,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	names, err := parsePredictors(*predictors)
+	names, err := baselines.ParseNames(*predictors)
 	if err != nil {
 		return err
 	}
 	var referee *mca.Referee
-	if contains(names, "mca") {
-		path := *mcaPath
-		if path == "" {
-			var ok bool
-			if path, ok = mca.LookPath(); !ok {
-				fmt.Fprintln(stderr, "facile-bench: no llvm-mca binary found; skipping the 'mca' entrant")
-				names = remove(names, "mca")
-			}
+	opponents := names[:0]
+	for _, name := range names {
+		if name == "facile" {
+			continue // always evaluated, as the first report row
 		}
-		if path != "" {
+		if name == "mca" && referee == nil {
+			path := *mcaPath
+			if path == "" {
+				var ok bool
+				if path, ok = mca.LookPath(); !ok {
+					fmt.Fprintln(stderr, "facile-bench: no llvm-mca binary found; skipping the 'mca' entrant")
+					continue
+				}
+			}
 			referee = mca.NewReferee(path)
 		}
+		opponents = append(opponents, name)
 	}
 
 	// Corpus blocks do not repeat, so memoization only churns: disable the
@@ -131,17 +135,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	report := &accuracy.Report{Command: "facile-bench " + strings.Join(args, " ")}
-	if needsTraining(names) {
-		report.TrainSeed = *trainSeed
-		report.TrainN = *trainN
-	}
-
-	opponents := map[string][]accuracy.Opponent{} // per arch, trained once
+	fields := map[string][]accuracy.Opponent{} // per arch, trained once
 	for _, spec := range specs {
-		opps, ok := opponents[spec.cfg.Name]
+		opps, ok := fields[spec.cfg.Name]
 		if !ok {
-			opps = buildOpponents(spec.cfg, names, *trainSeed, *trainN, referee, *mcaLimit)
-			opponents[spec.cfg.Name] = opps
+			preds, trained, err := baselines.Field(spec.cfg, opponents, *trainSeed, *trainN, referee)
+			if err != nil {
+				return err
+			}
+			if trained {
+				report.TrainSeed, report.TrainN = *trainSeed, *trainN
+			}
+			for i, p := range preds {
+				opp := accuracy.Opponent{Predictor: p}
+				if opponents[i] == "mca" {
+					opp.Limit = *mcaLimit
+				}
+				opps = append(opps, opp)
+			}
+			fields[spec.cfg.Name] = opps
 		}
 		f, err := os.Open(spec.path)
 		if err != nil {
@@ -197,93 +209,4 @@ func parseSpec(arg string) (corpusSpec, error) {
 		return corpusSpec{}, fmt.Errorf("bad corpus %q: %v", arg, err)
 	}
 	return corpusSpec{cfg: cfg, mode: mode, path: path}, nil
-}
-
-// parsePredictors validates the -predictors list. "facile" is accepted as a
-// no-op (facile is always evaluated, as the first report row).
-func parsePredictors(list string) ([]string, error) {
-	known := map[string]bool{
-		"uica": true, "ithemal": true, "difftune": true, "learning-bl": true,
-		"llvm-mca": true, "osaca": true, "cqa": true, "iaca": true, "mca": true,
-	}
-	var names []string
-	for _, raw := range strings.Split(list, ",") {
-		name := strings.ToLower(strings.TrimSpace(raw))
-		if name == "" || name == "facile" {
-			continue
-		}
-		if !known[name] {
-			return nil, fmt.Errorf("unknown predictor %q (want uica, ithemal, difftune, learning-bl, llvm-mca, osaca, cqa, iaca, or mca)", name)
-		}
-		names = append(names, name)
-	}
-	return names, nil
-}
-
-func needsTraining(names []string) bool {
-	return contains(names, "ithemal") || contains(names, "difftune") || contains(names, "learning-bl")
-}
-
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
-}
-
-func remove(names []string, drop string) []string {
-	out := names[:0]
-	for _, n := range names {
-		if n != drop {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// buildOpponents assembles the shoot-out field for one arch, training the
-// learned entrants on a disjoint corpus (same recipe as internal/eval:
-// bhive.Generate + bb.Build + pipesim measurements).
-func buildOpponents(cfg *uarch.Config, names []string, trainSeed int64, trainN int, referee *mca.Referee, mcaLimit int64) []accuracy.Opponent {
-	var blocks []*bb.Block
-	var meas []float64
-	if needsTraining(names) {
-		for _, bm := range bhive.Generate(trainSeed, trainN) {
-			block, err := bb.Build(cfg, bm.Code)
-			if err != nil {
-				continue
-			}
-			blocks = append(blocks, block)
-			meas = append(meas, bhive.MeasureBlock(block, false))
-		}
-	}
-	var opps []accuracy.Opponent
-	for _, name := range names {
-		switch name {
-		case "uica":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.UiCA{}}})
-		case "ithemal":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.TrainIthemal(blocks, meas)}})
-		case "difftune":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.TrainDiffTune(blocks)}})
-		case "learning-bl":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.TrainLearningBL(blocks, meas)}})
-		case "llvm-mca":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.LLVMMCA{}}})
-		case "osaca":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.OSACA{}}})
-		case "cqa":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.CQA{}}})
-		case "iaca":
-			opps = append(opps, accuracy.Opponent{Predictor: accuracy.Baseline{P: baselines.IACA{}}})
-		case "mca":
-			opps = append(opps, accuracy.Opponent{
-				Predictor: accuracy.MCA{Referee: referee, Arch: cfg.Name},
-				Limit:     mcaLimit,
-			})
-		}
-	}
-	return opps
 }

@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	"facile/internal/accuracy"
+	"facile/internal/baselines"
 	"facile/internal/bhive"
+	"facile/internal/mca"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden accuracy report")
@@ -251,15 +253,49 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParsePredictorsRejectsUnknown: -predictors is validated against the
+// baselines registry, and the error lists every registered name.
 func TestParsePredictorsRejectsUnknown(t *testing.T) {
-	if _, err := parsePredictors("uica,turboboost"); err == nil {
-		t.Error("unknown predictor accepted")
+	err := run([]string{"-predictors", "uica,turboboost", "SKL/unroll=x.csv"}, io.Discard, io.Discard)
+	if err == nil {
+		t.Fatal("unknown predictor accepted")
 	}
-	names, err := parsePredictors("facile, uica ,ITHEMAL")
+	for _, name := range baselines.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+	names, err := baselines.ParseNames("facile, uica ,ITHEMAL")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "uica" || names[1] != "ithemal" {
+	if strings.Join(names, ",") != "facile,uica,ithemal" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestMCAEntrantThroughRegistry runs the external llvm-mca entrant, built by
+// the registry, under a block budget: its row scores exactly the budget, and
+// the report bytes do not depend on the worker count.
+func TestMCAEntrantThroughRegistry(t *testing.T) {
+	if _, ok := mca.LookPath(); !ok {
+		t.Skip("no llvm-mca binary found")
+	}
+	args := func(workers string) []string {
+		return []string{"-predictors", "mca", "-mca-limit", "8", "-workers", workers,
+			"SKL/unroll=../../testdata/accuracy/skl_u.csv"}
+	}
+	one := runBench(t, args("1"))
+	var row []string
+	for _, line := range strings.Split(one, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "llvm-mca(ext)" {
+			row = f
+		}
+	}
+	if row == nil || row[1] != "8" {
+		t.Fatalf("llvm-mca(ext) row %v, want 8 scored blocks:\n%s", row, one)
+	}
+	if two := runBench(t, args("2")); stripVolatile(two) != stripVolatile(one) {
+		t.Errorf("report bytes depend on -workers:\n--- 1 ---\n%s\n--- 2 ---\n%s", one, two)
 	}
 }

@@ -22,10 +22,12 @@
 // metrics.KendallTau bit-for-bit on quantized inputs (asserted by a
 // streaming-vs-batch equivalence test).
 //
-// Opponents implement Predictor: adapters wrap the internal/baselines
-// learned models (Ithemal/DiffTune/learning-bl stand-ins) and the external
-// llvm-mca binary through the shared internal/mca subprocess adapter, with
-// positional block budgets (Opponent.Limit) for expensive entrants.
+// Opponents are baselines.Predictor values built by the internal/baselines
+// registry (the analytical and learned stand-ins, and the external llvm-mca
+// binary through the shared internal/mca subprocess adapter), with
+// positional block budgets (Opponent.Limit) for expensive entrants. The
+// Accumulator is also the fold behind internal/eval's Table 2 and Table 3,
+// so both harnesses compute MAPE and tau the same way.
 //
 // CheckDrift is the CI accuracy gate: cmd/benchjson embeds a report's
 // Summaries into BENCH_*.json, and the gate fails the build when MAPE

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"facile"
+	"facile/internal/baselines"
 	"facile/internal/bb"
 	"facile/internal/metrics"
 	"facile/internal/uarch"
@@ -18,6 +19,18 @@ import (
 // Engine.AnalyzeBatchN, and folded into the accumulators this many at a
 // time, so memory is bounded by the chunk — never by the corpus.
 const DefaultChunk = 4096
+
+// Opponent is one configured shoot-out entrant, evaluated next to facile
+// (which the harness runs through Engine.AnalyzeBatchN). Limit caps how many
+// corpus blocks the predictor scores — by corpus position, so the scored
+// prefix is identical under any evaluation parallelism — with the
+// predictor's accuracy reported over the blocks it did score. 0 means the
+// whole corpus. Use it for subprocess referees whose per-block cost is
+// orders of magnitude above the in-process models'.
+type Opponent struct {
+	baselines.Predictor
+	Limit int64
+}
 
 // RunOptions configures one corpus evaluation.
 type RunOptions struct {
@@ -149,7 +162,7 @@ func RunCorpus(ctx context.Context, opt RunOptions, mode facile.Mode, file strin
 		// Opponent half: every (opponent, row) cell in parallel, written
 		// into per-chunk matrices and folded serially below — results are
 		// identical for every worker count.
-		parallelFor(len(rows)*len(opt.Opponents), func(flat int) {
+		ParallelFor(len(rows)*len(opt.Opponents), func(flat int) {
 			oi, ri := flat/len(rows), flat%len(rows)
 			if blocks[ri] == nil {
 				return
@@ -215,8 +228,8 @@ func predictorResult(name string, acc *Accumulator, errs int64) PredictorResult 
 	}
 }
 
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS workers.
-func parallelFor(n int, fn func(int)) {
+// ParallelFor runs fn(0..n-1) on up to GOMAXPROCS workers.
+func ParallelFor(n int, fn func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

@@ -10,10 +10,12 @@ import (
 
 // Predictor is a basic-block throughput predictor: it returns predicted
 // cycles per iteration under the TPU (loop == false) or TPL (loop == true)
-// notion of throughput.
+// notion of throughput. It is the one predictor interface of the repo: the
+// in-process models here never fail, while the external llvm-mca entrant
+// (MCA) reports subprocess and parse failures as errors.
 type Predictor interface {
 	Name() string
-	Predict(block *bb.Block, loop bool) float64
+	Predict(block *bb.Block, loop bool) (float64, error)
 }
 
 // Facile is the paper's model (a thin adapter over internal/core).
@@ -21,12 +23,12 @@ type Facile struct{}
 
 func (Facile) Name() string { return "Facile" }
 
-func (Facile) Predict(block *bb.Block, loop bool) float64 {
+func (Facile) Predict(block *bb.Block, loop bool) (float64, error) {
 	mode := core.TPU
 	if loop {
 		mode = core.TPL
 	}
-	return core.Predict(block, mode, core.Options{}).TP
+	return core.Predict(block, mode, core.Options{}).TP, nil
 }
 
 // UiCA is the detailed cycle-accurate simulator (our uiCA stand-in).
@@ -34,8 +36,8 @@ type UiCA struct{}
 
 func (UiCA) Name() string { return "uiCA" }
 
-func (UiCA) Predict(block *bb.Block, loop bool) float64 {
-	return pipesim.Run(block, pipesim.Options{Loop: loop}).TP
+func (UiCA) Predict(block *bb.Block, loop bool) (float64, error) {
+	return pipesim.Run(block, pipesim.Options{Loop: loop}).TP, nil
 }
 
 // LLVMMCA models the back end only: dispatch width, port contention and
@@ -45,7 +47,7 @@ type LLVMMCA struct{}
 
 func (LLVMMCA) Name() string { return "llvm-mca" }
 
-func (LLVMMCA) Predict(block *bb.Block, loop bool) float64 {
+func (LLVMMCA) Predict(block *bb.Block, loop bool) (float64, error) {
 	cfg := block.Cfg
 
 	// µop list ignoring macro-fusion and elimination.
@@ -87,7 +89,7 @@ func (LLVMMCA) Predict(block *bb.Block, loop bool) float64 {
 	dispatch := float64(nUops) / float64(cfg.IssueWidth)
 	ports := portPressureOptimal(uops)
 	prec, _ := core.PrecedenceBound(block)
-	return maxF(dispatch, ports, prec)
+	return maxF(dispatch, ports, prec), nil
 }
 
 // OSACA models uniform port pressure (each µop is split evenly across its
@@ -97,7 +99,7 @@ type OSACA struct{}
 
 func (OSACA) Name() string { return "OSACA" }
 
-func (OSACA) Predict(block *bb.Block, loop bool) float64 {
+func (OSACA) Predict(block *bb.Block, loop bool) (float64, error) {
 	cfg := block.Cfg
 	var load [16]float64
 	for k := range block.Insts {
@@ -132,7 +134,7 @@ func (OSACA) Predict(block *bb.Block, loop bool) float64 {
 		}
 	}
 	prec, _ := core.PrecedenceBound(block)
-	return maxF(ports, prec)
+	return maxF(ports, prec), nil
 }
 
 // CQA models the front end (µop-cache delivery, issue width) and dispatch
@@ -144,8 +146,8 @@ type CQA struct{}
 
 func (CQA) Name() string { return "CQA" }
 
-func (CQA) Predict(block *bb.Block, loop bool) float64 {
-	return maxF(core.DSBBound(block), core.IssueBound(block), core.PortsBound(block))
+func (CQA) Predict(block *bb.Block, loop bool) (float64, error) {
+	return maxF(core.DSBBound(block), core.IssueBound(block), core.PortsBound(block)), nil
 }
 
 // IACA models issue width, port contention, fusion, and loop-carried
@@ -154,9 +156,9 @@ type IACA struct{}
 
 func (IACA) Name() string { return "IACA" }
 
-func (IACA) Predict(block *bb.Block, loop bool) float64 {
+func (IACA) Predict(block *bb.Block, loop bool) (float64, error) {
 	prec, _ := core.PrecedenceBound(block)
-	return maxF(core.IssueBound(block), core.PortsBound(block), prec)
+	return maxF(core.IssueBound(block), core.PortsBound(block), prec), nil
 }
 
 // portPressureOptimal is the optimal-balance port bound over raw masks

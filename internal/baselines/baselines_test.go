@@ -5,6 +5,7 @@ import (
 
 	"facile/internal/bb"
 	"facile/internal/bhive"
+	"facile/internal/mca"
 	"facile/internal/metrics"
 	"facile/internal/uarch"
 )
@@ -32,19 +33,32 @@ func trainingData(t testing.TB, n int) ([]*bb.Block, []float64) {
 }
 
 func TestAllPredictorsProducePositiveFinitePredictions(t *testing.T) {
-	blocks, meas := trainingData(t, 120)
-	preds := []Predictor{
-		Facile{}, UiCA{}, LLVMMCA{}, OSACA{}, CQA{}, IACA{},
-		TrainIthemal(blocks[:80], meas[:80]),
-		TrainLearningBL(blocks[:80], meas[:80]),
-		TrainDiffTune(blocks[:80]),
+	blocks, _ := trainingData(t, 120)
+	var referee *mca.Referee
+	if path, ok := mca.LookPath(); ok {
+		referee = mca.NewReferee(path)
+	}
+	var names []string
+	for _, name := range Names() {
+		if name == "mca" && referee == nil {
+			t.Log("no llvm-mca binary found; skipping the mca entrant")
+			continue
+		}
+		names = append(names, name)
+	}
+	preds, trained, err := Field(uarch.MustByName("SKL"), names, 1001, 80, referee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trained || len(preds) != len(names) {
+		t.Fatalf("field of %d predictors (trained %v) for %d names", len(preds), trained, len(names))
 	}
 	for _, pred := range preds {
 		for _, block := range blocks[80:100] {
 			for _, loop := range []bool{false, true} {
-				v := pred.Predict(block, loop)
-				if v <= 0 || v != v || v > 1e6 {
-					t.Errorf("%s: prediction %v (loop=%v)", pred.Name(), v, loop)
+				v, err := pred.Predict(block, loop)
+				if err != nil || v <= 0 || v != v || v > 1e6 {
+					t.Errorf("%s: prediction %v, %v (loop=%v)", pred.Name(), v, err, loop)
 				}
 			}
 		}
@@ -61,7 +75,7 @@ func TestAccuracyOrdering(t *testing.T) {
 	mape := func(p Predictor) float64 {
 		preds := make([]float64, len(evalBlocks))
 		for i, block := range evalBlocks {
-			preds[i] = p.Predict(block, false)
+			preds[i], _ = p.Predict(block, false)
 		}
 		return metrics.MAPE(evalMeas, preds)
 	}
@@ -99,7 +113,7 @@ func TestFacileOptimism(t *testing.T) {
 	f := Facile{}
 	violations := 0
 	for i, block := range blocks {
-		if p := f.Predict(block, false); p > meas[i]+0.05 {
+		if p, _ := f.Predict(block, false); p > meas[i]+0.05 {
 			violations++
 			if violations < 4 {
 				t.Logf("block %d: facile %v > measured %v", i, p, meas[i])
@@ -117,13 +131,13 @@ func TestLearnedModelsFitTrainingSet(t *testing.T) {
 	lbl := TrainLearningBL(blocks, meas)
 	preds := make([]float64, len(blocks))
 	for i, b := range blocks {
-		preds[i] = ith.Predict(b, false)
+		preds[i], _ = ith.Predict(b, false)
 	}
 	if m := metrics.MAPE(meas, preds); m > 0.20 {
 		t.Errorf("Ithemal train MAPE %.1f%% too high", m*100)
 	}
 	for i, b := range blocks {
-		preds[i] = lbl.Predict(b, false)
+		preds[i], _ = lbl.Predict(b, false)
 	}
 	if m := metrics.MAPE(meas, preds); m > 0.20 {
 		t.Errorf("learning-bl train MAPE %.1f%% too high", m*100)
@@ -151,3 +165,15 @@ func TestSolveGaussian(t *testing.T) {
 }
 
 func near(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
+
+// TestFieldRejects: Field refuses names outside the registry and an mca
+// entrant without a referee.
+func TestFieldRejects(t *testing.T) {
+	skl := uarch.MustByName("SKL")
+	if _, _, err := Field(skl, []string{"uica", "turboboost"}, 1001, 0, nil); err == nil {
+		t.Error("unknown predictor accepted")
+	}
+	if _, _, err := Field(skl, []string{"mca"}, 1001, 0, nil); err == nil {
+		t.Error("mca entrant built without a referee")
+	}
+}

@@ -272,12 +272,12 @@ func TrainLearningBL(blocks []*bb.Block, measured []float64) *LearningBL {
 
 func (m *LearningBL) Name() string { return "learning-bl" }
 
-func (m *LearningBL) Predict(block *bb.Block, loop bool) float64 {
+func (m *LearningBL) Predict(block *bb.Block, loop bool) (float64, error) {
 	p := m.model.predict(featurize(block))
 	if p < 0.25 {
 		p = 0.25
 	}
-	return p
+	return p, nil
 }
 
 // --- DiffTune ------------------------------------------------------------
@@ -290,12 +290,11 @@ type DiffTune struct {
 // TrainDiffTune fits the surrogate to llvm-mca's TPU predictions on the
 // training blocks.
 func TrainDiffTune(blocks []*bb.Block) *DiffTune {
-	mca := LLVMMCA{}
 	xs := make([][]float64, len(blocks))
 	ys := make([]float64, len(blocks))
 	for i, b := range blocks {
 		xs[i] = featurize(b)
-		ys[i] = mca.Predict(b, false)
+		ys[i], _ = LLVMMCA{}.Predict(b, false) // in-process: never fails
 	}
 	// Fewer epochs: DiffTune's surrogate training is deliberately
 	// under-converged, as observed in the DiffTune-Revisited comparison.
@@ -304,7 +303,7 @@ func TrainDiffTune(blocks []*bb.Block) *DiffTune {
 
 func (m *DiffTune) Name() string { return "DiffTune" }
 
-func (m *DiffTune) Predict(block *bb.Block, loop bool) float64 {
+func (m *DiffTune) Predict(block *bb.Block, loop bool) (float64, error) {
 	p := m.model.predict(featurize(block))
 	if p < 0.25 {
 		p = 0.25
@@ -315,7 +314,7 @@ func (m *DiffTune) Predict(block *bb.Block, loop bool) float64 {
 		// (paper Table 2 shows MAPEs of 80-140% on BHiveL).
 		p *= 0.5
 	}
-	return p
+	return p, nil
 }
 
 // --- Ithemal -------------------------------------------------------------
@@ -395,10 +394,10 @@ func TrainIthemal(blocks []*bb.Block, measured []float64) *Ithemal {
 
 func (m *Ithemal) Name() string { return "Ithemal" }
 
-func (m *Ithemal) Predict(block *bb.Block, loop bool) float64 {
+func (m *Ithemal) Predict(block *bb.Block, loop bool) (float64, error) {
 	p := m.readout.predict(m.features(block))
 	if p < 0.25 {
 		p = 0.25
 	}
-	return p
+	return p, nil
 }

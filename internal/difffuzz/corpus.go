@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"facile"
+	"facile/internal/metrics"
 	"facile/internal/pipesim"
 	"facile/internal/uarch"
 )
@@ -89,7 +90,7 @@ func NewReplayer(eng *facile.Engine, reg *uarch.Registry) Replayer {
 		if err != nil {
 			return ReplayResult{}, fmt.Errorf("%s: pipesim: %w", r.ID, err)
 		}
-		res := ReplayResult{Facile: ana.Prediction.CyclesPerIteration, Pipesim: round2(sim)}
+		res := ReplayResult{Facile: ana.Prediction.CyclesPerIteration, Pipesim: metrics.Round2(sim)}
 		res.RelDiff, res.Divergent = Diverges(res.Facile, res.Pipesim, r.RelThreshold, r.AbsThreshold)
 		return res, nil
 	}

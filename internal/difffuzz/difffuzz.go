@@ -15,6 +15,7 @@ import (
 	"facile/internal/bb"
 	"facile/internal/bhive"
 	"facile/internal/mca"
+	"facile/internal/metrics"
 	"facile/internal/pipesim"
 	"facile/internal/uarch"
 )
@@ -264,7 +265,7 @@ func (f *Fuzzer) compareWindow(ctx context.Context, code []byte, t Target, quick
 			return comparison{}, fmt.Errorf("pipesim %s: %w", t, err)
 		}
 	}
-	c := comparison{facile: ana.Prediction.CyclesPerIteration, pipesim: round2(sim)}
+	c := comparison{facile: ana.Prediction.CyclesPerIteration, pipesim: metrics.Round2(sim)}
 	c.relDiff, c.divergent = Diverges(c.facile, c.pipesim, f.opt.RelThreshold, f.opt.AbsThreshold)
 	return c, nil
 }
@@ -377,7 +378,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 				fin.MCAErr = err.Error()
 				continue
 			}
-			fin.MCA = round2(v)
+			fin.MCA = metrics.Round2(v)
 		}
 	}
 
@@ -514,8 +515,6 @@ func (f *Fuzzer) triage(ctx context.Context, blk *bhive.GenBlock, d rawDivergenc
 	}
 	return f.newFinding(blk, d.target, code, origCode, cmp)
 }
-
-func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
 // sortFindings orders findings canonically: most-duplicated first, then by
 // signature, target, and hex, so reports are deterministic.

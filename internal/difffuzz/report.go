@@ -9,6 +9,7 @@ import (
 
 	"facile/internal/bb"
 	"facile/internal/bhive"
+	"facile/internal/metrics"
 	"facile/internal/x86"
 )
 
@@ -113,7 +114,7 @@ func (f *Fuzzer) newFinding(blk *bhive.GenBlock, t Target, code, origCode []byte
 		OriginalHex:  hex.EncodeToString(origCode),
 		Facile:       cmp.facile,
 		Pipesim:      cmp.pipesim,
-		RelDiff:      round2(cmp.relDiff),
+		RelDiff:      metrics.Round2(cmp.relDiff),
 		Signature:    sig,
 		Instructions: lines,
 		Dups:         1,

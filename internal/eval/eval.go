@@ -2,13 +2,13 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math"
 
+	"facile/internal/accuracy"
 	"facile/internal/baselines"
 	"facile/internal/bb"
 	"facile/internal/bhive"
+	"facile/internal/metrics"
 	"facile/internal/uarch"
 )
 
@@ -50,83 +50,53 @@ func BuildSuite(cfg *uarch.Config, corpus []bhive.Benchmark) *Suite {
 	}
 	s.MeasU = make([]float64, len(s.BlocksU))
 	s.MeasL = make([]float64, len(s.BlocksL))
-	parallelFor(len(s.BlocksU), func(i int) {
+	accuracy.ParallelFor(len(s.BlocksU), func(i int) {
 		s.MeasU[i] = bhive.MeasureBlock(s.BlocksU[i], false)
 		s.MeasL[i] = bhive.MeasureBlock(s.BlocksL[i], true)
 	})
 	return s
 }
 
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS workers.
-func parallelFor(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// paperField is the Table 2 and Figure 5 predictor set, as baselines
+// registry names in the paper's row order.
+var paperField = []string{"facile", "uica", "ithemal", "iaca", "osaca", "llvm-mca", "difftune", "learning-bl", "cqa"}
 
-// Predictors returns the predictor set for a suite, training the learned
-// baselines on a disjoint training corpus for the suite's
-// microarchitecture. trainN controls the training-corpus size.
-func Predictors(cfg *uarch.Config, trainN int) []baselines.Predictor {
-	trainCorpus := bhive.Generate(DefaultTrainSeed, trainN)
-	var blocks []*bb.Block
-	var meas []float64
-	for _, bm := range trainCorpus {
-		block, err := bb.Build(cfg, bm.Code)
-		if err != nil {
-			continue
-		}
-		blocks = append(blocks, block)
-		meas = append(meas, bhive.MeasureBlock(block, false))
+// field builds the named registry predictors for cfg, training the learned
+// ones on a disjoint corpus of trainN blocks. The experiments name only
+// in-process predictors, so an error is a programming error.
+func field(cfg *uarch.Config, names []string, trainN int) []baselines.Predictor {
+	preds, _, err := baselines.Field(cfg, names, DefaultTrainSeed, trainN, nil)
+	if err != nil {
+		panic(err)
 	}
-	return []baselines.Predictor{
-		baselines.Facile{},
-		baselines.UiCA{},
-		baselines.TrainIthemal(blocks, meas),
-		baselines.IACA{},
-		baselines.OSACA{},
-		baselines.LLVMMCA{},
-		baselines.TrainDiffTune(blocks),
-		baselines.TrainLearningBL(blocks, meas),
-		baselines.CQA{},
-	}
+	return preds
 }
 
 // PredictAll runs pred over the blocks (in parallel), rounding as the paper
-// does.
+// does. A block the predictor fails on holds NaN.
 func PredictAll(pred baselines.Predictor, blocks []*bb.Block, loop bool) []float64 {
 	out := make([]float64, len(blocks))
-	parallelFor(len(blocks), func(i int) {
-		out[i] = round2(pred.Predict(blocks[i], loop))
+	accuracy.ParallelFor(len(blocks), func(i int) {
+		v, err := pred.Predict(blocks[i], loop)
+		if err != nil {
+			v = math.NaN()
+		}
+		out[i] = metrics.Round2(v)
 	})
 	return out
 }
 
-func round2(v float64) float64 {
-	return float64(int(v*100+0.5)) / 100
+// score folds one (measurements, predictions) cell through the streaming
+// accumulator that cmd/facile-bench reports with, returning the MAPE (a
+// fraction) and Kendall's tau-b. NaN predictions stay out of the cell.
+func score(measured, predicted []float64) (mape, tau float64) {
+	var acc accuracy.Accumulator
+	for i, p := range predicted {
+		if !math.IsNaN(p) {
+			acc.Add(measured[i], p)
+		}
+	}
+	return acc.MAPE(), acc.KendallTau()
 }
 
 // ArchesForExperiment returns the standard nine microarchitectures in the

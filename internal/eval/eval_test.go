@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -35,9 +36,20 @@ func TestTable1ListsAllArches(t *testing.T) {
 	}
 }
 
+// table2Golden pins the exact Table 2 text for SKL at testCorpusN and
+// testTrainN: every predictor's MAPE and tau, byte for byte.
+const table2Golden = "../../testdata/eval/table2_skl.golden"
+
 func TestTable2Shape(t *testing.T) {
 	skipIfShort(t)
 	rows, text := Table2(testCorpusN, testTrainN, []*uarch.Config{uarch.MustByName("SKL")})
+	want, err := os.ReadFile(table2Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != string(want) {
+		t.Errorf("Table 2 deviates from %s\n--- got ---\n%s", table2Golden, text)
+	}
 	if !strings.Contains(text, "Facile") {
 		t.Fatal("missing Facile row")
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"facile/internal/baselines"
 	"facile/internal/bb"
 	"facile/internal/bhive"
 	"facile/internal/core"
@@ -20,9 +19,7 @@ import (
 func Figure3(corpusN int, cfg *uarch.Config) string {
 	corpus := bhive.Generate(DefaultSeed, corpusN)
 	suite := BuildSuite(cfg, corpus)
-	preds := []baselines.Predictor{
-		baselines.Facile{}, baselines.UiCA{}, baselines.LLVMMCA{}, baselines.CQA{},
-	}
+	preds := field(cfg, []string{"facile", "uica", "llvm-mca", "cqa"}, 0)
 	var sb strings.Builder
 	sb.WriteString(fmt.Sprintf("FIGURE 3: Measured vs predicted heatmaps, BHiveL, %s, <10 cycles\n", cfg.Name))
 	for _, pred := range preds {
@@ -38,7 +35,7 @@ func heatmap(name string, measured, predicted []float64) string {
 	total := 0
 	for i := range measured {
 		m, p := measured[i], predicted[i]
-		if m >= size || m < 0 || p < 0 {
+		if m >= size || m < 0 || !(p >= 0) { // !(p >= 0) also drops NaN
 			continue
 		}
 		pi := int(p)
@@ -212,7 +209,7 @@ type PredictorTime struct {
 // every predictor, on the Skylake suite as in the paper.
 func Figure5(corpusN, trainN int, cfg *uarch.Config) ([]PredictorTime, string) {
 	corpus := bhive.Generate(DefaultSeed, corpusN)
-	preds := Predictors(cfg, trainN)
+	preds := field(cfg, paperField, trainN)
 
 	var rows []PredictorTime
 	for _, pred := range preds {

@@ -44,17 +44,10 @@ func Table2(corpusN, trainN int, arches []*uarch.Config) ([]AccuracyRow, string)
 		"uArch", "Predictor", "MAPE(U)", "Kend(U)", "MAPE(L)", "Kend(L)"))
 	for _, cfg := range arches {
 		suite := BuildSuite(cfg, corpus)
-		for _, pred := range Predictors(cfg, trainN) {
-			pu := PredictAll(pred, suite.BlocksU, false)
-			pl := PredictAll(pred, suite.BlocksL, true)
-			row := AccuracyRow{
-				Arch:      cfg.Name,
-				Predictor: pred.Name(),
-				MAPEU:     metrics.MAPE(suite.MeasU, pu),
-				KendallU:  metrics.KendallTau(suite.MeasU, pu),
-				MAPEL:     metrics.MAPE(suite.MeasL, pl),
-				KendallL:  metrics.KendallTau(suite.MeasL, pl),
-			}
+		for _, pred := range field(cfg, paperField, trainN) {
+			row := AccuracyRow{Arch: cfg.Name, Predictor: pred.Name()}
+			row.MAPEU, row.KendallU = score(suite.MeasU, PredictAll(pred, suite.BlocksU, false))
+			row.MAPEL, row.KendallL = score(suite.MeasL, PredictAll(pred, suite.BlocksL, true))
 			rows = append(rows, row)
 			sb.WriteString(fmt.Sprintf("%-5s %-12s %10s %9.4f %10s %9.4f\n",
 				row.Arch, row.Predictor, fmtPct(row.MAPEU), row.KendallU,
@@ -133,15 +126,11 @@ func Table3(corpusN int, arches []*uarch.Config) ([]VariantRow, string) {
 		for _, spec := range table3Variants() {
 			row := VariantRow{Arch: cfg.Name, Variant: spec.name}
 			if !spec.onlyTPL {
-				pu := combineVariant(suite.BlocksU, boundsU, core.TPU, spec.opts)
-				row.MAPEU = metrics.MAPE(suite.MeasU, pu)
-				row.KendallU = metrics.KendallTau(suite.MeasU, pu)
+				row.MAPEU, row.KendallU = score(suite.MeasU, combineVariant(suite.BlocksU, boundsU, core.TPU, spec.opts))
 				row.HasU = true
 			}
 			if !spec.onlyTPU {
-				pl := combineVariant(suite.BlocksL, boundsL, core.TPL, spec.opts)
-				row.MAPEL = metrics.MAPE(suite.MeasL, pl)
-				row.KendallL = metrics.KendallTau(suite.MeasL, pl)
+				row.MAPEL, row.KendallL = score(suite.MeasL, combineVariant(suite.BlocksL, boundsL, core.TPL, spec.opts))
 				row.HasL = true
 			}
 			rows = append(rows, row)
@@ -176,12 +165,12 @@ func combineVariant(blocks []*bb.Block, bounds *core.BoundsMatrix, mode core.Mod
 	if opts.SimplePredec || opts.SimpleDec {
 		a := core.NewAnalysis()
 		for i, block := range blocks {
-			out[i] = round2(a.Predict(block, mode, opts).TP)
+			out[i] = metrics.Round2(a.Predict(block, mode, opts).TP)
 		}
 		return out
 	}
 	for i := 0; i < bounds.Len(); i++ {
-		out[i] = round2(bounds.Combine(i, mode, opts.Include).TP)
+		out[i] = metrics.Round2(bounds.Combine(i, mode, opts.Include).TP)
 	}
 	return out
 }

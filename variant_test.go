@@ -12,8 +12,10 @@ import (
 // it predicts exactly like the same overlay registered via Derive — but it
 // is invisible to name lookup and takes no registry slot.
 func TestDeriveVariantEphemeral(t *testing.T) {
-	// Unrestricted: the test registers a twin arch and analyzes against it.
-	e := newTestEngine(t, facile.EngineConfig{})
+	// Unrestricted: the test registers a twin arch and analyzes against it,
+	// in a private registry so reruns (-count=N) and the default-registry
+	// tests stay independent.
+	e := newTestEngine(t, facile.EngineConfig{Registry: facile.NewArchRegistry()})
 	reg := e.Registry()
 	code := decode(t, "4801d8 480fafc3 4829d8 480fafcb")
 	ctx := context.Background()
@@ -76,7 +78,7 @@ func TestDeriveVariantsBeyondRegistryCapacity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("derives 1100 variants")
 	}
-	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, Registry: facile.NewArchRegistry()})
 	reg := e.Registry()
 	code := decode(t, "4801d8")
 	ctx := context.Background()
