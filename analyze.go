@@ -161,7 +161,7 @@ type Analysis struct {
 	// Prediction is the throughput prediction itself.
 	Prediction Prediction `json:"prediction"`
 	// Bounds is the per-component breakdown in pipeline (front-end-first)
-	// order; it replaces iterating the Prediction.Components map.
+	// order: every computed component's bound, the bottlenecks flagged.
 	Bounds []ComponentBound `json:"bounds"`
 	// Speedups holds the counterfactual speedups sorted descending; nil
 	// unless the request asked for DetailSpeedups or DetailFull.

@@ -55,8 +55,8 @@ func TestAnalyzeDetailLevels(t *testing.T) {
 }
 
 // TestAnalyzeBoundsOrdered: the breakdown is deterministic, in pipeline
-// (front-end-first) order, and agrees with the legacy Components map and
-// Bottlenecks list.
+// (front-end-first) order, carries each component at most once, and agrees
+// with the Bottlenecks list.
 func TestAnalyzeBoundsOrdered(t *testing.T) {
 	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
 	ana, err := e.Analyze(context.Background(), analyzeReq(t, "4801d8480fafc3", facile.DetailPrediction))
@@ -79,15 +79,9 @@ func TestAnalyzeBoundsOrdered(t *testing.T) {
 			t.Fatalf("bounds out of pipeline order: %+v", ana.Bounds)
 		}
 		last = p
-		if got := ana.Prediction.Components[b.Component]; got != b.Cycles {
-			t.Errorf("bound %s = %v, Components map says %v", b.Component, b.Cycles, got)
-		}
 		if b.Bottleneck {
 			bottlenecks++
 		}
-	}
-	if len(ana.Bounds) != len(ana.Prediction.Components) {
-		t.Fatalf("breakdown has %d entries, map has %d", len(ana.Bounds), len(ana.Prediction.Components))
 	}
 	if bottlenecks != len(ana.Prediction.Bottlenecks) {
 		t.Fatalf("%d bottleneck flags, %d bottleneck names", bottlenecks, len(ana.Prediction.Bottlenecks))

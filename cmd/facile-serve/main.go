@@ -13,10 +13,8 @@
 // Endpoints (see docs/API.md for the full reference):
 //
 //	POST /v1/analyze         {"code":"4801d8480fafc3","arch":"SKL","mode":"loop","detail":"full"}
-//	POST /v1/predict         {"code":"4801d8480fafc3","arch":"SKL","mode":"loop"}
 //	POST /v1/predict/batch   {"requests":[...],"concurrency":4}
-//	POST /v1/explain         same body as /v1/predict
-//	POST /v1/speedups        same body as /v1/predict
+//	POST /v1/sweep           {"grid":{"base":"SKL","axes":[...]},"blocks":["4801d8"]}
 //	GET  /v1/archs
 //	POST /v1/archs           {"name":"SKL-LSD","base":"SKL","overlay":{"lsd_enabled":true}}
 //	GET  /v1/cache/snapshot  the warm working set, hottest-first (?max_bytes=N)
@@ -24,11 +22,10 @@
 //	GET  /healthz
 //	GET  /metrics
 //
-// /v1/analyze is the primary endpoint: one engine analysis returns the
+// /v1/analyze is the single-block endpoint: one engine analysis returns the
 // prediction, the ordered per-component bound breakdown, the sorted
-// counterfactual speedups, and the structured report. The /v1/predict,
-// /v1/explain, and /v1/speedups endpoints are views over the same single
-// analysis, kept for wire compatibility.
+// counterfactual speedups, and the structured report; "detail" ("prediction",
+// "speedups" or "full") trims the response.
 //
 // Microarchitectures come from the runtime registry: the nine built-ins,
 // plus any spec files loaded at startup via -arch-dir, plus anything

@@ -175,7 +175,6 @@ func entrySizeBytes(ent *engineEntry) int {
 		return n
 	}
 	n += 32 * len(ent.bounds)
-	n += 48 * len(ent.pred.Components)
 	n += 8 * (len(ent.pred.CriticalChain) + len(ent.pred.ContendedInstrs))
 	for _, s := range ent.pred.Instructions {
 		n += 16 + len(s)
@@ -560,23 +559,14 @@ func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int)
 	return e.analyzeBatch(ctx, nil, reqs, workers)
 }
 
-// AnalyzeVariant analyzes one request against an ephemeral variant (see
-// ArchRegistry.DeriveVariant). Request.Arch is ignored — the variant is the
-// target. Variant analyses bypass the prediction cache entirely: they touch
-// no shared state keyed by arch name, so a sweep over thousands of design
-// points can never displace the serving working set or alias a registered
-// arch's cached results.
-func (e *Engine) AnalyzeVariant(ctx context.Context, v *Variant, req Request) (*Analysis, error) {
-	res := e.AnalyzeVariantBatchN(ctx, v, []Request{req}, 1)
-	return res[0].Analysis, res[0].Err
-}
-
 // AnalyzeVariantBatchN analyzes every request against an ephemeral variant,
 // with the same ordering, cancellation, and concurrency semantics as
 // AnalyzeBatchN. Request.Arch is ignored; predictions carry the variant's
 // name. The batch runs on the same chunked kernel with shared per-worker
 // scratch, but against private (uncached) entries — no registry lookup, no
-// prediction-cache traffic.
+// prediction-cache traffic — so a sweep over thousands of design points can
+// never displace the serving working set or alias a registered arch's cached
+// results. A single variant analysis is a one-request batch.
 func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Request, workers int) []AnalysisResult {
 	if v == nil {
 		out := make([]AnalysisResult, len(reqs))

@@ -1,7 +1,7 @@
 // Command facile-client demonstrates driving the Facile prediction service
-// (cmd/facile-serve) over HTTP from Go: one single-block prediction, one
-// batch, and the structured /v1/analyze response with its bound breakdown
-// and sorted counterfactual speedup table.
+// (cmd/facile-serve) over HTTP from Go: one single-block prediction
+// (/v1/analyze at detail "prediction"), one batch, and the /v1/analyze
+// bound breakdown with its sorted counterfactual speedup table.
 //
 // Start the server, then run the client:
 //
@@ -30,10 +30,9 @@ type blockRequest struct {
 }
 
 type prediction struct {
-	CyclesPerIteration float64            `json:"cycles_per_iteration"`
-	Bottlenecks        []string           `json:"bottlenecks"`
-	Components         map[string]float64 `json:"components"`
-	Instructions       []string           `json:"instructions"`
+	CyclesPerIteration float64  `json:"cycles_per_iteration"`
+	Bottlenecks        []string `json:"bottlenecks"`
+	Instructions       []string `json:"instructions"`
 }
 
 type batchResponse struct {
@@ -71,9 +70,12 @@ func main() {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// One block: the README quick-start pair (add rax,rbx; imul rax,rbx).
-	var pred prediction
-	post(client, *addr+"/v1/predict",
-		blockRequest{Code: "4801d8480fafc3", Arch: "SKL", Mode: "loop"}, &pred)
+	var one analyzeResponse
+	post(client, *addr+"/v1/analyze", analyzeRequest{
+		blockRequest: blockRequest{Code: "4801d8480fafc3", Arch: "SKL", Mode: "loop"},
+		Detail:       "prediction",
+	}, &one)
+	pred := one.Prediction
 	fmt.Printf("single block on SKL: %.2f cycles/iteration, bottleneck %s\n",
 		pred.CyclesPerIteration, pred.Bottlenecks[0])
 	for i, inst := range pred.Instructions {

@@ -35,7 +35,8 @@
 // Beyond single analyses, Engine.AnalyzeBatch fans independent requests
 // across a worker pool, and ephemeral design points — hypothetical
 // microarchitectures that should not consume registry capacity — are derived
-// with ArchRegistry.DeriveVariant and analyzed with Engine.AnalyzeVariant.
+// with ArchRegistry.DeriveVariant and analyzed with
+// Engine.AnalyzeVariantBatchN.
 // The package also exposes the reference cycle-accurate pipeline simulator
 // (Engine.Simulate) used as the measurement substrate of the evaluation, and
 // a disassembler (Disassemble) for the supported instruction subset.
@@ -122,11 +123,6 @@ type Prediction struct {
 	// Arch is the microarchitecture the prediction is for (e.g. "SKL").
 	Arch string `json:"arch"`
 	Mode Mode   `json:"mode"`
-	// Components maps component names ("Predec", "Dec", "DSB", "LSD",
-	// "Issue", "Ports", "Precedence") to their individual bounds — the
-	// legacy map view; Analysis.Bounds carries the same data as an ordered
-	// typed breakdown.
-	Components map[string]float64 `json:"components"`
 	// Bottlenecks lists the components whose bound equals the prediction,
 	// in front-end-first order; the first entry is the primary bottleneck.
 	Bottlenecks []string `json:"bottlenecks"`
@@ -191,20 +187,18 @@ func coreMode(mode Mode) core.Mode {
 }
 
 // publicPrediction materializes the exported Prediction from the core
-// result: the ordered bound walk becomes the Components map view, the
-// bottleneck set becomes an ordered name list.
+// result: the bottleneck set becomes an ordered name list. The per-component
+// bounds are not copied here; Analysis.Bounds carries them.
 func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode) Prediction {
 	out := Prediction{
 		CyclesPerIteration: round2(p.TP),
 		Arch:               arch,
 		Mode:               mode,
-		Components:         make(map[string]float64, core.NumComponents),
 		CriticalChain:      p.CriticalChain,
 		ContendedPorts:     p.ContendedPorts,
 		ContendedInstrs:    p.ContendedInstrs,
 	}
-	p.EachBound(func(c core.Component, v float64, bottleneck bool) {
-		out.Components[c.String()] = v
+	p.EachBound(func(c core.Component, _ float64, bottleneck bool) {
 		if bottleneck {
 			out.Bottlenecks = append(out.Bottlenecks, c.String())
 		}
@@ -220,14 +214,13 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 
 // publicPredictionSlab is publicPrediction with the name and instruction
 // lists carved from a batch worker's slab: the only remaining per-miss
-// allocations in the chunked batch path are the Components map (public API
-// shape) and the rendered instruction strings themselves.
+// allocations in the chunked batch path are the rendered instruction strings
+// themselves.
 func publicPredictionSlab(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
 	out := Prediction{
 		CyclesPerIteration: round2(p.TP),
 		Arch:               arch,
 		Mode:               mode,
-		Components:         make(map[string]float64, core.NumComponents),
 		CriticalChain:      p.CriticalChain,
 		ContendedPorts:     p.ContendedPorts,
 		ContendedInstrs:    p.ContendedInstrs,
@@ -241,8 +234,7 @@ func publicPredictionSlab(p *core.Prediction, block *bb.Block, arch string, mode
 	if nb > 0 {
 		out.Bottlenecks = strs[:0:nb]
 	}
-	p.EachBound(func(c core.Component, v float64, bottleneck bool) {
-		out.Components[c.String()] = v
+	p.EachBound(func(c core.Component, _ float64, bottleneck bool) {
 		if bottleneck {
 			out.Bottlenecks = append(out.Bottlenecks, c.String())
 		}

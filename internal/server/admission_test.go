@@ -135,12 +135,12 @@ func TestAdmissionClientCap(t *testing.T) {
 }
 
 func TestClientKey(t *testing.T) {
-	r := httptest.NewRequest("POST", "/v1/predict", nil)
+	r := httptest.NewRequest("POST", "/v1/analyze", nil)
 	r.RemoteAddr = "198.51.100.7:49152"
 	if got := clientKey(r); got != "addr:198.51.100.7" {
 		t.Fatalf("clientKey = %q", got)
 	}
-	r2 := httptest.NewRequest("POST", "/v1/predict", nil)
+	r2 := httptest.NewRequest("POST", "/v1/analyze", nil)
 	r2.RemoteAddr = "198.51.100.7:49153" // same host, new connection
 	if clientKey(r2) != clientKey(r) {
 		t.Fatal("connections from one host must share a client key")
@@ -162,8 +162,8 @@ func TestShedResponse(t *testing.T) {
 	}
 	defer release()
 
-	req := httptest.NewRequest("POST", "/v1/predict", strings.NewReader(
-		`{"code":"`+testBlockHex+`","arch":"SKL"}`))
+	req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(
+		`{"code":"`+testBlockHex+`","arch":"SKL","detail":"prediction"}`))
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusTooManyRequests {
@@ -199,8 +199,8 @@ func TestClientCapOverHTTP(t *testing.T) {
 	defer release()
 
 	mk := func(key string) int {
-		req := httptest.NewRequest("POST", "/v1/predict", strings.NewReader(
-			`{"code":"`+testBlockHex+`","arch":"SKL"}`))
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(
+			`{"code":"`+testBlockHex+`","arch":"SKL","detail":"prediction"}`))
 		if key != "" {
 			req.Header.Set("X-API-Key", key)
 		}
@@ -245,10 +245,10 @@ func TestSaturationLatency(t *testing.T) {
 	// One slot, no queue: admitted requests run alone, so their latency is
 	// the service time regardless of offered load.
 	s := newTestServer(t, Config{Engine: engine, MaxInFlight: 1, MaxQueue: -1})
-	body := `{"code":"` + slowBlockHex() + `","arch":"SKL"}`
+	body := `{"code":"` + slowBlockHex() + `","arch":"SKL","detail":"prediction"}`
 
 	request := func() (int, time.Duration, string) {
-		req := httptest.NewRequest("POST", "/v1/predict", strings.NewReader(body))
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
 		w := httptest.NewRecorder()
 		start := time.Now()
 		s.ServeHTTP(w, req)
@@ -345,7 +345,7 @@ func BenchmarkServerSaturation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.Close)
-	body := []byte(`{"code":"` + slowBlockHex() + `","arch":"SKL"}`)
+	body := []byte(`{"code":"` + slowBlockHex() + `","arch":"SKL","detail":"prediction"}`)
 
 	for _, mult := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("load_%dx", mult), func(b *testing.B) {
@@ -363,7 +363,7 @@ func BenchmarkServerSaturation(b *testing.B) {
 					defer wg.Done()
 					var okLocal, shedLocal []time.Duration
 					for next.Add(1) <= int64(b.N) {
-						req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
+						req := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body))
 						w := httptest.NewRecorder()
 						start := time.Now()
 						s.ServeHTTP(w, req)

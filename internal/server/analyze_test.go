@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -33,13 +34,20 @@ func TestAnalyzeEndpoint(t *testing.T) {
 		t.Errorf("speedups not sorted descending: %+v", full.Speedups)
 	}
 
-	// Bounds agree with the prediction's component map and carry the
-	// bottleneck flags.
+	// Bounds agree with the library's breakdown and carry the bottleneck
+	// flags.
+	lib, err := facile.DefaultEngine().Analyze(context.Background(),
+		facile.Request{Code: mustHex(t, testBlockHex), Arch: "SKL", Mode: facile.Loop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Bounds) != len(lib.Bounds) {
+		t.Fatalf("wire has %d bounds, library %d", len(full.Bounds), len(lib.Bounds))
+	}
 	bottlenecks := 0
-	for _, b := range full.Bounds {
-		if full.Prediction.Components[b.Component] != b.Cycles {
-			t.Errorf("bound %s = %v, components map says %v",
-				b.Component, b.Cycles, full.Prediction.Components[b.Component])
+	for i, b := range full.Bounds {
+		if b != lib.Bounds[i] {
+			t.Errorf("bound %d = %+v, library says %+v", i, b, lib.Bounds[i])
 		}
 		if b.Bottleneck {
 			bottlenecks++
@@ -83,43 +91,42 @@ func TestAnalyzeDetailLevels(t *testing.T) {
 	}
 }
 
-// TestAnalyzeViewsAgree: /v1/explain and /v1/speedups are views over the
-// same analysis /v1/analyze serves — the rendered report and the speedup
-// map must match field for field.
+// TestAnalyzeViewsAgree: the detail levels are views over one analysis —
+// the narrower levels return the same prediction, bounds and speedups as
+// detail=full, and report_text is the library's rendered report.
 func TestAnalyzeViewsAgree(t *testing.T) {
 	s := newTestServer(t, Config{})
-	body := map[string]string{"code": testBlockHex, "arch": "SKL", "mode": "loop"}
+	block := BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}
 
 	var full AnalyzeResponse
-	if code := do(t, s, "POST", "/v1/analyze", body, &full); code != 200 {
+	if code := do(t, s, "POST", "/v1/analyze", AnalyzeRequest{BlockRequest: block}, &full); code != 200 {
 		t.Fatalf("analyze status %d", code)
 	}
-	var ex ExplainResponse
-	if code := do(t, s, "POST", "/v1/explain", body, &ex); code != 200 {
-		t.Fatalf("explain status %d", code)
+	lib, err := facile.DefaultEngine().Analyze(context.Background(),
+		facile.Request{Code: mustHex(t, testBlockHex), Arch: "SKL", Mode: facile.Loop, Detail: facile.DetailFull})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ex.Report != full.ReportText {
-		t.Errorf("explain report differs from analyze report_text:\n%s\nvs\n%s", ex.Report, full.ReportText)
+	if want := lib.Report.Text(); full.ReportText != want {
+		t.Errorf("report_text differs from the library report:\n%s\nvs\n%s", full.ReportText, want)
 	}
-	var spr SpeedupsResponse
-	if code := do(t, s, "POST", "/v1/speedups", body, &spr); code != 200 {
-		t.Fatalf("speedups status %d", code)
-	}
-	if len(spr.Speedups) != len(full.Speedups) {
-		t.Fatalf("speedups map has %d entries, list has %d", len(spr.Speedups), len(full.Speedups))
-	}
-	for _, sp := range full.Speedups {
-		if spr.Speedups[sp.Component] != sp.Factor {
-			t.Errorf("speedups[%s] = %v, analyze list says %v",
-				sp.Component, spr.Speedups[sp.Component], sp.Factor)
+	for _, detail := range []string{"prediction", "speedups"} {
+		var view AnalyzeResponse
+		if code := do(t, s, "POST", "/v1/analyze", AnalyzeRequest{BlockRequest: block, Detail: detail}, &view); code != 200 {
+			t.Fatalf("detail=%s status %d", detail, code)
+		}
+		if !reflect.DeepEqual(view.Prediction, full.Prediction) || !reflect.DeepEqual(view.Bounds, full.Bounds) {
+			t.Errorf("detail=%s prediction/bounds differ from detail=full:\n%+v %+v\nvs\n%+v %+v",
+				detail, view.Prediction, view.Bounds, full.Prediction, full.Bounds)
+		}
+		if detail == "speedups" && !reflect.DeepEqual(view.Speedups, full.Speedups) {
+			t.Errorf("detail=speedups list %+v, detail=full list %+v", view.Speedups, full.Speedups)
 		}
 	}
 }
 
-// TestEndpointsSingleResolution: every warm single-block endpoint resolves
-// the engine cache exactly once per request — the consolidation the
-// Analyze redesign bought (the explain/speedups handlers used to look the
-// entry up twice each).
+// TestEndpointsSingleResolution: a warm single-block request resolves the
+// engine cache exactly once at every detail level.
 func TestEndpointsSingleResolution(t *testing.T) {
 	engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
 	if err != nil {
@@ -132,17 +139,18 @@ func TestEndpointsSingleResolution(t *testing.T) {
 	if code := do(t, s, "POST", "/v1/analyze", body, nil); code != 200 {
 		t.Fatalf("warmup status %d", code)
 	}
-	for _, path := range []string{"/v1/analyze", "/v1/predict", "/v1/explain", "/v1/speedups"} {
+	for _, detail := range []string{"full", "prediction", "speedups"} {
+		body["detail"] = detail
 		before := engine.Stats()
-		if code := do(t, s, "POST", path, body, nil); code != 200 {
-			t.Fatalf("%s: status %d", path, code)
+		if code := do(t, s, "POST", "/v1/analyze", body, nil); code != 200 {
+			t.Fatalf("detail=%s: status %d", detail, code)
 		}
 		after := engine.Stats()
 		if hits := after.Hits - before.Hits; hits != 1 {
-			t.Errorf("%s: %d cache resolutions on a warm request, want exactly 1", path, hits)
+			t.Errorf("detail=%s: %d cache resolutions on a warm request, want exactly 1", detail, hits)
 		}
 		if after.Misses != before.Misses {
-			t.Errorf("%s: warm request missed the cache", path)
+			t.Errorf("detail=%s: warm request missed the cache", detail)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"facile"
 )
 
-// BlockRequest is the wire form of a single-block query, shared by
-// /v1/predict, /v1/explain, and /v1/speedups. Exactly one of Code (hex) and
-// CodeB64 (standard base64) must carry the block bytes.
+// BlockRequest is the wire form of one block query: the block of a
+// /v1/analyze request and each item of a /v1/predict/batch request. Exactly
+// one of Code (hex) and CodeB64 (standard base64) must carry the block bytes.
 type BlockRequest struct {
 	// Code is the basic block as a hex string, e.g. "4801d8480fafc3".
 	Code string `json:"code,omitempty"`
@@ -54,8 +54,8 @@ type AnalyzeResponse struct {
 	Bounds     []facile.ComponentBound `json:"bounds"`
 	Speedups   []facile.Speedup        `json:"speedups,omitempty"`
 	Report     *facile.Report          `json:"report,omitempty"`
-	// ReportText is the rendered human-readable report (identical to the
-	// /v1/explain "report" field), included alongside the structured form.
+	// ReportText is the rendered human-readable report (Report.Text),
+	// included alongside the structured form.
 	ReportText string `json:"report_text,omitempty"`
 }
 
@@ -91,16 +91,15 @@ func parseDetail(s string) (facile.Detail, error) {
 
 // Prediction is the wire form of a facile.Prediction.
 type Prediction struct {
-	CyclesPerIteration float64            `json:"cycles_per_iteration"`
-	Arch               string             `json:"arch"`
-	Mode               string             `json:"mode"`
-	Components         map[string]float64 `json:"components"`
-	Bottlenecks        []string           `json:"bottlenecks"`
-	FrontEndSource     string             `json:"front_end_source,omitempty"`
-	CriticalChain      []int              `json:"critical_chain,omitempty"`
-	ContendedPorts     string             `json:"contended_ports,omitempty"`
-	ContendedInstrs    []int              `json:"contended_instrs,omitempty"`
-	Instructions       []string           `json:"instructions"`
+	CyclesPerIteration float64  `json:"cycles_per_iteration"`
+	Arch               string   `json:"arch"`
+	Mode               string   `json:"mode"`
+	Bottlenecks        []string `json:"bottlenecks"`
+	FrontEndSource     string   `json:"front_end_source,omitempty"`
+	CriticalChain      []int    `json:"critical_chain,omitempty"`
+	ContendedPorts     string   `json:"contended_ports,omitempty"`
+	ContendedInstrs    []int    `json:"contended_instrs,omitempty"`
+	Instructions       []string `json:"instructions"`
 }
 
 // BatchResult is one entry of a BatchResponse: a prediction or a
@@ -114,18 +113,6 @@ type BatchResult struct {
 // answers Requests[i].
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
-}
-
-// ExplainResponse is the wire form of a /v1/explain response.
-type ExplainResponse struct {
-	Report     string     `json:"report"`
-	Prediction Prediction `json:"prediction"`
-}
-
-// SpeedupsResponse is the wire form of a /v1/speedups response.
-type SpeedupsResponse struct {
-	CyclesPerIteration float64            `json:"cycles_per_iteration"`
-	Speedups           map[string]float64 `json:"speedups"`
 }
 
 // ArchsResponse is the wire form of a GET /v1/archs response.
@@ -247,7 +234,7 @@ func (s *Server) decodeBlock(req *BlockRequest) (facile.Request, error) {
 // decodeBlockSlab is decodeBlock with the hex-decoded block bytes appended to
 // slab (the batch path's pooled carving buffer; the returned slab must
 // replace the caller's). A nil slab decodes into a fresh allocation, which is
-// what the single-block endpoints use.
+// what the single-block endpoint uses.
 func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request, []byte, error) {
 	var out facile.Request
 	var code []byte
@@ -294,13 +281,12 @@ func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request
 
 // wirePrediction converts an engine prediction to its wire form. The
 // engine's Prediction is shared and read-only; the wire form aliases its
-// slices and maps, which is safe because they are only marshaled.
+// slices, which is safe because they are only marshaled.
 func wirePrediction(p *facile.Prediction) Prediction {
 	return Prediction{
 		CyclesPerIteration: p.CyclesPerIteration,
 		Arch:               p.Arch,
 		Mode:               modeString(p.Mode),
-		Components:         p.Components,
 		Bottlenecks:        p.Bottlenecks,
 		FrontEndSource:     p.FrontEndSource,
 		CriticalChain:      p.CriticalChain,

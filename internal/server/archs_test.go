@@ -48,8 +48,8 @@ func TestRegisterArchServedWithoutRestart(t *testing.T) {
 
 	// Before registration the arch is an unknown-arch 400.
 	var errResp ErrorResponse
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}, &errResp); code != 400 {
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}), &errResp); code != 400 {
 		t.Fatalf("pre-registration predict: status %d", code)
 	}
 
@@ -71,21 +71,21 @@ func TestRegisterArchServedWithoutRestart(t *testing.T) {
 	}
 
 	// Immediately predictable, and the repeat query is a warm cache hit.
-	var p1, p2 Prediction
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}, &p1); code != 200 {
+	var r1, r2 AnalyzeResponse
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}), &r1); code != 200 {
 		t.Fatalf("post-registration predict: status %d", code)
 	}
 	before := engine.Stats()
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}, &p2); code != 200 {
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}), &r2); code != 200 {
 		t.Fatalf("repeat predict: status %d", code)
 	}
 	after := engine.Stats()
 	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("repeat predict on a registered arch missed the cache: %+v -> %+v", before, after)
 	}
-	if p1.CyclesPerIteration != p2.CyclesPerIteration || p1.Arch != "SKL-LSD" {
+	if p1, p2 := r1.Prediction, r2.Prediction; p1.CyclesPerIteration != p2.CyclesPerIteration || p1.Arch != "SKL-LSD" {
 		t.Fatalf("predictions diverge: %+v vs %+v", p1, p2)
 	}
 }
@@ -103,10 +103,10 @@ func TestRegisterArchFullSpec(t *testing.T) {
 	if reg.Arch.IssueWidth != 4 || reg.Arch.NumPorts != 10 {
 		t.Fatalf("spec-form registration wrong: %+v", reg.Arch)
 	}
-	var p Prediction
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "icl-4w"}, &p); code != 200 || p.Arch != "ICL-4W" {
-		t.Fatalf("predict on spec-form arch: status %d, %+v", code, p)
+	var r AnalyzeResponse
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "icl-4w"}), &r); code != 200 || r.Prediction.Arch != "ICL-4W" {
+		t.Fatalf("predict on spec-form arch: status %d, %+v", code, r.Prediction)
 	}
 }
 
@@ -170,16 +170,16 @@ func TestConcurrentRegisterAndPredictHTTP(t *testing.T) {
 				t.Errorf("register R%d: %d", i, code)
 				return
 			}
-			if code := do(t, s, "POST", "/v1/predict",
-				BlockRequest{Code: testBlockHex, Arch: fmt.Sprintf("R%d", i)}, nil); code != 200 {
+			if code := do(t, s, "POST", "/v1/analyze",
+				predictBody(BlockRequest{Code: testBlockHex, Arch: fmt.Sprintf("R%d", i)}), nil); code != 200 {
 				t.Errorf("predict R%d: %d", i, code)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 64; i++ {
-		if code := do(t, s, "POST", "/v1/predict",
-			BlockRequest{Code: testBlockHex, Arch: "SKL"}, nil); code != 200 {
+		if code := do(t, s, "POST", "/v1/analyze",
+			predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), nil); code != 200 {
 			t.Fatalf("predict SKL: %d", code)
 		}
 	}

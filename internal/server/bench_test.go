@@ -29,14 +29,14 @@ var benchBodies = func() [][]byte {
 	blocks := []string{testBlockHex, "4801d8", "480fafc3", "9090", "48ffc0", "4829d8"}
 	out := make([][]byte, len(blocks))
 	for i, blk := range blocks {
-		out[i] = []byte(fmt.Sprintf(`{"code":%q,"arch":"SKL","mode":"loop"}`, blk))
+		out[i] = []byte(fmt.Sprintf(`{"code":%q,"arch":"SKL","mode":"loop","detail":"prediction"}`, blk))
 	}
 	return out
 }()
 
 func benchPredictLoop(b *testing.B, s *Server, parallel bool) {
 	run := func(i int) {
-		req := httptest.NewRequest("POST", "/v1/predict",
+		req := httptest.NewRequest("POST", "/v1/analyze",
 			bytes.NewReader(benchBodies[i%len(benchBodies)]))
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
@@ -64,8 +64,8 @@ func benchPredictLoop(b *testing.B, s *Server, parallel bool) {
 	}
 }
 
-// BenchmarkServerPredict measures the /v1/predict request path serially:
-// one engine call per request.
+// BenchmarkServerPredict measures the single-block request path serially
+// (/v1/analyze at detail=prediction): one engine call per request.
 func BenchmarkServerPredict(b *testing.B) {
 	benchPredictLoop(b, benchServer(b), false)
 }

@@ -179,13 +179,14 @@ func fromHexChar(c byte) (byte, bool) {
 // accepts — printable-ASCII strings without escapes, plain integers, the
 // known keys only — and parses to the identical result for everything it
 // accepts; the wire strings alias the body buffer instead of being copied.
-// Anything outside the subset (escapes, unknown fields, malformed JSON,
-// non-ASCII) returns false and the caller re-parses with the generic
-// decoder, which owns all error-message behavior.
+// Anything outside the subset (escapes, unknown fields, a repeated
+// "requests" key, malformed JSON, non-ASCII) returns false and the caller
+// re-parses with the generic decoder, which owns all error-message behavior.
 func parseBatchRequest(body []byte, dst *BatchRequest) bool {
 	p := fastParser{b: body}
 	reqs := dst.Requests[:0]
 	dst.Concurrency = 0
+	seenRequests := false
 	p.ws()
 	if !p.eat('{') {
 		return false
@@ -205,8 +206,14 @@ func parseBatchRequest(body []byte, dst *BatchRequest) bool {
 			p.ws()
 			switch key {
 			case "requests":
-				// Duplicate keys: last value wins, like encoding/json.
-				if reqs, ok = p.blockRequests(reqs[:0]); !ok {
+				// encoding/json decodes a repeated array into the elements
+				// the first one left behind, merging them field by field;
+				// that merge is the generic decoder's to do.
+				if seenRequests {
+					return false
+				}
+				seenRequests = true
+				if reqs, ok = p.blockRequests(reqs); !ok {
 					return false
 				}
 			case "concurrency":

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,8 +22,8 @@ func genericBatchParse(body []byte) (BatchRequest, error) {
 
 // TestParseBatchRequestSubset pins the fast parser's contract: everything
 // it accepts, the generic decoder accepts with the identical result; and
-// the inputs it must reject (escapes, unknown fields, malformed JSON) fall
-// through to the generic path.
+// the inputs it must reject (escapes, unknown fields, a repeated "requests"
+// key, malformed JSON) fall through to the generic path.
 func TestParseBatchRequestSubset(t *testing.T) {
 	accept := []string{
 		`{"requests":[{"code":"4801d8","arch":"SKL","mode":"loop"}]}`,
@@ -34,8 +35,7 @@ func TestParseBatchRequestSubset(t *testing.T) {
 		`{"concurrency":-3,"requests":[{"arch":""}]}`,
 		`{"concurrency":0}`,
 		`{"requests":[{"code":"zz not hex","arch":"?!# ~"}]}`,
-		// Duplicate keys: last value wins, like encoding/json.
-		`{"requests":[{"code":"aa"}],"requests":[{"code":"bb"}]}`,
+		// Duplicate scalar keys: last value wins, like encoding/json.
 		`{"requests":[{"code":"aa","code":"bb"}]}`,
 		`{"concurrency":1,"concurrency":2}`,
 	}
@@ -82,6 +82,10 @@ func TestParseBatchRequestSubset(t *testing.T) {
 		`{"requests":[{"code":"aa"}],}`,                  // trailing comma in object
 		`{"requests":{"code":"aa"}}`,                     // object where array expected
 		`{"requests":[{"code":"aa"}],"concurrency":"2"}`, // string where int expected
+		// A repeated "requests" array: encoding/json merges it into the
+		// elements the first one decoded, field by field.
+		`{"requests":[{"code":"aa"}],"requests":[{"code":"bb"}]}`,
+		dupRequestsBody,
 	}
 	for _, body := range reject {
 		var got BatchRequest
@@ -89,6 +93,44 @@ func TestParseBatchRequestSubset(t *testing.T) {
 			t.Errorf("fast parser accepted out-of-subset input %q", body)
 		}
 	}
+
+	// Why the fast parser must hand a repeated array over: the generic
+	// decoder merges the second array into the first one's elements.
+	got, err := genericBatchParse([]byte(dupRequestsBody))
+	want := []BlockRequest{{Code: "4801d8", Arch: "SKL", Mode: "loop"}}
+	if err != nil || !reflect.DeepEqual(got.Requests, want) {
+		t.Errorf("generic decode of %q = %+v, %v; want %+v", dupRequestsBody, got.Requests, err, want)
+	}
+}
+
+// dupRequestsBody repeats the "requests" key with disjoint fields.
+const dupRequestsBody = `{"requests":[{"code":"4801d8","arch":"SKL"}],"requests":[{"mode":"loop"}]}`
+
+// FuzzParseBatchRequest: wherever the fast parser accepts a body, the
+// generic decoder accepts it too and yields the same BatchRequest. Each
+// input is parsed into a pooled batchScratch, released afterwards exactly
+// as the handler does, so a field left over from an earlier input would
+// show up as a mismatch. The seed corpus is testdata/fuzz/FuzzParseBatchRequest.
+func FuzzParseBatchRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sc := batchScratchPool.Get().(*batchScratch)
+		defer sc.release()
+		buf, err := sc.readBody(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !parseBatchRequest(buf, &sc.wire) {
+			return // out of subset: the handler re-parses with readJSON
+		}
+		want, err := genericBatchParse(body)
+		if err != nil {
+			t.Fatalf("fast parser accepted %q, generic decoder errors: %v", body, err)
+		}
+		// Empty non-nil and nil request lists carry the same wire meaning.
+		if got := sc.wire; got.Concurrency != want.Concurrency || !slices.Equal(got.Requests, want.Requests) {
+			t.Fatalf("parse mismatch for %q:\n fast: %+v\n generic: %+v", body, got, want)
+		}
+	})
 }
 
 // TestParseBatchRequestRandomized cross-checks the fast parser against the

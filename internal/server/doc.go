@@ -8,10 +8,7 @@
 // The server exposes a small JSON API (documented in docs/API.md):
 //
 //	POST /v1/analyze         one block: prediction, bounds, speedups, report
-//	POST /v1/predict         one block; the prediction view of /v1/analyze
 //	POST /v1/predict/batch   many blocks; bounded per-request concurrency
-//	POST /v1/explain         one block; the rendered bottleneck report
-//	POST /v1/speedups        one block; counterfactual idealization factors
 //	POST /v1/sweep           a design-space grid over a block workload
 //	GET  /v1/archs           the served microarchitectures (paper Table 1)
 //	POST /v1/archs           register a spec or variant without restart
@@ -25,7 +22,7 @@
 // request validation (hex/base64 block bytes, arch, mode — nothing reaches
 // the engine undecoded), body and batch-size limits, per-request deadline
 // installation and propagation, admission control (429 load shedding), and
-// graceful shutdown. Every single-block endpoint is a view over one
-// Engine.Analyze call made on the request's own goroutine; the batch
-// endpoint makes one Engine.AnalyzeBatchN call.
+// graceful shutdown. The single-block endpoint makes one Engine.Analyze call
+// on the request's own goroutine, at the detail level the request names; the
+// batch endpoint makes one Engine.AnalyzeBatchN call.
 package server

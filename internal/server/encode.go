@@ -14,13 +14,12 @@ import (
 // output is byte-identical to the generic path (json.Encoder with a two-space
 // indent): same indentation, same shortest-form float formatting with
 // encoding/json's exponent thresholds, same HTML-escaped string encoding,
-// same omitempty semantics, map keys sorted. Hand-rolling the hot wire types
-// is what makes the batch response path allocation-free per block: every
-// value is appended straight into one pooled buffer instead of passing
-// through reflection and intermediate encoder states.
+// same omitempty semantics. Hand-rolling the hot wire types is what makes the
+// batch response path allocation-free per block: every value is appended
+// straight into one pooled buffer instead of passing through reflection and
+// intermediate encoder states.
 type jenc struct {
-	buf  []byte
-	keys []string // scratch for sorted map keys
+	buf []byte
 	// memo caches the encoded byte range of each distinct *Prediction within
 	// one batch response. Batch results that share a prediction (the handler
 	// dedupes repeated analyses onto one wire value) are rendered once and
@@ -63,12 +62,8 @@ func (e *jenc) encode(v any) bool {
 	switch t := v.(type) {
 	case BatchResponse:
 		e.batchResponse(&t, 0)
-	case Prediction:
-		e.prediction(&t, 0)
 	case AnalyzeResponse:
 		e.analyzeResponse(&t, 0)
-	case ExplainResponse:
-		e.explainResponse(&t, 0)
 	default:
 		return false
 	}
@@ -178,43 +173,6 @@ func (e *jenc) ints(v []int, depth int) {
 	e.buf = append(e.buf, ']')
 }
 
-// floatMap appends a map with sorted keys, matching encoding/json's map
-// ordering. The maps on the hot paths hold at most the seven component
-// names, so an insertion sort over pooled key scratch keeps this
-// allocation-free.
-func (e *jenc) floatMap(m map[string]float64, depth int) {
-	if m == nil {
-		e.lit("null")
-		return
-	}
-	if len(m) == 0 {
-		e.lit("{}")
-		return
-	}
-	keys := e.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	e.keys = keys
-	e.buf = append(e.buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.nl(depth + 1)
-		e.str(k)
-		e.buf = append(e.buf, ':', ' ')
-		e.flt(m[k])
-	}
-	e.nl(depth)
-	e.buf = append(e.buf, '}')
-}
-
 func (e *jenc) prediction(p *Prediction, depth int) {
 	e.buf = append(e.buf, '{')
 	first := true
@@ -224,8 +182,6 @@ func (e *jenc) prediction(p *Prediction, depth int) {
 	e.str(p.Arch)
 	e.field(&first, depth+1, "mode")
 	e.str(p.Mode)
-	e.field(&first, depth+1, "components")
-	e.floatMap(p.Components, depth+1)
 	e.field(&first, depth+1, "bottlenecks")
 	e.strs(p.Bottlenecks, depth+1)
 	if p.FrontEndSource != "" {
@@ -383,17 +339,6 @@ func (e *jenc) analyzeResponse(r *AnalyzeResponse, depth int) {
 		e.field(&first, depth+1, "report_text")
 		e.str(r.ReportText)
 	}
-	e.nl(depth)
-	e.buf = append(e.buf, '}')
-}
-
-func (e *jenc) explainResponse(r *ExplainResponse, depth int) {
-	e.buf = append(e.buf, '{')
-	first := true
-	e.field(&first, depth+1, "report")
-	e.str(r.Report)
-	e.field(&first, depth+1, "prediction")
-	e.prediction(&r.Prediction, depth+1)
 	e.nl(depth)
 	e.buf = append(e.buf, '}')
 }

@@ -45,39 +45,39 @@ func samplePrediction() Prediction {
 		CyclesPerIteration: 1.25,
 		Arch:               "SKL",
 		Mode:               "loop",
-		Components: map[string]float64{
-			"Predec": 0.75, "Dec": 1, "DSB": 1.33, "LSD": 0,
-			"Issue": 0.5, "Ports": 1.25, "Precedence": 3,
-		},
-		Bottlenecks:     []string{"Ports"},
-		FrontEndSource:  "LSD",
-		CriticalChain:   []int{0, 2, 3},
-		ContendedPorts:  "{0, 1, 5}",
-		ContendedInstrs: []int{1, 2},
-		Instructions:    []string{"add rax, rbx", "imul rax, rbx"},
+		Bottlenecks:        []string{"Ports"},
+		FrontEndSource:     "LSD",
+		CriticalChain:      []int{0, 2, 3},
+		ContendedPorts:     "{0, 1, 5}",
+		ContendedInstrs:    []int{1, 2},
+		Instructions:       []string{"add rax, rbx", "imul rax, rbx"},
 	}
+}
+
+// inBatch wraps p in the smallest hand-rolled document that carries it: a
+// one-result batch response.
+func inBatch(p Prediction) BatchResponse {
+	return BatchResponse{Results: []BatchResult{{Prediction: &p}}}
 }
 
 func TestEncodePredictionIdentical(t *testing.T) {
 	p := samplePrediction()
-	checkIdentical(t, "full", p)
+	checkIdentical(t, "full", inBatch(p))
 
 	minimal := Prediction{Arch: "ICL", Mode: "unroll"}
-	checkIdentical(t, "zero-valued", minimal)
+	checkIdentical(t, "zero-valued", inBatch(minimal))
 
-	nilMap := samplePrediction()
-	nilMap.Components = nil
-	nilMap.Bottlenecks = nil
-	nilMap.Instructions = nil
-	checkIdentical(t, "nil map and slices", nilMap)
+	nilSlices := samplePrediction()
+	nilSlices.Bottlenecks = nil
+	nilSlices.Instructions = nil
+	checkIdentical(t, "nil slices", inBatch(nilSlices))
 
 	empty := samplePrediction()
-	empty.Components = map[string]float64{}
 	empty.Bottlenecks = []string{}
 	empty.Instructions = []string{}
 	empty.CriticalChain = []int{}
 	empty.ContendedInstrs = []int{}
-	checkIdentical(t, "empty map and slices", empty)
+	checkIdentical(t, "empty slices", inBatch(empty))
 }
 
 func TestEncodeFloatFormatsIdentical(t *testing.T) {
@@ -88,8 +88,11 @@ func TestEncodeFloatFormatsIdentical(t *testing.T) {
 		math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0.1 + 0.2,
 	}
 	for _, f := range floats {
-		p := Prediction{CyclesPerIteration: f, Components: map[string]float64{"Ports": f}}
-		checkIdentical(t, strconv.FormatFloat(f, 'g', -1, 64), p)
+		v := AnalyzeResponse{
+			Prediction: Prediction{CyclesPerIteration: f},
+			Bounds:     []facile.ComponentBound{{Component: "Ports", Cycles: f}},
+		}
+		checkIdentical(t, strconv.FormatFloat(f, 'g', -1, 64), v)
 	}
 }
 
@@ -106,7 +109,7 @@ func TestEncodeStringEscapingIdentical(t *testing.T) {
 	}
 	for _, s := range strs {
 		p := Prediction{Arch: s, Instructions: []string{s}}
-		checkIdentical(t, strconv.Quote(s), p)
+		checkIdentical(t, strconv.Quote(s), inBatch(p))
 	}
 }
 
@@ -173,10 +176,12 @@ func TestEncodeAnalyzeResponseWithReportIdentical(t *testing.T) {
 	}
 }
 
+// TestEncodeExplainResponseIdentical: the explain view is a detail=full
+// analysis read through report_text; the rendered text encodes identically.
 func TestEncodeExplainResponseIdentical(t *testing.T) {
-	checkIdentical(t, "explain", ExplainResponse{
-		Report:     "Facile throughput report — SKL, TPL (loop)\nline <two>\n",
+	checkIdentical(t, "explain", AnalyzeResponse{
 		Prediction: samplePrediction(),
+		ReportText: "Facile throughput report — SKL, TPL (loop)\nline <two>\n",
 	})
 }
 
@@ -186,7 +191,7 @@ func TestEncodeExplainResponseIdentical(t *testing.T) {
 func TestEncodeNonFiniteFallsBack(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var buf bytes.Buffer
-		if writeJSONFast(&buf, Prediction{CyclesPerIteration: f}) {
+		if writeJSONFast(&buf, AnalyzeResponse{Prediction: Prediction{CyclesPerIteration: f}}) {
 			t.Errorf("writeJSONFast accepted non-finite %v", f)
 		}
 		if buf.Len() != 0 {
@@ -235,7 +240,8 @@ func TestEncodeRandomizedIdentical(t *testing.T) {
 				Instructions:       []string{randString(), randString()},
 			}
 			if rng.Intn(2) == 0 {
-				p.Components = map[string]float64{randString(): randFloat(), randString(): randFloat()}
+				p.ContendedPorts = randString()
+				p.ContendedInstrs = []int{rng.Intn(10)}
 			}
 			if rng.Intn(2) == 0 {
 				p.FrontEndSource = randString()

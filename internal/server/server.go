@@ -157,10 +157,7 @@ func New(cfg Config) (*Server, error) {
 	// endpoints (archs, health, metrics, snapshots) never shed — they must
 	// stay observable exactly when the server is saturated.
 	s.route("POST /v1/analyze", s.admitted(s.handleAnalyze))
-	s.route("POST /v1/predict", s.admitted(s.handlePredict))
 	s.route("POST /v1/predict/batch", s.admitted(s.handlePredictBatch))
-	s.route("POST /v1/explain", s.admitted(s.handleExplain))
-	s.route("POST /v1/speedups", s.admitted(s.handleSpeedups))
 	s.route("POST /v1/sweep", s.admitted(s.handleSweep))
 	s.route("GET /v1/archs", s.handleArchs)
 	s.route("POST /v1/archs", s.handleRegisterArch)
@@ -286,20 +283,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) // nothing useful to do with a client write error
 }
 
-// readBlockRequest decodes and validates the single-block request body
-// shared by /v1/predict, /v1/explain, and /v1/speedups.
-func (s *Server) readBlockRequest(r *http.Request) (facile.Request, error) {
-	var wire BlockRequest
-	if err := readJSON(json.NewDecoder(r.Body), &wire); err != nil {
-		return facile.Request{}, wrapBodyErr(err)
-	}
-	return s.decodeBlock(&wire)
-}
-
 // analyze answers one validated single-block request with exactly one
 // engine analysis on the handler goroutine; the engine drops a request
-// whose context is done between its cache probe and the compute. Every
-// single-block endpoint is a view over this call.
+// whose context is done between its cache probe and the compute.
 func (s *Server) analyze(ctx context.Context, req facile.Request) (*facile.Analysis, error) {
 	if s.closed.Load() {
 		return nil, errShuttingDown
@@ -316,19 +302,6 @@ func wrapBodyErr(err error) error {
 			msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
 	}
 	return err
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) (any, error) {
-	req, err := s.readBlockRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	req.Detail = facile.DetailPrediction
-	ana, err := s.analyze(r.Context(), req)
-	if err != nil {
-		return nil, err
-	}
-	return wirePrediction(&ana.Prediction), nil
 }
 
 // handleAnalyze serves the full structured analysis: prediction, ordered
@@ -440,41 +413,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any
 	return nil, nil
 }
 
-// handleExplain is a text view over the same single Analyze call that
-// serves /v1/analyze: the rendered report plus the prediction, computed
-// (or recalled) exactly once.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) (any, error) {
-	req, err := s.readBlockRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	req.Detail = facile.DetailFull
-	ana, err := s.analyze(r.Context(), req)
-	if err != nil {
-		return nil, err
-	}
-	return ExplainResponse{Report: ana.Report.Text(), Prediction: wirePrediction(&ana.Prediction)}, nil
-}
-
-// handleSpeedups is a map view over one Analyze call at DetailSpeedups; the
-// wire map is sourced from the sorted Analysis.Speedups list.
-func (s *Server) handleSpeedups(w http.ResponseWriter, r *http.Request) (any, error) {
-	req, err := s.readBlockRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	req.Detail = facile.DetailSpeedups
-	ana, err := s.analyze(r.Context(), req)
-	if err != nil {
-		return nil, err
-	}
-	sp := make(map[string]float64, len(ana.Speedups))
-	for _, s := range ana.Speedups {
-		sp[s.Component] = s.Factor
-	}
-	return SpeedupsResponse{CyclesPerIteration: ana.Prediction.CyclesPerIteration, Speedups: sp}, nil
-}
-
 func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) (any, error) {
 	// The served set comes from the engine at request time, so arches
 	// registered after startup (POST /v1/archs) are listed immediately.
@@ -493,7 +431,8 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) (any, error
 // handleRegisterArch opens a new microarchitecture scenario over HTTP: a
 // full spec document, a spec with a "base" (overlay form), or the compact
 // {name, base, overlay} variant form. The arch is served without restart:
-// it is immediately valid for /v1/predict and listed by GET /v1/archs.
+// it is immediately valid for /v1/analyze, /v1/predict/batch and /v1/sweep,
+// and listed by GET /v1/archs.
 func (s *Server) handleRegisterArch(w http.ResponseWriter, r *http.Request) (any, error) {
 	var wire RegisterArchRequest
 	if err := readJSON(json.NewDecoder(r.Body), &wire); err != nil {

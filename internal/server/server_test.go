@@ -81,14 +81,20 @@ func do(t *testing.T, s *Server, method, path string, body any, out any) int {
 	return w.Code
 }
 
+// predictBody is the /v1/analyze request for the prediction view of br.
+func predictBody(br BlockRequest) AnalyzeRequest {
+	return AnalyzeRequest{BlockRequest: br, Detail: "prediction"}
+}
+
 func TestPredict(t *testing.T) {
 	s := newTestServer(t, Config{})
-	var pred Prediction
-	code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}, &pred)
+	var resp AnalyzeResponse
+	code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}), &resp)
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
+	pred := resp.Prediction
 	if pred.CyclesPerIteration <= 0 {
 		t.Errorf("non-positive throughput: %v", pred.CyclesPerIteration)
 	}
@@ -98,18 +104,19 @@ func TestPredict(t *testing.T) {
 	if len(pred.Bottlenecks) == 0 || len(pred.Instructions) != 2 {
 		t.Errorf("bottlenecks %v, instructions %v", pred.Bottlenecks, pred.Instructions)
 	}
-	if len(pred.Components) == 0 {
-		t.Error("empty components")
+	if len(resp.Bounds) == 0 {
+		t.Error("empty bounds")
 	}
 
 	// The same block via base64 must agree, and default mode is loop.
 	raw, _ := hex.DecodeString(testBlockHex)
-	var pred64 Prediction
-	code = do(t, s, "POST", "/v1/predict",
-		BlockRequest{CodeB64: base64.StdEncoding.EncodeToString(raw), Arch: "SKL"}, &pred64)
+	var resp64 AnalyzeResponse
+	code = do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{CodeB64: base64.StdEncoding.EncodeToString(raw), Arch: "SKL"}), &resp64)
 	if code != 200 {
 		t.Fatalf("base64 status %d", code)
 	}
+	pred64 := resp64.Prediction
 	if pred64.CyclesPerIteration != pred.CyclesPerIteration || pred64.Mode != "loop" {
 		t.Errorf("base64/default-mode mismatch: %+v vs %+v", pred64, pred)
 	}
@@ -124,12 +131,12 @@ func TestPredictMatchesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := wantAna.Prediction
-	var pred Prediction
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}, &pred); code != 200 {
+	var resp AnalyzeResponse
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}), &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if pred.CyclesPerIteration != want.CyclesPerIteration {
+	if pred := resp.Prediction; pred.CyclesPerIteration != want.CyclesPerIteration {
 		t.Errorf("server %v != library %v", pred.CyclesPerIteration, want.CyclesPerIteration)
 	}
 }
@@ -142,15 +149,15 @@ func TestPredictValidation(t *testing.T) {
 		want int
 		msg  string
 	}{
-		{"bad hex", BlockRequest{Code: "zz", Arch: "SKL"}, 400, "invalid hex"},
-		{"bad base64", BlockRequest{CodeB64: "!!", Arch: "SKL"}, 400, "invalid base64"},
-		{"both encodings", BlockRequest{Code: "90", CodeB64: "kA==", Arch: "SKL"}, 400, "not both"},
-		{"no code", BlockRequest{Arch: "SKL"}, 400, "missing block bytes"},
-		{"empty code", BlockRequest{Code: "", CodeB64: "", Arch: "SKL"}, 400, "missing block bytes"},
-		{"missing arch", BlockRequest{Code: "90"}, 400, "missing \"arch\""},
-		{"unknown arch", BlockRequest{Code: "90", Arch: "ZEN4"}, 400, "unknown microarchitecture"},
-		{"bad mode", BlockRequest{Code: "90", Arch: "SKL", Mode: "sideways"}, 400, "invalid mode"},
-		{"undecodable block", BlockRequest{Code: "ffffffffffff", Arch: "SKL"}, 400, ""},
+		{"bad hex", predictBody(BlockRequest{Code: "zz", Arch: "SKL"}), 400, "invalid hex"},
+		{"bad base64", predictBody(BlockRequest{CodeB64: "!!", Arch: "SKL"}), 400, "invalid base64"},
+		{"both encodings", predictBody(BlockRequest{Code: "90", CodeB64: "kA==", Arch: "SKL"}), 400, "not both"},
+		{"no code", predictBody(BlockRequest{Arch: "SKL"}), 400, "missing block bytes"},
+		{"empty code", predictBody(BlockRequest{Code: "", CodeB64: "", Arch: "SKL"}), 400, "missing block bytes"},
+		{"missing arch", predictBody(BlockRequest{Code: "90"}), 400, "missing \"arch\""},
+		{"unknown arch", predictBody(BlockRequest{Code: "90", Arch: "ZEN4"}), 400, "unknown microarchitecture"},
+		{"bad mode", predictBody(BlockRequest{Code: "90", Arch: "SKL", Mode: "sideways"}), 400, "invalid mode"},
+		{"undecodable block", predictBody(BlockRequest{Code: "ffffffffffff", Arch: "SKL"}), 400, ""},
 		{"not json", "{", 400, "invalid request body"},
 		{"unknown field", `{"kode":"90","arch":"SKL"}`, 400, "invalid request body"},
 		{"trailing data", `{"code":"90","arch":"SKL"} {}`, 400, "trailing data"},
@@ -158,7 +165,7 @@ func TestPredictValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp ErrorResponse
-			code := do(t, s, "POST", "/v1/predict", tc.body, &resp)
+			code := do(t, s, "POST", "/v1/analyze", tc.body, &resp)
 			if code != tc.want {
 				t.Fatalf("status %d, want %d (error %q)", code, tc.want, resp.Error)
 			}
@@ -175,8 +182,8 @@ func TestPredictValidation(t *testing.T) {
 func TestBlockTooLarge(t *testing.T) {
 	s := newTestServer(t, Config{MaxBlockBytes: 4})
 	var resp ErrorResponse
-	code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: "9090909090", Arch: "SKL"}, &resp)
+	code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: "9090909090", Arch: "SKL"}), &resp)
 	if code != 400 || !strings.Contains(resp.Error, "limit is 4") {
 		t.Fatalf("status %d, error %q", code, resp.Error)
 	}
@@ -186,7 +193,7 @@ func TestBodyTooLarge(t *testing.T) {
 	s := newTestServer(t, Config{MaxBodyBytes: 64})
 	body := fmt.Sprintf(`{"code":%q,"arch":"SKL"}`, strings.Repeat("90", 100))
 	var resp ErrorResponse
-	code := do(t, s, "POST", "/v1/predict", body, &resp)
+	code := do(t, s, "POST", "/v1/analyze", body, &resp)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, error %q", code, resp.Error)
 	}
@@ -194,8 +201,14 @@ func TestBodyTooLarge(t *testing.T) {
 
 func TestMethodAndPath(t *testing.T) {
 	s := newTestServer(t, Config{})
-	if code := do(t, s, "GET", "/v1/predict", nil, nil); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/predict: %d", code)
+	if code := do(t, s, "GET", "/v1/analyze", nil, nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/analyze: %d", code)
+	}
+	// The single-block views folded into /v1/analyze are not served.
+	for _, path := range []string{"/v1/predict", "/v1/explain", "/v1/speedups"} {
+		if code := do(t, s, "POST", path, BlockRequest{Code: testBlockHex, Arch: "SKL"}, nil); code != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", path, code)
+		}
 	}
 	if code := do(t, s, "GET", "/v1/nope", nil, nil); code != http.StatusNotFound {
 		t.Errorf("GET /v1/nope: %d", code)
@@ -261,33 +274,34 @@ func TestPredictBatchItemLimit(t *testing.T) {
 
 func TestExplainAndSpeedups(t *testing.T) {
 	s := newTestServer(t, Config{})
-	var exp ExplainResponse
-	if code := do(t, s, "POST", "/v1/explain",
-		BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}, &exp); code != 200 {
+	block := BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}
+	var exp AnalyzeResponse
+	if code := do(t, s, "POST", "/v1/analyze",
+		AnalyzeRequest{BlockRequest: block, Detail: "full"}, &exp); code != 200 {
 		t.Fatalf("explain status %d", code)
 	}
-	if !strings.Contains(exp.Report, "Facile throughput report") ||
-		!strings.Contains(exp.Report, "Counterfactual speedups") {
-		t.Errorf("report: %q", exp.Report)
+	if !strings.Contains(exp.ReportText, "Facile throughput report") ||
+		!strings.Contains(exp.ReportText, "Counterfactual speedups") {
+		t.Errorf("report: %q", exp.ReportText)
 	}
 	if exp.Prediction.CyclesPerIteration <= 0 {
 		t.Error("explain prediction missing")
 	}
 
-	var sp SpeedupsResponse
-	if code := do(t, s, "POST", "/v1/speedups",
-		BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}, &sp); code != 200 {
+	var sp AnalyzeResponse
+	if code := do(t, s, "POST", "/v1/analyze",
+		AnalyzeRequest{BlockRequest: block, Detail: "speedups"}, &sp); code != 200 {
 		t.Fatalf("speedups status %d", code)
 	}
 	if len(sp.Speedups) == 0 {
 		t.Error("empty speedups")
 	}
-	if sp.CyclesPerIteration != exp.Prediction.CyclesPerIteration {
+	if sp.Prediction.CyclesPerIteration != exp.Prediction.CyclesPerIteration {
 		t.Error("speedups/explain disagree on throughput")
 	}
-	for name, v := range sp.Speedups {
-		if v < 1 {
-			t.Errorf("speedup %s = %v < 1", name, v)
+	for _, v := range sp.Speedups {
+		if v.Factor < 1 {
+			t.Errorf("speedup %s = %v < 1", v.Component, v.Factor)
 		}
 	}
 }
@@ -316,8 +330,8 @@ func TestArchsAndHealthz(t *testing.T) {
 
 	// An arch the engine does not serve is a 400, even though it exists.
 	var resp ErrorResponse
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: "90", Arch: "SNB"}, &resp); code != 400 {
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: "90", Arch: "SNB"}), &resp); code != 400 {
 		t.Errorf("unserved arch: status %d", code)
 	}
 
@@ -329,9 +343,9 @@ func TestArchsAndHealthz(t *testing.T) {
 
 func TestMetrics(t *testing.T) {
 	s := newTestServer(t, Config{})
-	do(t, s, "POST", "/v1/predict", BlockRequest{Code: testBlockHex, Arch: "SKL"}, nil)
-	do(t, s, "POST", "/v1/predict", BlockRequest{Code: testBlockHex, Arch: "SKL"}, nil)
-	do(t, s, "POST", "/v1/predict", BlockRequest{Code: "zz", Arch: "SKL"}, nil)
+	do(t, s, "POST", "/v1/analyze", predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), nil)
+	do(t, s, "POST", "/v1/analyze", predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), nil)
+	do(t, s, "POST", "/v1/analyze", predictBody(BlockRequest{Code: "zz", Arch: "SKL"}), nil)
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	w := httptest.NewRecorder()
@@ -341,9 +355,9 @@ func TestMetrics(t *testing.T) {
 	}
 	body := w.Body.String()
 	for _, want := range []string{
-		`facile_requests_total{endpoint="POST /v1/predict",code="200"} 2`,
-		`facile_requests_total{endpoint="POST /v1/predict",code="400"} 1`,
-		`facile_request_seconds_bucket{endpoint="POST /v1/predict",le="+Inf"} 3`,
+		`facile_requests_total{endpoint="POST /v1/analyze",code="200"} 2`,
+		`facile_requests_total{endpoint="POST /v1/analyze",code="400"} 1`,
+		`facile_request_seconds_bucket{endpoint="POST /v1/analyze",le="+Inf"} 3`,
 		"facile_engine_cache_hits_total 1",
 		"facile_engine_cache_misses_total 1",
 		"facile_engine_cache_entries 1",
@@ -357,16 +371,16 @@ func TestMetrics(t *testing.T) {
 func TestGracefulClose(t *testing.T) {
 	s := newTestServer(t, Config{})
 	// A request before Close succeeds...
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL"}, nil); code != 200 {
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), nil); code != 200 {
 		t.Fatalf("pre-close status %d", code)
 	}
 	s.Close()
 	s.Close() // idempotent
-	// ...and a micro-batched request after Close is a clean 503.
+	// ...and a request after Close is a clean 503.
 	var resp ErrorResponse
-	if code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL"}, &resp); code != http.StatusServiceUnavailable {
+	if code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &resp); code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d (error %q)", code, resp.Error)
 	}
 }
@@ -444,8 +458,8 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	s := newTestServer(t, Config{Engine: engine, RequestTimeout: time.Nanosecond})
 	var resp ErrorResponse
-	code := do(t, s, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL"}, &resp)
+	code := do(t, s, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &resp)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (error %q), want 504", code, resp.Error)
 	}
@@ -477,8 +491,8 @@ func TestServedOverHTTP(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-		strings.NewReader(`{"code":"4801d8480fafc3","arch":"SKL","mode":"loop"}`))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+		strings.NewReader(`{"code":"4801d8480fafc3","arch":"SKL","mode":"loop","detail":"prediction"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,11 +500,11 @@ func TestServedOverHTTP(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var pred Prediction
-	if err := json.NewDecoder(resp.Body).Decode(&pred); err != nil {
+	var ana AnalyzeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ana); err != nil {
 		t.Fatal(err)
 	}
-	if pred.CyclesPerIteration <= 0 {
-		t.Errorf("bad prediction %+v", pred)
+	if ana.Prediction.CyclesPerIteration <= 0 {
+		t.Errorf("bad prediction %+v", ana.Prediction)
 	}
 }

@@ -36,9 +36,9 @@ func snapshotGet(t *testing.T, s *Server, query string) ([]byte, int) {
 // fresh one, and serve identical predictions from the imported cache.
 func TestSnapshotEndpointsRoundTrip(t *testing.T) {
 	src := newTestServer(t, Config{})
-	var want Prediction
-	if code := do(t, src, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL"}, &want); code != http.StatusOK {
+	var want AnalyzeResponse
+	if code := do(t, src, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &want); code != http.StatusOK {
 		t.Fatalf("warming predict = %d", code)
 	}
 	body, n := snapshotGet(t, src, "")
@@ -63,13 +63,13 @@ func TestSnapshotEndpointsRoundTrip(t *testing.T) {
 
 	// The imported entry serves without a miss.
 	before := dst.engine.Stats()
-	var got Prediction
-	if code := do(t, dst, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SKL"}, &got); code != http.StatusOK {
+	var got AnalyzeResponse
+	if code := do(t, dst, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &got); code != http.StatusOK {
 		t.Fatalf("predict after import = %d", code)
 	}
-	if got.CyclesPerIteration != want.CyclesPerIteration {
-		t.Fatalf("imported prediction %v, want %v", got.CyclesPerIteration, want.CyclesPerIteration)
+	if got.Prediction.CyclesPerIteration != want.Prediction.CyclesPerIteration {
+		t.Fatalf("imported prediction %v, want %v", got.Prediction.CyclesPerIteration, want.Prediction.CyclesPerIteration)
 	}
 	if st := dst.engine.Stats(); st.Misses != before.Misses {
 		t.Fatal("serving an imported entry caused a cache miss")
@@ -98,8 +98,8 @@ func TestSnapshotEndpointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := newTestServer(t, Config{Engine: otherEngine})
-	if code := do(t, other, "POST", "/v1/predict",
-		BlockRequest{Code: testBlockHex, Arch: "SNAPSRV"}, nil); code != http.StatusOK {
+	if code := do(t, other, "POST", "/v1/analyze",
+		predictBody(BlockRequest{Code: testBlockHex, Arch: "SNAPSRV"}), nil); code != http.StatusOK {
 		t.Fatalf("warming variant predict = %d", code)
 	}
 	body, _ := snapshotGet(t, other, "")
@@ -123,8 +123,8 @@ func TestSnapshotEndpointMaxBytes(t *testing.T) {
 	s := newTestServer(t, Config{})
 	blocks := []string{"4801d8", "480fafc3", "4801d8480fafc3", "48ffc9"}
 	for _, code := range blocks {
-		if rc := do(t, s, "POST", "/v1/predict",
-			BlockRequest{Code: code, Arch: "SKL"}, nil); rc != http.StatusOK {
+		if rc := do(t, s, "POST", "/v1/analyze",
+			predictBody(BlockRequest{Code: code, Arch: "SKL"}), nil); rc != http.StatusOK {
 			t.Fatalf("warming %q = %d", code, rc)
 		}
 	}

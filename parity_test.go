@@ -2,6 +2,7 @@ package facile
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -28,7 +29,7 @@ var updateArchParity = flag.Bool("update-arch-parity", false,
 const archParityFile = "arch_parity.json"
 
 // parityRecord is one golden prediction. Components carries the full bound
-// vector so a spec error that shifts a non-binding bound still fails the
+// vector (Analysis.Bounds keyed by component name) so a spec error that shifts a non-binding bound still fails the
 // gate, not just one that moves the maximum.
 type parityRecord struct {
 	Code           string             `json:"code"`
@@ -85,19 +86,24 @@ func parityRecords(t *testing.T) []parityRecord {
 			if bk[1] == "loop" {
 				mode = Loop
 			}
-			pred, err := predictT(DefaultEngine(), code, arch, mode)
+			ana, err := DefaultEngine().Analyze(context.Background(), Request{Code: code, Arch: arch, Mode: mode})
 			if err != nil {
-				t.Fatalf("Predict(%s, %s, %s): %v", bk[0], arch, bk[1], err)
+				t.Fatalf("Analyze(%s, %s, %s): %v", bk[0], arch, bk[1], err)
 			}
+			pred := &ana.Prediction
 			if pred.FrontEndSource == "LSD" {
 				lsdServed++
+			}
+			components := make(map[string]float64, len(ana.Bounds))
+			for _, b := range ana.Bounds {
+				components[b.Component] = b.Cycles
 			}
 			out = append(out, parityRecord{
 				Code:           bk[0],
 				Arch:           arch,
 				Mode:           bk[1],
 				Cycles:         pred.CyclesPerIteration,
-				Components:     pred.Components,
+				Components:     components,
 				Bottlenecks:    pred.Bottlenecks,
 				FrontEndSource: pred.FrontEndSource,
 			})

@@ -47,12 +47,13 @@ func TestDeriveVariantEphemeral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.AnalyzeVariant(ctx, v, facile.Request{
+	res := e.AnalyzeVariantBatchN(ctx, v, []facile.Request{{
 		Code: code, Mode: facile.Loop, Detail: facile.DetailFull,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}}, 1)
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
+	got := res[0].Analysis
 	if got.Prediction.CyclesPerIteration != want.Prediction.CyclesPerIteration {
 		t.Errorf("variant TP %v != registered twin TP %v",
 			got.Prediction.CyclesPerIteration, want.Prediction.CyclesPerIteration)
@@ -94,11 +95,11 @@ func TestDeriveVariantsBeyondRegistryCapacity(t *testing.T) {
 		if i%97 != 0 {
 			continue // spot-check analyses; deriving all is the point
 		}
-		ana, err := e.AnalyzeVariant(ctx, v, facile.Request{Code: code, Mode: facile.Loop})
-		if err != nil {
-			t.Fatalf("variant %d analyze: %v", i, err)
+		res := e.AnalyzeVariantBatchN(ctx, v, []facile.Request{{Code: code, Mode: facile.Loop}}, 1)
+		if res[0].Err != nil {
+			t.Fatalf("variant %d analyze: %v", i, res[0].Err)
 		}
-		if ana.Prediction.CyclesPerIteration <= 0 {
+		if res[0].Analysis.Prediction.CyclesPerIteration <= 0 {
 			t.Fatalf("variant %d: non-positive TP", i)
 		}
 	}
