@@ -179,19 +179,10 @@ type AnalysisResult struct {
 }
 
 // componentBounds materializes the ordered typed breakdown of a core
-// prediction.
-func componentBounds(p *core.Prediction) []ComponentBound {
-	out := make([]ComponentBound, 0, core.NumComponents)
-	p.EachBound(func(c core.Component, cycles float64, bottleneck bool) {
-		out = append(out, ComponentBound{Component: c.String(), Cycles: cycles, Bottleneck: bottleneck})
-	})
-	return out
-}
-
-// componentBoundsSlab is componentBounds with the breakdown carved from a
-// batch worker's slab instead of a per-block allocation. Across a chunk the
-// breakdowns land contiguously — one flat block×component slab.
-func componentBoundsSlab(p *core.Prediction, sc *batchScratch) []ComponentBound {
+// prediction, carved from the scratch's slab instead of a per-block
+// allocation. Across a batch chunk the breakdowns land contiguously — one
+// flat block×component slab.
+func componentBounds(p *core.Prediction, sc *batchScratch) []ComponentBound {
 	out := sc.bounds.Carve(bits.OnesCount8(uint8(p.Bounds.Present)))
 	i := 0
 	p.EachBound(func(c core.Component, cycles float64, bottleneck bool) {

@@ -95,9 +95,13 @@ type EngineConfig struct {
 //     in a bounded LRU keyed by (code bytes, microarchitecture, mode);
 //     repeated queries become cache hits, and a warm Analyze at any Detail
 //     performs exactly one cache entry resolution and no heap allocations;
-//   - cache misses draw their analysis scratch state (per-component
-//     predictor buffers) from a sync.Pool, so a warm miss computes the full
-//     bound vector without transient allocations in the analysis core;
+//   - every cache miss — Analyze, Simulate, or a batch item — is filled by
+//     one function: its analysis scratch state (per-component predictor
+//     buffers) comes from a sync.Pool, so a warm miss computes the full
+//     bound vector without transient allocations in the analysis core, and
+//     its result payloads are carved from slabs — a batch worker's, shared
+//     across its chunk, or for a single request fresh ones sized for one
+//     block;
 //   - AnalyzeBatch fans independent requests across a worker pool while
 //     keeping result order deterministic, and observes its context between
 //     items so a cancelled batch stops computing.
@@ -392,15 +396,30 @@ func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode)
 	if err != nil {
 		return nil, err
 	}
-	canon := cfg.Name
 	if err := e.checkCode(code); err != nil {
 		return nil, err
 	}
-	ent, err := e.resolveEntry(ctx, code, canon, ver, mode)
+	ent, err := e.resolveEntry(ctx, code, cfg.Name, ver, mode)
 	if err != nil {
 		return nil, err
 	}
-	computed := false
+	e.fill(ent, cfg, ver, code, mode, nil, 1)
+	return ent, nil
+}
+
+// fill computes ent on its first use: the one miss path of Analyze,
+// Simulate and the batch kernel. It builds the block, runs one PredictSlab,
+// and carves the public prediction and the bound breakdown from sc's slabs,
+// sized for the left blocks (this one included) still to be filled from
+// them. A nil sc is a single request's miss: the scratch — the pooled
+// analysis and fresh slabs sized for one block — is drawn inside the once,
+// so a warm call allocates nothing. A freshly computed entry registers its
+// size with its cache shard.
+func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []byte, mode Mode, sc *batchScratch, left int) {
+	var (
+		computed bool
+		own      batchScratch
+	)
 	ent.once.Do(func() {
 		computed = true
 		defer func() { ent.size = entrySizeBytes(ent) }()
@@ -412,16 +431,19 @@ func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode)
 			return
 		}
 		ent.block = block
-		a := e.analyses.Get().(*core.Analysis)
-		ent.core = a.Predict(block, coreMode(mode), core.Options{})
-		e.analyses.Put(a)
-		ent.pred = publicPrediction(&ent.core, block, canon, mode)
-		ent.bounds = componentBounds(&ent.core)
+		if sc == nil {
+			own.ana = e.analyses.Get().(*core.Analysis)
+			defer e.analyses.Put(own.ana)
+			sc = &own
+		}
+		sc.blocksLeft(left)
+		ent.core = sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
+		ent.pred = publicPrediction(&ent.core, block, cfg.Name, mode, sc)
+		ent.bounds = componentBounds(&ent.core, sc)
 	})
 	if computed {
-		e.recordEntrySize(ent, canon, ver, mode)
+		e.recordEntrySize(ent, cfg.Name, ver, mode)
 	}
-	return ent, nil
 }
 
 // resolveEntry performs the one cache resolution of a request: a zero-copy
@@ -635,11 +657,13 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 // sorted order slice for heterogeneous ones.
 type batchChunk struct{ lo, hi int }
 
-// batchScratch is one batch worker's reusable state: a single analysis
-// scratch context drawn from the engine pool once per batch (not once per
-// block), and slabs that prediction payloads, bound breakdowns and name
-// lists are carved from. A chunk of cache hits touches none of it; a chunk
-// of misses allocates only when a slab drains.
+// batchScratch is the state a cache miss is filled from: an analysis
+// scratch context drawn from the engine pool, and slabs that prediction
+// payloads, bound breakdowns and name lists are carved from. A batch worker
+// holds one across its chunks, drawn once per batch (not once per block): a
+// chunk of cache hits touches none of it, and a chunk of misses allocates
+// only when a slab drains. A single request's miss fills from one of its own
+// (see Engine.fill).
 type batchScratch struct {
 	ana    *core.Analysis
 	ints   core.Slab[int]
@@ -789,24 +813,7 @@ func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs [
 				continue
 			}
 		}
-		computed := false
-		ent.once.Do(func() {
-			computed = true
-			defer func() { ent.size = entrySizeBytes(ent) }()
-			block, err := bb.Build(cfg, ent.blockBytes(req.Code))
-			if err != nil {
-				ent.err = asBadRequest(err)
-				return
-			}
-			ent.block = block
-			sc.blocksLeft(c.hi - i)
-			ent.core = sc.ana.PredictSlab(block, coreMode(req.Mode), core.Options{}, &sc.ints)
-			ent.pred = publicPredictionSlab(&ent.core, block, cfg.Name, req.Mode, sc)
-			ent.bounds = componentBoundsSlab(&ent.core, sc)
-		})
-		if computed {
-			e.recordEntrySize(ent, cfg.Name, ver, req.Mode)
-		}
+		e.fill(ent, cfg, ver, req.Code, req.Mode, sc, c.hi-i)
 		if ent.err != nil {
 			out[idx].Err = ent.err
 			continue

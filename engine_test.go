@@ -568,3 +568,51 @@ func TestEngineBatchFasterThanOneShot(t *testing.T) {
 		t.Fatalf("engine batch (%v) not at least 2x faster than one-shot (%v)", batched, oneShot)
 	}
 }
+
+// TestMissPathParity: Analyze and the batch kernel fill a cache miss the
+// same way, whatever the batch shape. On fresh uncached engines, Analyze,
+// AnalyzeBatchN(…, 1) and AnalyzeBatchN(…, 4) must return deeply equal
+// analyses (nil and empty slices told apart) and identical error text for
+// every block, mode and Detail.
+func TestMissPathParity(t *testing.T) {
+	blocks := bhive.GenerateBlocks(11, 100)
+	ctx := context.Background()
+	fresh := func() *facile.Engine {
+		return newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1, Workers: 4})
+	}
+	for _, mode := range []facile.Mode{facile.Unroll, facile.Loop} {
+		for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+			reqs := make([]facile.Request, 0, len(blocks)+1)
+			for _, b := range blocks {
+				code := b.Code
+				if mode == facile.Loop {
+					code = b.LoopCode
+				}
+				reqs = append(reqs, facile.Request{Code: code, Arch: "SKL", Mode: mode, Detail: d})
+			}
+			reqs = append(reqs, facile.Request{Code: decode(t, "d9c0"), Arch: "SKL", Mode: mode, Detail: d})
+
+			single := fresh()
+			want := make([]facile.AnalysisResult, len(reqs))
+			for i, req := range reqs {
+				want[i].Analysis, want[i].Err = single.Analyze(ctx, req)
+			}
+			for _, workers := range []int{1, 4} {
+				got := fresh().AnalyzeBatchN(ctx, reqs, workers)
+				for i := range reqs {
+					w, g := want[i], got[i]
+					if (w.Err == nil) != (g.Err == nil) || (w.Err != nil && w.Err.Error() != g.Err.Error()) {
+						t.Fatalf("%v/%v block %d, %d workers: Analyze err %v, batch err %v", mode, d, i, workers, w.Err, g.Err)
+					}
+					if !reflect.DeepEqual(w.Analysis, g.Analysis) {
+						t.Fatalf("%v/%v block %d, %d workers: analyses differ (a nil and an empty slice differ too)\nAnalyze: %+v\nbatch:   %+v",
+							mode, d, i, workers, w.Analysis, g.Analysis)
+					}
+				}
+			}
+			if want[len(reqs)-1].Err == nil {
+				t.Fatalf("%v/%v: undecodable block analyzed without error", mode, d)
+			}
+		}
+	}
+}

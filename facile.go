@@ -187,36 +187,12 @@ func coreMode(mode Mode) core.Mode {
 }
 
 // publicPrediction materializes the exported Prediction from the core
-// result: the bottleneck set becomes an ordered name list. The per-component
-// bounds are not copied here; Analysis.Bounds carries them.
-func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode) Prediction {
-	out := Prediction{
-		CyclesPerIteration: round2(p.TP),
-		Arch:               arch,
-		Mode:               mode,
-		CriticalChain:      p.CriticalChain,
-		ContendedPorts:     p.ContendedPorts,
-		ContendedInstrs:    p.ContendedInstrs,
-	}
-	p.EachBound(func(c core.Component, _ float64, bottleneck bool) {
-		if bottleneck {
-			out.Bottlenecks = append(out.Bottlenecks, c.String())
-		}
-	})
-	if mode == Loop {
-		out.FrontEndSource = p.FrontEndSource.String()
-	}
-	for k := range block.Insts {
-		out.Instructions = append(out.Instructions, block.Insts[k].Inst.String())
-	}
-	return out
-}
-
-// publicPredictionSlab is publicPrediction with the name and instruction
-// lists carved from a batch worker's slab: the only remaining per-miss
-// allocations in the chunked batch path are the rendered instruction strings
-// themselves.
-func publicPredictionSlab(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
+// result: the bottleneck set becomes an ordered name list. The name and
+// instruction lists are carved from the scratch's slab, so the only
+// per-block allocations left are the rendered instruction strings
+// themselves. The per-component bounds are not copied here;
+// Analysis.Bounds carries them.
+func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
 	out := Prediction{
 		CyclesPerIteration: round2(p.TP),
 		Arch:               arch,

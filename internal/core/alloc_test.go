@@ -34,10 +34,10 @@ func allocBlock(t testing.TB) *bb.Block {
 // TestPredictAllocBudget pins the per-call allocation cost of a cold (i.e.
 // non-memoized, pool-warm) core.Predict. The only permitted allocations are
 // the durable interpretability outputs (the critical-chain and
-// contended-instruction copies); all analysis scratch must come from the
-// reused Analysis.
+// contended-instruction copies, carved from one slab); all analysis scratch
+// must come from the reused Analysis.
 func TestPredictAllocBudget(t *testing.T) {
-	const budget = 4 // 2 output copies today; small slack for toolchain drift
+	const budget = 4 // 1 output carve today; small slack for toolchain drift
 	block := allocBlock(t)
 	for _, mode := range []Mode{TPU, TPL} {
 		Predict(block, mode, Options{}) // warm the pool

@@ -4,7 +4,6 @@ import (
 	"facile/internal/bb"
 	"facile/internal/cycleratio"
 	"facile/internal/uarch"
-	"facile/internal/x86"
 )
 
 // Analysis is a reusable scratch context for the per-component predictors.
@@ -33,16 +32,13 @@ type Analysis struct {
 	portsInstrs []int
 
 	// Precedence (precedence.go): the value dependence graph and its
-	// bookkeeping. graph.Edges, nodeInstr, the per-instruction value-node
-	// lists, and the per-register writer lists all retain capacity across
-	// calls; touched tracks which writer lists need resetting. The embedded
-	// cycle-ratio solver reuses Howard-iteration state the same way.
+	// bookkeeping. graph.Edges, nodeInstr and the per-instruction value-node
+	// lists all retain capacity across calls. The embedded cycle-ratio
+	// solver reuses Howard-iteration state the same way.
 	solver    cycleratio.Solver
 	graph     depGraph
 	consumed  [][]valNode
 	produced  [][]valNode
-	writers   [x86.NumRegs][]int
-	touched   []x86.Reg
 	chain     []int
 	chainSeen []bool
 }
@@ -145,20 +141,18 @@ func (a *Analysis) computeBounds(block *bb.Block, mode Mode, opts Options) (Boun
 
 // Predict computes the Facile throughput prediction for a prepared block
 // using this Analysis's scratch state: one bound-vector pass, one
-// recombination.
+// recombination. It is PredictSlab over a fresh slab, so the prediction's
+// payload slices share one owned allocation.
 func (a *Analysis) Predict(block *bb.Block, mode Mode, opts Options) Prediction {
-	return a.predict(block, mode, opts, nil)
+	var ar Slab[int]
+	return a.PredictSlab(block, mode, opts, &ar)
 }
 
 // PredictSlab is Predict with the prediction's owned payload slices
 // (critical chain, contended instructions) carved from ar in one Carve call
-// instead of individually heap-allocated — the batch-kernel variant, where
-// ar amortizes those copies across a whole chunk of blocks.
+// instead of individually heap-allocated — the engine's miss path, where ar
+// amortizes those copies across a whole chunk of blocks.
 func (a *Analysis) PredictSlab(block *bb.Block, mode Mode, opts Options, ar *Slab[int]) Prediction {
-	return a.predict(block, mode, opts, ar)
-}
-
-func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Slab[int]) Prediction {
 	b, det := a.computeBounds(block, mode, opts)
 	comb := b.Combine(mode, opts.include())
 	p := Prediction{
@@ -176,30 +170,19 @@ func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Slab[in
 			}
 		}
 	}
-	// The interpretability payloads point into scratch; copy them so the
-	// Prediction outlives the Analysis's next use (from the slab when the
-	// caller supplied one).
-	if ar != nil {
-		var chain, instrs []int
-		if b.Has(Precedence) {
-			chain = det.chain
-		}
-		if b.Has(Ports) {
-			instrs = det.instrs
-			p.ContendedPorts = det.ports
-		}
-		buf := ar.Carve(len(chain) + len(instrs))
-		p.CriticalChain = carveCopy(&buf, chain)
-		p.ContendedInstrs = carveCopy(&buf, instrs)
-		return p
-	}
+	// The interpretability payloads point into scratch; copy them into a
+	// carve of ar so the Prediction outlives the Analysis's next use.
+	var chain, instrs []int
 	if b.Has(Precedence) {
-		p.CriticalChain = copyInts(det.chain)
+		chain = det.chain
 	}
 	if b.Has(Ports) {
-		p.ContendedInstrs = copyInts(det.instrs)
+		instrs = det.instrs
 		p.ContendedPorts = det.ports
 	}
+	buf := ar.Carve(len(chain) + len(instrs))
+	p.CriticalChain = carveCopy(&buf, chain)
+	p.ContendedInstrs = carveCopy(&buf, instrs)
 	return p
 }
 
@@ -208,13 +191,6 @@ func (a *Analysis) predict(block *bb.Block, mode Mode, opts Options, ar *Slab[in
 func (a *Analysis) ComputeBounds(block *bb.Block, mode Mode, opts Options) Bounds {
 	b, _ := a.computeBounds(block, mode, opts)
 	return b
-}
-
-// IdealizationSpeedups is the Analysis-bound variant of the package-level
-// IdealizationSpeedups: one bound computation, then pure recombination.
-func (a *Analysis) IdealizationSpeedups(block *bb.Block, mode Mode) [NumComponents]float64 {
-	b, _ := a.computeBounds(block, mode, Options{})
-	return b.Speedups(mode)
 }
 
 // carveCopy copies s into the front of *buf and advances *buf past it;

@@ -21,13 +21,19 @@
 // throughput for ANY inclusion set purely in-memory, so counterfactual
 // questions (Bounds.Speedups, IdealizationSpeedups) are O(components)
 // recombinations of already-computed bounds rather than repeated full
-// predictions. All scratch state lives in a reusable Analysis context; the
-// package-level entry points draw one from a sync.Pool, so a warm call
-// performs no transient heap allocations inside this package.
+// predictions. Bound vectors of many blocks are a plain []Bounds. All
+// scratch state lives in a reusable Analysis context; the package-level
+// entry points draw one from a sync.Pool, so a warm call performs no
+// transient heap allocations inside this package. A prediction's owned
+// payloads (critical chain, contended instructions) are carved from a Slab
+// (slab.go) by Analysis.PredictSlab, which the facile Engine calls on every
+// cache miss; Analysis.Predict is PredictSlab over a fresh slab.
 //
 // The individual predictors map to the paper as follows: the predecoder
 // bound (predec.go) to §4.3, the decoder bound (dec.go) to §4.4, the DSB
 // and LSD bounds (frontend.go) to §4.5–4.6, the issue bound to §4.7, the
 // execution-port bound (ports.go) to §4.8, and the loop-carried dependence
-// bound (precedence.go, via internal/cycleratio) to §4.9.
+// bound (precedence.go, via internal/cycleratio) to §4.9. The dependence
+// graph is built in forward sweeps with per-register last-writer tables, so
+// its construction is linear in the block.
 package core

@@ -98,11 +98,13 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 	consumed := growNodeLists(&a.consumed, n)
 	produced := growNodeLists(&a.produced, n)
 
-	// Reset the writer lists touched by the previous block.
-	for _, r := range a.touched {
-		a.writers[r] = a.writers[r][:0]
+	// final[r] is the block's last writer of r (filled in pass 1); last[r]
+	// is the last writer of r before the instruction pass 3 is at. -1 means
+	// none.
+	var final, last [x86.NumRegs]int
+	for r := range final {
+		final[r], last[r] = -1, -1
 	}
-	a.touched = a.touched[:0]
 
 	newNode := func(instr int) int {
 		id := g.N
@@ -122,7 +124,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 
 	flagsReg := x86.RegFlags
 
-	// Pass 1: create nodes, record writers.
+	// Pass 1: create nodes, record each register's final writer.
 	for k := range block.Insts {
 		eff := &block.Insts[k].Eff
 		prodNode := -1
@@ -140,10 +142,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 					prodNode = newNode(k)
 				}
 				produced[k] = append(produced[k], valNode{r, prodNode})
-				if len(a.writers[r]) == 0 {
-					a.touched = append(a.touched, r)
-				}
-				a.writers[r] = append(a.writers[r], k)
+				final[r] = k
 			}
 		}
 		for _, r := range eff.RegReads {
@@ -189,28 +188,23 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 		}
 	}
 
-	// Pass 3: producer -> consumer dataflow edges. Each consumed value is
-	// connected to its actual (program-order) producer; the edge carries
-	// iteration count 1 when the flow wraps around the loop.
+	// Pass 3: producer -> consumer dataflow edges, in one forward sweep.
+	// Each consumed value is connected to its actual (program-order)
+	// producer: the last earlier writer, else — the flow wraps around the
+	// loop, iteration count 1 — the block's final writer.
 	for k := range block.Insts {
 		for _, c := range consumed[k] {
-			ws := a.writers[c.reg]
-			if len(ws) == 0 {
-				continue // live-in value, produced outside the loop
-			}
-			j, iterCount := -1, 0
-			for i := len(ws) - 1; i >= 0; i-- {
-				if ws[i] < k {
-					j = ws[i]
-					break
-				}
+			j, iterCount := last[c.reg], 0
+			if j < 0 {
+				j, iterCount = final[c.reg], 1
 			}
 			if j < 0 {
-				// The flow wraps to the previous iteration.
-				j = ws[len(ws)-1]
-				iterCount = 1
+				continue // live-in value, produced outside the loop
 			}
 			g.AddEdge(produced[j][0].id, c.id, 0, iterCount)
+		}
+		for _, p := range produced[k] {
+			last[p.reg] = k
 		}
 	}
 

@@ -89,8 +89,21 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// table3Golden pins the exact Table 3 text for SKL at testCorpusN: every
+// ablation variant's MAPE and tau, byte for byte.
+const table3Golden = "../../testdata/eval/table3_skl.golden"
+
 func TestTable3Shape(t *testing.T) {
 	skipIfShort(t)
+	_, text := Table3(testCorpusN, []*uarch.Config{uarch.MustByName("SKL")})
+	want, err := os.ReadFile(table3Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text != string(want) {
+		t.Errorf("Table 3 deviates from %s\n--- got ---\n%s", table3Golden, text)
+	}
+
 	rows, _ := Table3(testCorpusN, []*uarch.Config{uarch.MustByName("RKL")})
 	get := func(variant string) VariantRow {
 		for _, r := range rows {

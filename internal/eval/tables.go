@@ -149,18 +149,20 @@ func Table3(corpusN int, arches []*uarch.Config) ([]VariantRow, string) {
 }
 
 // suiteBounds computes the full per-component bound vector of every block
-// once into a flat structure-of-arrays matrix; the ablation variants
-// recombine its rows.
-func suiteBounds(blocks []*bb.Block, mode core.Mode) *core.BoundsMatrix {
-	m := new(core.BoundsMatrix)
-	core.ComputeBoundsBatch(blocks, mode, core.Options{}, m)
-	return m
+// once; the ablation variants recombine them.
+func suiteBounds(blocks []*bb.Block, mode core.Mode) []core.Bounds {
+	a := core.NewAnalysis()
+	out := make([]core.Bounds, len(blocks))
+	for i, block := range blocks {
+		out[i] = a.ComputeBounds(block, mode, core.Options{})
+	}
+	return out
 }
 
 // combineVariant evaluates one Table 3 variant. Inclusion-set variants fold
-// the precomputed bound-matrix rows; the Simple* model variants replace a
+// the precomputed bound vectors; the Simple* model variants replace a
 // predictor and therefore need their own bound computation.
-func combineVariant(blocks []*bb.Block, bounds *core.BoundsMatrix, mode core.Mode, opts core.Options) []float64 {
+func combineVariant(blocks []*bb.Block, bounds []core.Bounds, mode core.Mode, opts core.Options) []float64 {
 	out := make([]float64, len(blocks))
 	if opts.SimplePredec || opts.SimpleDec {
 		a := core.NewAnalysis()
@@ -169,8 +171,8 @@ func combineVariant(blocks []*bb.Block, bounds *core.BoundsMatrix, mode core.Mod
 		}
 		return out
 	}
-	for i := 0; i < bounds.Len(); i++ {
-		out[i] = metrics.Round2(bounds.Combine(i, mode, opts.Include).TP)
+	for i := range bounds {
+		out[i] = metrics.Round2(bounds[i].Combine(mode, opts.Include).TP)
 	}
 	return out
 }
