@@ -15,34 +15,37 @@ import (
 // race detector (its instrumentation skews allocation accounting); the CI
 // benchmark job runs them race-free.
 
-// TestEngineWarmReportTextZeroAllocs: the rendered report is memoized on the
-// shared Analysis, so a warm Analyze at DetailFull plus Report.Text() must
-// not allocate — the lookup probes the LRU with a zero-copy key and the text
-// is rendered exactly once.
+// TestEngineWarmReportTextZeroAllocs: every Detail's Analysis — the
+// rendered report text at DetailFull included — lives inline in the cache
+// entry, so a warm Analyze at any Detail must not allocate: the lookup
+// probes the LRU with a zero-copy key and the views are derived exactly
+// once.
 func TestEngineWarmReportTextZeroAllocs(t *testing.T) {
 	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
-	code := decode(t, "480307 4883c708 48ffc9 75f2")
 	ctx := context.Background()
-	req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: facile.DetailFull}
-
-	ana, err := e.Analyze(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ana.Report.Text() == "" {
-		t.Fatal("empty report")
-	}
-
-	if allocs := testing.AllocsPerRun(200, func() {
-		ana, err := e.Analyze(ctx, req)
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range []struct {
+		hex  string
+		mode facile.Mode
+	}{
+		{"480307 4883c708 48ffc9 75f2", facile.Loop},
+		{"480fafc3 480fafcb 480fafd3", facile.Unroll},
+	} {
+		for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+			req := facile.Request{Code: decode(t, in.hex), Arch: "SKL", Mode: in.mode, Detail: d}
+			check := func() {
+				ana, err := e.Analyze(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (ana.ReportText != "") != (d == facile.DetailFull) {
+					t.Fatalf("%s at %v: report text %q", in.hex, d, ana.ReportText)
+				}
+			}
+			check()
+			if allocs := testing.AllocsPerRun(200, check); allocs != 0 {
+				t.Errorf("%s: warm Analyze(%v) allocates %.1f/op, want 0", in.hex, d, allocs)
+			}
 		}
-		if ana.Report.Text() == "" {
-			t.Fatal("empty report")
-		}
-	}); allocs != 0 {
-		t.Errorf("warm Analyze+Report.Text allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -64,7 +64,8 @@ const (
 	// DetailSpeedups additionally derives the counterfactual speedups
 	// (a pure recombination of the already-computed bound vector).
 	DetailSpeedups
-	// DetailFull additionally builds the structured bottleneck Report.
+	// DetailFull additionally renders the human-readable bottleneck
+	// report (Analysis.ReportText).
 	DetailFull
 
 	numDetails
@@ -129,7 +130,7 @@ type Request struct {
 	Arch string
 	// Mode selects the throughput notion (Unroll/TPU or Loop/TPL).
 	Mode Mode
-	// Detail selects prediction-only, +speedups, or +report.
+	// Detail selects prediction-only, +speedups, or +report text.
 	Detail Detail
 }
 
@@ -154,9 +155,10 @@ type Speedup struct {
 }
 
 // Analysis is the result of Engine.Analyze: one bound computation exposed as
-// prediction, interpretation, and counterfactuals together. Analyses
-// returned by an Engine are memoized and shared between callers — treat
-// every field as read-only.
+// prediction, interpretation, and counterfactuals together. Its JSON
+// encoding is also the wire form: cmd/facile -json prints it, and the
+// server's /v1/analyze sends the same bytes. Analyses returned by an Engine
+// are memoized and shared between callers — treat every field as read-only.
 type Analysis struct {
 	// Prediction is the throughput prediction itself.
 	Prediction Prediction `json:"prediction"`
@@ -166,10 +168,13 @@ type Analysis struct {
 	// Speedups holds the counterfactual speedups sorted descending; nil
 	// unless the request asked for DetailSpeedups or DetailFull.
 	Speedups []Speedup `json:"speedups,omitempty"`
-	// Report is the structured bottleneck report; nil unless the request
-	// asked for DetailFull. Render it with Report.Text or marshal it as
-	// JSON.
-	Report *Report `json:"report,omitempty"`
+	// ReportText is the rendered bottleneck report: the block with the
+	// primary bottleneck's instructions marked ("D" on the critical
+	// dependence cycle, from Prediction.CriticalChain; "P" on the contended
+	// ports, from Prediction.ContendedInstrs), the bounds, the bottleneck
+	// evidence and the speedup table. Empty unless the request asked for
+	// DetailFull.
+	ReportText string `json:"report_text,omitempty"`
 }
 
 // AnalysisResult is the outcome of one Request of an AnalyzeBatch call.

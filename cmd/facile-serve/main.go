@@ -24,8 +24,8 @@
 //
 // /v1/analyze is the single-block endpoint: one engine analysis returns the
 // prediction, the ordered per-component bound breakdown, the sorted
-// counterfactual speedups, and the structured report; "detail" ("prediction",
-// "speedups" or "full") trims the response.
+// counterfactual speedups, and the rendered report text; "detail"
+// ("prediction", "speedups" or "full") trims the response.
 //
 // Microarchitectures come from the runtime registry: the nine built-ins,
 // plus any spec files loaded at startup via -arch-dir, plus anything

@@ -13,8 +13,9 @@
 //
 // The input block is raw machine code, given as a hex string (-hex) or a
 // binary file (-file). Every query is one Engine.Analyze call; -json emits
-// the resulting structured Analysis (prediction, ordered bound breakdown,
-// sorted counterfactual speedups, structured report) as JSON. -arch-dir
+// the resulting Analysis (prediction, ordered bound breakdown, sorted
+// counterfactual speedups, report_text) as JSON, the same document
+// POST /v1/analyze returns at detail=full. -arch-dir
 // loads additional microarchitecture spec files (*.json, full specs or
 // base+overlay variants; see the README's "Custom microarchitectures")
 // before anything else runs, so hypothetical design points are predictable
@@ -111,7 +112,7 @@ func main() {
 			fatal(err)
 		}
 	case *explain:
-		fmt.Print(ana.Report.Text())
+		fmt.Print(ana.ReportText)
 	default:
 		pred := ana.Prediction
 		fmt.Printf("%.2f cycles/iteration (%s, %s)\n", pred.CyclesPerIteration, pred.Arch, pred.Mode)

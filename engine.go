@@ -91,7 +91,7 @@ type EngineConfig struct {
 //   - per-microarchitecture configurations are resolved through the
 //     registry; each cache miss builds its block with bb.Build;
 //   - decoded blocks and complete analyses — prediction, ordered bound
-//     breakdown, counterfactual speedups, structured report — are memoized
+//     breakdown, counterfactual speedups, rendered report — are memoized
 //     in a bounded LRU keyed by (code bytes, microarchitecture, mode);
 //     repeated queries become cache hits, and a warm Analyze at any Detail
 //     performs exactly one cache entry resolution and no heap allocations;
@@ -107,7 +107,7 @@ type EngineConfig struct {
 //     items so a cancelled batch stops computing.
 //
 // Cached results are shared between callers: the Analysis values returned by
-// an Engine (and their Prediction/Bounds/Speedups/Report fields) must be
+// an Engine (and their Prediction/Bounds/Speedups fields) must be
 // treated as read-only.
 type Engine struct {
 	reg      *uarch.Registry
@@ -178,12 +178,13 @@ func entrySizeBytes(ent *engineEntry) int {
 	if ent.err != nil {
 		return n
 	}
-	n += 32 * len(ent.bounds)
-	n += 8 * (len(ent.pred.CriticalChain) + len(ent.pred.ContendedInstrs))
-	for _, s := range ent.pred.Instructions {
+	a := &ent.ana[DetailPrediction]
+	n += 32 * len(a.Bounds)
+	n += 8 * (len(a.Prediction.CriticalChain) + len(a.Prediction.ContendedInstrs))
+	for _, s := range a.Prediction.Instructions {
 		n += 16 + len(s)
 	}
-	for _, s := range ent.pred.Bottlenecks {
+	for _, s := range a.Prediction.Bottlenecks {
 		n += 16 + len(s)
 	}
 	if b := ent.block; b != nil {
@@ -203,22 +204,22 @@ func entrySizeBytes(ent *engineEntry) int {
 // engineEntry is a single-flight cache slot: the first caller computes the
 // block and prediction under once; concurrent callers for the same key block
 // on once and then share the result. Decode/lookup errors are cached too, so
-// repeatedly querying an undecodable block stays cheap. The derived views —
-// simulation, sorted speedups, structured report, and the per-Detail
-// Analysis values — are memoized lazily alongside the prediction; each is a
-// pure recombination or rendering of the cached bound vector, never a re-run
-// of the component predictors.
+// repeatedly querying an undecodable block stays cheap. The entry holds its
+// Analysis at every Detail inline: fill sets the prediction-level value, and
+// the views once derives the other two from it — the sorted speedups and the
+// rendered report are a pure recombination and rendering of the cached
+// bound vector, never a re-run of the component predictors. The simulation
+// is memoized alongside.
 type engineEntry struct {
 	once sync.Once
 	// code is the entry's durable copy of the block bytes (the cache key's
 	// code string); empty on private (uncached) entries. Cached blocks are
 	// built from it rather than from caller memory, so callers may reuse
 	// their Code buffers as soon as a call returns.
-	code   string
-	block  *bb.Block
-	pred   Prediction
-	core   core.Prediction
-	bounds []ComponentBound
+	code  string
+	block *bb.Block
+	// bounds is the bound vector the speedup view recombines.
+	bounds core.Bounds
 	err    error
 
 	// size is the entry's accounted footprint estimate in bytes, computed
@@ -226,52 +227,33 @@ type engineEntry struct {
 	// by the computing caller; see entrySizeBytes.
 	size int
 
+	// ana[d] is the Analysis served at Detail d. The three values share
+	// their prediction and bound slices.
+	ana   [numDetails]Analysis
+	views sync.Once
+
 	simOnce sync.Once
 	sim     float64
-
-	spOnce sync.Once
-	spList []Speedup // sorted descending
-
-	repOnce sync.Once
-	report  *Report
-
-	anaOnce [numDetails]sync.Once
-	ana     [numDetails]*Analysis
 }
 
-// speedups returns the entry's memoized sorted speedup list, computing it
-// on first use by recombining the cached bound vector.
-func (ent *engineEntry) speedups() []Speedup {
-	ent.spOnce.Do(func() {
-		ent.spList = speedupList(&ent.core.Bounds, coreMode(ent.pred.Mode))
-	})
-	return ent.spList
-}
-
-// reportView returns the entry's memoized structured report.
-func (ent *engineEntry) reportView() *Report {
-	ent.repOnce.Do(func() {
-		ent.report = buildReport(&ent.pred, ent.bounds, ent.speedups())
-	})
-	return ent.report
-}
-
-// analysis returns the entry's memoized Analysis for one detail level. The
-// three levels share their underlying slices and report; only the Analysis
-// shell differs, so a warm Analyze returns an existing pointer without
-// allocating.
+// analysis returns the entry's Analysis for one detail level, deriving the
+// speedup and report views on first use above DetailPrediction. A warm
+// Analyze returns a pointer into the entry without allocating.
 func (ent *engineEntry) analysis(d Detail) *Analysis {
-	ent.anaOnce[d].Do(func() {
-		a := &Analysis{Prediction: ent.pred, Bounds: ent.bounds}
-		if d >= DetailSpeedups {
-			a.Speedups = ent.speedups()
-		}
-		if d >= DetailFull {
-			a.Report = ent.reportView()
-		}
-		ent.ana[d] = a
-	})
-	return ent.ana[d]
+	if d > DetailPrediction {
+		ent.views.Do(ent.fillViews)
+	}
+	return &ent.ana[d]
+}
+
+// fillViews derives the DetailSpeedups and DetailFull analyses from the
+// prediction-level one: one speedup recombination, one report rendering.
+func (ent *engineEntry) fillViews() {
+	a := ent.ana[DetailPrediction]
+	a.Speedups = speedupList(&ent.bounds, coreMode(a.Prediction.Mode))
+	ent.ana[DetailSpeedups] = a
+	a.ReportText = renderReport(&a)
+	ent.ana[DetailFull] = a
 }
 
 // NewEngine constructs an Engine over cfg.Registry (default: the process-
@@ -437,9 +419,11 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 			sc = &own
 		}
 		sc.blocksLeft(left)
-		ent.core = sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
-		ent.pred = publicPrediction(&ent.core, block, cfg.Name, mode, sc)
-		ent.bounds = componentBounds(&ent.core, sc)
+		p := sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
+		ent.bounds = p.Bounds
+		a := &ent.ana[DetailPrediction]
+		a.Prediction = publicPrediction(&p, block, cfg.Name, mode, sc)
+		a.Bounds = componentBounds(&p, sc)
 	})
 	if computed {
 		e.recordEntrySize(ent, cfg.Name, ver, mode)
@@ -520,7 +504,7 @@ func (ent *engineEntry) blockBytes(code []byte) []byte {
 // typed Analysis out. A single cheap bound computation (or a single cache
 // entry resolution, when warm) yields the prediction, the ordered
 // per-component breakdown, and — as req.Detail asks for them — the sorted
-// counterfactual speedups and the structured bottleneck report, so callers
+// counterfactual speedups and the rendered bottleneck report, so callers
 // that only want a number never pay for interpretation.
 //
 // Request validation is uniform: an empty or oversized Code, an invalid

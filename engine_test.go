@@ -219,6 +219,16 @@ func TestEngineConcurrent(t *testing.T) {
 						return
 					}
 				}
+				// The workers also race on the first use of each entry's
+				// speedup and report views.
+				for i, r := range reqs {
+					d := facile.Detail(1 + (w+i)%2)
+					ana, err := e.Analyze(context.Background(), facile.Request{Code: r.Code, Arch: r.Arch, Mode: r.Mode, Detail: d})
+					if err != nil || len(ana.Speedups) == 0 || (ana.ReportText != "") != (d == facile.DetailFull) {
+						t.Errorf("req %d at %v: %v, %+v", i, d, err, ana)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -327,8 +337,8 @@ func TestEngineMemoizesSpeedupsAndReports(t *testing.T) {
 		t.Error("speedup list recomputed on a cache hit: distinct slices returned")
 	}
 	// Identical backing storage, not merely equal content: the rendering is
-	// done once and memoized on the shared Report.
-	r1, r2 := a1.Report.Text(), a2.Report.Text()
+	// done once and memoized in the cache entry.
+	r1, r2 := a1.ReportText, a2.ReportText
 	if unsafe.StringData(r1) != unsafe.StringData(r2) {
 		t.Error("report re-rendered on a cache hit: distinct strings returned")
 	}

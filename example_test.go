@@ -98,7 +98,7 @@ func ExampleEngine_Analyze_fullReport() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(ana.Report.Text())
+	fmt.Print(ana.ReportText)
 	// Output:
 	// Facile throughput report — SKL, TPL (loop)
 	// Predicted: 4.00 cycles/iteration

@@ -1,9 +1,10 @@
 // Bottleneck-report: demonstrate Facile's interpretability on blocks with
 // deliberately different bottlenecks — the use case of the paper's §6.4.
 // Each block goes through one Engine.Analyze call at DetailFull, whose
-// structured Report names the limiting pipeline component, marks the
-// responsible instructions, and quantifies the counterfactual gain of
-// idealizing each component — renderable as text (below) or JSON.
+// Analysis names the limiting pipeline component, marks the responsible
+// instructions, and quantifies the counterfactual gain of idealizing each
+// component — as the rendered ReportText (below) or as the structured
+// fields it is rendered from.
 package main
 
 import (
@@ -85,13 +86,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(ana.Report.Text())
+		fmt.Println(ana.ReportText)
 		// The same analysis answers structured questions without another
-		// engine call: the report object and the sorted speedup list are
-		// views of one cached bound computation.
+		// engine call: the report text, the bottleneck list and the sorted
+		// speedup list are views of one cached bound computation.
 		top := ana.Speedups[0]
 		fmt.Printf("(structured: primary=%s, best counterfactual: %s %.2fx)\n\n",
-			ana.Report.PrimaryBottleneck, top.Component, top.Factor)
+			ana.Prediction.Bottlenecks[0], top.Component, top.Factor)
 	}
 	// Analyses (and their rendered reports) are memoized alongside the
 	// cached predictions: re-analyzing any block above is a pure cache hit.

@@ -39,7 +39,7 @@ func explainText(e *facile.Engine, code []byte, arch string, mode facile.Mode) (
 	if err != nil {
 		return "", err
 	}
-	return ana.Report.Text(), nil
+	return ana.ReportText, nil
 }
 
 // blockReq/blockRes mirror the per-block batch shape of AnalyzeBatchN for

@@ -3,18 +3,21 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
 
 	"facile"
+	"facile/internal/bhive"
 )
 
 func TestAnalyzeEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{})
 
-	var full AnalyzeResponse
+	var full facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		map[string]string{"code": testBlockHex, "arch": "SKL", "mode": "loop"}, &full); code != 200 {
 		t.Fatalf("status %d", code)
@@ -25,7 +28,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	if len(full.Bounds) == 0 {
 		t.Error("missing bounds breakdown")
 	}
-	if len(full.Speedups) == 0 || full.Report == nil || full.ReportText == "" {
+	if len(full.Speedups) == 0 || full.ReportText == "" {
 		t.Errorf("default detail must be full: %+v", full)
 	}
 	if !sort.SliceIsSorted(full.Speedups, func(i, j int) bool {
@@ -63,24 +66,24 @@ func TestAnalyzeEndpoint(t *testing.T) {
 func TestAnalyzeDetailLevels(t *testing.T) {
 	s := newTestServer(t, Config{})
 
-	var predOnly AnalyzeResponse
+	var predOnly facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		map[string]string{"code": testBlockHex, "arch": "SKL", "detail": "prediction"}, &predOnly); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if predOnly.Speedups != nil || predOnly.Report != nil || predOnly.ReportText != "" {
+	if predOnly.Speedups != nil || predOnly.ReportText != "" {
 		t.Errorf("detail=prediction must omit speedups/report: %+v", predOnly)
 	}
 	if len(predOnly.Bounds) == 0 {
 		t.Error("detail=prediction must still include bounds")
 	}
 
-	var sp AnalyzeResponse
+	var sp facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		map[string]string{"code": testBlockHex, "arch": "SKL", "detail": "speedups"}, &sp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if len(sp.Speedups) == 0 || sp.Report != nil {
+	if len(sp.Speedups) == 0 || sp.ReportText != "" {
 		t.Errorf("detail=speedups must add speedups but no report: %+v", sp)
 	}
 
@@ -98,7 +101,7 @@ func TestAnalyzeViewsAgree(t *testing.T) {
 	s := newTestServer(t, Config{})
 	block := BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}
 
-	var full AnalyzeResponse
+	var full facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze", AnalyzeRequest{BlockRequest: block}, &full); code != 200 {
 		t.Fatalf("analyze status %d", code)
 	}
@@ -107,11 +110,11 @@ func TestAnalyzeViewsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := lib.Report.Text(); full.ReportText != want {
+	if want := lib.ReportText; full.ReportText != want {
 		t.Errorf("report_text differs from the library report:\n%s\nvs\n%s", full.ReportText, want)
 	}
 	for _, detail := range []string{"prediction", "speedups"} {
-		var view AnalyzeResponse
+		var view facile.Analysis
 		if code := do(t, s, "POST", "/v1/analyze", AnalyzeRequest{BlockRequest: block, Detail: detail}, &view); code != 200 {
 			t.Fatalf("detail=%s status %d", detail, code)
 		}
@@ -183,4 +186,54 @@ func TestAbandonedRequestNotComputed(t *testing.T) {
 			t.Errorf("abandoned request was computed: %+v -> %+v", before, after)
 		}
 	})
+}
+
+// TestAnalyzeBodyIsLibraryAnalysis: /v1/analyze sends the library's
+// *facile.Analysis and nothing else — at every detail level the response
+// body is byte-identical to a two-space-indented json.Encoder encoding of
+// the Analysis that Engine.Analyze returns for the same request, which is
+// also what `facile -json` prints.
+func TestAnalyzeBodyIsLibraryAnalysis(t *testing.T) {
+	s := newTestServer(t, Config{})
+	lib, err := facile.NewEngine(facile.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := []string{testBlockHex, "480fafc0480fafc0", "4801d8", "480fafc3480fafcb480fafd3"}
+	for _, b := range bhive.GenerateBlocks(5, 24) {
+		blocks = append(blocks, hex.EncodeToString(b.Code))
+	}
+	for _, code := range blocks {
+		for _, mode := range []facile.Mode{facile.Loop, facile.Unroll} {
+			for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+				want, err := lib.Analyze(context.Background(), facile.Request{
+					Code: mustHex(t, code), Arch: "ICL", Mode: mode, Detail: d,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var enc bytes.Buffer
+				je := json.NewEncoder(&enc)
+				je.SetIndent("", "  ")
+				if err := je.Encode(want); err != nil {
+					t.Fatal(err)
+				}
+
+				wireMode, _ := mode.MarshalText()
+				body, _ := json.Marshal(AnalyzeRequest{
+					BlockRequest: BlockRequest{Code: code, Arch: "ICL", Mode: string(wireMode)},
+					Detail:       d.String(),
+				})
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body)))
+				if w.Code != 200 {
+					t.Fatalf("%s %v %v: status %d: %s", code, mode, d, w.Code, w.Body.String())
+				}
+				if !bytes.Equal(w.Body.Bytes(), enc.Bytes()) {
+					t.Fatalf("%s %v %v: body differs from the library Analysis\n got: %s\nwant: %s",
+						code, mode, d, w.Body.String(), enc.String())
+				}
+			}
+		}
+	}
 }

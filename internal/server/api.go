@@ -45,36 +45,6 @@ type AnalyzeRequest struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// AnalyzeResponse is the wire form of a /v1/analyze response: the full
-// structured Analysis. Bounds is always present (the deterministic
-// per-component breakdown, front-end first); Speedups (sorted descending)
-// and Report/ReportText appear at the matching detail levels.
-type AnalyzeResponse struct {
-	Prediction Prediction              `json:"prediction"`
-	Bounds     []facile.ComponentBound `json:"bounds"`
-	Speedups   []facile.Speedup        `json:"speedups,omitempty"`
-	Report     *facile.Report          `json:"report,omitempty"`
-	// ReportText is the rendered human-readable report (Report.Text),
-	// included alongside the structured form.
-	ReportText string `json:"report_text,omitempty"`
-}
-
-// wireAnalysis converts an engine Analysis to its wire form. The Analysis
-// is shared and read-only; the wire form aliases its slices, which is safe
-// because they are only marshaled.
-func wireAnalysis(ana *facile.Analysis) AnalyzeResponse {
-	resp := AnalyzeResponse{
-		Prediction: wirePrediction(&ana.Prediction),
-		Bounds:     ana.Bounds,
-		Speedups:   ana.Speedups,
-		Report:     ana.Report,
-	}
-	if ana.Report != nil {
-		resp.ReportText = ana.Report.Text()
-	}
-	return resp
-}
-
 // parseDetail maps the wire detail vocabulary onto a facile.Detail. The
 // empty string defaults to "full": /v1/analyze exists to serve the whole
 // analysis; narrower callers opt down.
@@ -89,24 +59,12 @@ func parseDetail(s string) (facile.Detail, error) {
 	return d, nil
 }
 
-// Prediction is the wire form of a facile.Prediction.
-type Prediction struct {
-	CyclesPerIteration float64  `json:"cycles_per_iteration"`
-	Arch               string   `json:"arch"`
-	Mode               string   `json:"mode"`
-	Bottlenecks        []string `json:"bottlenecks"`
-	FrontEndSource     string   `json:"front_end_source,omitempty"`
-	CriticalChain      []int    `json:"critical_chain,omitempty"`
-	ContendedPorts     string   `json:"contended_ports,omitempty"`
-	ContendedInstrs    []int    `json:"contended_instrs,omitempty"`
-	Instructions       []string `json:"instructions"`
-}
-
 // BatchResult is one entry of a BatchResponse: a prediction or a
-// per-request error. Exactly one field is set.
+// per-request error. Exactly one field is set. Prediction points into the
+// engine's shared, read-only Analysis.
 type BatchResult struct {
-	Prediction *Prediction `json:"prediction,omitempty"`
-	Error      string      `json:"error,omitempty"`
+	Prediction *facile.Prediction `json:"prediction,omitempty"`
+	Error      string             `json:"error,omitempty"`
 }
 
 // BatchResponse is the wire form of a /v1/predict/batch response; Results[i]
@@ -199,14 +157,6 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: 400, msg: fmt.Sprintf(format, args...)}
 }
 
-// modeString renders a facile.Mode in the wire vocabulary.
-func modeString(m facile.Mode) string {
-	if m == facile.Loop {
-		return "loop"
-	}
-	return "unroll"
-}
-
 // parseMode maps the wire vocabulary onto facile.Mode via facile.ParseMode.
 // The empty string defaults to Loop (TPL), matching the paper's headline
 // metric.
@@ -277,23 +227,6 @@ func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request
 		return out, slab, err
 	}
 	return facile.Request{Code: code, Arch: req.Arch, Mode: mode}, slab, nil
-}
-
-// wirePrediction converts an engine prediction to its wire form. The
-// engine's Prediction is shared and read-only; the wire form aliases its
-// slices, which is safe because they are only marshaled.
-func wirePrediction(p *facile.Prediction) Prediction {
-	return Prediction{
-		CyclesPerIteration: p.CyclesPerIteration,
-		Arch:               p.Arch,
-		Mode:               modeString(p.Mode),
-		Bottlenecks:        p.Bottlenecks,
-		FrontEndSource:     p.FrontEndSource,
-		CriticalChain:      p.CriticalChain,
-		ContendedPorts:     p.ContendedPorts,
-		ContendedInstrs:    p.ContendedInstrs,
-		Instructions:       p.Instructions,
-	}
 }
 
 // readJSON decodes the request body into v, rejecting unknown fields and

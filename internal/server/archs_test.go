@@ -71,7 +71,7 @@ func TestRegisterArchServedWithoutRestart(t *testing.T) {
 	}
 
 	// Immediately predictable, and the repeat query is a warm cache hit.
-	var r1, r2 AnalyzeResponse
+	var r1, r2 facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL-LSD"}), &r1); code != 200 {
 		t.Fatalf("post-registration predict: status %d", code)
@@ -103,7 +103,7 @@ func TestRegisterArchFullSpec(t *testing.T) {
 	if reg.Arch.IssueWidth != 4 || reg.Arch.NumPorts != 10 {
 		t.Fatalf("spec-form registration wrong: %+v", reg.Arch)
 	}
-	var r AnalyzeResponse
+	var r facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "icl-4w"}), &r); code != 200 || r.Prediction.Arch != "ICL-4W" {
 		t.Fatalf("predict on spec-form arch: status %d, %+v", code, r.Prediction)

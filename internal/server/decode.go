@@ -11,10 +11,10 @@ import (
 
 // batchScratch is the pooled per-call state of /v1/predict/batch: the decoded
 // wire request (whose Requests backing array the JSON decoder reuses), the
-// result and wire-prediction slabs, the compaction index, and one slab that
-// every hex-decoded block of the batch is carved from. A warm batch request
-// allocates nothing per item on the wire path; the response is encoded before
-// the scratch is released, because it aliases all of it.
+// result slab, the compaction index, and one slab that every hex-decoded
+// block of the batch is carved from. A warm batch request allocates nothing
+// per item on the wire path; the response is encoded before the scratch is
+// released, because it aliases all of it.
 //
 // Reusing the code slab across calls is safe because the engine never
 // retains request bytes: cache entries copy the code into their durable key
@@ -24,20 +24,16 @@ type batchScratch struct {
 	results []BatchResult
 	idx     []int
 	compact []facile.Request
-	preds   []Prediction
 	code    []byte
 	// body holds the raw request body for the duration of the call: the
 	// fast parser's wire strings are zero-copy views into it.
 	body []byte
-	// seen dedupes repeated analyses within one batch onto a single wire
-	// prediction, so the encoder renders each distinct block once.
-	seen map[*facile.Analysis]*Prediction
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // release zeroes the per-call state (stale wire fields must not leak into the
-// next decode, and stale predictions must not pin engine memory in the pool)
+// next decode, and stale results must not pin engine memory in the pool)
 // and returns the scratch to the pool.
 func (sc *batchScratch) release() {
 	reqs := sc.wire.Requests
@@ -50,8 +46,6 @@ func (sc *batchScratch) release() {
 	sc.idx = sc.idx[:0]
 	clear(sc.compact)
 	sc.compact = sc.compact[:0]
-	clear(sc.preds)
-	sc.preds = sc.preds[:0]
 	sc.code = sc.code[:0]
 	// Bodies can be as large as the configured body limit; don't pin an
 	// outsized buffer in the pool for the rest of the process.
@@ -59,7 +53,6 @@ func (sc *batchScratch) release() {
 		sc.body = nil
 	}
 	sc.body = sc.body[:0]
-	clear(sc.seen)
 	batchScratchPool.Put(sc)
 }
 
@@ -96,14 +89,6 @@ func (sc *batchScratch) resetWire() {
 	sc.wire = BatchRequest{Requests: reqs[:0]}
 }
 
-// seenMap returns the cleared analysis-dedup map.
-func (sc *batchScratch) seenMap() map[*facile.Analysis]*Prediction {
-	if sc.seen == nil {
-		sc.seen = make(map[*facile.Analysis]*Prediction)
-	}
-	return sc.seen
-}
-
 // resultSlab returns a zeroed result slice of length n backed by the scratch.
 func (sc *batchScratch) resultSlab(n int) []BatchResult {
 	if cap(sc.results) < n {
@@ -112,16 +97,6 @@ func (sc *batchScratch) resultSlab(n int) []BatchResult {
 		sc.results = sc.results[:n]
 	}
 	return sc.results
-}
-
-// predSlab returns a wire-prediction slice of length n backed by the scratch.
-func (sc *batchScratch) predSlab(n int) []Prediction {
-	if cap(sc.preds) < n {
-		sc.preds = make([]Prediction, n)
-	} else {
-		sc.preds = sc.preds[:n]
-	}
-	return sc.preds
 }
 
 // codeSlab returns the empty code slab with at least need bytes of capacity.

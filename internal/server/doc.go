@@ -7,7 +7,7 @@
 //
 // The server exposes a small JSON API (documented in docs/API.md):
 //
-//	POST /v1/analyze         one block: prediction, bounds, speedups, report
+//	POST /v1/analyze         one block: the facile.Analysis, report text included
 //	POST /v1/predict/batch   many blocks; bounded per-request concurrency
 //	POST /v1/sweep           a design-space grid over a block workload
 //	GET  /v1/archs           the served microarchitectures (paper Table 1)

@@ -21,14 +21,14 @@ import (
 type jenc struct {
 	buf []byte
 	// memo caches the encoded byte range of each distinct *Prediction within
-	// one batch response. Batch results that share a prediction (the handler
-	// dedupes repeated analyses onto one wire value) are rendered once and
-	// then copied — all results sit at the same indent depth, so the bytes
-	// are position-independent. Cleared before each batch encode: the
-	// prediction slab is pooled, so pointers recur across requests.
-	memo map[*Prediction][2]int
+	// one batch response. Batch results that share a prediction (repeated
+	// blocks resolve to one cached analysis) are rendered once and then
+	// copied — all results sit at the same indent depth, so the bytes are
+	// position-independent. Cleared after each batch encode, so a pooled
+	// encoder pins no engine memory.
+	memo map[*facile.Prediction][2]int
 	// bad is set when a value encoding/json would refuse (a non-finite
-	// float) is encountered; the caller then falls back to the generic
+	// float, an invalid mode) is encountered; the caller then falls back to the generic
 	// encoder so the wire behavior (an empty body) stays identical.
 	bad bool
 }
@@ -62,8 +62,8 @@ func (e *jenc) encode(v any) bool {
 	switch t := v.(type) {
 	case BatchResponse:
 		e.batchResponse(&t, 0)
-	case AnalyzeResponse:
-		e.analyzeResponse(&t, 0)
+	case *facile.Analysis:
+		e.analysis(t, 0)
 	default:
 		return false
 	}
@@ -173,7 +173,20 @@ func (e *jenc) ints(v []int, depth int) {
 	e.buf = append(e.buf, ']')
 }
 
-func (e *jenc) prediction(p *Prediction, depth int) {
+// mode renders a facile.Mode through its MarshalText vocabulary. An invalid
+// mode makes MarshalText, and so encoding/json, fail the document.
+func (e *jenc) mode(m facile.Mode) {
+	switch m {
+	case facile.Loop:
+		e.lit(`"loop"`)
+	case facile.Unroll:
+		e.lit(`"unroll"`)
+	default:
+		e.bad = true
+	}
+}
+
+func (e *jenc) prediction(p *facile.Prediction, depth int) {
 	e.buf = append(e.buf, '{')
 	first := true
 	e.field(&first, depth+1, "cycles_per_iteration")
@@ -181,7 +194,7 @@ func (e *jenc) prediction(p *Prediction, depth int) {
 	e.field(&first, depth+1, "arch")
 	e.str(p.Arch)
 	e.field(&first, depth+1, "mode")
-	e.str(p.Mode)
+	e.mode(p.Mode)
 	e.field(&first, depth+1, "bottlenecks")
 	e.strs(p.Bottlenecks, depth+1)
 	if p.FrontEndSource != "" {
@@ -208,9 +221,8 @@ func (e *jenc) prediction(p *Prediction, depth int) {
 
 func (e *jenc) batchResponse(r *BatchResponse, depth int) {
 	if e.memo == nil {
-		e.memo = make(map[*Prediction][2]int)
+		e.memo = make(map[*facile.Prediction][2]int)
 	}
-	clear(e.memo)
 	e.buf = append(e.buf, '{')
 	first := true
 	e.field(&first, depth+1, "results")
@@ -233,6 +245,7 @@ func (e *jenc) batchResponse(r *BatchResponse, depth int) {
 	}
 	e.nl(depth)
 	e.buf = append(e.buf, '}')
+	clear(e.memo)
 }
 
 func (e *jenc) batchResult(r *BatchResult, depth int) {
@@ -320,101 +333,23 @@ func (e *jenc) speedups(v []facile.Speedup, depth int) {
 	e.buf = append(e.buf, ']')
 }
 
-func (e *jenc) analyzeResponse(r *AnalyzeResponse, depth int) {
+func (e *jenc) analysis(a *facile.Analysis, depth int) {
 	e.buf = append(e.buf, '{')
 	first := true
 	e.field(&first, depth+1, "prediction")
-	e.prediction(&r.Prediction, depth+1)
+	e.prediction(&a.Prediction, depth+1)
 	e.field(&first, depth+1, "bounds")
-	e.bounds(r.Bounds, depth+1)
-	if len(r.Speedups) > 0 {
+	e.bounds(a.Bounds, depth+1)
+	if len(a.Speedups) > 0 {
 		e.field(&first, depth+1, "speedups")
-		e.speedups(r.Speedups, depth+1)
+		e.speedups(a.Speedups, depth+1)
 	}
-	if r.Report != nil {
-		e.field(&first, depth+1, "report")
-		e.report(r.Report, depth+1)
-	}
-	if r.ReportText != "" {
+	if a.ReportText != "" {
 		e.field(&first, depth+1, "report_text")
-		e.str(r.ReportText)
+		e.str(a.ReportText)
 	}
 	e.nl(depth)
 	e.buf = append(e.buf, '}')
-}
-
-// report mirrors facile.Report's marshaling; the Mode field renders through
-// its MarshalText vocabulary ("loop"/"unroll"). Served reports always carry a
-// valid mode, so the text-marshal error path has no equivalent here.
-func (e *jenc) report(r *facile.Report, depth int) {
-	e.buf = append(e.buf, '{')
-	first := true
-	e.field(&first, depth+1, "arch")
-	e.str(r.Arch)
-	e.field(&first, depth+1, "mode")
-	e.str(modeString(r.Mode))
-	e.field(&first, depth+1, "cycles_per_iteration")
-	e.flt(r.CyclesPerIteration)
-	e.field(&first, depth+1, "block")
-	e.reportLines(r.Block, depth+1)
-	e.field(&first, depth+1, "bounds")
-	e.bounds(r.Bounds, depth+1)
-	if r.FrontEndSource != "" {
-		e.field(&first, depth+1, "front_end_source")
-		e.str(r.FrontEndSource)
-	}
-	if r.PrimaryBottleneck != "" {
-		e.field(&first, depth+1, "primary_bottleneck")
-		e.str(r.PrimaryBottleneck)
-	}
-	if len(r.CriticalChain) > 0 {
-		e.field(&first, depth+1, "critical_chain")
-		e.ints(r.CriticalChain, depth+1)
-	}
-	if r.ContendedPorts != "" {
-		e.field(&first, depth+1, "contended_ports")
-		e.str(r.ContendedPorts)
-	}
-	if len(r.ContendedInstrs) > 0 {
-		e.field(&first, depth+1, "contended_instrs")
-		e.ints(r.ContendedInstrs, depth+1)
-	}
-	e.field(&first, depth+1, "speedups")
-	e.speedups(r.Speedups, depth+1)
-	e.nl(depth)
-	e.buf = append(e.buf, '}')
-}
-
-func (e *jenc) reportLines(v []facile.ReportLine, depth int) {
-	if v == nil {
-		e.lit("null")
-		return
-	}
-	if len(v) == 0 {
-		e.lit("[]")
-		return
-	}
-	e.buf = append(e.buf, '[')
-	for i := range v {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.nl(depth + 1)
-		e.buf = append(e.buf, '{')
-		first := true
-		e.field(&first, depth+2, "index")
-		e.num(v[i].Index)
-		e.field(&first, depth+2, "text")
-		e.str(v[i].Text)
-		if v[i].Marker != "" {
-			e.field(&first, depth+2, "marker")
-			e.str(v[i].Marker)
-		}
-		e.nl(depth + 1)
-		e.buf = append(e.buf, '}')
-	}
-	e.nl(depth)
-	e.buf = append(e.buf, ']')
 }
 
 const hexDigits = "0123456789abcdef"

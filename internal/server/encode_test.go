@@ -40,11 +40,11 @@ func checkIdentical(t *testing.T, name string, v any) {
 	}
 }
 
-func samplePrediction() Prediction {
-	return Prediction{
+func samplePrediction() facile.Prediction {
+	return facile.Prediction{
 		CyclesPerIteration: 1.25,
 		Arch:               "SKL",
-		Mode:               "loop",
+		Mode:               facile.Loop,
 		Bottlenecks:        []string{"Ports"},
 		FrontEndSource:     "LSD",
 		CriticalChain:      []int{0, 2, 3},
@@ -56,7 +56,7 @@ func samplePrediction() Prediction {
 
 // inBatch wraps p in the smallest hand-rolled document that carries it: a
 // one-result batch response.
-func inBatch(p Prediction) BatchResponse {
+func inBatch(p facile.Prediction) BatchResponse {
 	return BatchResponse{Results: []BatchResult{{Prediction: &p}}}
 }
 
@@ -64,7 +64,7 @@ func TestEncodePredictionIdentical(t *testing.T) {
 	p := samplePrediction()
 	checkIdentical(t, "full", inBatch(p))
 
-	minimal := Prediction{Arch: "ICL", Mode: "unroll"}
+	minimal := facile.Prediction{Arch: "ICL", Mode: facile.Unroll}
 	checkIdentical(t, "zero-valued", inBatch(minimal))
 
 	nilSlices := samplePrediction()
@@ -88,8 +88,8 @@ func TestEncodeFloatFormatsIdentical(t *testing.T) {
 		math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0.1 + 0.2,
 	}
 	for _, f := range floats {
-		v := AnalyzeResponse{
-			Prediction: Prediction{CyclesPerIteration: f},
+		v := &facile.Analysis{
+			Prediction: facile.Prediction{CyclesPerIteration: f},
 			Bounds:     []facile.ComponentBound{{Component: "Ports", Cycles: f}},
 		}
 		checkIdentical(t, strconv.FormatFloat(f, 'g', -1, 64), v)
@@ -108,7 +108,7 @@ func TestEncodeStringEscapingIdentical(t *testing.T) {
 		"mixed <   \xff > done",
 	}
 	for _, s := range strs {
-		p := Prediction{Arch: s, Instructions: []string{s}}
+		p := facile.Prediction{Arch: s, Instructions: []string{s}}
 		checkIdentical(t, strconv.Quote(s), inBatch(p))
 	}
 }
@@ -130,7 +130,7 @@ func TestEncodeBatchResponseIdentical(t *testing.T) {
 	}
 }
 
-func TestEncodeAnalyzeResponseIdentical(t *testing.T) {
+func TestEncodeAnalysisIdentical(t *testing.T) {
 	p := samplePrediction()
 	bounds := []facile.ComponentBound{
 		{Component: "Predec", Cycles: 0.75},
@@ -140,17 +140,18 @@ func TestEncodeAnalyzeResponseIdentical(t *testing.T) {
 		{Component: "Ports", Factor: 1.67},
 		{Component: "Issue", Factor: 1},
 	}
-	checkIdentical(t, "prediction only", AnalyzeResponse{Prediction: p, Bounds: bounds})
-	checkIdentical(t, "with speedups", AnalyzeResponse{Prediction: p, Bounds: bounds, Speedups: speedups})
-	checkIdentical(t, "nil bounds", AnalyzeResponse{Prediction: p})
+	checkIdentical(t, "prediction only", &facile.Analysis{Prediction: p, Bounds: bounds})
+	checkIdentical(t, "with speedups", &facile.Analysis{Prediction: p, Bounds: bounds, Speedups: speedups})
+	checkIdentical(t, "nil bounds", &facile.Analysis{Prediction: p})
 	checkIdentical(t, "empty bounds and speedups",
-		AnalyzeResponse{Prediction: p, Bounds: []facile.ComponentBound{}, Speedups: []facile.Speedup{}})
+		&facile.Analysis{Prediction: p, Bounds: []facile.ComponentBound{}, Speedups: []facile.Speedup{}})
 }
 
-// TestEncodeAnalyzeResponseWithReportIdentical drives a real engine analysis
-// through wireAnalysis so the report branch (the default /v1/analyze detail)
-// is compared on genuine data, markers and omitempty fields included.
-func TestEncodeAnalyzeResponseWithReportIdentical(t *testing.T) {
+// TestEncodeAnalysisWithReportIdentical drives real engine analyses at
+// DetailFull through the encoder so the report branch (the default
+// /v1/analyze detail) is compared on genuine data, omitempty fields
+// included.
+func TestEncodeAnalysisWithReportIdentical(t *testing.T) {
 	eng, err := facile.NewEngine(facile.EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,14 +173,14 @@ func TestEncodeAnalyzeResponseWithReportIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Analyze: %v", tc.name, err)
 		}
-		checkIdentical(t, tc.name, wireAnalysis(ana))
+		checkIdentical(t, tc.name, ana)
 	}
 }
 
 // TestEncodeExplainResponseIdentical: the explain view is a detail=full
 // analysis read through report_text; the rendered text encodes identically.
 func TestEncodeExplainResponseIdentical(t *testing.T) {
-	checkIdentical(t, "explain", AnalyzeResponse{
+	checkIdentical(t, "explain", &facile.Analysis{
 		Prediction: samplePrediction(),
 		ReportText: "Facile throughput report — SKL, TPL (loop)\nline <two>\n",
 	})
@@ -191,7 +192,7 @@ func TestEncodeExplainResponseIdentical(t *testing.T) {
 func TestEncodeNonFiniteFallsBack(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		var buf bytes.Buffer
-		if writeJSONFast(&buf, AnalyzeResponse{Prediction: Prediction{CyclesPerIteration: f}}) {
+		if writeJSONFast(&buf, &facile.Analysis{Prediction: facile.Prediction{CyclesPerIteration: f}}) {
 			t.Errorf("writeJSONFast accepted non-finite %v", f)
 		}
 		if buf.Len() != 0 {
@@ -232,10 +233,10 @@ func TestEncodeRandomizedIdentical(t *testing.T) {
 				results = append(results, BatchResult{Error: randString()})
 				continue
 			}
-			p := Prediction{
+			p := facile.Prediction{
 				CyclesPerIteration: randFloat(),
 				Arch:               randString(),
-				Mode:               "loop",
+				Mode:               facile.Mode(rng.Intn(2)),
 				Bottlenecks:        []string{randString()},
 				Instructions:       []string{randString(), randString()},
 			}
@@ -250,5 +251,25 @@ func TestEncodeRandomizedIdentical(t *testing.T) {
 			results = append(results, BatchResult{Prediction: &p})
 		}
 		checkIdentical(t, "randomized", BatchResponse{Results: results})
+	}
+}
+
+// TestEncodeInvalidModeFallsBack: Mode.MarshalText rejects an out-of-range
+// mode, failing the generic encoder's document, so the fast encoder refuses
+// it too instead of inventing a wire value.
+func TestEncodeInvalidModeFallsBack(t *testing.T) {
+	p := samplePrediction()
+	p.Mode = facile.Mode(7)
+	for name, v := range map[string]any{
+		"analysis": &facile.Analysis{Prediction: p},
+		"batch":    inBatch(p),
+	} {
+		var buf bytes.Buffer
+		if writeJSONFast(&buf, v) || buf.Len() != 0 {
+			t.Errorf("%s: writeJSONFast accepted an invalid mode (wrote %d bytes)", name, buf.Len())
+		}
+		if _, err := json.Marshal(v); err == nil {
+			t.Errorf("%s: encoding/json accepted an invalid mode", name)
+		}
 	}
 }

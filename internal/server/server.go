@@ -304,9 +304,9 @@ func wrapBodyErr(err error) error {
 	return err
 }
 
-// handleAnalyze serves the full structured analysis: prediction, ordered
-// bound breakdown, sorted counterfactual speedups, and the structured
-// report, at the requested detail level — one engine call, one cache entry
+// handleAnalyze serves the engine's Analysis as is: prediction, ordered
+// bound breakdown, sorted counterfactual speedups, and the rendered report,
+// at the requested detail level — one engine call, one cache entry
 // resolution.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, error) {
 	var wire AnalyzeRequest
@@ -324,7 +324,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, err
 	if err != nil {
 		return nil, err
 	}
-	return wireAnalysis(ana), nil
+	return ana, nil
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -387,28 +387,18 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any
 	if err := r.Context().Err(); err != nil {
 		return nil, err
 	}
-	// Repeated blocks resolve to the same cached Analysis; dedupe them onto
-	// one wire prediction so the encoder renders each distinct block once
-	// and copies the bytes for its repeats.
-	preds := sc.predSlab(len(out))
-	seen := sc.seenMap()
+	// Results point at the engine's cached predictions: repeated blocks
+	// share one, which the encoder renders once and copies for its repeats.
 	for j := range out {
 		if err := out[j].Err; err != nil {
 			results[idx[j]].Error = err.Error()
 			continue
 		}
-		ana := out[j].Analysis
-		if p := seen[ana]; p != nil {
-			results[idx[j]].Prediction = p
-			continue
-		}
-		preds[j] = wirePrediction(&ana.Prediction)
-		results[idx[j]].Prediction = &preds[j]
-		seen[ana] = &preds[j]
+		results[idx[j]].Prediction = &out[j].Analysis.Prediction
 	}
-	// The response aliases the pooled scratch (results, predictions, decoded
-	// code), so it is written here — before the deferred release recycles
-	// the scratch — instead of being returned to the middleware.
+	// The response aliases the pooled scratch (results, decoded code), so it
+	// is written here — before the deferred release recycles the scratch —
+	// instead of being returned to the middleware.
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 	return nil, nil
 }

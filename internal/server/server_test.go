@@ -88,7 +88,7 @@ func predictBody(br BlockRequest) AnalyzeRequest {
 
 func TestPredict(t *testing.T) {
 	s := newTestServer(t, Config{})
-	var resp AnalyzeResponse
+	var resp facile.Analysis
 	code := do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}), &resp)
 	if code != 200 {
@@ -98,7 +98,7 @@ func TestPredict(t *testing.T) {
 	if pred.CyclesPerIteration <= 0 {
 		t.Errorf("non-positive throughput: %v", pred.CyclesPerIteration)
 	}
-	if pred.Arch != "SKL" || pred.Mode != "loop" {
+	if pred.Arch != "SKL" || pred.Mode != facile.Loop {
 		t.Errorf("echoed arch/mode: %q/%q", pred.Arch, pred.Mode)
 	}
 	if len(pred.Bottlenecks) == 0 || len(pred.Instructions) != 2 {
@@ -110,14 +110,14 @@ func TestPredict(t *testing.T) {
 
 	// The same block via base64 must agree, and default mode is loop.
 	raw, _ := hex.DecodeString(testBlockHex)
-	var resp64 AnalyzeResponse
+	var resp64 facile.Analysis
 	code = do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{CodeB64: base64.StdEncoding.EncodeToString(raw), Arch: "SKL"}), &resp64)
 	if code != 200 {
 		t.Fatalf("base64 status %d", code)
 	}
 	pred64 := resp64.Prediction
-	if pred64.CyclesPerIteration != pred.CyclesPerIteration || pred64.Mode != "loop" {
+	if pred64.CyclesPerIteration != pred.CyclesPerIteration || pred64.Mode != facile.Loop {
 		t.Errorf("base64/default-mode mismatch: %+v vs %+v", pred64, pred)
 	}
 }
@@ -131,7 +131,7 @@ func TestPredictMatchesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := wantAna.Prediction
-	var resp AnalyzeResponse
+	var resp facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}), &resp); code != 200 {
 		t.Fatalf("status %d", code)
@@ -246,7 +246,7 @@ func TestPredictBatch(t *testing.T) {
 	if resp.Results[0].Prediction.CyclesPerIteration != resp.Results[4].Prediction.CyclesPerIteration {
 		t.Error("duplicate requests disagree")
 	}
-	if resp.Results[2].Prediction.Mode != "unroll" {
+	if resp.Results[2].Prediction.Mode != facile.Unroll {
 		t.Errorf("tpu alias: mode %q", resp.Results[2].Prediction.Mode)
 	}
 
@@ -275,7 +275,7 @@ func TestPredictBatchItemLimit(t *testing.T) {
 func TestExplainAndSpeedups(t *testing.T) {
 	s := newTestServer(t, Config{})
 	block := BlockRequest{Code: testBlockHex, Arch: "SKL", Mode: "loop"}
-	var exp AnalyzeResponse
+	var exp facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		AnalyzeRequest{BlockRequest: block, Detail: "full"}, &exp); code != 200 {
 		t.Fatalf("explain status %d", code)
@@ -288,7 +288,7 @@ func TestExplainAndSpeedups(t *testing.T) {
 		t.Error("explain prediction missing")
 	}
 
-	var sp AnalyzeResponse
+	var sp facile.Analysis
 	if code := do(t, s, "POST", "/v1/analyze",
 		AnalyzeRequest{BlockRequest: block, Detail: "speedups"}, &sp); code != 200 {
 		t.Fatalf("speedups status %d", code)
@@ -414,7 +414,7 @@ func TestManyClientsDistinctMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := httptest.NewRecorder()
-		writeJSON(w, http.StatusOK, wireAnalysis(ana))
+		writeJSON(w, http.StatusOK, ana)
 		want[i] = w.Body.Bytes()
 	}
 	var wg sync.WaitGroup
@@ -500,7 +500,7 @@ func TestServedOverHTTP(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var ana AnalyzeResponse
+	var ana facile.Analysis
 	if err := json.NewDecoder(resp.Body).Decode(&ana); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func snapshotGet(t *testing.T, s *Server, query string) ([]byte, int) {
 // fresh one, and serve identical predictions from the imported cache.
 func TestSnapshotEndpointsRoundTrip(t *testing.T) {
 	src := newTestServer(t, Config{})
-	var want AnalyzeResponse
+	var want facile.Analysis
 	if code := do(t, src, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &want); code != http.StatusOK {
 		t.Fatalf("warming predict = %d", code)
@@ -63,7 +63,7 @@ func TestSnapshotEndpointsRoundTrip(t *testing.T) {
 
 	// The imported entry serves without a miss.
 	before := dst.engine.Stats()
-	var got AnalyzeResponse
+	var got facile.Analysis
 	if code := do(t, dst, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: testBlockHex, Arch: "SKL"}), &got); code != http.StatusOK {
 		t.Fatalf("predict after import = %d", code)

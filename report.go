@@ -1,149 +1,167 @@
 package facile
 
 import (
-	"fmt"
-	"strings"
-	"sync"
+	"strconv"
+
+	"facile/internal/core"
 )
 
-// Report is the structured bottleneck report of an Analysis: the decoded
-// block with bottleneck markers, the per-component bound breakdown, the
-// primary-bottleneck evidence (critical dependence chain or contended port
-// group), and the counterfactual speedups. It renders as both JSON (the
-// exported fields) and text (Text, byte-identical to the historical Explain
-// output). Reports returned by an Engine are memoized and shared — treat
-// them as read-only.
-type Report struct {
-	Arch               string  `json:"arch"`
-	Mode               Mode    `json:"mode"`
-	CyclesPerIteration float64 `json:"cycles_per_iteration"`
-	// Block is the disassembled block, one line per instruction, with each
-	// instruction's role in the bottleneck marked.
-	Block []ReportLine `json:"block"`
-	// Bounds is the per-component breakdown in pipeline order.
-	Bounds []ComponentBound `json:"bounds"`
-	// FrontEndSource names the front-end component selected for TPL
-	// predictions; empty for TPU.
-	FrontEndSource string `json:"front_end_source,omitempty"`
-	// PrimaryBottleneck is the first (front-end-first) bottleneck.
-	PrimaryBottleneck string `json:"primary_bottleneck,omitempty"`
-	// CriticalChain and ContendedPorts/ContendedInstrs carry the evidence
-	// for a Precedence or Ports bottleneck respectively.
-	CriticalChain   []int  `json:"critical_chain,omitempty"`
-	ContendedPorts  string `json:"contended_ports,omitempty"`
-	ContendedInstrs []int  `json:"contended_instrs,omitempty"`
-	// Speedups is the counterfactual table, sorted descending.
-	Speedups []Speedup `json:"speedups"`
-
-	// textOnce memoizes the rendered text, so repeated Text calls never
-	// re-render.
-	textOnce sync.Once
-	text     string
-}
-
-// ReportLine is one instruction of a Report's block listing.
-type ReportLine struct {
-	Index int    `json:"index"`
-	Text  string `json:"text"`
-	// Marker flags the instruction's role in the primary bottleneck:
-	// "D" — on the critical loop-carried dependence cycle,
-	// "P" — restricted to the contended execution ports, "" — neither.
-	Marker string `json:"marker,omitempty"`
-}
-
-// buildReport assembles the structured report from a prediction, its ordered
-// bound breakdown, and its sorted speedup list (all shared, read-only).
-func buildReport(pred *Prediction, bounds []ComponentBound, speedups []Speedup) *Report {
-	r := &Report{
-		Arch:               pred.Arch,
-		Mode:               pred.Mode,
-		CyclesPerIteration: pred.CyclesPerIteration,
-		Bounds:             bounds,
-		FrontEndSource:     pred.FrontEndSource,
-		CriticalChain:      pred.CriticalChain,
-		ContendedPorts:     pred.ContendedPorts,
-		ContendedInstrs:    pred.ContendedInstrs,
-		Speedups:           speedups,
+// renderReport renders the human-readable bottleneck report of an analysis
+// at DetailFull: the decoded block with each instruction's role in the
+// primary bottleneck (Prediction.Bottlenecks[0]) marked, the component
+// bounds in pipeline order, the primary bottleneck's evidence, and the
+// counterfactual speedups in pipeline order. The format is pinned by golden
+// files. The text is built in a stack buffer and copied out once, so a
+// typical report costs one allocation.
+func renderReport(a *Analysis) string {
+	p := &a.Prediction
+	primary := ""
+	if len(p.Bottlenecks) > 0 {
+		primary = p.Bottlenecks[0]
 	}
-	if len(pred.Bottlenecks) > 0 {
-		r.PrimaryBottleneck = pred.Bottlenecks[0]
-	}
-	marked := map[int]string{}
-	switch r.PrimaryBottleneck {
+	// marks[k] flags instruction k's role in the primary bottleneck:
+	// 'D' — on the critical loop-carried dependence cycle, 'P' — restricted
+	// to the contended execution ports.
+	var (
+		markSpace [256]byte
+		marks     []byte
+		marker    byte
+		marked    []int
+	)
+	switch primary {
 	case "Precedence":
-		for _, k := range pred.CriticalChain {
-			marked[k] = "D"
-		}
+		marker, marked = 'D', p.CriticalChain
 	case "Ports":
-		for _, k := range pred.ContendedInstrs {
-			marked[k] = "P"
+		marker, marked = 'P', p.ContendedInstrs
+	}
+	if n := len(p.Instructions); len(marked) > 0 {
+		if n <= len(markSpace) {
+			marks = markSpace[:n]
+		} else {
+			marks = make([]byte, n)
+		}
+		for _, k := range marked {
+			if k >= 0 && k < n {
+				marks[k] = marker
+			}
 		}
 	}
-	r.Block = make([]ReportLine, len(pred.Instructions))
-	for k, line := range pred.Instructions {
-		r.Block[k] = ReportLine{Index: k, Text: line, Marker: marked[k]}
-	}
-	return r
-}
 
-// Text renders the human-readable report. The rendering is memoized; the
-// output is byte-identical to the historical Explain format (and pinned by
-// golden files), with component bounds and the counterfactual table printed
-// in pipeline order.
-func (r *Report) Text() string {
-	r.textOnce.Do(func() { r.text = r.render() })
-	return r.text
-}
-
-func (r *Report) render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Facile throughput report — %s, %s\n", r.Arch, r.Mode)
-	fmt.Fprintf(&sb, "Predicted: %.2f cycles/iteration\n\n", r.CyclesPerIteration)
-
-	sb.WriteString("Block:\n")
-	for _, line := range r.Block {
-		marker := "   "
-		switch line.Marker {
-		case "D":
-			marker = " D " // on the critical dependence cycle
-		case "P":
-			marker = " P " // restricted to the contended ports
+	var stack [4096]byte
+	b := stack[:0]
+	b = append(b, "Facile throughput report — "...)
+	b = append(b, p.Arch...)
+	b = append(b, ", "...)
+	b = append(b, p.Mode.String()...)
+	b = append(b, "\nPredicted: "...)
+	b = strconv.AppendFloat(b, p.CyclesPerIteration, 'f', 2, 64)
+	b = append(b, " cycles/iteration\n\nBlock:\n"...)
+	for k, text := range p.Instructions {
+		b = append(b, ' ', ' ')
+		if k < 10 {
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&sb, "  %2d%s%s\n", line.Index, marker, line.Text)
-	}
-
-	sb.WriteString("\nComponent bounds (cycles/iteration):\n")
-	for _, b := range r.Bounds {
-		mark := " "
-		if b.Bottleneck {
-			mark = "*"
+		b = strconv.AppendInt(b, int64(k), 10)
+		m := byte(' ')
+		if marks != nil && marks[k] != 0 {
+			m = marks[k]
 		}
-		fmt.Fprintf(&sb, "  %s %-11s %8.2f\n", mark, b.Component, b.Cycles)
-	}
-	if r.FrontEndSource != "" {
-		fmt.Fprintf(&sb, "  front end served by: %s\n", r.FrontEndSource)
+		b = append(b, ' ', m, ' ')
+		b = append(b, text...)
+		b = append(b, '\n')
 	}
 
-	if r.PrimaryBottleneck != "" {
-		fmt.Fprintf(&sb, "\nPrimary bottleneck: %s\n", r.PrimaryBottleneck)
-		switch r.PrimaryBottleneck {
+	b = append(b, "\nComponent bounds (cycles/iteration):\n"...)
+	for _, cb := range a.Bounds {
+		mark := byte(' ')
+		if cb.Bottleneck {
+			mark = '*'
+		}
+		b = append(b, ' ', ' ', mark, ' ')
+		b = appendPadded(b, cb.Component, 11)
+		b = append(b, ' ')
+		start := len(b)
+		b = strconv.AppendFloat(b, cb.Cycles, 'f', 2, 64)
+		b = padLeft(b, start, 8)
+		b = append(b, '\n')
+	}
+	if p.FrontEndSource != "" {
+		b = append(b, "  front end served by: "...)
+		b = append(b, p.FrontEndSource...)
+		b = append(b, '\n')
+	}
+
+	if primary != "" {
+		b = append(b, "\nPrimary bottleneck: "...)
+		b = append(b, primary...)
+		b = append(b, '\n')
+		switch primary {
 		case "Precedence":
-			fmt.Fprintf(&sb, "  loop-carried dependence chain through instructions %v (marked D)\n", r.CriticalChain)
+			b = append(b, "  loop-carried dependence chain through instructions "...)
+			b = appendIntList(b, p.CriticalChain)
+			b = append(b, " (marked D)\n"...)
 		case "Ports":
-			fmt.Fprintf(&sb, "  contention on ports %s by instructions %v (marked P)\n", r.ContendedPorts, r.ContendedInstrs)
+			b = append(b, "  contention on ports "...)
+			b = append(b, p.ContendedPorts...)
+			b = append(b, " by instructions "...)
+			b = appendIntList(b, p.ContendedInstrs)
+			b = append(b, " (marked P)\n"...)
 		}
 	}
 
-	sb.WriteString("\nCounterfactual speedups (component made infinitely fast):\n")
-	// The table prints in pipeline order (matching the bounds section and
-	// the golden files); r.Speedups itself is sorted by factor.
-	for _, name := range ComponentNames() {
-		for i := range r.Speedups {
-			if r.Speedups[i].Component == name {
-				fmt.Fprintf(&sb, "  %-11s %.2fx\n", name, r.Speedups[i].Factor)
+	b = append(b, "\nCounterfactual speedups (component made infinitely fast):\n"...)
+	// The table prints in pipeline order (matching the bounds section);
+	// a.Speedups itself is sorted by factor.
+	for c := core.Component(0); c < core.NumComponents; c++ {
+		name := c.String()
+		for i := range a.Speedups {
+			if a.Speedups[i].Component == name {
+				b = append(b, ' ', ' ')
+				b = appendPadded(b, name, 11)
+				b = append(b, ' ')
+				b = strconv.AppendFloat(b, a.Speedups[i].Factor, 'f', 2, 64)
+				b = append(b, 'x', '\n')
 				break
 			}
 		}
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendPadded appends s left-justified in a field of width bytes, as fmt's
+// %-<width>s does for the ASCII component names.
+func appendPadded(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := len(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// padLeft right-justifies the text appended since start in a field of width
+// bytes, as fmt's %<width>.2f does.
+func padLeft(b []byte, start, width int) []byte {
+	n := len(b) - start
+	if n >= width {
+		return b
+	}
+	pad := width - n
+	b = append(b, make([]byte, pad)...)
+	copy(b[start+pad:], b[start:start+n])
+	for i := start; i < start+pad; i++ {
+		b[i] = ' '
+	}
+	return b
+}
+
+// appendIntList appends v the way fmt's %v prints an []int: "[0 1 2]".
+func appendIntList(b []byte, v []int) []byte {
+	b = append(b, '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }

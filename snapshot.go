@@ -246,9 +246,9 @@ func corruptf(format string, args ...any) error {
 
 // ImportSnapshot reads a snapshot from r and warms the engine's cache by
 // re-analyzing every entry through the normal Analyze path (at full detail,
-// report text included, so imported entries serve every question without
-// further computation). It returns the number of entries imported and the
-// number skipped.
+// report text included, so a restarted server answers every detail level
+// without first-hit latency). It returns the number of entries imported and
+// the number skipped.
 //
 // Structural damage — bad magic, truncation, out-of-bounds lengths, checksum
 // mismatch — is rejected with an error matching ErrSnapshotCorrupt, before
@@ -311,10 +311,16 @@ func (e *Engine) ImportSnapshot(ctx context.Context, r io.Reader) (imported, ski
 		arches = append(arches, snapArch{name: name, served: e.HasArch(name)})
 	}
 	nentries := sr.u32()
+	if sr.bad {
+		return 0, 0, corruptf("truncated header")
+	}
 	if nentries > snapMaxEntries {
 		return 0, 0, corruptf("%d entries exceeds the bound", nentries)
 	}
-	reqs := make([]Request, 0, nentries)
+	// The count is attacker-controlled: size the table by what the body can
+	// actually hold, at the smallest entry (u16 arch, u8 mode, u32 length).
+	const minEntryBytes = 2 + 1 + 4
+	reqs := make([]Request, 0, min(nentries, (len(body)-sr.off)/minEntryBytes))
 	for i := 0; i < nentries; i++ {
 		archIdx := sr.u16()
 		mode := Mode(sr.u8())
@@ -351,9 +357,6 @@ func (e *Engine) ImportSnapshot(ctx context.Context, r io.Reader) (imported, ski
 			skipped++
 			continue
 		}
-		// Render the report text now: a restarted server then answers every
-		// detail level, including Explain, without first-hit latency.
-		res.Analysis.Report.Text()
 		imported++
 	}
 	if err := ctx.Err(); err != nil {

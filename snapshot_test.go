@@ -3,7 +3,10 @@ package facile_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"facile"
@@ -355,4 +358,76 @@ func TestSnapshotCancelledImport(t *testing.T) {
 	if imported != 0 {
 		t.Fatalf("cancelled import still imported %d entries", imported)
 	}
+}
+
+// TestSnapshotHeaderAllocBounded: the entry table is sized by what the body
+// can hold, not by the header's entry count — a 17-byte snapshot claiming
+// 1<<24 entries is rejected as corrupt without a table-sized allocation.
+func TestSnapshotHeaderAllocBounded(t *testing.T) {
+	data := withCRC(append(append([]byte("FACSNP1"), 0, 0), binary.LittleEndian.AppendUint32(nil, 1<<24)...))
+	if len(data) != 17 {
+		t.Fatalf("snapshot is %d bytes, want 17", len(data))
+	}
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, _, err := e.ImportSnapshot(context.Background(), bytes.NewReader(data))
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, facile.ErrSnapshotCorrupt) {
+		t.Errorf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+	if delta := ms.TotalAlloc - before; delta >= 16<<20 {
+		t.Errorf("import allocated %d MiB for a 17-byte snapshot, want < 16 MiB", delta>>20)
+	}
+}
+
+// withCRC appends the snapshot trailer: the CRC-32 (IEEE) of body.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// snapshotEntryCount parses the entry count out of a structurally valid
+// snapshot's header.
+func snapshotEntryCount(data []byte) int {
+	off := 7
+	narch := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	for i := 0; i < narch; i++ {
+		off += 1 + int(data[off]) + 8
+	}
+	return int(binary.LittleEndian.Uint32(data[off:]))
+}
+
+// FuzzImportSnapshot feeds the snapshot reader arbitrary bodies, both as
+// given and with their last four bytes replaced by a correct CRC-32, so
+// mutations reach the table parser instead of stopping at the checksum. The
+// reader must not panic, must reject damage with ErrSnapshotCorrupt or
+// ErrSnapshotVersion only, and on success must account for every entry as
+// imported or skipped. Seeds live in testdata/fuzz/FuzzImportSnapshot: an
+// export of a warmed three-entry SKL engine, its truncations, and a 17-byte
+// header claiming 1<<24 entries.
+func FuzzImportSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, withCRC(data[:len(data)-4]))
+		}
+		for _, in := range inputs {
+			e, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: 64, CacheShards: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			imported, skipped, err := e.ImportSnapshot(context.Background(), bytes.NewReader(in))
+			if err != nil {
+				if !errors.Is(err, facile.ErrSnapshotCorrupt) && !errors.Is(err, facile.ErrSnapshotVersion) {
+					t.Fatalf("unclassified import error: %v", err)
+				}
+				continue
+			}
+			if n := snapshotEntryCount(in); imported+skipped != n {
+				t.Fatalf("imported %d + skipped %d, snapshot holds %d entries", imported, skipped, n)
+			}
+		}
+	})
 }
