@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"facile"
+	"facile/internal/asm"
 	"facile/internal/bhive"
+	"facile/internal/x86"
 )
 
 // Allocation regression guards for the engine hot paths, excluded under the
@@ -237,5 +239,54 @@ func TestEngineEntrySizeTracksHeap(t *testing.T) {
 				t.Errorf("accounted %.0f B per entry, heap retains %.0f B: not within 2x", accounted/(n-1), retained/(n-1))
 			}
 		})
+	}
+}
+
+// TestAnalyzeColdMissAllocs: an uncached Analyze builds the block's
+// descriptors, µops, effects and instruction text in a few per-block arrays,
+// so a cold miss makes a small, fixed number of allocations however many
+// instructions the block has.
+func TestAnalyzeColdMissAllocs(t *testing.T) {
+	const budget = 20
+	body := []asm.Instr{
+		asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.M(x86.RDI, 8)),
+		asm.Mk(x86.IMUL, 64, asm.R(x86.RBX), asm.R(x86.RAX)),
+		asm.Mk(x86.MOV, 64, asm.MX(x86.RSI, x86.RCX, 8, 16), asm.R(x86.RBX)),
+		asm.Mk(x86.ADDPS, 128, asm.R(x86.X0), asm.R(x86.X1)),
+		asm.Mk(x86.LEA, 64, asm.R(x86.RDX), asm.MX(x86.RAX, x86.RBX, 2, 8)),
+		asm.Mk(x86.CMP, 64, asm.R(x86.RDX), asm.R(x86.RAX)),
+	}
+	// block holds n instructions: the body repeated, then a dec/jne loop tail.
+	block := func(n int) []byte {
+		var ins []asm.Instr
+		for k := 0; k < n-2; k++ {
+			ins = append(ins, body[k%len(body)])
+		}
+		ins = append(ins, asm.Mk(x86.DEC, 64, asm.R(x86.R15)),
+			asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)))
+		return asm.MustEncodeBlock(ins)
+	}
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1})
+	ctx := context.Background()
+	for _, mode := range []facile.Mode{facile.Unroll, facile.Loop} {
+		var allocs [2]float64
+		for i, n := range []int{8, 256} {
+			req := facile.Request{Code: block(n), Arch: "SKL", Mode: mode}
+			allocs[i] = testing.AllocsPerRun(50, func() {
+				ana, err := e.Analyze(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ana.Prediction.Instructions) != n {
+					t.Fatalf("%d instructions rendered, want %d", len(ana.Prediction.Instructions), n)
+				}
+			})
+			if allocs[i] > budget {
+				t.Errorf("%v, %d instructions: uncached Analyze allocates %.1f/op, want <= %d", mode, n, allocs[i], budget)
+			}
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%v: uncached Analyze allocates %.1f/op at 8 instructions, %.1f/op at 256, want equal", mode, allocs[0], allocs[1])
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"facile/internal/bb"
 	"facile/internal/core"
-	"facile/internal/isa"
 	"facile/internal/lru"
 	"facile/internal/uarch"
 )
@@ -187,16 +186,9 @@ func entrySizeBytes(ent *engineEntry) int {
 	for _, s := range a.Prediction.Bottlenecks {
 		n += 16 + len(s)
 	}
-	if b := ent.block; b != nil {
-		// The block owns its instructions, each with its own descriptor and
-		// µop list, and the derived execution-µop and decode-unit views. Its
-		// code aliases ent.code.
-		const uop = int(unsafe.Sizeof(isa.Uop{}))
-		n += int(unsafe.Sizeof(*b))
-		for i := range b.Insts {
-			n += int(unsafe.Sizeof(b.Insts[i])+unsafe.Sizeof(*b.Insts[i].Desc)) + uop*len(b.Insts[i].Desc.Uops)
-		}
-		n += uop*len(b.ExecUops()) + int(unsafe.Sizeof(&b.Insts[0]))*len(b.DecodeUnits())
+	if ent.block != nil {
+		// The block's code aliases ent.code.
+		n += ent.block.SizeBytes()
 	}
 	return n
 }
@@ -653,6 +645,8 @@ type batchScratch struct {
 	ints   core.Slab[int]
 	bounds core.Slab[ComponentBound]
 	strs   core.Slab[string]
+	// text is the instruction-text render buffer, reused across blocks.
+	text []byte
 }
 
 // blocksLeft sizes the worker's fresh slabs for the n blocks, the current

@@ -186,12 +186,16 @@ func coreMode(mode Mode) core.Mode {
 	return core.TPU
 }
 
+// textBytesPerInst sizes the instruction-text buffer: real code renders to
+// about 15 bytes per instruction, plus the separator.
+const textBytesPerInst = 24
+
 // publicPrediction materializes the exported Prediction from the core
 // result: the bottleneck set becomes an ordered name list. The name and
-// instruction lists are carved from the scratch's slab, so the only
-// per-block allocations left are the rendered instruction strings
-// themselves. The per-component bounds are not copied here;
-// Analysis.Bounds carries them.
+// instruction lists are carved from the scratch's slab, and the
+// instruction texts are rendered into the scratch's text buffer and
+// converted to one string, of which Instructions holds substrings. The
+// per-component bounds are not copied here; Analysis.Bounds carries them.
 func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
 	out := Prediction{
 		CyclesPerIteration: round2(p.TP),
@@ -218,9 +222,19 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	if mode == Loop {
 		out.FrontEndSource = p.FrontEndSource.String()
 	}
-	ins := strs[nb:]
+	buf := sc.text[:0]
+	if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
+		buf = make([]byte, 0, want)
+	}
 	for k := range block.Insts {
-		ins[k] = block.Insts[k].Inst.String()
+		buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
+	}
+	sc.text = buf
+	text := string(buf)
+	ins := strs[nb:]
+	for k := range ins {
+		end := strings.IndexByte(text, '\n')
+		ins[k], text = text[:end], text[end+1:]
 	}
 	out.Instructions = ins
 	return out

@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"unsafe"
 
 	"facile/internal/isa"
 	"facile/internal/uarch"
@@ -12,11 +13,14 @@ import (
 // descriptor and layout information.
 type Instr struct {
 	Inst x86.Inst
+	// Desc points into the block's descriptor array; its Uops are the
+	// instruction's own part of the block's µop array.
 	Desc *isa.Desc
 	Off  int // byte offset of the instruction in the block
 
-	// Eff caches Inst.Effects() (the registers and flags the instruction
-	// consumes and produces), derived once at build time.
+	// Eff holds Inst's effects (the registers and flags the instruction
+	// consumes and produces), derived once at build time with their
+	// registers carved from the block's register array.
 	Eff x86.Effects
 
 	// FusedWithNext marks the first instruction of a macro-fused pair;
@@ -36,6 +40,11 @@ type Block struct {
 	Code  []byte
 	Insts []Instr
 
+	// The arrays the instructions' µops and effect registers are carved
+	// from, kept for SizeBytes.
+	uops []isa.Uop
+	regs []x86.Reg
+
 	// Derived state, precomputed by Build (see the package comment).
 	fusedUops   int
 	issueUops   int
@@ -44,9 +53,15 @@ type Block struct {
 	jccErratum  bool
 }
 
+// uopsPerInst sizes a block's µop array: real code averages about 1.3
+// unfused-domain µops per instruction.
+const uopsPerInst = 2
+
 // Build decodes code and assembles the block for cfg: each instruction's
-// descriptor, its layout, and macro-fusion marking. Every descriptor is
-// derived afresh by isa.Lookup and owned by the returned block.
+// effects, descriptor, layout, and macro-fusion marking. The block owns its
+// descriptors, their µops and the effects' registers, each kind carved from
+// one per-block array, so building costs a fixed number of allocations
+// however many instructions the block has.
 func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 	insts, err := x86.DecodeBlock(code)
 	if err != nil {
@@ -55,15 +70,32 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("bb: empty block")
 	}
-	b := &Block{Cfg: cfg, Code: code, Insts: make([]Instr, len(insts))}
+	n := len(insts)
+	b := &Block{Cfg: cfg, Code: code, Insts: make([]Instr, n)}
+	descs := make([]isa.Desc, n)
+	regs := make([]x86.Reg, 0, x86.MaxEffectRegs*n)
+	uops := make([]isa.Uop, 0, uopsPerInst*n)
 	off := 0
 	for k := range insts {
-		desc, err := isa.Lookup(cfg, &insts[k])
-		if err != nil {
+		ins := &b.Insts[k]
+		ins.Inst, ins.Desc, ins.Off = insts[k], &descs[k], off
+		ins.Eff, regs = ins.Inst.AppendEffects(regs)
+		if uops, err = isa.Lookup(cfg, &ins.Inst, &ins.Eff, ins.Desc, uops); err != nil {
 			return nil, fmt.Errorf("bb: instruction %d (%s): %w", k, insts[k].String(), err)
 		}
-		b.Insts[k] = Instr{Inst: insts[k], Desc: desc, Off: off, Eff: insts[k].Effects()}
 		off += insts[k].Len
+	}
+	b.uops, b.regs = uops, regs
+	if cap(uops) != uopsPerInst*n {
+		// Appending moved the µop array: point every descriptor into the
+		// final one, so the block holds one.
+		lo := 0
+		for k := range descs {
+			if m := len(descs[k].Uops); m > 0 {
+				descs[k].Uops = uops[lo : lo+m : lo+m]
+				lo += m
+			}
+		}
 	}
 
 	// Macro-fusion marking: a fusible ALU instruction directly followed by a
@@ -79,7 +111,8 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 			cur.FusedWithNext = true
 			next.FusedWithPrev = true
 			// The pair's compute µop executes on the branch ports. The
-			// descriptor is the block's own, so it is rewritten in place.
+			// descriptor and its µops are the block's own and share nothing
+			// with their neighbours, so they are rewritten in place.
 			uops := cur.Desc.Uops
 			for j := range uops {
 				if uops[j].Role == uarch.RoleALU {
@@ -98,6 +131,19 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 // derive precomputes every per-prediction view of the block. It must run
 // after macro-fusion marking and is the only writer of the derived fields.
 func (b *Block) derive() {
+	units, exec := 0, 0
+	for k := range b.Insts {
+		ins := &b.Insts[k]
+		if ins.FusedWithPrev {
+			continue
+		}
+		units++
+		if !ins.Desc.Eliminated {
+			exec += len(ins.Desc.Uops)
+		}
+	}
+	b.decodeUnits = make([]*Instr, 0, units)
+	b.execUops = make([]isa.Uop, 0, exec)
 	for k := range b.Insts {
 		ins := &b.Insts[k]
 		if ins.FusedWithPrev {
@@ -111,6 +157,18 @@ func (b *Block) derive() {
 		}
 	}
 	b.jccErratum = b.computeJCCErratum()
+}
+
+// SizeBytes estimates the heap bytes the block holds apart from its code:
+// the block itself, its instruction, descriptor, µop and register arrays,
+// and the derived execution-µop and decode-unit views.
+func (b *Block) SizeBytes() int {
+	n := int(unsafe.Sizeof(*b))
+	n += len(b.Insts) * int(unsafe.Sizeof(Instr{})+unsafe.Sizeof(isa.Desc{}))
+	n += (cap(b.uops) + len(b.execUops)) * int(unsafe.Sizeof(isa.Uop{}))
+	n += cap(b.regs) * int(unsafe.Sizeof(x86.Reg(0)))
+	n += len(b.decodeUnits) * int(unsafe.Sizeof(&Instr{}))
+	return n
 }
 
 // Len returns the block length in bytes.

@@ -1,9 +1,12 @@
 package bb
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"facile/internal/asm"
+	"facile/internal/isa"
 	"facile/internal/uarch"
 	"facile/internal/x86"
 )
@@ -153,5 +156,52 @@ func TestIssueUopsAcrossArches(t *testing.T) {
 	if skl.IssueUops() <= icl.IssueUops() {
 		t.Fatalf("SKL unlaminates (%d) and must exceed ICL (%d)",
 			skl.IssueUops(), icl.IssueUops())
+	}
+}
+
+// TestBlockArrays: every descriptor's µops are its own capacity-limited
+// part of one per-block array, laid out in instruction order, and equal the
+// µops of the instruction built alone — also when the µops outgrow the
+// array's first size (read-modify-write instructions have four each), and
+// after macro-fusion retargets a pair's µop.
+func TestBlockArrays(t *testing.T) {
+	cfg := uarch.MustByName("SKL")
+	rmw := asm.Mk(x86.ADD, 64, asm.M(x86.RDI, 8), asm.R(x86.RAX))
+	tail := []asm.Instr{
+		asm.Mk(x86.XOR, 32, asm.R(x86.RDX), asm.R(x86.RDX)),
+		asm.Mk(x86.DEC, 64, asm.R(x86.RCX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	}
+	var instrs []asm.Instr
+	for k := 0; k < 16; k++ {
+		instrs = append(instrs, rmw)
+	}
+	instrs = append(instrs, tail...)
+	block := build(t, cfg, instrs)
+	if !block.Insts[len(block.Insts)-2].FusedWithNext {
+		t.Fatal("dec+jne should macro-fuse on SKL")
+	}
+	var prev *isa.Uop
+	for k := range block.Insts {
+		ins := &block.Insts[k]
+		uops := ins.Desc.Uops
+		if cap(uops) != len(uops) {
+			t.Fatalf("instruction %d: µops have capacity %d beyond their length %d", k, cap(uops), len(uops))
+		}
+		alone := build(t, cfg, instrs[k:k+1])
+		want := alone.Insts[0].Desc.Uops
+		if ins.FusedWithNext {
+			want = []isa.Uop{{Role: uarch.RoleBranch, Ports: cfg.PortsFor(uarch.RoleBranch), RecTP: 1}}
+		}
+		if !reflect.DeepEqual(uops, want) {
+			t.Fatalf("instruction %d (%s): µops %+v, built alone %+v", k, ins.Inst.String(), uops, want)
+		}
+		if len(uops) == 0 {
+			continue
+		}
+		if prev != nil && unsafe.Pointer(&uops[0]) != unsafe.Add(unsafe.Pointer(prev), unsafe.Sizeof(*prev)) {
+			t.Fatalf("instruction %d: µops do not follow the previous instruction's in one array", k)
+		}
+		prev = &uops[len(uops)-1]
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // macroFusibleFirst reports whether inst can be the first instruction of a
 // macro-fused pair on cfg, independent of which conditional jump follows.
-func macroFusibleFirst(cfg *uarch.Config, inst *x86.Inst, eff x86.Effects) bool {
+func macroFusibleFirst(cfg *uarch.Config, inst *x86.Inst, eff *x86.Effects) bool {
 	if !cfg.MacroFusion {
 		return false
 	}

@@ -75,19 +75,19 @@ func (e *ErrUnsupported) Error() string {
 	return fmt.Sprintf("isa: %v not supported on %s", e.Op, e.Arch)
 }
 
-// Lookup builds the Desc for inst on cfg.
-func Lookup(cfg *uarch.Config, inst *x86.Inst) (*Desc, error) {
-	d := &Desc{AvailSimple: cfg.NumDecoders - 1}
-
-	eff := inst.Effects()
-	d.Load = eff.Load
-	d.Store = eff.Store
+// Lookup fills d with the descriptor of inst on cfg, given the
+// instruction's effects, and appends its µops to uops. d.Uops is the
+// appended part, capacity-limited so that descriptors carved from one
+// buffer never share µops. It returns the extended buffer; on error the
+// buffer is returned unextended.
+func Lookup(cfg *uarch.Config, inst *x86.Inst, eff *x86.Effects, d *Desc, uops []Uop) ([]Uop, error) {
+	*d = Desc{AvailSimple: cfg.NumDecoders - 1, Load: eff.Load, Store: eff.Store}
 
 	// NOP: one fused-domain µop that occupies no execution port.
 	if inst.Op == x86.NOP {
 		d.FusedUops = 1
 		d.IssueUops = 1
-		return d, nil
+		return uops, nil
 	}
 
 	// Zeroing idioms are handled at rename.
@@ -95,7 +95,12 @@ func Lookup(cfg *uarch.Config, inst *x86.Inst) (*Desc, error) {
 		d.FusedUops = 1
 		d.IssueUops = 1
 		d.Eliminated = true
-		return d, nil
+		return uops, nil
+	}
+
+	lo := len(uops)
+	mk := func(role uarch.Role, recTP int) Uop {
+		return Uop{Role: role, Ports: cfg.PortsFor(role), RecTP: recTP}
 	}
 
 	// Register-to-register moves may be eliminated at rename.
@@ -110,36 +115,34 @@ func Lookup(cfg *uarch.Config, inst *x86.Inst) (*Desc, error) {
 		}
 		if elim {
 			d.Eliminated = true
-			return d, nil
+			return uops, nil
 		}
-		d.Uops = []Uop{{Role: role, Ports: cfg.PortsFor(role), RecTP: 1}}
+		uops = append(uops, mk(role, 1))
+		d.Uops = uops[lo:len(uops):len(uops)]
 		d.Latency = 1
-		return d, nil
+		return uops, nil
 	}
-
-	compute, lat, err := computeUops(cfg, inst)
-	if err != nil {
-		return nil, err
-	}
-	d.Latency = lat
 
 	// Assemble the unfused-domain µop list: load first, compute, then the
 	// store pair.
-	var uops []Uop
-	mk := func(role uarch.Role, recTP int) Uop {
-		return Uop{Role: role, Ports: cfg.PortsFor(role), RecTP: recTP}
-	}
 	if eff.Load {
 		uops = append(uops, mk(uarch.RoleLoad, 1))
 	}
-	uops = append(uops, compute...)
+	computeLo := len(uops)
+	uops, lat, err := computeUops(cfg, inst, uops)
+	if err != nil {
+		return uops[:lo], err
+	}
+	d.Latency = lat
+	nc := len(uops) - computeLo
 	if eff.Store {
 		uops = append(uops, mk(uarch.RoleStoreAddr, 1), mk(uarch.RoleStoreData, 1))
 	}
-	d.Uops = uops
+	if len(uops) > lo {
+		d.Uops = uops[lo:len(uops):len(uops)]
+	}
 
 	// Fused-domain µop count (micro-fusion).
-	nc := len(compute)
 	switch {
 	case !eff.Load && !eff.Store:
 		d.FusedUops = max(1, nc)
@@ -175,7 +178,7 @@ func Lookup(cfg *uarch.Config, inst *x86.Inst) (*Desc, error) {
 	d.MacroFusible = macroFusibleFirst(cfg, inst, eff)
 	d.FusibleJCC = inst.Op == x86.JCC
 
-	return d, nil
+	return uops, nil
 }
 
 func max(a, b int) int {

@@ -8,6 +8,14 @@ import (
 	"facile/internal/x86"
 )
 
+// lookup is Lookup into a fresh descriptor and µop buffer.
+func lookup(cfg *uarch.Config, inst *x86.Inst) (*Desc, error) {
+	eff := inst.Effects()
+	d := new(Desc)
+	_, err := Lookup(cfg, inst, &eff, d, nil)
+	return d, err
+}
+
 func mustDesc(t *testing.T, cfg *uarch.Config, ins asm.Instr) (*x86.Inst, *Desc) {
 	t.Helper()
 	code, err := asm.Encode(ins)
@@ -18,7 +26,7 @@ func mustDesc(t *testing.T, cfg *uarch.Config, ins asm.Instr) (*x86.Inst, *Desc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Lookup(cfg, &inst)
+	d, err := lookup(cfg, &inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +194,10 @@ func TestFMAUnsupportedOnSNB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lookup(uarch.MustByName("SNB"), &inst); err == nil {
+	if _, err := lookup(uarch.MustByName("SNB"), &inst); err == nil {
 		t.Fatal("FMA must be unsupported on SNB")
 	}
-	if _, err := Lookup(uarch.MustByName("HSW"), &inst); err != nil {
+	if _, err := lookup(uarch.MustByName("HSW"), &inst); err != nil {
 		t.Fatalf("FMA must be supported on HSW: %v", err)
 	}
 }
@@ -204,7 +212,7 @@ func TestMacroFusionRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Lookup(cfg, &inst)
+		d, err := lookup(cfg, &inst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,14 +5,15 @@ import (
 	"facile/internal/x86"
 )
 
-// computeUops returns the compute (non-memory) µops of the instruction and
-// the data-source-to-result latency. Memory µops are added by Lookup.
-func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
+// computeUops appends the compute (non-memory) µops of the instruction to
+// uops and returns the extended buffer with the data-source-to-result
+// latency. Memory µops are added by Lookup.
+func computeUops(cfg *uarch.Config, inst *x86.Inst, uops []Uop) ([]Uop, int, error) {
 	mk := func(role uarch.Role, recTP int) Uop {
 		return Uop{Role: role, Ports: cfg.PortsFor(role), RecTP: recTP}
 	}
 	one := func(role uarch.Role, lat int) ([]Uop, int, error) {
-		return []Uop{mk(role, 1)}, lat, nil
+		return append(uops, mk(role, 1)), lat, nil
 	}
 
 	switch inst.Op {
@@ -23,7 +24,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 	case x86.ADC, x86.SBB:
 		// Two µops before Broadwell, one from Broadwell on.
 		if cfg.Gen < uarch.GenBDW {
-			return []Uop{mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1)}, 2, nil
+			return append(uops, mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1)), 2, nil
 		}
 		return one(uarch.RoleALU, 1)
 
@@ -31,7 +32,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 		// Stores and loads have no compute µop; reg<-imm is one ALU µop.
 		// (reg<-reg is handled by the move-elimination path in Lookup.)
 		if inst.IsMem || (inst.Form == x86.FormRM && inst.IsMem) {
-			return nil, 0, nil
+			return uops, 0, nil
 		}
 		if inst.HasImm {
 			return one(uarch.RoleALU, 1)
@@ -41,7 +42,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 	case x86.MOVZX, x86.MOVSX:
 		// From memory these are plain (extending) loads.
 		if inst.IsMem {
-			return nil, 0, nil
+			return uops, 0, nil
 		}
 		return one(uarch.RoleALU, 1)
 
@@ -66,7 +67,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 		return one(uarch.RoleMul, 3)
 
 	case x86.MUL1, x86.IMUL1:
-		return []Uop{mk(uarch.RoleMul, 1), mk(uarch.RoleALU, 1)}, 4, nil
+		return append(uops, mk(uarch.RoleMul, 1), mk(uarch.RoleALU, 1)), 4, nil
 
 	case x86.DIV, x86.IDIV:
 		extra := 0
@@ -74,20 +75,20 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 			extra = 2
 		}
 		if inst.Width == 64 {
-			return []Uop{
+			return append(uops,
 				mk(uarch.RoleDiv, 21),
 				mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1),
-			}, 36 + extra, nil
+			), 36 + extra, nil
 		}
-		return []Uop{
+		return append(uops,
 			mk(uarch.RoleDiv, 6),
 			mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1),
-		}, 23 + extra, nil
+		), 23 + extra, nil
 
 	case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
 		if inst.UsesCL {
 			// Variable-count shifts need flag merging.
-			return []Uop{mk(uarch.RoleShift, 1), mk(uarch.RoleShift, 1)}, 2, nil
+			return append(uops, mk(uarch.RoleShift, 1), mk(uarch.RoleShift, 1)), 2, nil
 		}
 		return one(uarch.RoleShift, 1)
 
@@ -98,7 +99,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 		if cfg.Gen >= uarch.GenSKL {
 			return one(uarch.RoleShift, 1)
 		}
-		return []Uop{mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1)}, 2, nil
+		return append(uops, mk(uarch.RoleALU, 1), mk(uarch.RoleALU, 1)), 2, nil
 
 	case x86.SETCC:
 		return one(uarch.RoleShift, 1)
@@ -108,13 +109,13 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 
 	case x86.PUSH, x86.POP:
 		// Pure memory operations (the stack engine handles RSP).
-		return nil, 0, nil
+		return uops, 0, nil
 
 	// Vector moves from/to memory: pure load/store.
 	case x86.MOVAPS, x86.MOVAPD, x86.MOVUPS, x86.MOVUPD,
 		x86.MOVSS, x86.MOVSD, x86.MOVDQA, x86.MOVDQU:
 		if inst.IsMem {
-			return nil, 0, nil
+			return uops, 0, nil
 		}
 		// Non-eliminated reg-reg move (handled earlier when eliminable).
 		return one(uarch.RoleVecMove, 1)
@@ -128,27 +129,27 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 
 	case x86.DIVPS, x86.DIVSS:
 		if cfg.Gen >= uarch.GenSKL {
-			return []Uop{mk(uarch.RoleVecDiv, 3)}, 11, nil
+			return append(uops, mk(uarch.RoleVecDiv, 3)), 11, nil
 		}
-		return []Uop{mk(uarch.RoleVecDiv, 7)}, 13, nil
+		return append(uops, mk(uarch.RoleVecDiv, 7)), 13, nil
 
 	case x86.DIVPD, x86.DIVSD:
 		if cfg.Gen >= uarch.GenSKL {
-			return []Uop{mk(uarch.RoleVecDiv, 4)}, 14, nil
+			return append(uops, mk(uarch.RoleVecDiv, 4)), 14, nil
 		}
-		return []Uop{mk(uarch.RoleVecDiv, 14)}, 20, nil
+		return append(uops, mk(uarch.RoleVecDiv, 14)), 20, nil
 
 	case x86.SQRTPS, x86.SQRTSS:
 		if cfg.Gen >= uarch.GenSKL {
-			return []Uop{mk(uarch.RoleVecDiv, 3)}, 12, nil
+			return append(uops, mk(uarch.RoleVecDiv, 3)), 12, nil
 		}
-		return []Uop{mk(uarch.RoleVecDiv, 7)}, 14, nil
+		return append(uops, mk(uarch.RoleVecDiv, 7)), 14, nil
 
 	case x86.SQRTPD, x86.SQRTSD:
 		if cfg.Gen >= uarch.GenSKL {
-			return []Uop{mk(uarch.RoleVecDiv, 4)}, 16, nil
+			return append(uops, mk(uarch.RoleVecDiv, 4)), 16, nil
 		}
-		return []Uop{mk(uarch.RoleVecDiv, 14)}, 21, nil
+		return append(uops, mk(uarch.RoleVecDiv, 14)), 21, nil
 
 	case x86.ANDPS, x86.ANDPD, x86.ORPS, x86.ORPD, x86.XORPS, x86.XORPD,
 		x86.PXOR, x86.PAND, x86.POR, x86.PADDD, x86.PADDQ, x86.PSUBD:
@@ -156,7 +157,7 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 
 	case x86.PMULLD:
 		if cfg.Gen >= uarch.GenHSW {
-			return []Uop{mk(uarch.RoleVecFPMul, 1), mk(uarch.RoleVecFPMul, 1)}, 10, nil
+			return append(uops, mk(uarch.RoleVecFPMul, 1), mk(uarch.RoleVecFPMul, 1)), 10, nil
 		}
 		return one(uarch.RoleVecFPMul, 5)
 
@@ -165,10 +166,10 @@ func computeUops(cfg *uarch.Config, inst *x86.Inst) ([]Uop, int, error) {
 
 	case x86.VFMADD231PS, x86.VFMADD231PD:
 		if cfg.PortsFor(uarch.RoleVecFMA) == 0 {
-			return nil, 0, &ErrUnsupported{Op: inst.Op, Arch: cfg.Name}
+			return uops, 0, &ErrUnsupported{Op: inst.Op, Arch: cfg.Name}
 		}
 		return one(uarch.RoleVecFMA, cfg.FMALat)
 	}
 
-	return nil, 0, &ErrUnsupported{Op: inst.Op, Arch: cfg.Name}
+	return uops, 0, &ErrUnsupported{Op: inst.Op, Arch: cfg.Name}
 }

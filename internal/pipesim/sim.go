@@ -133,7 +133,7 @@ func buildUnits(block *bb.Block) []*unit {
 			complex:     d.Complex,
 			availSimple: d.AvailSimple,
 			fusible:     d.MacroFusible,
-			eff:         ins.Inst.Effects(),
+			eff:         ins.Eff,
 		}
 		u.issueUnits = make([]int, len(u.groups))
 		for g := range u.groups {
@@ -151,7 +151,7 @@ func buildUnits(block *bb.Block) []*unit {
 		}
 		if ins.FusedWithNext && k+1 < len(block.Insts) {
 			u.hasJcc = true
-			u.jccEff = block.Insts[k+1].Inst.Effects()
+			u.jccEff = block.Insts[k+1].Eff
 		}
 		units = append(units, u)
 	}

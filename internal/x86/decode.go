@@ -7,10 +7,15 @@ func Decode(code []byte) (Inst, error) {
 	return d.decode()
 }
 
+// minAvgInstLen sizes DecodeBlock's result: real code averages about four
+// bytes per instruction, and few blocks average under three.
+const minAvgInstLen = 3
+
 // DecodeBlock decodes all instructions in code. It fails if code does not end
-// exactly at an instruction boundary.
+// exactly at an instruction boundary. The result is allocated once for
+// blocks whose instructions average at least minAvgInstLen bytes.
 func DecodeBlock(code []byte) ([]Inst, error) {
-	var insts []Inst
+	insts := make([]Inst, 0, len(code)/minAvgInstLen+1)
 	off := 0
 	for off < len(code) {
 		d := decoder{code: code[off:], base: off}

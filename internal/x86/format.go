@@ -1,124 +1,134 @@
 package x86
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Mnemonic returns the instruction mnemonic including any condition suffix.
-func (i *Inst) Mnemonic() string {
+func (i *Inst) Mnemonic() string { return string(i.appendMnemonic(nil)) }
+
+func (i *Inst) appendMnemonic(dst []byte) []byte {
 	switch i.Op {
 	case JCC:
-		return "j" + i.Cond.String()
+		return append(append(dst, 'j'), i.Cond.String()...)
 	case CMOVCC:
-		return "cmov" + i.Cond.String()
+		return append(append(dst, "cmov"...), i.Cond.String()...)
 	case SETCC:
-		return "set" + i.Cond.String()
+		return append(append(dst, "set"...), i.Cond.String()...)
 	}
 	name := i.Op.String()
-	if i.VEX && !strings.HasPrefix(name, "v") {
-		name = "v" + name
+	if i.VEX && name[0] != 'v' {
+		dst = append(dst, 'v')
 	}
-	return name
+	return append(dst, name...)
 }
 
 // String renders the instruction in Intel-like syntax (destination first),
 // for debugging and reports.
-func (i *Inst) String() string {
-	var sb strings.Builder
-	sb.WriteString(i.Mnemonic())
+func (i *Inst) String() string { return string(i.AppendText(nil)) }
 
-	regName := func(r Reg) string {
-		if r.IsGPR() {
-			return sizedGPRName(r, i.Width)
-		}
-		if r.IsVec() && i.Width == 256 {
-			return "y" + strings.TrimPrefix(r.String(), "x")
-		}
-		return r.String()
-	}
-	memStr := func() string { return i.Mem.String() }
-
-	var ops []string
+// AppendText appends the String form of the instruction to dst and returns
+// the extended buffer. It allocates only when dst must grow.
+func (i *Inst) AppendText(dst []byte) []byte {
+	dst = i.appendMnemonic(dst)
 	switch i.Form {
 	case FormMR:
-		if i.IsMem {
-			ops = []string{memStr(), regName(i.RegOp)}
-		} else {
-			ops = []string{regName(i.RM), regName(i.RegOp)}
+		dst = i.appendRM(append(dst, ' '))
+		dst = i.appendReg(append(dst, ", "...), i.RegOp)
+	case FormRM, FormRMI:
+		dst = i.appendReg(append(dst, ' '), i.RegOp)
+		dst = i.appendRM(append(dst, ", "...))
+		if i.Form == FormRMI {
+			dst = appendImm(dst, i.Imm)
 		}
-	case FormRM:
-		if i.IsMem {
-			ops = []string{regName(i.RegOp), memStr()}
-		} else {
-			ops = []string{regName(i.RegOp), regName(i.RM)}
+	case FormVRM, FormVRMI:
+		dst = i.appendReg(append(dst, ' '), i.RegOp)
+		dst = i.appendReg(append(dst, ", "...), i.VReg)
+		dst = i.appendRM(append(dst, ", "...))
+		if i.Form == FormVRMI {
+			dst = appendImm(dst, i.Imm)
 		}
-	case FormRMI:
-		if i.IsMem {
-			ops = []string{regName(i.RegOp), memStr(), fmt.Sprintf("%d", i.Imm)}
-		} else {
-			ops = []string{regName(i.RegOp), regName(i.RM), fmt.Sprintf("%d", i.Imm)}
-		}
-	case FormVRM:
-		src2 := regName(i.RM)
-		if i.IsMem {
-			src2 = memStr()
-		}
-		ops = []string{regName(i.RegOp), regName(i.VReg), src2}
-	case FormVRMI:
-		src2 := regName(i.RM)
-		if i.IsMem {
-			src2 = memStr()
-		}
-		ops = []string{regName(i.RegOp), regName(i.VReg), src2, fmt.Sprintf("%d", i.Imm)}
-	case FormMI:
-		dst := regName(i.RM)
-		if i.IsMem {
-			dst = memStr()
-		}
-		if i.HasImm {
-			ops = []string{dst, fmt.Sprintf("%d", i.Imm)}
-		} else {
-			ops = []string{dst}
-		}
-	case FormM:
-		dst := regName(i.RM)
-		if i.IsMem {
-			dst = memStr()
-		}
-		ops = []string{dst}
-		if i.UsesCL {
-			ops = append(ops, "cl")
+	case FormMI, FormM:
+		dst = i.appendRM(append(dst, ' '))
+		if i.Form == FormM && i.UsesCL {
+			dst = append(dst, ", cl"...)
 		} else if i.HasImm {
-			ops = append(ops, fmt.Sprintf("%d", i.Imm))
+			dst = appendImm(dst, i.Imm)
 		}
 	case FormOI:
-		ops = []string{regName(i.RegOp), fmt.Sprintf("%d", i.Imm)}
+		dst = appendImm(i.appendReg(append(dst, ' '), i.RegOp), i.Imm)
 	case FormO:
-		ops = []string{regName(i.RegOp)}
+		dst = i.appendReg(append(dst, ' '), i.RegOp)
 	case FormI:
 		if i.RegOp != RegNone {
-			ops = []string{regName(i.RegOp), fmt.Sprintf("%d", i.Imm)}
+			dst = appendImm(i.appendReg(append(dst, ' '), i.RegOp), i.Imm)
 		} else {
-			ops = []string{fmt.Sprintf("%d", i.Imm)}
+			dst = strconv.AppendInt(append(dst, ' '), i.Imm, 10)
 		}
 	case FormD:
-		ops = []string{fmt.Sprintf(".%+d", i.Imm)}
-	case FormZO:
+		dst = append(dst, " ."...)
+		if i.Imm >= 0 {
+			dst = append(dst, '+')
+		}
+		dst = strconv.AppendInt(dst, i.Imm, 10)
 	}
+	return dst
+}
 
-	if len(ops) > 0 {
-		sb.WriteByte(' ')
-		sb.WriteString(strings.Join(ops, ", "))
+// appendImm appends a ", imm" operand in decimal.
+func appendImm(dst []byte, imm int64) []byte {
+	return strconv.AppendInt(append(dst, ", "...), imm, 10)
+}
+
+// appendRM appends the modrm.rm operand: the memory operand or the register.
+func (i *Inst) appendRM(dst []byte) []byte {
+	if i.IsMem {
+		return i.Mem.appendText(dst)
 	}
-	return sb.String()
+	return i.appendReg(dst, i.RM)
+}
+
+// appendReg appends a register operand named for the instruction's width:
+// GPRs by their sized name, vector registers as ymm at 256 bits.
+func (i *Inst) appendReg(dst []byte, r Reg) []byte {
+	switch {
+	case r.IsGPR():
+		return appendSizedGPR(dst, r, i.Width)
+	case r.IsVec() && i.Width == 256:
+		return append(append(dst, 'y'), r.String()[1:]...)
+	}
+	return append(dst, r.String()...)
+}
+
+func (m Mem) String() string { return string(m.appendText(nil)) }
+
+// appendText appends the operand as [base+index*scale±disp], the
+// displacement in hex and present when nonzero or the only component.
+func (m Mem) appendText(dst []byte) []byte {
+	dst = append(dst, '[')
+	if m.Base != RegNone {
+		dst = append(dst, m.Base.String()...)
+	}
+	if m.Index != RegNone {
+		dst = append(append(dst, '+'), m.Index.String()...)
+		dst = strconv.AppendUint(append(dst, '*'), uint64(m.Scale), 10)
+	}
+	if m.Disp != 0 || (m.Base == RegNone && m.Index == RegNone) {
+		disp := int64(m.Disp)
+		if disp < 0 {
+			dst = append(dst, '-')
+			disp = -disp
+		} else {
+			dst = append(dst, '+')
+		}
+		dst = strconv.AppendUint(append(dst, "0x"...), uint64(disp), 16)
+	}
+	return append(dst, ']')
 }
 
 // BlockString renders a sequence of instructions, one per line.
 func BlockString(insts []Inst) string {
-	var sb strings.Builder
+	var buf []byte
 	for idx := range insts {
-		fmt.Fprintf(&sb, "%s\n", insts[idx].String())
+		buf = append(insts[idx].AppendText(buf), '\n')
 	}
-	return sb.String()
+	return string(buf)
 }

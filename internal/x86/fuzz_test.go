@@ -7,7 +7,9 @@ import (
 
 // FuzzDecodeBlock: the decoder must never panic on arbitrary bytes. When it
 // accepts a block, the instruction lengths tile the input exactly, and each
-// instruction's bytes decode alone to the same length. The seed corpus in
+// instruction's bytes decode alone to the same length. Each instruction's
+// AppendText extends a prefix by exactly its String form and, into a buffer
+// with room, allocates nothing. The seed corpus in
 // testdata/fuzz/FuzzDecodeBlock holds every block of the divergence corpus
 // and runs in every go test.
 func FuzzDecodeBlock(f *testing.F) {
@@ -32,6 +34,15 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 			if alone.Len != in.Len {
 				t.Fatalf("instruction %d (% x): length %d alone, %d in the block", k, in.Raw, alone.Len, in.Len)
+			}
+			text := in.String()
+			prefix := []byte("prefix\n")
+			if got := in.AppendText(prefix[:len(prefix):len(prefix)]); string(got) != string(prefix)+text {
+				t.Fatalf("instruction %d (% x): AppendText(%q) = %q, want the prefix then %q", k, in.Raw, prefix, got, text)
+			}
+			buf := make([]byte, 0, 2*len(text))
+			if allocs := testing.AllocsPerRun(10, func() { buf = in.AppendText(buf[:0]) }); allocs != 0 {
+				t.Fatalf("instruction %d (% x): AppendText into a buffer with room allocates %.0f/op", k, in.Raw, allocs)
 			}
 			off += in.Len
 		}

@@ -113,38 +113,39 @@ func (r Reg) String() string {
 	return fmt.Sprintf("reg(%d)", uint8(r))
 }
 
-// sizedGPRNames returns a width-appropriate name for a GPR (debugging aid).
-func sizedGPRName(r Reg, width int) string {
-	if !r.IsGPR() {
-		return r.String()
-	}
+// gprBases are the GPR name stems in encoding order, from which the sized
+// names (rax, eax, ax, al, r8d, ...) are built.
+var gprBases = [16]string{"ax", "cx", "dx", "bx", "sp", "bp", "si", "di",
+	"r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15"}
+
+// appendSizedGPR appends the width-appropriate name of GPR r.
+func appendSizedGPR(dst []byte, r Reg, width int) []byte {
 	n := r.Enc()
-	base := [16]string{"ax", "cx", "dx", "bx", "sp", "bp", "si", "di",
-		"r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15"}
+	base := gprBases[n]
 	switch width {
 	case 64:
 		if n < 8 {
-			return "r" + base[n]
+			return append(append(dst, 'r'), base...)
 		}
-		return base[n]
+		return append(dst, base...)
 	case 32:
 		if n < 8 {
-			return "e" + base[n]
+			return append(append(dst, 'e'), base...)
 		}
-		return base[n] + "d"
+		return append(append(dst, base...), 'd')
 	case 16:
 		if n < 8 {
-			return base[n]
+			return append(dst, base...)
 		}
-		return base[n] + "w"
+		return append(append(dst, base...), 'w')
 	case 8:
 		if n < 4 {
-			return base[n][:1] + "l"
+			return append(append(dst, base[0]), 'l')
 		}
 		if n < 8 {
-			return base[n] + "l"
+			return append(append(dst, base...), 'l')
 		}
-		return base[n] + "b"
+		return append(append(dst, base...), 'b')
 	}
-	return r.String()
+	return append(dst, r.String()...)
 }

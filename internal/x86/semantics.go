@@ -27,7 +27,8 @@ type Effects struct {
 type destBehavior uint8
 
 const (
-	destRW        destBehavior = iota // dest is read and written (add, shifts, ...)
+	destUnknown   destBehavior = iota // no semantics: an Op missing from opSems
+	destRW                            // dest is read and written (add, shifts, ...)
 	destWriteOnly                     // dest is overwritten (mov, lea, movzx, ...)
 	destNone                          // no register result (cmp, test, jcc, store)
 )
@@ -38,7 +39,7 @@ type opSem struct {
 	writesFlags bool
 }
 
-var opSems = map[Op]opSem{
+var opSems = [NumOps]opSem{
 	ADD:    {destRW, false, true},
 	ADC:    {destRW, true, true},
 	SUB:    {destRW, false, true},
@@ -139,11 +140,86 @@ func (i *Inst) IsRegMove() bool {
 	return false
 }
 
+// MaxEffectRegs bounds the registers one instruction's Effects names in
+// RegReads, RegWrites and AddrReads together: a caller of AppendEffects that
+// reserves this much room per instruction never makes its buffer grow.
+const MaxEffectRegs = len(effectRegs{}.reads) + len(effectRegs{}.writes) + len(effectRegs{}.addr)
+
+// effectRegs collects an instruction's registers in fixed arrays while its
+// Effects are computed.
+type effectRegs struct {
+	reads      [3]Reg
+	writes     [2]Reg
+	addr       [4]Reg
+	nr, nw, na int
+}
+
+func (e *effectRegs) read(r Reg) {
+	if r != RegNone && r != RegRIP {
+		e.reads[e.nr] = r
+		e.nr++
+	}
+}
+
+func (e *effectRegs) write(r Reg) {
+	if r != RegNone {
+		e.writes[e.nw] = r
+		e.nw++
+	}
+}
+
+// address records the address registers of memory operand m.
+func (e *effectRegs) address(m Mem) {
+	if m.Base != RegNone && m.Base != RegRIP {
+		e.addr[e.na] = m.Base
+		e.na++
+	}
+	if m.Index != RegNone {
+		e.addr[e.na] = m.Index
+		e.na++
+	}
+}
+
 // Effects computes the architectural reads and writes of the instruction.
 func (i *Inst) Effects() Effects {
+	eff, _ := i.AppendEffects(nil)
+	return eff
+}
+
+// AppendEffects computes the architectural reads and writes of the
+// instruction, appending their registers to regs: RegReads, RegWrites and
+// AddrReads are capacity-limited subslices of the returned buffer (nil when
+// empty), so one buffer with MaxEffectRegs of room per instruction holds a
+// whole block's effects.
+func (i *Inst) AppendEffects(regs []Reg) (Effects, []Reg) {
+	var e effectRegs
+	eff := i.effects(&e)
+	eff.RegReads, regs = carveRegs(regs, e.reads[:e.nr])
+	eff.RegWrites, regs = carveRegs(regs, e.writes[:e.nw])
+	eff.AddrReads, regs = carveRegs(regs, e.addr[:e.na])
+	return eff, regs
+}
+
+// carveRegs appends rs to regs and returns the appended part, capacity-
+// limited so a later append to it cannot overwrite its neighbours.
+func carveRegs(regs, rs []Reg) (carved, out []Reg) {
+	if len(rs) == 0 {
+		return nil, regs
+	}
+	lo := len(regs)
+	regs = append(regs, rs...)
+	return regs[lo:len(regs):len(regs)], regs
+}
+
+// effects computes the instruction's flags and memory accesses and records
+// its registers in e.
+func (i *Inst) effects(e *effectRegs) Effects {
 	var eff Effects
-	sem, ok := opSems[i.Op]
-	if !ok {
+	if int(i.Op) >= len(opSems) {
+		return eff
+	}
+	sem := opSems[i.Op]
+	if sem.dest == destUnknown {
 		return eff
 	}
 	eff.ReadsFlags = sem.readsFlags
@@ -155,42 +231,18 @@ func (i *Inst) Effects() Effects {
 
 	// Zero idioms read nothing and break dependences.
 	if i.IsZeroIdiom() {
-		eff.RegWrites = append(eff.RegWrites, i.RegOp)
+		e.write(i.RegOp)
 		eff.WritesFlags = sem.writesFlags // xor still writes flags
 		return eff
 	}
 
-	addReads := func(rs ...Reg) {
-		for _, r := range rs {
-			if r != RegNone && r != RegRIP {
-				eff.RegReads = append(eff.RegReads, r)
-			}
-		}
-	}
-	addWrites := func(rs ...Reg) {
-		for _, r := range rs {
-			if r != RegNone {
-				eff.RegWrites = append(eff.RegWrites, r)
-			}
-		}
-	}
 	memRead := func() {
 		eff.Load = true
-		if i.Mem.Base != RegNone && i.Mem.Base != RegRIP {
-			eff.AddrReads = append(eff.AddrReads, i.Mem.Base)
-		}
-		if i.Mem.Index != RegNone {
-			eff.AddrReads = append(eff.AddrReads, i.Mem.Index)
-		}
+		e.address(i.Mem)
 	}
 	memWrite := func() {
 		eff.Store = true
-		if i.Mem.Base != RegNone && i.Mem.Base != RegRIP {
-			eff.AddrReads = append(eff.AddrReads, i.Mem.Base)
-		}
-		if i.Mem.Index != RegNone {
-			eff.AddrReads = append(eff.AddrReads, i.Mem.Index)
-		}
+		e.address(i.Mem)
 	}
 
 	dest := sem.dest
@@ -201,7 +253,7 @@ func (i *Inst) Effects() Effects {
 	switch i.Form {
 	case FormMR:
 		// rm OP= reg (or cmp/test: read both).
-		addReads(i.RegOp)
+		e.read(i.RegOp)
 		if i.IsMem {
 			switch dest {
 			case destRW:
@@ -214,10 +266,10 @@ func (i *Inst) Effects() Effects {
 			}
 		} else {
 			if dest == destRW || dest == destNone {
-				addReads(i.RM)
+				e.read(i.RM)
 			}
 			if dest != destNone {
-				addWrites(i.RM)
+				e.write(i.RM)
 			}
 		}
 
@@ -228,35 +280,31 @@ func (i *Inst) Effects() Effects {
 				memRead()
 			} else {
 				// LEA computes the address but performs no access.
-				if i.Mem.Base != RegNone && i.Mem.Base != RegRIP {
-					addReads(i.Mem.Base)
-				}
-				if i.Mem.Index != RegNone {
-					addReads(i.Mem.Index)
-				}
+				e.read(i.Mem.Base)
+				e.read(i.Mem.Index)
 			}
 		} else {
-			addReads(i.RM)
+			e.read(i.RM)
 		}
 		if dest == destRW {
-			addReads(i.RegOp)
+			e.read(i.RegOp)
 		}
 		if dest != destNone {
-			addWrites(i.RegOp)
+			e.write(i.RegOp)
 		}
 
 	case FormVRM, FormVRMI:
 		// reg = vvvv OP rm; FMA additionally reads the destination.
-		addReads(i.VReg)
+		e.read(i.VReg)
 		if i.IsMem {
 			memRead()
 		} else {
-			addReads(i.RM)
+			e.read(i.RM)
 		}
 		if dest == destRW {
-			addReads(i.RegOp)
+			e.read(i.RegOp)
 		}
-		addWrites(i.RegOp)
+		e.write(i.RegOp)
 
 	case FormMI, FormM:
 		switch i.Op {
@@ -266,7 +314,7 @@ func (i *Inst) Effects() Effects {
 				// push m: load then store to the stack.
 				eff.Store = true
 			} else {
-				addReads(i.RM)
+				e.read(i.RM)
 				eff.Store = true
 			}
 		case POP:
@@ -274,40 +322,43 @@ func (i *Inst) Effects() Effects {
 			if i.IsMem {
 				memWrite()
 			} else {
-				addWrites(i.RM)
+				e.write(i.RM)
 			}
 		case SETCC:
 			if i.IsMem {
 				memWrite()
 			} else {
-				addWrites(i.RM)
+				e.write(i.RM)
 			}
 		case MUL1, IMUL1:
-			addReads(RAX)
+			e.read(RAX)
 			if i.IsMem {
 				memRead()
 			} else {
-				addReads(i.RM)
+				e.read(i.RM)
 			}
-			addWrites(RAX, RDX)
+			e.write(RAX)
+			e.write(RDX)
 		case DIV, IDIV:
-			addReads(RAX, RDX)
+			e.read(RAX)
+			e.read(RDX)
 			if i.IsMem {
 				memRead()
 			} else {
-				addReads(i.RM)
+				e.read(i.RM)
 			}
-			addWrites(RAX, RDX)
+			e.write(RAX)
+			e.write(RDX)
 		case MOV: // mov r/m, imm
 			if i.IsMem {
 				memWrite()
 			} else {
-				addWrites(i.RM)
+				e.write(i.RM)
 			}
 		default:
 			// Unary RMW or rm-OP-imm (inc, not, shifts, add rm: destRW).
 			if i.UsesCL {
-				addReads(RCX)
+				e.read(RCX)
 			}
 			if i.IsMem {
 				switch dest {
@@ -321,25 +372,25 @@ func (i *Inst) Effects() Effects {
 				}
 			} else {
 				if dest == destRW || dest == destNone {
-					addReads(i.RM)
+					e.read(i.RM)
 				}
 				if dest != destNone {
-					addWrites(i.RM)
+					e.write(i.RM)
 				}
 			}
 		}
 
 	case FormOI:
-		addWrites(i.RegOp)
+		e.write(i.RegOp)
 
 	case FormO:
 		switch i.Op {
 		case PUSH:
-			addReads(i.RegOp)
+			e.read(i.RegOp)
 			eff.Store = true
 		case POP:
 			eff.Load = true
-			addWrites(i.RegOp)
+			e.write(i.RegOp)
 		}
 
 	case FormI:
@@ -348,10 +399,10 @@ func (i *Inst) Effects() Effects {
 			eff.Store = true
 		default: // accumulator OP imm
 			if dest == destRW || dest == destNone {
-				addReads(i.RegOp)
+				e.read(i.RegOp)
 			}
 			if dest != destNone {
-				addWrites(i.RegOp)
+				e.write(i.RegOp)
 			}
 		}
 

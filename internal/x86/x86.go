@@ -45,20 +45,6 @@ type Mem struct {
 // memory operands trigger µop unlamination on several microarchitectures.
 func (m Mem) IsIndexed() bool { return m.Index != RegNone }
 
-func (m Mem) String() string {
-	s := "["
-	if m.Base != RegNone {
-		s += m.Base.String()
-	}
-	if m.Index != RegNone {
-		s += fmt.Sprintf("+%s*%d", m.Index, m.Scale)
-	}
-	if m.Disp != 0 || (m.Base == RegNone && m.Index == RegNone) {
-		s += fmt.Sprintf("%+#x", m.Disp)
-	}
-	return s + "]"
-}
-
 // Inst is a decoded instruction.
 type Inst struct {
 	Op    Op

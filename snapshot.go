@@ -92,7 +92,15 @@ type snapshotEntry struct {
 // shards), and returns the number of entries written. maxBytes bounds the
 // export by the entries' accounted sizes (the same per-entry estimates that
 // back EngineConfig.MaxCacheBytes), so a bounded snapshot keeps the hottest
-// working set; maxBytes <= 0 exports everything. Error entries and entries
+// working set; maxBytes <= 0 exports everything.
+//
+// The order is exact only within a shard. The export takes the per-shard
+// MRU lists round-robin, one entry from each in turn, so with several
+// shards it is approximately global MRU: under a tight budget the heads of
+// earlier shards can take the place of the globally hottest entry. A
+// budget covering one round of shard heads always keeps the hottest entry;
+// so does any budget covering its own size on a single-shard engine
+// (EngineConfig.CacheShards = 1). Error entries and entries
 // still being computed are not exported. An engine with memoization disabled
 // exports a valid empty snapshot.
 func (e *Engine) ExportSnapshot(w io.Writer, maxBytes int64) (int, error) {

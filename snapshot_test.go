@@ -2,11 +2,13 @@ package facile_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"testing"
 
 	"facile"
@@ -134,13 +136,47 @@ func TestSnapshotByteBudget(t *testing.T) {
 		t.Fatalf("bounded export wrote %d entries, want strictly between 0 and %d", n, all)
 	}
 
-	// The most recently used entry survives a bounded export.
-	hot := codes[len(codes)-1]
+	// The most recently used entry survives a bounded export. Recency is
+	// exact within a shard, so a one-shard engine keeps it under a budget
+	// of its own size. The sharded default interleaves the per-shard MRU
+	// lists, so its budget must cover one round of shard heads: the sizes
+	// of the largest entries, one per shard.
+	sizes := entrySizes(t, codes)
+	hot := len(codes) - 1
+	one, _, _ := warmEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheShards: 1}, 20)
+	hotSurvives(t, one, codes[hot], sizes[hot])
+	slices.SortFunc(sizes, func(a, b int64) int { return cmp.Compare(b, a) })
+	var heads int64
+	for _, size := range sizes[:min(src.Stats().Shards, len(sizes))] {
+		heads += size
+	}
+	hotSurvives(t, src, codes[hot], heads)
+}
+
+// entrySizes returns the accounted cache size of each block's entry.
+func entrySizes(t *testing.T, codes [][]byte) []int64 {
+	t.Helper()
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheShards: 1})
+	sizes := make([]int64, len(codes))
+	for i, code := range codes {
+		before := e.Stats().SizeBytes
+		if _, err := predict(e, code, "SKL", facile.Loop); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = e.Stats().SizeBytes - before
+	}
+	return sizes
+}
+
+// hotSurvives touches hot on src, exports src under maxBytes, and requires
+// the export to hold hot.
+func hotSurvives(t *testing.T, src *facile.Engine, hot []byte, maxBytes int64) {
+	t.Helper()
 	if _, err := explainText(src, hot, "SKL", facile.Loop); err != nil {
 		t.Fatal(err)
 	}
 	var tight bytes.Buffer
-	if _, err := src.ExportSnapshot(&tight, 12288); err != nil {
+	if _, err := src.ExportSnapshot(&tight, maxBytes); err != nil {
 		t.Fatal(err)
 	}
 	dst := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
@@ -152,7 +188,7 @@ func TestSnapshotByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := dst.Stats(); st.Hits != before.Hits+1 {
-		t.Fatal("hottest entry missing from bounded export")
+		t.Fatalf("%d-shard engine: hottest entry missing from an export bounded at %d bytes", src.Stats().Shards, maxBytes)
 	}
 }
 
