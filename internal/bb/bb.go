@@ -2,6 +2,7 @@ package bb
 
 import (
 	"fmt"
+	"sync"
 	"unsafe"
 
 	"facile/internal/isa"
@@ -53,6 +54,10 @@ type Block struct {
 	jccErratum  bool
 }
 
+// decodeBufs holds the buffers Build decodes into: the instructions are
+// copied into the block, so the decoded list is scratch.
+var decodeBufs = sync.Pool{New: func() any { return new([]x86.Inst) }}
+
 // uopsPerInst sizes a block's µop array: real code averages about 1.3
 // unfused-domain µops per instruction.
 const uopsPerInst = 2
@@ -63,10 +68,15 @@ const uopsPerInst = 2
 // one per-block array, so building costs a fixed number of allocations
 // however many instructions the block has.
 func Build(cfg *uarch.Config, code []byte) (*Block, error) {
-	insts, err := x86.DecodeBlock(code)
+	buf := decodeBufs.Get().(*[]x86.Inst)
+	defer decodeBufs.Put(buf)
+	insts, err := x86.AppendDecodeBlock((*buf)[:0], code)
 	if err != nil {
 		return nil, err
 	}
+	// Keep the grown buffer, without the references to code.
+	*buf = insts
+	defer clear(insts)
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("bb: empty block")
 	}
@@ -227,7 +237,7 @@ func (b *Block) computeJCCErratum() bool {
 
 // String renders the block for reports.
 func (b *Block) String() string {
-	s := ""
+	var buf []byte
 	for k := range b.Insts {
 		marker := "  "
 		if b.Insts[k].FusedWithNext {
@@ -236,7 +246,8 @@ func (b *Block) String() string {
 		if b.Insts[k].FusedWithPrev {
 			marker = " ┘"
 		}
-		s += fmt.Sprintf("%3d:%s %s\n", b.Insts[k].Off, marker, b.Insts[k].Inst.String())
+		buf = fmt.Appendf(buf, "%3d:%s ", b.Insts[k].Off, marker)
+		buf = append(b.Insts[k].Inst.AppendText(buf), '\n')
 	}
-	return s
+	return string(buf)
 }

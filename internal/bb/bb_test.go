@@ -205,3 +205,15 @@ func TestBlockArrays(t *testing.T) {
 		prev = &uops[len(uops)-1]
 	}
 }
+
+func TestBlockString(t *testing.T) {
+	block := build(t, uarch.MustByName("SKL"), []asm.Instr{
+		asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.M(x86.RDI, -8)),
+		asm.Mk(x86.CMP, 64, asm.R(x86.RAX), asm.R(x86.RBX)),
+		asm.MkCC(x86.JCC, x86.CondE, 64, asm.I(-12)),
+	})
+	want := "  0:   add rax, [rdi-0x8]\n  4: ┐ cmp rax, rbx\n  7: ┘ je .-12\n"
+	if got := block.String(); got != want {
+		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -15,18 +15,22 @@ const minAvgInstLen = 3
 // exactly at an instruction boundary. The result is allocated once for
 // blocks whose instructions average at least minAvgInstLen bytes.
 func DecodeBlock(code []byte) ([]Inst, error) {
-	insts := make([]Inst, 0, len(code)/minAvgInstLen+1)
-	off := 0
-	for off < len(code) {
+	return AppendDecodeBlock(make([]Inst, 0, len(code)/minAvgInstLen+1), code)
+}
+
+// AppendDecodeBlock is DecodeBlock appending the instructions to dst. It
+// returns the extended buffer, or nil and the error.
+func AppendDecodeBlock(dst []Inst, code []byte) ([]Inst, error) {
+	for off := 0; off < len(code); {
 		d := decoder{code: code[off:], base: off}
 		inst, err := d.decode()
 		if err != nil {
 			return nil, err
 		}
-		insts = append(insts, inst)
+		dst = append(dst, inst)
 		off += inst.Len
 	}
-	return insts, nil
+	return dst, nil
 }
 
 type decoder struct {

@@ -432,3 +432,14 @@ func TestStringSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestOpSemsCoverEveryOp: opSems is an array indexed by Op, so an Op
+// added without an entry would read as destUnknown and silently get no
+// effects.
+func TestOpSemsCoverEveryOp(t *testing.T) {
+	for op := OpInvalid + 1; op < NumOps; op++ {
+		if opSems[op].dest == destUnknown {
+			t.Errorf("%v has no entry in opSems", op)
+		}
+	}
+}
