@@ -16,8 +16,11 @@ import (
 // the facile Engine both do) and hand one to at most one goroutine at a
 // time.
 type Analysis struct {
-	// Predecoder (predec.go): per-16-byte-block instruction counters.
+	// Predecoder (predec.go): per-16-byte-block instruction counters, and
+	// the instructions' opcode and last-byte offsets (predecLCPOpc: the
+	// opcode offsets of the LCP instructions).
 	predecL, predecO, predecLCP, predecCyc []int
+	predecOpc, predecLast, predecLCPOpc    []int
 
 	// Decoder (dec.go): per-iteration complex-decode counts and the
 	// first-instruction-decoder table of Algorithm 1.
@@ -39,6 +42,7 @@ type Analysis struct {
 	graph     depGraph
 	consumed  [][]valNode
 	produced  [][]valNode
+	vals      []valNode // backing array of the consumed and produced lists
 	chain     []int
 	chainSeen []bool
 }
@@ -244,19 +248,4 @@ func growBools(s *[]bool, n int) []bool {
 	}
 	*s = t
 	return t
-}
-
-// growNodeLists resizes *s to n per-instruction lists, truncating each to
-// zero length while retaining both the outer and the inner capacity.
-func growNodeLists(s *[][]valNode, n int) [][]valNode {
-	t := *s
-	t = t[:cap(t)]
-	if len(t) < n {
-		t = append(t, make([][]valNode, n-len(t))...)
-	}
-	for i := 0; i < n; i++ {
-		t[i] = t[i][:0]
-	}
-	*s = t
-	return t[:n]
 }

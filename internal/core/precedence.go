@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"facile/internal/bb"
 	"facile/internal/cycleratio"
 	"facile/internal/x86"
@@ -94,9 +96,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 	g.Edges = g.Edges[:0]
 	nodeInstr := a.graph.nodeInstr[:0]
 
-	n := len(block.Insts)
-	consumed := growNodeLists(&a.consumed, n)
-	produced := growNodeLists(&a.produced, n)
+	consumed, produced := a.carveNodeLists(block)
 
 	// final[r] is the block's last writer of r (filled in pass 1); last[r]
 	// is the last writer of r before the instruction pass 3 is at. -1 means
@@ -162,6 +162,10 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 		}
 	}
 
+	// Passes 2 and 3 add at most one edge into and one edge out of each
+	// consumed node; size the edge list once.
+	g.Edges = slices.Grow(g.Edges, 2*g.N)
+
 	// Pass 2: intra-instruction latency edges (consumed -> produced).
 	for k := range block.Insts {
 		ins := &block.Insts[k]
@@ -209,6 +213,35 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 	}
 
 	a.graph.nodeInstr = nodeInstr
+}
+
+// carveNodeLists returns the block's per-instruction consumed and produced
+// value lists, empty and carved from one reused array with room for every
+// value the instruction can consume or produce, so filling them never
+// allocates.
+func (a *Analysis) carveNodeLists(block *bb.Block) (consumed, produced [][]valNode) {
+	n := len(block.Insts)
+	consumed = slices.Grow(a.consumed[:0], n)[:n]
+	produced = slices.Grow(a.produced[:0], n)[:n]
+	total := 0
+	for k := range block.Insts {
+		eff := &block.Insts[k].Eff
+		// The flags add one value on each side.
+		total += len(eff.RegReads) + len(eff.AddrReads) + len(eff.RegWrites) + 2
+	}
+	vals := slices.Grow(a.vals[:0], total)[:total]
+	lo := 0
+	for k := range block.Insts {
+		eff := &block.Insts[k].Eff
+		nc := len(eff.RegReads) + len(eff.AddrReads) + 1
+		consumed[k] = vals[lo : lo : lo+nc]
+		lo += nc
+		np := len(eff.RegWrites) + 1
+		produced[k] = vals[lo : lo : lo+np]
+		lo += np
+	}
+	a.consumed, a.produced, a.vals = consumed, produced, vals
+	return consumed, produced
 }
 
 func isAddrRead(eff *x86.Effects, r x86.Reg) bool {

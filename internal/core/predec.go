@@ -40,19 +40,34 @@ func (a *Analysis) predecBound(block *bb.Block, mode Mode) float64 {
 	O := growInts(&a.predecO, n)     // opcode in b, last byte elsewhere
 	LCP := growInts(&a.predecLCP, n) // LCP instructions whose opcode is in block b
 
+	// The copies walk the instructions u times: gather the offsets they
+	// need first, so a large block streams these compact arrays rather
+	// than its instructions.
+	opc := growInts(&a.predecOpc, len(block.Insts))
+	last := growInts(&a.predecLast, len(block.Insts))
+	lcpOpc := a.predecLCPOpc[:0]
+	for k := range block.Insts {
+		ins := &block.Insts[k]
+		opc[k] = ins.Off + ins.Inst.OpcodeOff
+		last[k] = ins.End() - 1
+		if ins.Inst.HasLCP {
+			lcpOpc = append(lcpOpc, opc[k])
+		}
+	}
+	a.predecLCPOpc = lcpOpc
+
 	for c := 0; c < u; c++ {
 		base := c * l
-		for k := range block.Insts {
-			ins := &block.Insts[k]
-			opcodeB := (base + ins.Off + ins.Inst.OpcodeOff) / 16
-			lastB := (base + ins.End() - 1) / 16
+		for k, o := range opc {
+			opcodeB := (base + o) / 16
+			lastB := (base + last[k]) / 16
 			L[lastB]++
 			if opcodeB != lastB {
 				O[opcodeB]++
 			}
-			if ins.Inst.HasLCP {
-				LCP[opcodeB]++
-			}
+		}
+		for _, o := range lcpOpc {
+			LCP[(base+o)/16]++
 		}
 	}
 

@@ -1,6 +1,9 @@
 package cycleratio
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // howard runs Howard's policy-iteration algorithm for the maximum cycle
 // ratio [Dasdan 2004; Howard 1960] on this Solver's scratch state. Every
@@ -39,7 +42,7 @@ func (s *Solver) howard(g *Graph) (Result, int, bool) {
 	maxIter := 4*n + 64
 
 	var lambda float64
-	critCycle := s.critBest[:0]
+	critCycle := slices.Grow(s.critBest[:0], n)
 
 	// Scratch buffers reused across policy iterations.
 	state := growN(&s.state, n)         // 0 = unvisited, 1 = on stack, 2 = done
@@ -47,8 +50,11 @@ func (s *Solver) howard(g *Graph) (Result, int, bool) {
 	visited := growN(&s.visited, n)
 	revHead := growN(&s.revHead, n) // linked-list reverse adjacency of the policy graph
 	revNext := growN(&s.revNext, n)
-	queue := s.queue[:0]
-	stack := s.walk[:0]
+	// Walks, cycles and the queue hold at most n entries; growing them once
+	// keeps a cold Solver from copying them repeatedly on a large graph.
+	queue := slices.Grow(s.queue[:0], n)
+	stack := slices.Grow(s.walk[:0], n)
+	s.cycTmp = slices.Grow(s.cycTmp[:0], n)
 
 	for iter := 0; iter < maxIter; iter++ {
 		// Find the cycles of the policy graph (functional graph: one

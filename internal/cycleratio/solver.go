@@ -1,6 +1,9 @@
 package cycleratio
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Solver is a reusable scratch context for maximum-cycle-ratio queries: the
 // pruned graph, the SCC decomposition, and all of Howard's policy-iteration
@@ -40,8 +43,10 @@ type Solver struct {
 	nodeID   []int
 	compOf   []int
 	compSize []int
-	sccs     []sccBuf
-	nSCCs    int
+	// compEdges counts each component's internal edges.
+	compEdges []int
+	sccs      []sccBuf
+	nSCCs     int
 
 	// Howard policy iteration
 	policy    []int
@@ -181,8 +186,8 @@ func (s *Solver) prune(g *Graph) {
 		}
 	}
 	s.pruned.N = n
-	s.pruned.Edges = s.pruned.Edges[:0]
-	s.remap = s.remap[:0]
+	s.pruned.Edges = slices.Grow(s.pruned.Edges[:0], len(g.Edges))
+	s.remap = slices.Grow(s.remap[:0], len(g.Edges))
 	for i, e := range g.Edges {
 		if alive[e.From] && alive[e.To] {
 			s.pruned.Edges = append(s.pruned.Edges,
@@ -261,6 +266,7 @@ func (s *Solver) hasZeroTransitCycle(g *Graph) bool {
 	for i := range color {
 		color[i] = 0
 	}
+	s.ztStack = slices.Grow(s.ztStack[:0], g.N)
 	for start := 0; start < g.N; start++ {
 		if color[start] != 0 {
 			continue
@@ -307,7 +313,10 @@ func (s *Solver) decompose(g *Graph) {
 		comp[i] = -1
 		onStack[i] = false
 	}
-	stack := s.sccStk[:0]
+	// The DFS stacks hold at most n nodes; growing them once keeps a cold
+	// Solver from copying them repeatedly on a large graph.
+	stack := slices.Grow(s.sccStk[:0], n)
+	s.frames = slices.Grow(s.frames[:0], n)
 	nextIndex := 0
 	nComps := 0
 
@@ -381,7 +390,15 @@ func (s *Solver) decompose(g *Graph) {
 	compSize := growN(&s.compSize, nComps)
 	copy(compSize, compOf[:nComps])
 
-	// Materialize one subgraph per component containing internal edges.
+	// Materialize one subgraph per component containing internal edges,
+	// each sized from its count of internal edges.
+	compEdges := growN(&s.compEdges, nComps)
+	clear(compEdges)
+	for i := range g.Edges {
+		if e := &g.Edges[i]; comp[e.From] == comp[e.To] {
+			compEdges[comp[e.From]]++
+		}
+	}
 	s.nSCCs = 0
 	for i := 0; i < nComps; i++ {
 		compOf[i] = -1
@@ -402,8 +419,8 @@ func (s *Solver) decompose(g *Graph) {
 			}
 			sg := &s.sccs[oi]
 			sg.g.N = compSize[c]
-			sg.g.Edges = sg.g.Edges[:0]
-			sg.edgeMap = sg.edgeMap[:0]
+			sg.g.Edges = slices.Grow(sg.g.Edges[:0], compEdges[c])
+			sg.edgeMap = slices.Grow(sg.edgeMap[:0], compEdges[c])
 		}
 		sg := &s.sccs[oi]
 		sg.g.Edges = append(sg.g.Edges, Edge{

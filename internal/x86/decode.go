@@ -1,5 +1,7 @@
 package x86
 
+import "slices"
+
 // Decode decodes the first instruction in code. The returned Inst's Raw field
 // aliases code.
 func Decode(code []byte) (Inst, error) {
@@ -12,15 +14,14 @@ func Decode(code []byte) (Inst, error) {
 const minAvgInstLen = 3
 
 // DecodeBlock decodes all instructions in code. It fails if code does not end
-// exactly at an instruction boundary. The result is allocated once for
-// blocks whose instructions average at least minAvgInstLen bytes.
-func DecodeBlock(code []byte) ([]Inst, error) {
-	return AppendDecodeBlock(make([]Inst, 0, len(code)/minAvgInstLen+1), code)
-}
+// exactly at an instruction boundary.
+func DecodeBlock(code []byte) ([]Inst, error) { return AppendDecodeBlock(nil, code) }
 
 // AppendDecodeBlock is DecodeBlock appending the instructions to dst. It
-// returns the extended buffer, or nil and the error.
+// returns the extended buffer, or nil and the error. It grows dst at most
+// once for blocks whose instructions average at least minAvgInstLen bytes.
 func AppendDecodeBlock(dst []Inst, code []byte) ([]Inst, error) {
+	dst = slices.Grow(dst, len(code)/minAvgInstLen+1)
 	for off := 0; off < len(code); {
 		d := decoder{code: code[off:], base: off}
 		inst, err := d.decode()
