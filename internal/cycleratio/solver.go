@@ -43,10 +43,8 @@ type Solver struct {
 	nodeID   []int
 	compOf   []int
 	compSize []int
-	// compEdges counts each component's internal edges.
-	compEdges []int
-	sccs      []sccBuf
-	nSCCs     int
+	sccs     []sccBuf
+	nSCCs    int
 
 	// Howard policy iteration
 	policy    []int
@@ -390,15 +388,7 @@ func (s *Solver) decompose(g *Graph) {
 	compSize := growN(&s.compSize, nComps)
 	copy(compSize, compOf[:nComps])
 
-	// Materialize one subgraph per component containing internal edges,
-	// each sized from its count of internal edges.
-	compEdges := growN(&s.compEdges, nComps)
-	clear(compEdges)
-	for i := range g.Edges {
-		if e := &g.Edges[i]; comp[e.From] == comp[e.To] {
-			compEdges[comp[e.From]]++
-		}
-	}
+	// Materialize one subgraph per component containing internal edges.
 	s.nSCCs = 0
 	for i := 0; i < nComps; i++ {
 		compOf[i] = -1
@@ -419,8 +409,8 @@ func (s *Solver) decompose(g *Graph) {
 			}
 			sg := &s.sccs[oi]
 			sg.g.N = compSize[c]
-			sg.g.Edges = slices.Grow(sg.g.Edges[:0], compEdges[c])
-			sg.edgeMap = slices.Grow(sg.edgeMap[:0], compEdges[c])
+			sg.g.Edges = sg.g.Edges[:0]
+			sg.edgeMap = sg.edgeMap[:0]
 		}
 		sg := &s.sccs[oi]
 		sg.g.Edges = append(sg.g.Edges, Edge{
