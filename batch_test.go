@@ -3,7 +3,9 @@ package facile
 import (
 	"context"
 	"encoding/hex"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 func mustDecode(t *testing.T, s string) []byte {
@@ -247,7 +249,8 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 
 // TestAnalyzeCodeBufferReuse pins the durable-entry contract: the engine
 // never retains caller memory, so a caller may clobber its Code buffer the
-// moment a call returns without corrupting the cached analysis or block.
+// moment a call returns without corrupting the cached analysis or the
+// memoized simulation.
 func TestAnalyzeCodeBufferReuse(t *testing.T) {
 	e, err := NewEngine(EngineConfig{Archs: []string{"SKL"}})
 	if err != nil {
@@ -277,13 +280,63 @@ func TestAnalyzeCodeBufferReuse(t *testing.T) {
 		t.Fatalf("cached prediction corrupted by buffer reuse: %v != %v",
 			again.Prediction.CyclesPerIteration, want)
 	}
-	// The cached block must also be intact: the simulator walks its decoded
-	// instructions.
+	// The memoized simulation must also be intact.
 	sim2, err := e.Simulate(mustDecode(t, "4801d8480fafc3"), "SKL", Loop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim1 != sim2 {
-		t.Fatalf("cached block corrupted by buffer reuse: simulate %v != %v", sim1, sim2)
+		t.Fatalf("memoized simulation corrupted by buffer reuse: %v != %v", sim1, sim2)
+	}
+}
+
+// TestMissReleasesCodeBuffer: a cache miss builds its block into a pooled
+// scratch from the request's bytes, and the block's instructions subslice
+// them; the scratch must let go of them before it goes back to the pool.
+// One collection moves the pool's contents to its victim cache, where they
+// stay reachable, so a scratch that still held the block's code would keep
+// the caller's buffer alive past it.
+func TestMissReleasesCodeBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     EngineConfig
+		analyze func(e *Engine, code []byte) error
+	}{
+		{"uncached Analyze", EngineConfig{Archs: []string{"SKL"}, CacheSize: -1}, func(e *Engine, code []byte) error {
+			_, err := e.Analyze(context.Background(), Request{Code: code, Arch: "SKL", Mode: Loop})
+			return err
+		}},
+		{"cached Analyze", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
+			_, err := e.Analyze(context.Background(), Request{Code: code, Arch: "SKL", Mode: Loop})
+			return err
+		}},
+		{"AnalyzeBatch", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
+			return e.AnalyzeBatch(context.Background(), []Request{{Code: code, Arch: "SKL", Mode: Loop}})[0].Err
+		}},
+		{"Simulate", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
+			_, err := e.Simulate(code, "SKL", Loop)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := func() weak.Pointer[byte] {
+				// 19 bytes: an allocation under 16 bytes may share a block
+				// with other small objects that keep it alive.
+				code := mustDecode(t, "4801d8480fafc34801d8480fafc348ffc975ed")
+				if err := tc.analyze(e, code); err != nil {
+					t.Fatal(err)
+				}
+				return weak.Make(&code[0])
+			}()
+			runtime.GC()
+			if buf.Value() != nil {
+				t.Error("the caller's code buffer is still reachable after the call returned")
+			}
+			runtime.KeepAlive(e)
+		})
 	}
 }

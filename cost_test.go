@@ -15,11 +15,13 @@ import (
 )
 
 // TestAnalyzeCostNearLinear: the cost of one uncached Analyze grows about
-// linearly with block size on adversarial dependence shapes. A 16x larger
-// block may take at most 32x as long; a per-consumer scan over every writer
-// of a register (quadratic in a chain that writes one register throughout)
-// fails it. Timing tests are excluded under the race detector and skipped
-// in -short mode.
+// linearly with block size on adversarial dependence shapes — one long
+// chain, 16 independent chains, and a chain through the flags register
+// (every instruction reads and writes it). A 16x larger block may take at
+// most 32x as long; a per-consumer scan over every writer of a register
+// (quadratic in a chain that writes one register throughout) fails it.
+// Timing tests are excluded under the race detector and skipped in -short
+// mode.
 func TestAnalyzeCostNearLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cost-curve timing skipped in -short mode")
@@ -56,6 +58,13 @@ func TestAnalyzeCostNearLinear(t *testing.T) {
 			return []asm.Instr{
 				asm.Mk(x86.ADDPS, 128, asm.R(r), asm.R(r)),
 				asm.Mk(x86.MULPS, 128, asm.R(r), asm.R(r)),
+			}
+		}},
+		{"flags", func(int) []asm.Instr {
+			return []asm.Instr{
+				asm.Mk(x86.ADC, 64, asm.R(x86.RAX), asm.R(x86.RBX)),
+				asm.Mk(x86.SBB, 64, asm.R(x86.RCX), asm.R(x86.RDX)),
+				asm.MkCC(x86.CMOVCC, x86.CondNE, 64, asm.R(x86.RBX), asm.R(x86.RCX)),
 			}
 		}},
 	}

@@ -88,19 +88,20 @@ type EngineConfig struct {
 // amortizes all per-call setup that a one-shot analysis pays every time:
 //
 //   - per-microarchitecture configurations are resolved through the
-//     registry; each cache miss builds its block with bb.Build;
-//   - decoded blocks and complete analyses — prediction, ordered bound
-//     breakdown, counterfactual speedups, rendered report — are memoized
-//     in a bounded LRU keyed by (code bytes, microarchitecture, mode);
-//     repeated queries become cache hits, and a warm Analyze at any Detail
-//     performs exactly one cache entry resolution and no heap allocations;
+//     registry;
+//   - complete analyses — prediction, ordered bound breakdown,
+//     counterfactual speedups, rendered report — are memoized in a bounded
+//     LRU keyed by (code bytes, microarchitecture, mode); repeated queries
+//     become cache hits, and a warm Analyze at any Detail performs exactly
+//     one cache entry resolution and no heap allocations. Decoded blocks
+//     are not cached: an entry keeps only what its analysis returns;
 //   - every cache miss — Analyze, Simulate, or a batch item — is filled by
-//     one function: its analysis scratch state (per-component predictor
-//     buffers) comes from a sync.Pool, so a warm miss computes the full
-//     bound vector without transient allocations in the analysis core, and
-//     its result payloads are carved from slabs — a batch worker's, shared
-//     across its chunk, or for a single request fresh ones sized for one
-//     block;
+//     one function from a pooled scratch (see missScratch): the miss builds
+//     its block into the scratch's block with bb.BuildInto and computes the
+//     full bound vector in its analysis context, both warm after the first
+//     misses, and its result payloads are carved from slabs — a batch
+//     worker's, shared across its chunk, or for a single request fresh ones
+//     sized for one block;
 //   - AnalyzeBatch fans independent requests across a worker pool while
 //     keeping result order deterministic, and observes its context between
 //     items so a cancelled batch stops computing.
@@ -117,8 +118,8 @@ type Engine struct {
 	workers  int
 	maxCode  int
 
-	// analyses pools core.Analysis scratch contexts across cache misses.
-	analyses sync.Pool
+	// scratch pools *missScratch values across cache misses.
+	scratch sync.Pool
 
 	// uncached counts resolutions when memoization is disabled (cache ==
 	// nil); cached resolutions are counted by per-shard cache counters and
@@ -170,8 +171,8 @@ const entryBaseBytes = 512
 
 // entrySizeBytes estimates an entry's resident footprint once its analysis
 // is computed: the durable code copy (shared by the cache key), the bound
-// breakdown, the prediction's per-instruction payloads, and the decoded
-// block. Error entries carry only the base and the code.
+// breakdown and the prediction's per-instruction payloads. Error entries
+// carry only the base and the code.
 func entrySizeBytes(ent *engineEntry) int {
 	n := entryBaseBytes + len(ent.code)
 	if ent.err != nil {
@@ -186,30 +187,24 @@ func entrySizeBytes(ent *engineEntry) int {
 	for _, s := range a.Prediction.Bottlenecks {
 		n += 16 + len(s)
 	}
-	if ent.block != nil {
-		// The block's code aliases ent.code.
-		n += ent.block.SizeBytes()
-	}
 	return n
 }
 
 // engineEntry is a single-flight cache slot: the first caller computes the
-// block and prediction under once; concurrent callers for the same key block
+// prediction under once; concurrent callers for the same key block
 // on once and then share the result. Decode/lookup errors are cached too, so
 // repeatedly querying an undecodable block stays cheap. The entry holds its
 // Analysis at every Detail inline: fill sets the prediction-level value, and
 // the views once derives the other two from it — the sorted speedups and the
 // rendered report are a pure recombination and rendering of the cached
 // bound vector, never a re-run of the component predictors. The simulation
-// is memoized alongside.
+// is memoized alongside. Nothing in an entry aliases caller memory, so
+// callers may reuse their Code buffers as soon as a call returns.
 type engineEntry struct {
 	once sync.Once
 	// code is the entry's durable copy of the block bytes (the cache key's
-	// code string); empty on private (uncached) entries. Cached blocks are
-	// built from it rather than from caller memory, so callers may reuse
-	// their Code buffers as soon as a call returns.
-	code  string
-	block *bb.Block
+	// code string); empty on private (uncached) entries.
+	code string
 	// bounds is the bound vector the speedup view recombines.
 	bounds core.Bounds
 	err    error
@@ -226,6 +221,7 @@ type engineEntry struct {
 
 	simOnce sync.Once
 	sim     float64
+	simErr  error
 }
 
 // analysis returns the entry's Analysis for one detail level, deriving the
@@ -257,7 +253,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		pub = DefaultRegistry()
 	}
 	e := &Engine{reg: pub.reg(), pub: pub}
-	e.analyses.New = func() any { return core.NewAnalysis() }
+	e.scratch.New = func() any { return new(missScratch) }
 	if len(cfg.Archs) > 0 {
 		e.restrict = make(map[string]bool, len(cfg.Archs))
 		for _, name := range cfg.Archs {
@@ -357,38 +353,40 @@ func (e *Engine) checkCode(code []byte) error {
 }
 
 // entry returns the single-flight cache slot for (code, arch, mode),
-// computing the decoded block and prediction on first use. Exactly one
-// cache resolution happens per call; every derived view hangs off the
-// returned entry. The context is observed between the cache probe and the
-// computation: a cancelled caller never pays for (or pollutes stats with) a
-// cache miss, while a warm hit is served regardless — it costs nothing.
-func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode) (*engineEntry, error) {
+// computing the prediction on first use, and the resolved configuration.
+// Exactly one cache resolution happens per call; every derived view hangs
+// off the returned entry. The context is observed between the cache probe
+// and the computation: a cancelled caller never pays for (or pollutes stats
+// with) a cache miss, while a warm hit is served regardless — it costs
+// nothing.
+func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode) (*engineEntry, *uarch.Config, error) {
 	if err := checkMode(mode); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg, ver, err := e.resolve(arch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.checkCode(code); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ent, err := e.resolveEntry(ctx, code, cfg.Name, ver, mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.fill(ent, cfg, ver, code, mode, nil, 1)
-	return ent, nil
+	return ent, cfg, nil
 }
 
 // fill computes ent on its first use: the one miss path of Analyze,
-// Simulate and the batch kernel. It builds the block, runs one PredictSlab,
-// and carves the public prediction and the bound breakdown from sc's slabs,
-// sized for the left blocks (this one included) still to be filled from
-// them. A nil sc is a single request's miss: the scratch — the pooled
-// analysis and fresh slabs sized for one block — is drawn inside the once,
-// so a warm call allocates nothing. A freshly computed entry registers its
-// size with its cache shard.
+// Simulate and the batch kernel. It builds the block from the request's
+// bytes into sc's block, runs one PredictSlab, and carves the public
+// prediction and the bound breakdown from sc's slabs, sized for the left
+// blocks (this one included) still to be filled from them. A nil sc is a
+// single request's miss: the scratch — a pooled missScratch and fresh
+// slabs sized for one block — is drawn inside the once, so a warm call
+// allocates nothing. A freshly computed entry registers its size with its
+// cache shard.
 func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []byte, mode Mode, sc *batchScratch, left int) {
 	var (
 		computed bool
@@ -397,18 +395,17 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 	ent.once.Do(func() {
 		computed = true
 		defer func() { ent.size = entrySizeBytes(ent) }()
-		block, err := bb.Build(cfg, ent.blockBytes(code))
-		if err != nil {
+		if sc == nil {
+			own.missScratch = e.getScratch()
+			defer e.putScratch(own.missScratch)
+			sc = &own
+		}
+		block := &sc.block
+		if err := bb.BuildInto(block, cfg, code); err != nil {
 			// Decode failures are about the request's bytes: classify them
 			// into the uniform bad-request vocabulary (text unchanged).
 			ent.err = asBadRequest(err)
 			return
-		}
-		ent.block = block
-		if sc == nil {
-			own.ana = e.analyses.Get().(*core.Analysis)
-			defer e.analyses.Put(own.ana)
-			sc = &own
 		}
 		sc.blocksLeft(left)
 		p := sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
@@ -472,26 +469,6 @@ func unsafeString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// unsafeBytes views s as a byte slice without copying. The result aliases the
-// string's storage and must never be written to; it is used to build blocks
-// from an entry's durable code copy (the decoder only reads its input).
-func unsafeBytes(s string) []byte {
-	return unsafe.Slice(unsafe.StringData(s), len(s))
-}
-
-// blockBytes returns the bytes the entry's block must be built from: the
-// entry's own durable copy when it has one — a cached block (whose decoded
-// instructions subslice the decode input) then never aliases caller memory,
-// so callers may reuse their Code buffers after a call returns. Private
-// (uncached) entries build from the caller's bytes directly; they live only
-// for the duration of the call.
-func (ent *engineEntry) blockBytes(code []byte) []byte {
-	if ent.code != "" {
-		return unsafeBytes(ent.code)
-	}
-	return code
-}
-
 // Analyze is the entrypoint of the public API: one typed Request in, one
 // typed Analysis out. A single cheap bound computation (or a single cache
 // entry resolution, when warm) yields the prediction, the ordered
@@ -517,7 +494,7 @@ func (e *Engine) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	if err := checkDetail(req.Detail); err != nil {
 		return nil, err
 	}
-	ent, err := e.entry(ctx, req.Code, req.Arch, req.Mode)
+	ent, _, err := e.entry(ctx, req.Code, req.Arch, req.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -597,11 +574,11 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 	}
 	order, groups := groupBatch(reqs)
 	if workers <= 1 {
-		sc := batchScratch{ana: e.analyses.Get().(*core.Analysis)}
+		sc := batchScratch{missScratch: e.getScratch()}
 		for _, g := range groups {
 			e.processChunk(ctx, variant, reqs, out, order, g, &sc)
 		}
-		e.analyses.Put(sc.ana)
+		e.putScratch(sc.missScratch)
 		return out
 	}
 	chunks := splitChunks(groups, workers, n)
@@ -612,8 +589,8 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := batchScratch{ana: e.analyses.Get().(*core.Analysis)}
-			defer e.analyses.Put(sc.ana)
+			sc := batchScratch{missScratch: e.getScratch()}
+			defer e.putScratch(sc.missScratch)
 			for {
 				ci := int(next.Add(1))
 				if ci >= len(chunks) {
@@ -633,20 +610,42 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 // sorted order slice for heterogeneous ones.
 type batchChunk struct{ lo, hi int }
 
-// batchScratch is the state a cache miss is filled from: an analysis
-// scratch context drawn from the engine pool, and slabs that prediction
-// payloads, bound breakdowns and name lists are carved from. A batch worker
-// holds one across its chunks, drawn once per batch (not once per block): a
-// chunk of cache hits touches none of it, and a chunk of misses allocates
-// only when a slab drains. A single request's miss fills from one of its own
-// (see Engine.fill).
+// missScratch is the working state of a cache miss, pooled across misses:
+// the analysis scratch context, the block the miss is built into, and the
+// instruction-text render buffer. Its arrays grow to the largest block it
+// has served and are refilled in place, so a miss on a warm scratch
+// allocates only the results its entry keeps. Nothing in it outlives the
+// miss; putScratch drops the block's references to the request before the
+// scratch goes back to the pool.
+type missScratch struct {
+	ana   core.Analysis
+	block bb.Block
+	text  []byte
+}
+
+// getScratch draws a miss scratch from the engine's pool.
+func (e *Engine) getScratch() *missScratch { return e.scratch.Get().(*missScratch) }
+
+// putScratch returns ms to the engine's pool. Its block's instructions
+// subslice the last request's code, so they are released first: the pool
+// must not pin a caller's buffer or a server's request memory.
+func (e *Engine) putScratch(ms *missScratch) {
+	ms.block.Release()
+	e.scratch.Put(ms)
+}
+
+// batchScratch is the state a cache miss is filled from: a miss scratch
+// drawn from the engine pool, and slabs that prediction payloads, bound
+// breakdowns and name lists are carved from. A batch worker holds one
+// across its chunks, drawn once per batch (not once per block): a chunk of
+// cache hits touches none of it, and a chunk of misses allocates only when
+// a slab drains. A single request's miss fills from one of its own (see
+// Engine.fill).
 type batchScratch struct {
-	ana    *core.Analysis
+	*missScratch
 	ints   core.Slab[int]
 	bounds core.Slab[ComponentBound]
 	strs   core.Slab[string]
-	// text is the instruction-text render buffer, reused across blocks.
-	text []byte
 }
 
 // blocksLeft sizes the worker's fresh slabs for the n blocks, the current
@@ -801,18 +800,26 @@ func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs [
 }
 
 // Simulate runs the reference cycle-accurate pipeline simulator on the
-// engine's cached decoded block; the result is memoized alongside the
-// analysis.
+// block; the result is memoized alongside the analysis. The entry keeps no
+// decoded block, so the first simulation builds its own with bb.Build, a
+// small cost next to the simulation itself.
 func (e *Engine) Simulate(code []byte, arch string, mode Mode) (float64, error) {
-	ent, err := e.entry(context.Background(), code, arch, mode)
+	ent, cfg, err := e.entry(context.Background(), code, arch, mode)
 	if err != nil {
 		return 0, err
 	}
 	if ent.err != nil {
 		return 0, ent.err
 	}
-	ent.simOnce.Do(func() { ent.sim = simulateBlock(ent.block, mode) })
-	return ent.sim, nil
+	ent.simOnce.Do(func() {
+		block, err := bb.Build(cfg, code)
+		if err != nil {
+			ent.simErr = asBadRequest(err)
+			return
+		}
+		ent.sim = simulateBlock(block, mode)
+	})
+	return ent.sim, ent.simErr
 }
 
 // EngineStats is a snapshot of the engine's cache accounting, aggregated

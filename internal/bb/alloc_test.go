@@ -46,3 +46,34 @@ func TestBuildAllocsFlat(t *testing.T) {
 		t.Errorf("Build allocates %.1f/op for 7 instructions, %.1f/op for %d, want equal", small, large, 7*64)
 	}
 }
+
+// TestBuildIntoWarmZeroAllocs: rebuilding into a Block that has held a block
+// at least as large refills its arrays in place and allocates nothing,
+// whether the blocks alternate or repeat.
+func TestBuildIntoWarmZeroAllocs(t *testing.T) {
+	cfg := uarch.MustByName("SKL")
+	large := asm.MustEncodeBlock([]asm.Instr{
+		asm.Mk(x86.ADD, 64, asm.M(x86.RDI, 8), asm.R(x86.RAX)),
+		asm.Mk(x86.IMUL, 64, asm.R(x86.RBX), asm.R(x86.RAX)),
+		asm.Mk(x86.MOV, 64, asm.MX(x86.RSI, x86.RCX, 8, 16), asm.R(x86.RBX)),
+		asm.Mk(x86.XOR, 32, asm.R(x86.RDX), asm.R(x86.RDX)),
+		asm.Mk(x86.ADDPS, 128, asm.R(x86.X0), asm.R(x86.X1)),
+		asm.Mk(x86.CMP, 64, asm.R(x86.RDX), asm.R(x86.RAX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	})
+	small := asm.MustEncodeBlock([]asm.Instr{
+		asm.Mk(x86.IMUL, 64, asm.R(x86.RAX), asm.R(x86.RBX)),
+		asm.Mk(x86.DEC, 64, asm.R(x86.RCX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	})
+	var b Block
+	build := func(code []byte) {
+		if err := BuildInto(&b, cfg, code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build(large)
+	if allocs := testing.AllocsPerRun(100, func() { build(large); build(small) }); allocs != 0 {
+		t.Errorf("warm BuildInto allocates %.1f per two blocks, want 0", allocs)
+	}
+}

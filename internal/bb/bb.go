@@ -41,12 +41,13 @@ type Block struct {
 	Code  []byte
 	Insts []Instr
 
-	// The arrays the instructions' µops and effect registers are carved
-	// from, kept for SizeBytes.
-	uops []isa.Uop
-	regs []x86.Reg
+	// The arrays the instructions' descriptors, µops and effect registers
+	// are carved from, refilled in place by BuildInto.
+	descs []isa.Desc
+	uops  []isa.Uop
+	regs  []x86.Reg
 
-	// Derived state, precomputed by Build (see the package comment).
+	// Derived state, precomputed by BuildInto (see the package comment).
 	fusedUops   int
 	issueUops   int
 	execUops    []isa.Uop
@@ -54,7 +55,7 @@ type Block struct {
 	jccErratum  bool
 }
 
-// decodeBufs holds the buffers Build decodes into: the instructions are
+// decodeBufs holds the buffers BuildInto decodes into: the instructions are
 // copied into the block, so the decoded list is scratch.
 var decodeBufs = sync.Pool{New: func() any { return new([]x86.Inst) }}
 
@@ -62,47 +63,63 @@ var decodeBufs = sync.Pool{New: func() any { return new([]x86.Inst) }}
 // unfused-domain µops per instruction.
 const uopsPerInst = 2
 
-// Build decodes code and assembles the block for cfg: each instruction's
-// effects, descriptor, layout, and macro-fusion marking. The block owns its
-// descriptors, their µops and the effects' registers, each kind carved from
-// one per-block array, so building costs a fixed number of allocations
-// however many instructions the block has.
+// Build decodes code and assembles a new block for cfg; see BuildInto.
 func Build(cfg *uarch.Config, code []byte) (*Block, error) {
+	b := new(Block)
+	if err := BuildInto(b, cfg, code); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// BuildInto decodes code and assembles the block for cfg in b: each
+// instruction's effects, descriptor, layout, and macro-fusion marking. The
+// block owns its descriptors, their µops and the effects' registers, each
+// kind carved from one per-block array. BuildInto refills b's arrays in
+// place and grows them only for a block larger than b has held, so
+// rebuilding a warm b allocates nothing, and a fresh one costs a fixed
+// number of allocations however many instructions the block has. The
+// instructions' Raw bytes subslice code. On error b's contents are
+// unspecified, but b stays reusable.
+func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	buf := decodeBufs.Get().(*[]x86.Inst)
 	defer decodeBufs.Put(buf)
 	insts, err := x86.AppendDecodeBlock((*buf)[:0], code)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Keep the grown buffer, without the references to code.
 	*buf = insts
 	defer clear(insts)
 	if len(insts) == 0 {
-		return nil, fmt.Errorf("bb: empty block")
+		return fmt.Errorf("bb: empty block")
 	}
 	n := len(insts)
-	b := &Block{Cfg: cfg, Code: code, Insts: make([]Instr, n)}
-	descs := make([]isa.Desc, n)
-	regs := make([]x86.Reg, 0, x86.MaxEffectRegs*n)
-	uops := make([]isa.Uop, 0, uopsPerInst*n)
+	b.Cfg, b.Code = cfg, code
+	b.Insts = resize(b.Insts, n)
+	b.descs = resize(b.descs, n)
+	regs := resize(b.regs, x86.MaxEffectRegs*n)[:0]
+	uops := resize(b.uops, uopsPerInst*n)[:0]
+	base := unsafe.SliceData(uops)
 	off := 0
 	for k := range insts {
 		ins := &b.Insts[k]
-		ins.Inst, ins.Desc, ins.Off = insts[k], &descs[k], off
+		*ins = Instr{Inst: insts[k], Desc: &b.descs[k], Off: off}
 		ins.Eff, regs = ins.Inst.AppendEffects(regs)
 		if uops, err = isa.Lookup(cfg, &ins.Inst, &ins.Eff, ins.Desc, uops); err != nil {
-			return nil, fmt.Errorf("bb: instruction %d (%s): %w", k, insts[k].String(), err)
+			return fmt.Errorf("bb: instruction %d (%s): %w", k, insts[k].String(), err)
 		}
 		off += insts[k].Len
 	}
 	b.uops, b.regs = uops, regs
-	if cap(uops) != uopsPerInst*n {
+	if unsafe.SliceData(uops) != base {
 		// Appending moved the µop array: point every descriptor into the
-		// final one, so the block holds one.
+		// final one, so the block holds one. A reused array's capacity does
+		// not tell whether it moved; its base pointer does.
 		lo := 0
-		for k := range descs {
-			if m := len(descs[k].Uops); m > 0 {
-				descs[k].Uops = uops[lo : lo+m : lo+m]
+		for k := range b.descs {
+			if m := len(b.descs[k].Uops); m > 0 {
+				b.descs[k].Uops = uops[lo : lo+m : lo+m]
 				lo += m
 			}
 		}
@@ -135,7 +152,32 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 	}
 
 	b.derive()
-	return b, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its array when it has room; the
+// elements are left for the caller to overwrite. The result is never nil,
+// so a fresh block and a rebuilt one hold the same (empty, non-nil) views.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Release drops b's references to its code and configuration, the
+// instructions' Raw bytes among them, and keeps its arrays for the next
+// BuildInto: a pooled block must pin neither a caller's buffer nor a
+// configuration. It clears the arrays up to their capacity, since a smaller
+// block built after a larger one leaves the larger one's tail in place, and
+// the decode-unit tail may point into an instruction array since replaced.
+func (b *Block) Release() {
+	b.Cfg, b.Code = nil, nil
+	insts := b.Insts[:cap(b.Insts)]
+	for k := range insts {
+		insts[k].Inst.Raw = nil
+	}
+	clear(b.decodeUnits[:cap(b.decodeUnits)])
 }
 
 // derive precomputes every per-prediction view of the block. It must run
@@ -152,8 +194,9 @@ func (b *Block) derive() {
 			exec += len(ins.Desc.Uops)
 		}
 	}
-	b.decodeUnits = make([]*Instr, 0, units)
-	b.execUops = make([]isa.Uop, 0, exec)
+	b.fusedUops, b.issueUops = 0, 0
+	b.decodeUnits = resize(b.decodeUnits, units)[:0]
+	b.execUops = resize(b.execUops, exec)[:0]
 	for k := range b.Insts {
 		ins := &b.Insts[k]
 		if ins.FusedWithPrev {
@@ -167,18 +210,6 @@ func (b *Block) derive() {
 		}
 	}
 	b.jccErratum = b.computeJCCErratum()
-}
-
-// SizeBytes estimates the heap bytes the block holds apart from its code:
-// the block itself, its instruction, descriptor, µop and register arrays,
-// and the derived execution-µop and decode-unit views.
-func (b *Block) SizeBytes() int {
-	n := int(unsafe.Sizeof(*b))
-	n += len(b.Insts) * int(unsafe.Sizeof(Instr{})+unsafe.Sizeof(isa.Desc{}))
-	n += (cap(b.uops) + len(b.execUops)) * int(unsafe.Sizeof(isa.Uop{}))
-	n += cap(b.regs) * int(unsafe.Sizeof(x86.Reg(0)))
-	n += len(b.decodeUnits) * int(unsafe.Sizeof(&Instr{}))
-	return n
 }
 
 // Len returns the block length in bytes.

@@ -217,3 +217,107 @@ func TestBlockString(t *testing.T) {
 		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestBuildIntoReuse: building blocks one after another into one Block
+// gives, for each, a block equal to a fresh Build: large then small,
+// macro-fused pairs after unfused code, a decode error in between, and a
+// block whose µops outgrow a reused array.
+func TestBuildIntoReuse(t *testing.T) {
+	cfg := uarch.MustByName("SKL")
+	enc := func(instrs ...asm.Instr) []byte { return asm.MustEncodeBlock(instrs) }
+	repeat := func(n int, ins asm.Instr) []asm.Instr {
+		out := make([]asm.Instr, n)
+		for k := range out {
+			out[k] = ins
+		}
+		return out
+	}
+	add := asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.R(x86.RBX))
+	// A read-modify-write add has four µops, twice the array's first size
+	// per instruction.
+	rmw := asm.Mk(x86.ADD, 64, asm.M(x86.RDI, 8), asm.R(x86.RAX))
+	fused := enc(
+		asm.Mk(x86.CMP, 64, asm.R(x86.RAX), asm.R(x86.RBX)),
+		asm.MkCC(x86.JCC, x86.CondE, 64, asm.I(-12)),
+	)
+	loop := enc(
+		asm.Mk(x86.IMUL, 64, asm.R(x86.RAX), asm.R(x86.RBX)),
+		asm.Mk(x86.DEC, 64, asm.R(x86.RCX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	)
+	codes := []struct {
+		name string
+		code []byte
+	}{
+		{"µop growth", enc(repeat(8, rmw)...)},
+		{"large", enc(repeat(64, add)...)},
+		{"small", enc(add)},
+		{"fused pair", fused},
+		{"zero idiom and eliminated move", enc(
+			asm.Mk(x86.XOR, 32, asm.R(x86.RDX), asm.R(x86.RDX)),
+			asm.Mk(x86.MOV, 64, asm.R(x86.RBX), asm.R(x86.RCX)),
+		)},
+		{"decode error", []byte{0xD9, 0xC0}},
+		{"loop", loop},
+		{"µop growth on a reused array", enc(repeat(40, rmw)...)},
+		{"fused pair again", fused},
+		{"empty", nil},
+		{"loop again", loop},
+	}
+	var b Block
+	for _, tc := range codes {
+		want, errWant := Build(cfg, tc.code)
+		errGot := BuildInto(&b, cfg, tc.code)
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("%s: Build error %v, BuildInto error %v", tc.name, errWant, errGot)
+		}
+		if errWant != nil {
+			continue
+		}
+		if !reflect.DeepEqual(&b, want) {
+			t.Fatalf("%s: BuildInto into a reused block differs from Build:\n%s\nwant\n%s", tc.name, b.String(), want.String())
+		}
+		// Equal values are not enough: every descriptor's µops must lie in
+		// the block's current µop array, not in one it has replaced.
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b.uops)))
+		hi := lo + uintptr(len(b.uops))*unsafe.Sizeof(isa.Uop{})
+		for k := range b.Insts {
+			if uops := b.Insts[k].Desc.Uops; len(uops) > 0 {
+				if p := uintptr(unsafe.Pointer(&uops[0])); p < lo || p >= hi {
+					t.Fatalf("%s: instruction %d's µops lie outside the block's µop array", tc.name, k)
+				}
+			}
+		}
+	}
+}
+
+// TestReleaseDropsCode: after Release a Block references neither its code
+// nor its configuration, also in the tail a smaller block left of a larger
+// one's instruction array, and it still builds like a fresh one.
+func TestReleaseDropsCode(t *testing.T) {
+	cfg := uarch.MustByName("SKL")
+	add := asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.R(x86.RBX))
+	large := asm.MustEncodeBlock([]asm.Instr{add, add, add, add, add, add, add, add})
+	small := asm.MustEncodeBlock([]asm.Instr{add})
+	var b Block
+	for _, code := range [][]byte{large, small} {
+		if err := BuildInto(&b, cfg, code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Release()
+	if b.Code != nil || b.Cfg != nil {
+		t.Fatal("Release kept the code or the configuration")
+	}
+	for k, ins := range b.Insts[:cap(b.Insts)] {
+		if ins.Inst.Raw != nil {
+			t.Fatalf("instruction %d still holds its code bytes after Release", k)
+		}
+	}
+	if err := BuildInto(&b, cfg, small); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Build(cfg, small); !reflect.DeepEqual(&b, want) {
+		t.Fatalf("a released block rebuilds differently:\n%s\nwant\n%s", b.String(), want.String())
+	}
+}

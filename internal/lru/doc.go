@@ -1,8 +1,9 @@
 // Package lru provides a small, concurrency-safe, bounded LRU cache used
-// by the prediction engine to memoize decoded blocks and predictions. It
-// models no part of the paper — it is serving infrastructure for the §1
-// use cases (superoptimizer loops, bulk evaluation, services) where the
-// same blocks recur. It is deliberately minimal: fixed capacity, strict
+// by the prediction engine to memoize analyses (not decoded blocks: an
+// entry keeps only what its analysis returns). It models no part of the
+// paper — it is serving infrastructure for the §1 use cases
+// (superoptimizer loops, bulk evaluation, services) where the same blocks
+// recur. It is deliberately minimal: fixed capacity, strict
 // least-recently-used eviction, and a GetOrAdd primitive that lets callers
 // implement single-flight computation on top of cached entries.
 //
