@@ -53,10 +53,11 @@ func TestEngineWarmReportTextZeroAllocs(t *testing.T) {
 
 // TestAnalyzeBatchWarmZeroPerBlockAllocs: the chunked batch kernel must do
 // zero per-block work on warm batches — the only allocations a warm
-// AnalyzeBatchN makes are the per-call fixed ones (the results slice and
-// the scheduler's group/chunk bookkeeping), so the count must not move when
-// the batch grows 16x. The per-call constant is pinned too, so a stray
-// fixed-cost allocation cannot hide behind the scaling check.
+// AnalyzeBatchN makes are the per-call fixed ones — so the count must not
+// move when the batch grows 16x, nor when its requests mix arches and
+// modes: every item takes the same per-request path. The per-call constant
+// is pinned too, so a stray fixed-cost allocation cannot hide behind the
+// comparisons.
 func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL", "ICL"}})
 	ctx := context.Background()
@@ -66,12 +67,15 @@ func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 		decode(t, "480307 4883c708 48ffc9 75f2"),
 		decode(t, "48ffc04883c103"),
 	}
-	mkReqs := func(n int) []facile.Request {
+	mkReqs := func(n int, mixed bool) []facile.Request {
 		reqs := make([]facile.Request, n)
 		for i := range reqs {
 			reqs[i] = facile.Request{Code: codes[i%len(codes)], Arch: "SKL", Mode: facile.Loop}
-			if i%3 == 1 {
-				reqs[i].Arch = "ICL" // heterogeneous: exercise the grouped path
+			if mixed && i%3 == 1 {
+				reqs[i].Arch = "ICL"
+			}
+			if mixed && i%5 == 2 {
+				reqs[i].Mode = facile.Unroll
 			}
 		}
 		return reqs
@@ -83,9 +87,10 @@ func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 			}
 		}
 	}
-	small, large := mkReqs(16), mkReqs(256)
+	small, large, mixed := mkReqs(16, false), mkReqs(256, false), mkReqs(256, true)
 	warm(small)
 	warm(large)
+	warm(mixed)
 
 	measure := func(reqs []facile.Request) float64 {
 		return testing.AllocsPerRun(100, func() {
@@ -97,15 +102,18 @@ func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 			}
 		})
 	}
-	aSmall, aLarge := measure(small), measure(large)
+	aSmall, aLarge, aMixed := measure(small), measure(large), measure(mixed)
 	if aLarge != aSmall {
 		t.Errorf("warm batch allocations scale with size: %d blocks -> %.1f, %d blocks -> %.1f (want equal)",
 			len(small), aSmall, len(large), aLarge)
 	}
-	// Fixed per-call budget: results slice + scheduler order/group/chunk
-	// bookkeeping. Anything above that is a regression.
-	if aLarge > 6 {
-		t.Errorf("warm AnalyzeBatchN fixed overhead is %.1f allocs/call, want <= 6", aLarge)
+	if aMixed != aLarge {
+		t.Errorf("a mixed warm batch allocates %.1f/call, a homogeneous one %.1f (want equal)", aMixed, aLarge)
+	}
+	// Fixed per-call budget: the results slice and the worker's scratch
+	// header. Anything above that is a regression.
+	if aLarge > 2 {
+		t.Errorf("warm AnalyzeBatchN fixed overhead is %.1f allocs/call, want <= 2", aLarge)
 	}
 }
 

@@ -38,90 +38,22 @@ func batchRequests(t *testing.T, n int) []Request {
 	return reqs
 }
 
-func TestGroupBatchHomogeneous(t *testing.T) {
-	reqs := batchRequests(t, 8)
-	order, groups := groupBatch(reqs)
-	if order != nil {
-		t.Fatalf("homogeneous batch produced an order slice: %v", order)
-	}
-	if len(groups) != 1 || groups[0] != (batchChunk{0, 8}) {
-		t.Fatalf("homogeneous batch groups = %v, want [{0 8}]", groups)
-	}
-}
-
-func TestGroupBatchHeterogeneous(t *testing.T) {
-	reqs := batchRequests(t, 9)
-	reqs[1].Arch = "ICL"
-	reqs[4].Mode = Unroll
-	reqs[7].Arch = "ICL"
-	order, groups := groupBatch(reqs)
-	if order == nil {
-		t.Fatal("heterogeneous batch produced no order slice")
-	}
-	// The order must be a permutation of the batch.
-	seen := make([]bool, len(reqs))
-	for _, idx := range order {
-		if idx < 0 || idx >= len(reqs) || seen[idx] {
-			t.Fatalf("order %v is not a permutation", order)
-		}
-		seen[idx] = true
-	}
-	// Groups must tile [0, n) and be internally uniform in (arch, mode).
-	pos := 0
-	for _, g := range groups {
-		if g.lo != pos || g.hi <= g.lo {
-			t.Fatalf("groups %v do not tile the batch", groups)
-		}
-		first := reqs[order[g.lo]]
-		for i := g.lo; i < g.hi; i++ {
-			r := reqs[order[i]]
-			if r.Arch != first.Arch || r.Mode != first.Mode {
-				t.Fatalf("group %v mixes (arch, mode): %q/%v vs %q/%v",
-					g, first.Arch, first.Mode, r.Arch, r.Mode)
-			}
-		}
-		pos = g.hi
-	}
-	if pos != len(reqs) {
-		t.Fatalf("groups %v cover %d of %d positions", groups, pos, len(reqs))
-	}
-	// Stability: within a group, original indices stay ascending.
-	for _, g := range groups {
-		for i := g.lo + 1; i < g.hi; i++ {
-			if order[i] < order[i-1] {
-				t.Fatalf("group %v is not stable: order %v", g, order)
-			}
-		}
-	}
-}
-
 func TestSplitChunks(t *testing.T) {
-	cases := []struct {
-		groups  []batchChunk
-		workers int
-		n       int
-	}{
-		{[]batchChunk{{0, 10}}, 4, 10},
-		{[]batchChunk{{0, 3}, {3, 1000}, {1000, 1024}}, 8, 1024},
-		{[]batchChunk{{0, 1}}, 16, 1},
-		{[]batchChunk{{0, 5000}}, 2, 5000},
-	}
-	for _, tc := range cases {
-		chunks := splitChunks(tc.groups, tc.workers, tc.n)
-		pos, gi := 0, 0
+	for _, tc := range []struct{ workers, n int }{
+		{4, 10},
+		{8, 1024},
+		{16, 1},
+		{2, 5000},
+		{3, 7},
+	} {
+		chunks := splitChunks(tc.n, tc.workers)
+		pos := 0
 		for _, c := range chunks {
 			if c.lo != pos || c.hi <= c.lo {
 				t.Fatalf("workers=%d: chunks %v do not tile [0, %d)", tc.workers, chunks, tc.n)
 			}
 			if c.hi-c.lo > maxChunkLen {
 				t.Fatalf("workers=%d: chunk %v exceeds maxChunkLen", tc.workers, c)
-			}
-			// A chunk must stay inside one group.
-			for tc.groups[gi].hi <= c.lo {
-				gi++
-			}
-			if c.lo < tc.groups[gi].lo || c.hi > tc.groups[gi].hi {
-				t.Fatalf("workers=%d: chunk %v crosses group %v", tc.workers, c, tc.groups[gi])
 			}
 			pos = c.hi
 		}
@@ -140,7 +72,7 @@ func TestAnalyzeBatchWorkerClamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := batchRequests(t, 3)
-	reqs[1].Mode = Unroll // exercise grouping too
+	reqs[1].Mode = Unroll // a mixed batch
 	want := make([]*Analysis, len(reqs))
 	for i, req := range reqs {
 		want[i], err = e.Analyze(context.Background(), req)
@@ -249,8 +181,8 @@ func TestAnalyzeBatchCancellation(t *testing.T) {
 
 // TestAnalyzeCodeBufferReuse pins the durable-entry contract: the engine
 // never retains caller memory, so a caller may clobber its Code buffer the
-// moment a call returns without corrupting the cached analysis or the
-// memoized simulation.
+// moment a call returns without corrupting the cached analysis or a later
+// simulation of the same bytes.
 func TestAnalyzeCodeBufferReuse(t *testing.T) {
 	e, err := NewEngine(EngineConfig{Archs: []string{"SKL"}})
 	if err != nil {
@@ -280,13 +212,13 @@ func TestAnalyzeCodeBufferReuse(t *testing.T) {
 		t.Fatalf("cached prediction corrupted by buffer reuse: %v != %v",
 			again.Prediction.CyclesPerIteration, want)
 	}
-	// The memoized simulation must also be intact.
+	// A simulation of fresh bytes must match the first one.
 	sim2, err := e.Simulate(mustDecode(t, "4801d8480fafc3"), "SKL", Loop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim1 != sim2 {
-		t.Fatalf("memoized simulation corrupted by buffer reuse: %v != %v", sim1, sim2)
+		t.Fatalf("simulation changed after buffer reuse: %v != %v", sim1, sim2)
 	}
 }
 
@@ -295,7 +227,8 @@ func TestAnalyzeCodeBufferReuse(t *testing.T) {
 // them; the scratch must let go of them before it goes back to the pool.
 // One collection moves the pool's contents to its victim cache, where they
 // stay reachable, so a scratch that still held the block's code would keep
-// the caller's buffer alive past it.
+// the caller's buffer alive past it. Simulate builds a block of its own and
+// must not keep the buffer either.
 func TestMissReleasesCodeBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -251,8 +251,9 @@ func BenchmarkAblationCycleRatio(b *testing.B) {
 		graphs[i], _ = core.BuildDependenceGraph(block)
 	}
 	b.Run("Howard", func(b *testing.B) {
+		s := cycleratio.NewSolver()
 		for i := 0; i < b.N; i++ {
-			if _, err := cycleratio.MaxRatio(graphs[i%len(graphs)]); err != nil {
+			if _, err := s.MaxRatio(graphs[i%len(graphs)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,16 +94,20 @@ type EngineConfig struct {
 //     become cache hits, and a warm Analyze at any Detail performs exactly
 //     one cache entry resolution and no heap allocations. Decoded blocks
 //     are not cached: an entry keeps only what its analysis returns;
-//   - every cache miss — Analyze, Simulate, or a batch item — is filled by
-//     one function from a pooled scratch (see missScratch): the miss builds
-//     its block into the scratch's block with bb.BuildInto and computes the
-//     full bound vector in its analysis context, both warm after the first
-//     misses, and its result payloads are carved from slabs — a batch
-//     worker's, shared across its chunk, or for a single request fresh ones
-//     sized for one block;
+//   - Analyze and every batch item take one per-request path (see
+//     Engine.analyze): validate, resolve the microarchitecture, probe the
+//     cache, and fill a miss. The miss builds its block into a pooled
+//     scratch's block (see missScratch) with bb.BuildInto and computes the
+//     full bound vector in the scratch's analysis context, both warm after
+//     the first misses, and its result payloads are carved from slabs — a
+//     batch worker's, shared across its chunk, or for a single request
+//     fresh ones sized for one block;
 //   - AnalyzeBatch fans independent requests across a worker pool while
 //     keeping result order deterministic, and observes its context between
 //     items so a cancelled batch stops computing.
+//
+// Simulate validates its request the same way but bypasses the cache: it
+// builds its own block and runs the reference simulator.
 //
 // Cached results are shared between callers: the Analysis values returned by
 // an Engine (and their Prediction/Bounds/Speedups fields) must be
@@ -197,9 +200,9 @@ func entrySizeBytes(ent *engineEntry) int {
 // Analysis at every Detail inline: fill sets the prediction-level value, and
 // the views once derives the other two from it — the sorted speedups and the
 // rendered report are a pure recombination and rendering of the cached
-// bound vector, never a re-run of the component predictors. The simulation
-// is memoized alongside. Nothing in an entry aliases caller memory, so
-// callers may reuse their Code buffers as soon as a call returns.
+// bound vector, never a re-run of the component predictors. Nothing in an
+// entry aliases caller memory, so callers may reuse their Code buffers as
+// soon as a call returns.
 type engineEntry struct {
 	once sync.Once
 	// code is the entry's durable copy of the block bytes (the cache key's
@@ -218,10 +221,6 @@ type engineEntry struct {
 	// their prediction and bound slices.
 	ana   [numDetails]Analysis
 	views sync.Once
-
-	simOnce sync.Once
-	sim     float64
-	simErr  error
 }
 
 // analysis returns the entry's Analysis for one detail level, deriving the
@@ -352,35 +351,58 @@ func (e *Engine) checkCode(code []byte) error {
 	return nil
 }
 
-// entry returns the single-flight cache slot for (code, arch, mode),
-// computing the prediction on first use, and the resolved configuration.
-// Exactly one cache resolution happens per call; every derived view hangs
-// off the returned entry. The context is observed between the cache probe
-// and the computation: a cancelled caller never pays for (or pollutes stats
-// with) a cache miss, while a warm hit is served regardless — it costs
-// nothing.
-func (e *Engine) entry(ctx context.Context, code []byte, arch string, mode Mode) (*engineEntry, *uarch.Config, error) {
+// prepare runs the boundary checks every entry point shares, in the order
+// they are reported: mode, microarchitecture (a non-nil variant stands in
+// for the registry lookup), code bytes. It returns the resolved
+// configuration and the registry version.
+func (e *Engine) prepare(variant *uarch.Config, arch string, mode Mode, code []byte) (*uarch.Config, uint64, error) {
 	if err := checkMode(mode); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	cfg, ver, err := e.resolve(arch)
-	if err != nil {
-		return nil, nil, err
+	cfg, ver := variant, uint64(0)
+	if cfg == nil {
+		var err error
+		if cfg, ver, err = e.resolve(arch); err != nil {
+			return nil, 0, err
+		}
 	}
 	if err := e.checkCode(code); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	ent, err := e.resolveEntry(ctx, code, cfg.Name, ver, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.fill(ent, cfg, ver, code, mode, nil, 1)
-	return ent, cfg, nil
+	return cfg, ver, nil
 }
 
-// fill computes ent on its first use: the one miss path of Analyze,
-// Simulate and the batch kernel. It builds the block from the request's
-// bytes into sc's block, runs one PredictSlab, and carves the public
+// analyze is the one per-request path of Analyze and every batch item: the
+// boundary checks, then one cache resolution — a private entry for a
+// variant — then the fill on a miss. sc and left are the batch worker's
+// scratch and the blocks left in its chunk; a nil sc is a single request's.
+func (e *Engine) analyze(ctx context.Context, variant *uarch.Config, req *Request, sc *batchScratch, left int) (*Analysis, error) {
+	if err := checkDetail(req.Detail); err != nil {
+		return nil, err
+	}
+	cfg, ver, err := e.prepare(variant, req.Arch, req.Mode, req.Code)
+	if err != nil {
+		return nil, err
+	}
+	var ent *engineEntry
+	if variant != nil {
+		ent, err = e.privateEntry(ctx)
+	} else {
+		ent, err = e.resolveEntry(ctx, req.Code, cfg.Name, ver, req.Mode)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.fill(ent, cfg, ver, req.Code, req.Mode, sc, left)
+	if ent.err != nil {
+		return nil, ent.err
+	}
+	return ent.analysis(req.Detail), nil
+}
+
+// fill computes ent on its first use: the one miss path, reached only
+// through analyze. It builds the block from the request's bytes into sc's
+// block, runs one PredictSlab, and carves the public
 // prediction and the bound breakdown from sc's slabs, sized for the left
 // blocks (this one included) still to be filled from them. A nil sc is a
 // single request's miss: the scratch — a pooled missScratch and fresh
@@ -427,11 +449,7 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 func (e *Engine) resolveEntry(ctx context.Context, code []byte, canon string, ver uint64, mode Mode) (*engineEntry, error) {
 	if e.cache == nil {
 		// Memoization disabled: every call recomputes on a private entry.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.uncached.Add(1)
-		return &engineEntry{}, nil
+		return e.privateEntry(ctx)
 	}
 	// Probe with a zero-copy string view of code first: the cache does
 	// not retain lookup keys, so the unsafe aliasing never outlives this
@@ -451,6 +469,16 @@ func (e *Engine) resolveEntry(ctx context.Context, code []byte, canon string, ve
 			func() *engineEntry { return &engineEntry{code: key.code} })
 	}
 	return ent, nil
+}
+
+// privateEntry returns a fresh uncached entry, counted as a miss, unless
+// ctx is already done.
+func (e *Engine) privateEntry(ctx context.Context) (*engineEntry, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.uncached.Add(1)
+	return &engineEntry{}, nil
 }
 
 // recordEntrySize registers a freshly computed cached entry's size estimate
@@ -491,17 +519,7 @@ func (e *Engine) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := checkDetail(req.Detail); err != nil {
-		return nil, err
-	}
-	ent, _, err := e.entry(ctx, req.Code, req.Arch, req.Mode)
-	if err != nil {
-		return nil, err
-	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-	return ent.analysis(req.Detail), nil
+	return e.analyze(ctx, nil, &req, nil, 1)
 }
 
 // AnalyzeBatch analyzes every request, fanning the work across the engine's
@@ -525,9 +543,8 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // batch's parallelism but never exceed the engine's.
 //
 // Internally the batch runs on a chunked kernel rather than per-index
-// dispatch: requests are grouped by (arch, mode), each worker claims a
-// contiguous chunk of one group, resolves the microarchitecture once for
-// the whole chunk, and computes every miss in the chunk against a single
+// dispatch: each worker claims a contiguous chunk of indices and runs every
+// item through Analyze's per-request path, computing the misses against one
 // analysis scratch context with result payloads carved from per-worker
 // slabs — allocation happens only on cache misses, amortized per chunk.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
@@ -572,16 +589,13 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 	if workers > n {
 		workers = n
 	}
-	order, groups := groupBatch(reqs)
 	if workers <= 1 {
 		sc := batchScratch{missScratch: e.getScratch()}
-		for _, g := range groups {
-			e.processChunk(ctx, variant, reqs, out, order, g, &sc)
-		}
+		e.processChunk(ctx, variant, reqs, out, batchChunk{0, n}, &sc)
 		e.putScratch(sc.missScratch)
 		return out
 	}
-	chunks := splitChunks(groups, workers, n)
+	chunks := splitChunks(n, workers)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -596,7 +610,7 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 				if ci >= len(chunks) {
 					return
 				}
-				e.processChunk(ctx, variant, reqs, out, order, chunks[ci], &sc)
+				e.processChunk(ctx, variant, reqs, out, chunks[ci], &sc)
 			}
 		}()
 	}
@@ -604,10 +618,8 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 	return out
 }
 
-// batchChunk is a half-open run [lo, hi) of batch positions sharing one
-// (arch, mode) group — the scheduling unit of the chunked batch kernel.
-// Positions index the batch directly for homogeneous batches, or the group-
-// sorted order slice for heterogeneous ones.
+// batchChunk is a half-open run [lo, hi) of batch indices: the scheduling
+// unit of the chunked batch kernel.
 type batchChunk struct{ lo, hi int }
 
 // missScratch is the working state of a cache miss, pooled across misses:
@@ -654,172 +666,52 @@ func (sc *batchScratch) blocksLeft(n int) {
 	sc.ints.Blocks, sc.bounds.Blocks, sc.strs.Blocks = n, n, n
 }
 
-// groupBatch partitions a batch into (arch, mode) groups. The common
-// homogeneous batch short-circuits to the identity order (order == nil) and
-// one group; heterogeneous batches get a stable group-sorted order slice so
-// every group is one contiguous run.
-func groupBatch(reqs []Request) (order []int, groups []batchChunk) {
-	n := len(reqs)
-	homogeneous := true
-	for i := 1; i < n; i++ {
-		if reqs[i].Arch != reqs[0].Arch || reqs[i].Mode != reqs[0].Mode {
-			homogeneous = false
-			break
-		}
-	}
-	if homogeneous {
-		return nil, []batchChunk{{0, n}}
-	}
-	order = make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// slices.SortStableFunc sorts without allocating (unlike the reflect-based
-	// sort.SliceStable), keeping the warm batch path's per-call overhead flat.
-	slices.SortStableFunc(order, func(a, b int) int {
-		ra, rb := &reqs[a], &reqs[b]
-		if c := strings.Compare(ra.Arch, rb.Arch); c != 0 {
-			return c
-		}
-		return int(ra.Mode) - int(rb.Mode)
-	})
-	ngroups := 1
-	for i := 1; i < n; i++ {
-		if reqs[order[i]].Arch != reqs[order[i-1]].Arch || reqs[order[i]].Mode != reqs[order[i-1]].Mode {
-			ngroups++
-		}
-	}
-	groups = make([]batchChunk, 0, ngroups)
-	lo := 0
-	for i := 1; i <= n; i++ {
-		if i == n || reqs[order[i]].Arch != reqs[order[lo]].Arch || reqs[order[i]].Mode != reqs[order[lo]].Mode {
-			groups = append(groups, batchChunk{lo, i})
-			lo = i
-		}
-	}
-	return order, groups
-}
-
 // maxChunkLen caps one chunk's share of a batch so workers rebalance on
 // skewed per-block cost (a run of misses next to a run of hits).
 const maxChunkLen = 256
 
-// splitChunks divides each group into contiguous chunks sized for the
-// worker count: about four chunks per worker across the batch, capped at
-// maxChunkLen, never crossing a group boundary.
-func splitChunks(groups []batchChunk, workers, n int) []batchChunk {
+// splitChunks divides the batch indices [0, n) into contiguous chunks sized
+// for the worker count: about four chunks per worker, capped at
+// maxChunkLen.
+func splitChunks(n, workers int) []batchChunk {
 	target := (n + 4*workers - 1) / (4 * workers)
-	if target < 1 {
-		target = 1
-	}
-	if target > maxChunkLen {
-		target = maxChunkLen
-	}
-	chunks := make([]batchChunk, 0, len(groups)+n/target)
-	for _, g := range groups {
-		for lo := g.lo; lo < g.hi; lo += target {
-			hi := lo + target
-			if hi > g.hi {
-				hi = g.hi
-			}
-			chunks = append(chunks, batchChunk{lo, hi})
-		}
+	target = min(max(target, 1), maxChunkLen)
+	chunks := make([]batchChunk, 0, (n+target-1)/target)
+	for lo := 0; lo < n; lo += target {
+		chunks = append(chunks, batchChunk{lo, min(lo+target, n)})
 	}
 	return chunks
 }
 
-// processChunk runs one chunk of a batch: the chunk's microarchitecture and
-// mode are validated and resolved once, then every position performs its
-// single cache resolution, computing misses against the worker's shared
-// scratch. Error precedence per request is identical to Analyze's (detail,
-// mode, arch, code bytes), and the context is observed per position so a
-// cancelled batch stops computing while keeping one deterministic result
-// per request. A non-nil variant replaces the per-chunk registry resolution
-// and forces every entry private (uncached).
-func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs []Request, out []AnalysisResult, order []int, c batchChunk, sc *batchScratch) {
-	idx0 := c.lo
-	if order != nil {
-		idx0 = order[c.lo]
-	}
-	modeErr := checkMode(reqs[idx0].Mode)
-	var (
-		cfg    = variant
-		ver    uint64
-		cfgErr error
-	)
-	if modeErr == nil && cfg == nil {
-		cfg, ver, cfgErr = e.resolve(reqs[idx0].Arch)
-	}
+// processChunk runs one chunk of a batch through the per-request path,
+// computing misses against the worker's shared scratch. The context is
+// observed per item, so a cancelled batch stops computing while keeping one
+// deterministic result per request.
+func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs []Request, out []AnalysisResult, c batchChunk, sc *batchScratch) {
 	for i := c.lo; i < c.hi; i++ {
-		idx := i
-		if order != nil {
-			idx = order[i]
-		}
-		req := &reqs[idx]
 		if err := ctx.Err(); err != nil {
-			out[idx].Err = err
+			out[i].Err = err
 			continue
 		}
-		if err := checkDetail(req.Detail); err != nil {
-			out[idx].Err = err
-			continue
-		}
-		if modeErr != nil {
-			out[idx].Err = modeErr
-			continue
-		}
-		if cfgErr != nil {
-			out[idx].Err = cfgErr
-			continue
-		}
-		if err := e.checkCode(req.Code); err != nil {
-			out[idx].Err = err
-			continue
-		}
-		var ent *engineEntry
-		if variant != nil {
-			// Variant analyses never touch the cache: every position gets a
-			// private entry (the context was already observed above).
-			e.uncached.Add(1)
-			ent = &engineEntry{}
-		} else {
-			var err error
-			ent, err = e.resolveEntry(ctx, req.Code, cfg.Name, ver, req.Mode)
-			if err != nil {
-				out[idx].Err = err
-				continue
-			}
-		}
-		e.fill(ent, cfg, ver, req.Code, req.Mode, sc, c.hi-i)
-		if ent.err != nil {
-			out[idx].Err = ent.err
-			continue
-		}
-		out[idx].Analysis = ent.analysis(req.Detail)
+		out[i].Analysis, out[i].Err = e.analyze(ctx, variant, &reqs[i], sc, c.hi-i)
 	}
 }
 
 // Simulate runs the reference cycle-accurate pipeline simulator on the
-// block; the result is memoized alongside the analysis. The entry keeps no
-// decoded block, so the first simulation builds its own with bb.Build, a
-// small cost next to the simulation itself.
+// block. It validates the request as Analyze does, then builds its own block
+// with bb.Build and simulates it; it does not touch the analysis cache, and
+// its result is not memoized, since the simulation costs far more than the
+// build.
 func (e *Engine) Simulate(code []byte, arch string, mode Mode) (float64, error) {
-	ent, cfg, err := e.entry(context.Background(), code, arch, mode)
+	cfg, _, err := e.prepare(nil, arch, mode, code)
 	if err != nil {
 		return 0, err
 	}
-	if ent.err != nil {
-		return 0, ent.err
+	block, err := bb.Build(cfg, code)
+	if err != nil {
+		return 0, asBadRequest(err)
 	}
-	ent.simOnce.Do(func() {
-		block, err := bb.Build(cfg, code)
-		if err != nil {
-			ent.simErr = asBadRequest(err)
-			return
-		}
-		ent.sim = simulateBlock(block, mode)
-	})
-	return ent.sim, ent.simErr
+	return simulateBlock(block, mode), nil
 }
 
 // EngineStats is a snapshot of the engine's cache accounting, aggregated

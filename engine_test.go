@@ -2,6 +2,7 @@ package facile_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -278,6 +279,53 @@ func TestEngineSpeedupsExplainSimulate(t *testing.T) {
 	}
 	if gotSim != wantSim {
 		t.Fatalf("engine sim %v, one-shot sim %v", gotSim, wantSim)
+	}
+}
+
+// TestSimulateBypassesCache: Simulate validates its request as Analyze does
+// and then builds and simulates its own block, so it neither probes nor
+// fills the analysis cache, on a caching engine or an uncached one. Its
+// values and error texts are pinned for the valid inputs and for every
+// boundary rejection.
+func TestSimulateBypassesCache(t *testing.T) {
+	cases := []struct {
+		name, code, arch string
+		mode             facile.Mode
+		want             float64
+		wantErr          string
+	}{
+		{"empty", "", "SKL", facile.Loop, 0, "facile: empty basic block"},
+		{"oversized", "4801d84801d84801d84801d84801d84801d8", "SKL", facile.Loop, 0,
+			"facile: basic block is 18 bytes; the limit is 16 (EngineConfig.MaxCodeBytes)"},
+		{"invalid mode", "4801d8", "SKL", facile.Mode(7), 0, "facile: invalid mode 7 (want Unroll or Loop)"},
+		{"unknown arch", "4801d8", "NOPE", facile.Loop, 0,
+			`uarch: unknown microarchitecture "NOPE" (one of RKL, TGL, ICL, CLX, SKL, BDW, HSW, IVB, SNB)`},
+		{"undecodable", "d9c0", "SKL", facile.Loop, 0, "x86: unsupported encoding at offset 1: one-byte opcode"},
+		{"add imul", "4801d8480fafc3", "SKL", facile.Loop, 4, ""},
+		{"counted loop", "480307 4883c708 48ffc9 75f2", "ICL", facile.Loop, 1, ""},
+		{"imul chain", "480fafc3480fafcb480fafd3", "skl", facile.Unroll, 3, ""},
+	}
+	for _, cacheSize := range []int{0, -1} {
+		e := newTestEngine(t, facile.EngineConfig{
+			Registry: facile.NewArchRegistry(), CacheSize: cacheSize, MaxCodeBytes: 16,
+		})
+		for _, tc := range cases {
+			before := e.Stats()
+			got, err := e.Simulate(decode(t, tc.code), tc.arch, tc.mode)
+			if after := e.Stats(); after != before {
+				t.Errorf("CacheSize %d, %s: Simulate moved the engine stats from %+v to %+v",
+					cacheSize, tc.name, before, after)
+			}
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr || !errors.Is(err, facile.ErrBadRequest) {
+					t.Errorf("CacheSize %d, %s: err %v, want bad request %q", cacheSize, tc.name, err, tc.wantErr)
+				}
+				continue
+			}
+			if err != nil || got != tc.want {
+				t.Errorf("CacheSize %d, %s: Simulate = %v, %v; want %v", cacheSize, tc.name, got, err, tc.want)
+			}
+		}
 	}
 }
 

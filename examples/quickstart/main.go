@@ -60,8 +60,8 @@ func main() {
 			top.Component, top.Factor)
 	}
 
-	// Cross-check one prediction against the reference simulator; the engine
-	// reuses the block it already decoded for the analysis above.
+	// Cross-check one prediction against the reference simulator. Simulate
+	// decodes the block afresh and does not touch the analysis cache.
 	sim, err := engine.Simulate(code, "SKL", facile.Loop)
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,7 @@ package bb
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"unsafe"
 
 	"facile/internal/isa"
@@ -55,10 +55,6 @@ type Block struct {
 	jccErratum  bool
 }
 
-// decodeBufs holds the buffers BuildInto decodes into: the instructions are
-// copied into the block, so the decoded list is scratch.
-var decodeBufs = sync.Pool{New: func() any { return new([]x86.Inst) }}
-
 // uopsPerInst sizes a block's µop array: real code averages about 1.3
 // unfused-domain µops per instruction.
 const uopsPerInst = 2
@@ -78,38 +74,40 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 // kind carved from one per-block array. BuildInto refills b's arrays in
 // place and grows them only for a block larger than b has held, so
 // rebuilding a warm b allocates nothing, and a fresh one costs a fixed
-// number of allocations however many instructions the block has. The
-// instructions' Raw bytes subslice code. On error b's contents are
-// unspecified, but b stays reusable.
+// number of allocations however many instructions the block has, as long
+// as they average at least x86.MinAvgInstLen bytes. The instructions are
+// decoded directly into b's instruction array, and their Raw bytes
+// subslice code. On error b's contents are unspecified, but b stays
+// reusable.
 func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
-	buf := decodeBufs.Get().(*[]x86.Inst)
-	defer decodeBufs.Put(buf)
-	insts, err := x86.AppendDecodeBlock((*buf)[:0], code)
-	if err != nil {
-		return err
-	}
-	// Keep the grown buffer, without the references to code.
-	*buf = insts
-	defer clear(insts)
-	if len(insts) == 0 {
+	if len(code) == 0 {
 		return fmt.Errorf("bb: empty block")
 	}
-	n := len(insts)
 	b.Cfg, b.Code = cfg, code
-	b.Insts = resize(b.Insts, n)
+	// Decode straight into the instruction array, reserved up front so a
+	// fresh block grows it at most once.
+	insts := slices.Grow(b.Insts[:0], len(code)/x86.MinAvgInstLen+1)
+	for off := 0; off < len(code); off += insts[len(insts)-1].Inst.Len {
+		insts = append(insts, Instr{Off: off})
+		if err := x86.DecodeAt(&insts[len(insts)-1].Inst, code, off); err != nil {
+			b.Insts = insts // Release must find the Raw bytes decoded so far
+			return err
+		}
+	}
+	b.Insts = insts
+	n := len(insts)
 	b.descs = resize(b.descs, n)
 	regs := resize(b.regs, x86.MaxEffectRegs*n)[:0]
 	uops := resize(b.uops, uopsPerInst*n)[:0]
 	base := unsafe.SliceData(uops)
-	off := 0
 	for k := range insts {
-		ins := &b.Insts[k]
-		*ins = Instr{Inst: insts[k], Desc: &b.descs[k], Off: off}
+		ins := &insts[k]
+		ins.Desc = &b.descs[k]
 		ins.Eff, regs = ins.Inst.AppendEffects(regs)
+		var err error
 		if uops, err = isa.Lookup(cfg, &ins.Inst, &ins.Eff, ins.Desc, uops); err != nil {
-			return fmt.Errorf("bb: instruction %d (%s): %w", k, insts[k].String(), err)
+			return fmt.Errorf("bb: instruction %d (%s): %w", k, ins.Inst.String(), err)
 		}
-		off += insts[k].Len
 	}
 	b.uops, b.regs = uops, regs
 	if unsafe.SliceData(uops) != base {

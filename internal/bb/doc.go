@@ -14,7 +14,9 @@
 //
 // Build derives every instruction descriptor afresh and shares none between
 // blocks, so each block owns all of its state. BuildInto rebuilds a Block
-// in place, reusing its arrays: facile.Engine builds every cache miss into
-// a pooled Block that it releases (Block.Release) before pooling it again,
-// and keeps no block in its cache.
+// in place, reusing its arrays: it decodes each instruction straight into
+// the block's instruction array (x86.DecodeAt), with no intermediate
+// instruction list. facile.Engine builds every cache miss into a pooled
+// Block that it releases (Block.Release) before pooling it again, and keeps
+// no block in its cache; Engine.Simulate builds a fresh Block with Build.
 package bb

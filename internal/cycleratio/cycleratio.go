@@ -34,22 +34,6 @@ type Result struct {
 	HasCycle bool
 }
 
-// MaxRatio computes the maximum cycle ratio using a pooled Solver. It
-// returns ErrZeroTransitCycle for graphs with a zero-transit cycle. The
-// returned Result is owned by the caller; workloads issuing many queries
-// from one goroutine should hold their own Solver instead.
-func MaxRatio(g *Graph) (Result, error) {
-	s := solverPool.Get().(*Solver)
-	res, err := s.MaxRatio(g)
-	if len(res.Cycle) > 0 {
-		cycle := make([]int, len(res.Cycle))
-		copy(cycle, res.Cycle)
-		res.Cycle = cycle
-	}
-	solverPool.Put(s)
-	return res, err
-}
-
 // MaxRatioReference computes the maximum cycle ratio with the parametric
 // binary-search solver only (used to cross-check Howard's algorithm).
 func MaxRatioReference(g *Graph) (float64, error) {

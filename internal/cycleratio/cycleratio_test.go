@@ -9,10 +9,14 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// maxRatio solves g on a fresh Solver, so the result's Cycle is the
+// caller's to keep.
+func maxRatio(g *Graph) (Result, error) { return NewSolver().MaxRatio(g) }
+
 func TestSimpleSelfLoop(t *testing.T) {
 	g := &Graph{N: 1}
 	g.AddEdge(0, 0, 3, 1)
-	res, err := MaxRatio(g)
+	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +36,7 @@ func TestTwoCycles(t *testing.T) {
 	g.AddEdge(1, 0, 0, 1)
 	g.AddEdge(2, 3, 7, 1)
 	g.AddEdge(3, 2, 3, 1)
-	res, err := MaxRatio(g)
+	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +49,7 @@ func TestAcyclic(t *testing.T) {
 	g := &Graph{N: 3}
 	g.AddEdge(0, 1, 5, 0)
 	g.AddEdge(1, 2, 5, 1)
-	res, err := MaxRatio(g)
+	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestZeroTransitCycle(t *testing.T) {
 	g := &Graph{N: 2}
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 0, 1, 0)
-	if _, err := MaxRatio(g); err != ErrZeroTransitCycle {
+	if _, err := maxRatio(g); err != ErrZeroTransitCycle {
 		t.Fatalf("err = %v, want ErrZeroTransitCycle", err)
 	}
 }
@@ -70,7 +74,7 @@ func TestSharedNodeCycles(t *testing.T) {
 	g.AddEdge(1, 0, 0, 1)
 	g.AddEdge(0, 2, 6, 1)
 	g.AddEdge(2, 0, 1, 1)
-	res, err := MaxRatio(g)
+	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +90,7 @@ func TestCriticalCycleIsConsistent(t *testing.T) {
 	g.AddEdge(2, 0, 0, 1)
 	g.AddEdge(2, 3, 1, 0)
 	g.AddEdge(3, 2, 1, 1)
-	res, err := MaxRatio(g)
+	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestHowardMatchesReference(t *testing.T) {
 		n := 2 + rng.Intn(12)
 		m := 1 + rng.Intn(30)
 		g := randomGraph(rng, n, m)
-		res, err := MaxRatio(g)
+		res, err := maxRatio(g)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -164,12 +168,12 @@ func TestQuickCycleRatioScaling(t *testing.T) {
 		scale := 1 + float64(scaleRaw%7)
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(8), 1+rng.Intn(16))
-		res1, err1 := MaxRatio(g)
+		res1, err1 := maxRatio(g)
 		scaled := &Graph{N: g.N}
 		for _, e := range g.Edges {
 			scaled.AddEdge(e.From, e.To, e.W*scale, e.T)
 		}
-		res2, err2 := MaxRatio(scaled)
+		res2, err2 := maxRatio(scaled)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
@@ -192,7 +196,7 @@ func TestQuickAddingEdgeNeverDecreases(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 3+rng.Intn(8), 2+rng.Intn(14))
-		res1, err := MaxRatio(g)
+		res1, err := maxRatio(g)
 		if err != nil {
 			return true // skip malformed
 		}
@@ -201,7 +205,7 @@ func TestQuickAddingEdgeNeverDecreases(t *testing.T) {
 		to := rng.Intn(g.N)
 		t2 := 1
 		g2.AddEdge(from, to, float64(rng.Intn(10)), t2)
-		res2, err := MaxRatio(g2)
+		res2, err := maxRatio(g2)
 		if err != nil {
 			return true
 		}
@@ -218,8 +222,9 @@ func BenchmarkHoward(b *testing.B) {
 	for i := range graphs {
 		graphs[i] = randomGraph(rng, 40, 120)
 	}
+	s := NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = MaxRatio(graphs[i%len(graphs)])
+		_, _ = s.MaxRatio(graphs[i%len(graphs)])
 	}
 }

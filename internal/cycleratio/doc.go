@@ -13,9 +13,9 @@
 // cross-checking reference and as a fallback should policy iteration fail
 // to converge.
 //
-// All query state lives in a reusable Solver; hot paths construct one per
-// worker (or embed one per analysis context) and call Solver.MaxRatio,
-// which performs no transient heap allocations once warm. The package-level
-// MaxRatio draws a Solver from an internal pool and copies the critical
-// cycle out, trading a few allocations for ownership of the result.
+// All query state lives in a reusable Solver; callers construct one per
+// worker (core embeds one in each analysis context) and call
+// Solver.MaxRatio, which performs no transient heap allocations once warm.
+// There is no package-level pooled entry point: a Solver's result aliases
+// its storage, so whoever holds the Solver owns the result.
 package cycleratio

@@ -1,9 +1,6 @@
 package cycleratio
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Solver is a reusable scratch context for maximum-cycle-ratio queries: the
 // pruned graph, the SCC decomposition, and all of Howard's policy-iteration
@@ -12,8 +9,7 @@ import (
 // is NOT safe for concurrent use.
 //
 // The Cycle slice of a Result returned by Solver.MaxRatio aliases solver
-// storage and is only valid until the next call on the same Solver; the
-// package-level MaxRatio copies it for callers that need ownership.
+// storage and is only valid until the next call on the same Solver.
 type Solver struct {
 	// prune
 	alive  []bool
@@ -73,8 +69,6 @@ type sccBuf struct {
 // NewSolver returns an empty solver. Buffers grow on first use and are
 // retained for subsequent calls.
 func NewSolver() *Solver { return new(Solver) }
-
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // growN returns *s resized to n elements, reusing capacity. Contents are
 // unspecified; callers initialize what they read.

@@ -1,37 +1,39 @@
 package x86
 
-import "slices"
-
 // Decode decodes the first instruction in code. The returned Inst's Raw field
 // aliases code.
 func Decode(code []byte) (Inst, error) {
-	d := decoder{code: code}
-	return d.decode()
+	var inst Inst
+	err := DecodeAt(&inst, code, 0)
+	return inst, err
 }
 
-// minAvgInstLen sizes DecodeBlock's result: real code averages about four
-// bytes per instruction, and few blocks average under three.
-const minAvgInstLen = 3
+// DecodeAt decodes the instruction at byte offset off of the block code into
+// inst, overwriting it. inst's Raw field aliases code, and a decode error
+// reports its offset within the block.
+func DecodeAt(inst *Inst, code []byte, off int) error {
+	*inst = Inst{}
+	d := decoder{code: code[off:], base: off}
+	return d.decode(inst)
+}
+
+// MinAvgInstLen sizes a block's instruction array before decoding (in
+// DecodeBlock and in bb.BuildInto): real code averages about four bytes per
+// instruction, and few blocks average under three.
+const MinAvgInstLen = 3
 
 // DecodeBlock decodes all instructions in code. It fails if code does not end
-// exactly at an instruction boundary.
-func DecodeBlock(code []byte) ([]Inst, error) { return AppendDecodeBlock(nil, code) }
-
-// AppendDecodeBlock is DecodeBlock appending the instructions to dst. It
-// returns the extended buffer, or nil and the error. It grows dst at most
-// once for blocks whose instructions average at least minAvgInstLen bytes.
-func AppendDecodeBlock(dst []Inst, code []byte) ([]Inst, error) {
-	dst = slices.Grow(dst, len(code)/minAvgInstLen+1)
-	for off := 0; off < len(code); {
-		d := decoder{code: code[off:], base: off}
-		inst, err := d.decode()
-		if err != nil {
+// exactly at an instruction boundary. It allocates once for blocks whose
+// instructions average at least MinAvgInstLen bytes.
+func DecodeBlock(code []byte) ([]Inst, error) {
+	insts := make([]Inst, 0, len(code)/MinAvgInstLen+1)
+	for off := 0; off < len(code); off += insts[len(insts)-1].Len {
+		insts = append(insts, Inst{})
+		if err := DecodeAt(&insts[len(insts)-1], code, off); err != nil {
 			return nil, err
 		}
-		dst = append(dst, inst)
-		off += inst.Len
 	}
-	return dst, nil
+	return insts, nil
 }
 
 type decoder struct {
@@ -75,21 +77,22 @@ func (d *decoder) peek() (byte, bool) {
 	return d.code[d.pos], true
 }
 
-func (d *decoder) decode() (Inst, error) {
-	var inst Inst
+// decode decodes the instruction at the start of d.code into inst, which
+// must be zero.
+func (d *decoder) decode(inst *Inst) error {
 
 	// Legacy prefixes.
 prefixLoop:
 	for {
 		b, ok := d.peek()
 		if !ok {
-			return inst, d.err(ErrTruncated, "prefixes")
+			return d.err(ErrTruncated, "prefixes")
 		}
 		switch b {
 		case 0x66:
 			d.has66 = true
 		case 0x67:
-			return inst, d.err(ErrUnsupported, "address-size prefix (67)")
+			return d.err(ErrUnsupported, "address-size prefix (67)")
 		case 0xF0:
 			d.lock = true
 		case 0xF2:
@@ -103,7 +106,7 @@ prefixLoop:
 		}
 		d.pos++
 		if d.pos > 14 {
-			return inst, d.err(ErrTooLong, "")
+			return d.err(ErrTooLong, "")
 		}
 	}
 
@@ -118,7 +121,7 @@ prefixLoop:
 	if b, ok := d.peek(); ok && (b == 0xC4 || b == 0xC5) && !d.hasREX {
 		d.pos++
 		if err := d.parseVEX(b); err != nil {
-			return inst, err
+			return err
 		}
 	}
 
@@ -128,7 +131,7 @@ prefixLoop:
 
 	ent, opByte, err := d.lookupOpcode()
 	if err != nil {
-		return inst, err
+		return err
 	}
 
 	// ModRM-bearing forms.
@@ -142,7 +145,7 @@ prefixLoop:
 	if needModRM || ent.group >= 0 {
 		modrm, err = d.byte()
 		if err != nil {
-			return inst, err
+			return err
 		}
 	}
 
@@ -152,7 +155,7 @@ prefixLoop:
 	if ent.group >= 0 {
 		member := groups[ent.group][(modrm>>3)&7]
 		if !member.valid {
-			return inst, d.err(ErrUnsupported,
+			return d.err(ErrUnsupported,
 				"group opcode extension /"+string(rune('0'+(modrm>>3)&7)))
 		}
 		imm := ent.imm
@@ -190,7 +193,7 @@ prefixLoop:
 	}
 	if inst.Form == FormVRM || inst.Form == FormVRMI {
 		if !d.vex {
-			return inst, d.err(ErrUnsupported, "VEX-only form without VEX prefix")
+			return d.err(ErrUnsupported, "VEX-only form without VEX prefix")
 		}
 	}
 
@@ -204,8 +207,8 @@ prefixLoop:
 	// Operands from ModRM / opcode byte.
 	vecRegs := inst.Op.IsVector()
 	if needModRM {
-		if err := d.parseModRM(&inst, modrm, vecRegs); err != nil {
-			return inst, err
+		if err := d.parseModRM(inst, modrm, vecRegs); err != nil {
+			return err
 		}
 	}
 	switch inst.Form {
@@ -245,7 +248,7 @@ prefixLoop:
 	if immLen > 0 {
 		v, err := d.readImm(immLen)
 		if err != nil {
-			return inst, err
+			return err
 		}
 		inst.Imm = v
 		inst.HasImm = true
@@ -259,11 +262,11 @@ prefixLoop:
 	}
 
 	if d.pos > 15 {
-		return inst, d.err(ErrTooLong, "")
+		return d.err(ErrTooLong, "")
 	}
 	inst.Len = d.pos
 	inst.Raw = d.code[:d.pos]
-	return inst, nil
+	return nil
 }
 
 func isShift(op Op) bool {
