@@ -132,6 +132,13 @@ type Request struct {
 	Mode Mode
 	// Detail selects prediction-only, +speedups, or +report text.
 	Detail Detail
+	// Variant, when non-nil, is the microarchitecture to analyze against
+	// instead of Arch, which is then ignored. A variant analysis is computed
+	// afresh on every call and never cached, so a sweep over thousands of
+	// design points neither displaces the serving working set nor aliases
+	// a registered arch's cached results. Predictions carry the variant's
+	// name.
+	Variant *Variant
 }
 
 // ComponentBound is one component's entry in the deterministic breakdown of

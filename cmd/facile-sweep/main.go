@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		genN     = fs.Int("gen-blocks", 256, "generated workload size when -blocks is not given")
 		genSeed  = fs.Int64("gen-seed", 42, "generated workload seed")
 		mode     = fs.String("mode", "", "throughput notion: loop/tpl or unroll/tpu (default: the grid's mode, else loop)")
-		workers  = fs.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS); the report bytes do not depend on it")
+		workers  = fs.Int("workers", 0, "analyses run at once (0 = GOMAXPROCS); the report bytes do not depend on it")
 		top      = fs.Int("top", 20, "frontier rows to print (0 = all)")
 		jsonOut  = fs.Bool("json", false, "emit the machine-readable JSON result instead of text")
 		archDir  = fs.String("arch-dir", "", "load extra *.json microarchitecture specs from this directory first")

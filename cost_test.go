@@ -72,7 +72,11 @@ func TestAnalyzeCostNearLinear(t *testing.T) {
 	// timed with the collector off, from a collected heap: a 4 KiB analysis
 	// fits under the minimum heap goal and never meets a collection, while
 	// a 64 KiB one allocates tens of MB and meets several, which would
-	// charge the collector's pacing to the algorithm.
+	// charge the collector's pacing to the algorithm. Before each, the
+	// engine analyzes another block: a miss scratch skips the cycle-ratio
+	// solve for a dependence graph equal to its last one, and every timed
+	// run must pay for its solve.
+	other := facile.Request{Code: []byte{0x48, 0x01, 0xd8}, Arch: "SKL"} // add rax, rbx
 	fastest := func(code []byte, mode facile.Mode) time.Duration {
 		e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1})
 		req := facile.Request{Code: code, Arch: "SKL", Mode: mode, Detail: facile.DetailFull}
@@ -80,6 +84,9 @@ func TestAnalyzeCostNearLinear(t *testing.T) {
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 5; i++ {
 			runtime.GC()
+			if _, err := e.Analyze(context.Background(), other); err != nil {
+				t.Fatal(err)
+			}
 			start := time.Now()
 			if _, err := e.Analyze(context.Background(), req); err != nil {
 				t.Fatal(err)

@@ -376,9 +376,13 @@ func (e *Engine) prepare(variant *uarch.Config, arch string, mode Mode, code []b
 // boundary checks, then one cache resolution — a private entry for a
 // variant — then the fill on a miss. sc and left are the batch worker's
 // scratch and the blocks left in its chunk; a nil sc is a single request's.
-func (e *Engine) analyze(ctx context.Context, variant *uarch.Config, req *Request, sc *batchScratch, left int) (*Analysis, error) {
+func (e *Engine) analyze(ctx context.Context, req *Request, sc *batchScratch, left int) (*Analysis, error) {
 	if err := checkDetail(req.Detail); err != nil {
 		return nil, err
+	}
+	var variant *uarch.Config
+	if req.Variant != nil {
+		variant = req.Variant.cfg
 	}
 	cfg, ver, err := e.prepare(variant, req.Arch, req.Mode, req.Code)
 	if err != nil {
@@ -519,7 +523,7 @@ func (e *Engine) Analyze(ctx context.Context, req Request) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return e.analyze(ctx, nil, &req, nil, 1)
+	return e.analyze(ctx, &req, nil, 1)
 }
 
 // AnalyzeBatch analyzes every request, fanning the work across the engine's
@@ -547,34 +551,15 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // item through Analyze's per-request path, computing the misses against one
 // analysis scratch context with result payloads carved from per-worker
 // slabs — allocation happens only on cache misses, amortized per chunk.
+//
+// Requests may mix arches, modes and variants (Request.Variant). A miss
+// reuses what is byte-identical to the worker's previous miss: a block
+// built from the same bytes keeps its decoded instructions, effects and
+// instruction text, and a dependence graph equal to the last one solved
+// keeps its solution. Ordering the requests so that every analysis of one
+// block comes back to back — as a design-space sweep does — lets a batch
+// decode, render and solve each block once for all of them.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
-	return e.analyzeBatch(ctx, nil, reqs, workers)
-}
-
-// AnalyzeVariantBatchN analyzes every request against an ephemeral variant,
-// with the same ordering, cancellation, and concurrency semantics as
-// AnalyzeBatchN. Request.Arch is ignored; predictions carry the variant's
-// name. The batch runs on the same chunked kernel with shared per-worker
-// scratch, but against private (uncached) entries — no registry lookup, no
-// prediction-cache traffic — so a sweep over thousands of design points can
-// never displace the serving working set or alias a registered arch's cached
-// results. A single variant analysis is a one-request batch.
-func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Request, workers int) []AnalysisResult {
-	if v == nil {
-		out := make([]AnalysisResult, len(reqs))
-		err := badRequestf("facile: nil variant")
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	return e.analyzeBatch(ctx, v.cfg, reqs, workers)
-}
-
-// analyzeBatch is the shared chunked batch kernel behind AnalyzeBatchN
-// (variant == nil: arch-keyed, cached) and AnalyzeVariantBatchN (variant !=
-// nil: variant-scoped, uncached).
-func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs []Request, workers int) []AnalysisResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -591,7 +576,7 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 	}
 	if workers <= 1 {
 		sc := batchScratch{missScratch: e.getScratch()}
-		e.processChunk(ctx, variant, reqs, out, batchChunk{0, n}, &sc)
+		e.processChunk(ctx, reqs, out, batchChunk{0, n}, &sc)
 		e.putScratch(sc.missScratch)
 		return out
 	}
@@ -610,12 +595,32 @@ func (e *Engine) analyzeBatch(ctx context.Context, variant *uarch.Config, reqs [
 				if ci >= len(chunks) {
 					return
 				}
-				e.processChunk(ctx, variant, reqs, out, chunks[ci], &sc)
+				e.processChunk(ctx, reqs, out, chunks[ci], &sc)
 			}
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// AnalyzeVariantBatchN is AnalyzeBatchN with Request.Variant set to v on
+// every request (reqs itself is not modified): each block is analyzed
+// uncached against the ephemeral variant, and Request.Arch is ignored.
+func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Request, workers int) []AnalysisResult {
+	if v == nil {
+		out := make([]AnalysisResult, len(reqs))
+		err := badRequestf("facile: nil variant")
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
+	vreqs := make([]Request, len(reqs))
+	for i := range reqs {
+		vreqs[i] = reqs[i]
+		vreqs[i].Variant = v
+	}
+	return e.AnalyzeBatchN(ctx, vreqs, workers)
 }
 
 // batchChunk is a half-open run [lo, hi) of batch indices: the scheduling
@@ -658,6 +663,11 @@ type batchScratch struct {
 	ints   core.Slab[int]
 	bounds core.Slab[ComponentBound]
 	strs   core.Slab[string]
+	// insts is the Instructions of the last prediction filled from this
+	// scratch, shared by the next one when its block keeps the decode (see
+	// publicPrediction). The miss scratch's block is released before it
+	// serves another batchScratch, so a kept decode is always this one's.
+	insts []string
 }
 
 // blocksLeft sizes the worker's fresh slabs for the n blocks, the current
@@ -687,13 +697,13 @@ func splitChunks(n, workers int) []batchChunk {
 // computing misses against the worker's shared scratch. The context is
 // observed per item, so a cancelled batch stops computing while keeping one
 // deterministic result per request.
-func (e *Engine) processChunk(ctx context.Context, variant *uarch.Config, reqs []Request, out []AnalysisResult, c batchChunk, sc *batchScratch) {
+func (e *Engine) processChunk(ctx context.Context, reqs []Request, out []AnalysisResult, c batchChunk, sc *batchScratch) {
 	for i := c.lo; i < c.hi; i++ {
 		if err := ctx.Err(); err != nil {
 			out[i].Err = err
 			continue
 		}
-		out[i].Analysis, out[i].Err = e.analyze(ctx, variant, &reqs[i], sc, c.hi-i)
+		out[i].Analysis, out[i].Err = e.analyze(ctx, &reqs[i], sc, c.hi-i)
 	}
 }
 

@@ -35,8 +35,7 @@
 // Beyond single analyses, Engine.AnalyzeBatch fans independent requests
 // across a worker pool, and ephemeral design points — hypothetical
 // microarchitectures that should not consume registry capacity — are derived
-// with ArchRegistry.DeriveVariant and analyzed with
-// Engine.AnalyzeVariantBatchN.
+// with ArchRegistry.DeriveVariant and analyzed by setting Request.Variant.
 // The package also exposes the reference cycle-accurate pipeline simulator
 // (Engine.Simulate) used as the measurement substrate of the evaluation, and
 // a disassembler (Disassemble) for the supported instruction subset.
@@ -194,8 +193,10 @@ const textBytesPerInst = 24
 // result: the bottleneck set becomes an ordered name list. The name and
 // instruction lists are carved from the scratch's slab, and the
 // instruction texts are rendered into the scratch's text buffer and
-// converted to one string, of which Instructions holds substrings. The
-// per-component bounds are not copied here; Analysis.Bounds carries them.
+// converted to one string, of which Instructions holds substrings. A block
+// that kept the decode of the scratch's previous miss renders the same
+// text, so it shares that miss's Instructions instead. The per-component
+// bounds are not copied here; Analysis.Bounds carries them.
 func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
 	out := Prediction{
 		CyclesPerIteration: round2(p.TP),
@@ -210,7 +211,12 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	// known up front and its part of the carve fills by append without
 	// growing.
 	nb := bits.OnesCount8(uint8(p.Bottlenecks))
-	strs := sc.strs.Carve(nb + len(block.Insts))
+	kept := block.KeptDecode()
+	ni := len(block.Insts)
+	if kept {
+		ni = 0
+	}
+	strs := sc.strs.Carve(nb + ni)
 	if nb > 0 {
 		out.Bottlenecks = strs[:0:nb]
 	}
@@ -221,6 +227,10 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	})
 	if mode == Loop {
 		out.FrontEndSource = p.FrontEndSource.String()
+	}
+	if kept {
+		out.Instructions = sc.insts
+		return out
 	}
 	buf := sc.text[:0]
 	if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
@@ -237,6 +247,7 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 		ins[k], text = text[:end], text[end+1:]
 	}
 	out.Instructions = ins
+	sc.insts = ins
 	return out
 }
 

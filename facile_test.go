@@ -8,7 +8,7 @@ import (
 	"facile"
 )
 
-func decode(t *testing.T, s string) []byte {
+func decode(t testing.TB, s string) []byte {
 	t.Helper()
 	code, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
 	if err != nil {

@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -53,6 +54,9 @@ type Block struct {
 	execUops    []isa.Uop
 	decodeUnits []*Instr
 	jccErratum  bool
+
+	// kept records that the last build kept its predecessor's decode.
+	kept bool
 }
 
 // uopsPerInst sizes a block's µop array: real code averages about 1.3
@@ -79,31 +83,54 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 // decoded directly into b's instruction array, and their Raw bytes
 // subslice code. On error b's contents are unspecified, but b stays
 // reusable.
+//
+// When b was last built successfully from the same bytes, BuildInto keeps
+// that decode — the instructions and their effects, which depend on the
+// bytes alone — re-points it at code, and redoes only what depends on cfg:
+// the descriptors, macro-fusion and the derived views (see KeptDecode). A
+// failed build and Release end this reuse. The previous build's code is
+// compared byte by byte, so it must not have changed since: a caller that
+// rewrites a buffer in place releases the block first.
 func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
+	kept := len(code) > 0 && b.Code != nil && bytes.Equal(b.Code, code)
+	// Until this build succeeds, b.Code is nil: nothing is kept from a
+	// failed build.
+	b.Cfg, b.Code, b.kept = cfg, nil, kept
 	if len(code) == 0 {
 		return fmt.Errorf("bb: empty block")
 	}
-	b.Cfg, b.Code = cfg, code
-	// Decode straight into the instruction array, reserved up front so a
-	// fresh block grows it at most once.
-	insts := slices.Grow(b.Insts[:0], len(code)/x86.MinAvgInstLen+1)
-	for off := 0; off < len(code); off += insts[len(insts)-1].Inst.Len {
-		insts = append(insts, Instr{Off: off})
-		if err := x86.DecodeAt(&insts[len(insts)-1].Inst, code, off); err != nil {
-			b.Insts = insts // Release must find the Raw bytes decoded so far
-			return err
+	if !kept {
+		// Decode straight into the instruction array, reserved up front so
+		// a fresh block grows it at most once.
+		insts := slices.Grow(b.Insts[:0], len(code)/x86.MinAvgInstLen+1)
+		for off := 0; off < len(code); off += insts[len(insts)-1].Inst.Len {
+			insts = append(insts, Instr{Off: off})
+			if err := x86.DecodeAt(&insts[len(insts)-1].Inst, code, off); err != nil {
+				b.Insts = insts // Release must find the Raw bytes decoded so far
+				return err
+			}
 		}
+		b.Insts = insts
 	}
-	b.Insts = insts
+	insts := b.Insts
 	n := len(insts)
 	b.descs = resize(b.descs, n)
-	regs := resize(b.regs, x86.MaxEffectRegs*n)[:0]
+	regs := b.regs
+	if !kept {
+		regs = resize(b.regs, x86.MaxEffectRegs*n)[:0]
+	}
 	uops := resize(b.uops, uopsPerInst*n)[:0]
 	base := unsafe.SliceData(uops)
 	for k := range insts {
 		ins := &insts[k]
+		if kept {
+			// The decode and the effects depend on the bytes alone.
+			ins.Inst.Raw = code[ins.Off:ins.End()]
+			ins.FusedWithNext, ins.FusedWithPrev = false, false
+		} else {
+			ins.Eff, regs = ins.Inst.AppendEffects(regs)
+		}
 		ins.Desc = &b.descs[k]
-		ins.Eff, regs = ins.Inst.AppendEffects(regs)
 		var err error
 		if uops, err = isa.Lookup(cfg, &ins.Inst, &ins.Eff, ins.Desc, uops); err != nil {
 			return fmt.Errorf("bb: instruction %d (%s): %w", k, ins.Inst.String(), err)
@@ -150,8 +177,15 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	}
 
 	b.derive()
+	b.Code = code
 	return nil
 }
+
+// KeptDecode reports whether the last BuildInto kept the instructions the
+// build before it decoded from the same bytes, rather than decoding them
+// afresh. What depends only on the decode, such as the instructions' text,
+// is then unchanged too.
+func (b *Block) KeptDecode() bool { return b.kept }
 
 // resize returns s with length n, reusing its array when it has room; the
 // elements are left for the caller to overwrite. The result is never nil,
@@ -170,7 +204,7 @@ func resize[T any](s []T, n int) []T {
 // block built after a larger one leaves the larger one's tail in place, and
 // the decode-unit tail may point into an instruction array since replaced.
 func (b *Block) Release() {
-	b.Cfg, b.Code = nil, nil
+	b.Cfg, b.Code, b.kept = nil, nil, false
 	insts := b.Insts[:cap(b.Insts)]
 	for k := range insts {
 		insts[k].Inst.Raw = nil

@@ -321,3 +321,82 @@ func TestReleaseDropsCode(t *testing.T) {
 		t.Fatalf("a released block rebuilds differently:\n%s\nwant\n%s", b.String(), want.String())
 	}
 }
+
+// sameAsFresh reports whether b equals a fresh Build of the same block; the
+// kept mark records how b was built, not what it holds, so it is ignored.
+func sameAsFresh(b, fresh *Block) bool {
+	got := *b
+	got.kept = fresh.kept
+	return reflect.DeepEqual(&got, fresh)
+}
+
+// TestBuildIntoKeepsDecode: rebuilding the same bytes for another
+// configuration keeps the decode, and the block still equals a fresh Build
+// for that configuration, its instructions pointing into the new buffer.
+// The configurations differ in macro-fusion, move elimination, ports and
+// instruction tables. A failed build or Release in between ends the reuse,
+// and what is built next equals a fresh Build too.
+func TestBuildIntoKeepsDecode(t *testing.T) {
+	skl, ivb, icl := uarch.MustByName("SKL"), uarch.MustByName("IVB"), uarch.MustByName("ICL")
+	noFusion, err := uarch.Default().DeriveConfig("SKL-nofusion", "SKL", []byte(`{"macro_fusion":false,"move_elim_gpr":false}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := func(instrs ...asm.Instr) []byte { return asm.MustEncodeBlock(instrs) }
+	loop := enc(
+		asm.Mk(x86.MOV, 64, asm.R(x86.RBX), asm.R(x86.RAX)),
+		asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.M(x86.RBX, 8)),
+		asm.Mk(x86.CMP, 64, asm.R(x86.RAX), asm.R(x86.RDX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	)
+	fma := enc(
+		asm.Mk(x86.VFMADD231PS, 128, asm.R(x86.X0), asm.R(x86.X1), asm.R(x86.X2)),
+		asm.Mk(x86.DEC, 64, asm.R(x86.RCX)),
+		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
+	)
+	var b Block
+	step := func(name string, cfg *uarch.Config, code []byte, wantKept bool) {
+		t.Helper()
+		code = append([]byte(nil), code...) // a new buffer every time
+		if err := BuildInto(&b, cfg, code); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.KeptDecode() != wantKept {
+			t.Fatalf("%s: KeptDecode() = %v, want %v", name, b.KeptDecode(), wantKept)
+		}
+		fresh, err := Build(cfg, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAsFresh(&b, fresh) {
+			t.Fatalf("%s: block differs from a fresh Build:\n%s\nwant\n%s", name, b.String(), fresh.String())
+		}
+		if &b.Insts[0].Inst.Raw[0] != &code[0] {
+			t.Fatalf("%s: instructions do not point into the new code", name)
+		}
+	}
+	step("loop on SKL", skl, loop, false)
+	step("loop without fusion or move elimination", noFusion, loop, true)
+	step("loop on IVB", ivb, loop, true)
+	step("loop on SKL again", skl, loop, true)
+	step("fma on ICL", icl, fma, false)
+	step("fma on SKL", skl, fma, true)
+	if err := BuildInto(&b, ivb, fma); err == nil {
+		t.Fatal("FMA built for IVB")
+	}
+	step("fma after a failed lookup", skl, fma, false)
+	step("fma kept", icl, fma, true)
+	b.Release()
+	step("fma after Release", skl, fma, false)
+	if err := BuildInto(&b, skl, nil); err == nil {
+		t.Fatal("empty block built")
+	}
+	step("fma after an empty block", skl, fma, false)
+	if err := BuildInto(&b, skl, []byte{0xD9, 0xC0}); err == nil {
+		t.Fatal("x87 block built")
+	}
+	step("loop after a decode error", noFusion, loop, false)
+	sameLength := append([]byte(nil), loop...)
+	sameLength[len(sameLength)-1]-- // another jump target, same length
+	step("other bytes of the same length", noFusion, sameLength, false)
+}

@@ -37,9 +37,13 @@ type Analysis struct {
 	// Precedence (precedence.go): the value dependence graph and its
 	// bookkeeping. graph.Edges, nodeInstr and the per-instruction value-node
 	// lists all retain capacity across calls. The embedded cycle-ratio
-	// solver reuses Howard-iteration state the same way.
+	// solver reuses Howard-iteration state the same way. prec and precChain
+	// are the bound and critical chain of the graph in graph (for the zero
+	// Analysis, the empty graph's: 0 and none); see precedenceBound.
 	solver    cycleratio.Solver
 	graph     depGraph
+	prec      float64
+	precChain []int
 	consumed  [][]valNode
 	produced  [][]valNode
 	vals      []valNode // backing array of the consumed and produced lists

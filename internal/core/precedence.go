@@ -56,8 +56,18 @@ func PrecedenceBound(block *bb.Block) (float64, []int) {
 //
 // The second return value lists the instruction indices on a critical
 // dependence chain (interpretability); it points into Analysis scratch.
+//
+// Both results are a function of the graph alone, so a graph equal to the
+// one this Analysis solved last — as consecutive analyses of one block for
+// design points that leave its latencies alone build — takes that solve's
+// results without solving again. The key is the whole graph, edge weights
+// and the node-to-instruction map included, so nothing that changes the
+// answer can pass for a repeat.
 func (a *Analysis) precedenceBound(block *bb.Block) (float64, []int) {
-	a.buildDependenceGraph(block)
+	if a.buildDependenceGraph(block) {
+		return a.prec, a.precChain
+	}
+	a.prec, a.precChain = 0, nil
 	g := &a.graph.g
 	// The Analysis owns its solver, so the critical cycle may alias solver
 	// scratch: it is consumed (copied into chain) before the next query.
@@ -75,6 +85,7 @@ func (a *Analysis) precedenceBound(block *bb.Block) (float64, []int) {
 		}
 	}
 	a.chain = chain
+	a.prec, a.precChain = res.Ratio, chain
 	return res.Ratio, chain
 }
 
@@ -89,9 +100,13 @@ func BuildDependenceGraph(block *bb.Block) (*cycleratio.Graph, []int) {
 }
 
 // buildDependenceGraph constructs the value dependence graph of the block
-// into a.graph, reusing all node and edge storage from previous calls.
-func (a *Analysis) buildDependenceGraph(block *bb.Block) {
+// into a.graph, reusing all node and edge storage from previous calls. It
+// reports whether the graph equals the one it replaced, comparing each node
+// and edge with the one it overwrites, so no copy of the old graph is kept.
+func (a *Analysis) buildDependenceGraph(block *bb.Block) (same bool) {
 	g := &a.graph.g
+	oldN, oldEdges, oldInstr := g.N, g.Edges, a.graph.nodeInstr
+	same = true
 	g.N = 0
 	g.Edges = g.Edges[:0]
 	nodeInstr := a.graph.nodeInstr[:0]
@@ -106,11 +121,19 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 		final[r], last[r] = -1, -1
 	}
 
+	// Each node and edge is compared with the old one at its index before
+	// the append overwrites it (the old slices share the new ones' arrays).
 	newNode := func(instr int) int {
 		id := g.N
 		g.N++
+		same = same && id < len(oldInstr) && oldInstr[id] == instr
 		nodeInstr = append(nodeInstr, instr)
 		return id
+	}
+	addEdge := func(from, to int, w float64, t int) {
+		e := cycleratio.Edge{From: from, To: to, W: w, T: t}
+		same = same && len(g.Edges) < len(oldEdges) && oldEdges[len(g.Edges)] == e
+		g.Edges = append(g.Edges, e)
 	}
 
 	lookup := func(vs []valNode, r x86.Reg) (int, bool) {
@@ -188,7 +211,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 				// address path is the longer (binding) one.
 				w = float64(lat + addrExtra)
 			}
-			g.AddEdge(c.id, pk, w, 0)
+			addEdge(c.id, pk, w, 0)
 		}
 	}
 
@@ -205,7 +228,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 			if j < 0 {
 				continue // live-in value, produced outside the loop
 			}
-			g.AddEdge(produced[j][0].id, c.id, 0, iterCount)
+			addEdge(produced[j][0].id, c.id, 0, iterCount)
 		}
 		for _, p := range produced[k] {
 			last[p.reg] = k
@@ -213,6 +236,7 @@ func (a *Analysis) buildDependenceGraph(block *bb.Block) {
 	}
 
 	a.graph.nodeInstr = nodeInstr
+	return same && g.N == oldN && len(g.Edges) == len(oldEdges)
 }
 
 // carveNodeLists returns the block's per-instruction consumed and produced

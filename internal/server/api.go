@@ -132,8 +132,8 @@ type SweepRequest struct {
 	Blocks []string `json:"blocks"`
 	// Mode overrides the grid's throughput notion ("loop"/"unroll").
 	Mode string `json:"mode,omitempty"`
-	// Workers bounds the sweep's parallelism across variants. Zero selects
-	// the server default; the result does not depend on it.
+	// Workers bounds how many of the sweep's analyses run at once. Zero
+	// selects the server default; the result does not depend on it.
 	Workers int `json:"workers,omitempty"`
 	// Top truncates the ranked frontier in the response (0 returns all
 	// rows).

@@ -13,7 +13,7 @@ import (
 // fans out to points x blocks Analyze calls, so the route sits behind the
 // admission gate and both dimensions are bounded (MaxSweepPoints,
 // MaxBatchItems). The request context rides into the sweep: an abandoned
-// request cancels between variants and surfaces as 499 in the metrics.
+// request cancels between analyses and surfaces as 499 in the metrics.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error) {
 	var wire SweepRequest
 	if err := readJSON(json.NewDecoder(r.Body), &wire); err != nil {

@@ -3,8 +3,9 @@
 // every grid point as an ephemeral variant (derived, never registered — a
 // 2,000-point grid consumes no registry capacity and never touches the
 // engine's prediction cache), analyzes the workload on each variant through
-// the engine's chunked batch kernel, and folds the results into a ranked
-// frontier.
+// the engine's chunked batch kernel, block-major so a block is decoded,
+// rendered and solved once for every point that leaves those inputs alone,
+// and folds the results into a ranked frontier.
 //
 // Each frontier row answers the architect's question twice over: the
 // geomean speedup of the workload versus the base says *how much* a design

@@ -111,16 +111,20 @@ func (g *Grid) Validate() error {
 		if len(ax.Labels) > 0 && len(ax.Labels) != len(ax.Values) {
 			return fmt.Errorf("sweep: axis %q has %d labels for %d values", ax.Param, len(ax.Labels), len(ax.Values))
 		}
-		vals := make(map[string]bool, len(ax.Values))
+		vals := make(map[string]string, len(ax.Values))
 		for j, v := range ax.Values {
 			c, err := compactJSON(v)
 			if err != nil {
 				return fmt.Errorf("sweep: axis %q value %d: %v", ax.Param, j, err)
 			}
-			if vals[c] {
+			key := valueKey(c)
+			if first, ok := vals[key]; ok {
+				if first != c {
+					return fmt.Errorf("sweep: axis %q lists value %s twice (as %s)", ax.Param, first, c)
+				}
 				return fmt.Errorf("sweep: axis %q lists value %s twice", ax.Param, c)
 			}
-			vals[c] = true
+			vals[key] = c
 			if len(ax.Labels) > 0 && strings.ContainsAny(ax.Labels[j], " \t\n,/~=") {
 				return fmt.Errorf("sweep: axis %q label %q contains characters illegal in variant names", ax.Param, ax.Labels[j])
 			}
@@ -275,4 +279,21 @@ func compactJSON(v json.RawMessage) (string, error) {
 		return "", err
 	}
 	return buf.String(), nil
+}
+
+// valueKey identifies an axis value, given as compact JSON, by what it
+// means rather than how it is spelled: numbers by their float64 value (4,
+// 4.0 and 4e0 are one value), object members in key order. A value
+// encoding/json cannot hold, such as a number beyond float64's range, keeps
+// its spelling.
+func valueKey(c string) string {
+	var x any
+	if err := json.Unmarshal([]byte(c), &x); err != nil {
+		return c
+	}
+	b, err := json.Marshal(x)
+	if err != nil {
+		return c
+	}
+	return string(b)
 }

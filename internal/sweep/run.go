@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"facile"
 )
@@ -23,9 +20,9 @@ type Workload struct {
 
 // Options tunes a sweep run.
 type Options struct {
-	// Workers bounds the sweep's parallelism across variants (each
-	// variant's workload batch runs serially, so folds are deterministic).
-	// Values <= 0 select GOMAXPROCS.
+	// Workers bounds how many analyses the sweep computes at once; it is
+	// the workers argument of the engine's batch calls. Values <= 0, or
+	// above the engine's pool size, select the pool size.
 	Workers int
 }
 
@@ -88,16 +85,25 @@ type Result struct {
 	Failed []FailedVariant `json:"failed,omitempty"`
 }
 
+// groupPairs is about how many (block, design point) analyses one batch
+// call of Run carries: whole blocks, every live point of a block back to
+// back. Groups bound the results Run holds at once, and keep a sweep of
+// few points (one, as a designer trying one configuration makes) to a
+// single call.
+const groupPairs = 256
+
 // Run executes a sweep: one cached base pass over the workload, then every
-// grid point as an ephemeral variant through the engine's chunked batch
-// kernel, folded into the ranked frontier. Variants are evaluated in
-// parallel (Options.Workers) but each variant's fold reads only its own
+// grid point as an ephemeral variant, folded into the ranked frontier. The
+// variant passes run block-major: the blocks stream through the engine's
+// batch kernel in groups, each block analyzed for every design point back
+// to back, so the batch decodes, renders and solves it once for all the
+// points that leave those inputs alone. Each variant's fold reads its own
 // results in block order, and ranking breaks ties by name — the Result is
 // identical at any worker count.
 //
-// ctx cancels the sweep between variants and between blocks; a cancelled
-// run returns ctx's error. Individually invalid design points do not fail
-// the run: they are reported in Result.Failed.
+// ctx cancels the sweep between analyses; a cancelled run returns ctx's
+// error. Individually invalid design points do not fail the run: they are
+// reported in Result.Failed.
 func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,11 +126,12 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	}
 
 	// Base pass: the registered base arch through the normal cached path.
-	reqs := make([]facile.Request, len(wl.Blocks))
+	nb := len(wl.Blocks)
+	reqs := make([]facile.Request, nb)
 	for i, code := range wl.Blocks {
 		reqs[i] = facile.Request{Code: code, Arch: grid.Base, Mode: wl.Mode}
 	}
-	baseTP := make([]float64, len(reqs))
+	baseTP := make([]float64, nb)
 	baseBn := make([]int, len(comps))
 	baseLogSum := 0.0
 	for i, r := range eng.AnalyzeBatchN(ctx, reqs, opts.Workers) {
@@ -146,100 +153,93 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	res := &Result{
 		Base:              grid.Base,
 		Mode:              wl.Mode,
-		Blocks:            len(wl.Blocks),
+		Blocks:            nb,
 		Points:            len(points),
-		BaseGeomeanCycles: round4(math.Exp(baseLogSum / float64(len(reqs)))),
+		BaseGeomeanCycles: round4(math.Exp(baseLogSum / float64(nb))),
 		BaseRates:         make([]ComponentRate, len(comps)),
 	}
 	for i, c := range comps {
-		res.BaseRates[i] = ComponentRate{Component: c, Pct: pct(baseBn[i], len(reqs))}
+		res.BaseRates[i] = ComponentRate{Component: c, Pct: pct(baseBn[i], nb)}
 	}
 
-	// Variant passes: workers claim whole variants; within a variant the
-	// batch runs serially on the chunked kernel's shared scratch.
-	type outcome struct {
-		ok     VariantResult
-		failed *FailedVariant
-	}
-	outcomes := make([]*outcome, len(points))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
+	// Derive every point; one that fails is reported and not analyzed.
 	reg := eng.Registry()
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pi := int(next.Add(1))
-				if pi >= len(points) || ctx.Err() != nil {
-					return
-				}
-				pt := points[pi]
-				o := &outcome{}
-				v, err := reg.DeriveVariant(pt.Name, grid.Base, pt.Overlay)
-				if err != nil {
-					o.failed = &FailedVariant{Name: pt.Name, Overlay: pt.Overlay, Error: err.Error()}
-					outcomes[pi] = o
-					continue
-				}
-				varBn := make([]int, len(comps))
-				logSum := 0.0
-				for i, r := range eng.AnalyzeVariantBatchN(ctx, v, reqs, 1) {
-					if r.Err != nil {
-						if ctx.Err() != nil {
-							return // cancelled; Run reports ctx.Err()
-						}
-						o.failed = &FailedVariant{Name: pt.Name, Overlay: pt.Overlay, Error: r.Err.Error()}
-						break
-					}
-					tp := r.Analysis.Prediction.CyclesPerIteration
-					if tp <= 0 {
-						o.failed = &FailedVariant{Name: pt.Name, Overlay: pt.Overlay,
-							Error: fmt.Sprintf("block %d: non-positive prediction %g", i, tp)}
-						break
-					}
-					logSum += math.Log(baseTP[i] / tp)
-					countBottlenecks(r.Analysis, compIdx, varBn)
-				}
-				if o.failed == nil {
-					row := VariantResult{
-						Name:           pt.Name,
-						Overlay:        pt.Overlay,
-						GeomeanSpeedup: round4(math.Exp(logSum / float64(len(reqs)))),
-						Shifts:         make([]ComponentShift, len(comps)),
-					}
-					for ci, c := range comps {
-						bp, vp := pct(baseBn[ci], len(reqs)), pct(varBn[ci], len(reqs))
-						row.Shifts[ci] = ComponentShift{
-							Component: c, BasePct: bp, VariantPct: vp,
-							DeltaPP: round2(vp - bp),
-						}
-					}
-					o.ok = row
-				}
-				outcomes[pi] = o
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	for _, o := range outcomes {
-		if o.failed != nil {
-			res.Failed = append(res.Failed, *o.failed)
+	folds := make([]variantFold, len(points))
+	for pi, pt := range points {
+		f := &folds[pi]
+		f.pt = pt
+		if f.v, err = reg.DeriveVariant(pt.Name, grid.Base, pt.Overlay); err != nil {
+			f.err = err.Error()
 			continue
 		}
-		res.Variants = append(res.Variants, o.ok)
+		f.bn = make([]int, len(comps))
+	}
+
+	// Variant passes, block-major. A point that fails on a block drops out
+	// of the groups after it; within its group its later results are
+	// skipped, so each failure names the first failing block.
+	var live []*variantFold
+	for lo := 0; lo < nb; {
+		live = live[:0]
+		for pi := range folds {
+			if folds[pi].err == "" {
+				live = append(live, &folds[pi])
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		hi := min(lo+max(groupPairs/len(live), 1), nb)
+		reqs = reqs[:0]
+		for i := lo; i < hi; i++ {
+			for _, f := range live {
+				reqs = append(reqs, facile.Request{Code: wl.Blocks[i], Mode: wl.Mode, Variant: f.v})
+			}
+		}
+		out := eng.AnalyzeBatchN(ctx, reqs, opts.Workers)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		k := 0
+		for i := lo; i < hi; i++ {
+			for _, f := range live {
+				r := &out[k]
+				k++
+				switch {
+				case f.err != "":
+				case r.Err != nil:
+					f.err = r.Err.Error()
+				case r.Analysis.Prediction.CyclesPerIteration <= 0:
+					f.err = fmt.Sprintf("block %d: non-positive prediction %g", i, r.Analysis.Prediction.CyclesPerIteration)
+				default:
+					f.logSum += math.Log(baseTP[i] / r.Analysis.Prediction.CyclesPerIteration)
+					countBottlenecks(r.Analysis, compIdx, f.bn)
+				}
+			}
+		}
+		lo = hi
+	}
+
+	for pi := range folds {
+		f := &folds[pi]
+		if f.err != "" {
+			res.Failed = append(res.Failed, FailedVariant{Name: f.pt.Name, Overlay: f.pt.Overlay, Error: f.err})
+			continue
+		}
+		row := VariantResult{
+			Name:           f.pt.Name,
+			Overlay:        f.pt.Overlay,
+			GeomeanSpeedup: round4(math.Exp(f.logSum / float64(nb))),
+			Shifts:         make([]ComponentShift, len(comps)),
+		}
+		for ci, c := range comps {
+			bp, vp := pct(baseBn[ci], nb), pct(f.bn[ci], nb)
+			row.Shifts[ci] = ComponentShift{
+				Component: c, BasePct: bp, VariantPct: vp,
+				DeltaPP: round2(vp - bp),
+			}
+		}
+		res.Variants = append(res.Variants, row)
 	}
 	sort.SliceStable(res.Variants, func(i, j int) bool {
 		a, b := &res.Variants[i], &res.Variants[j]
@@ -253,6 +253,16 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	}
 	sort.SliceStable(res.Failed, func(i, j int) bool { return res.Failed[i].Name < res.Failed[j].Name })
 	return res, nil
+}
+
+// variantFold is one design point's running fold over the workload: its
+// log-speedup sum and bottleneck counts so far, or why it failed.
+type variantFold struct {
+	pt     Point
+	v      *facile.Variant
+	err    string
+	logSum float64
+	bn     []int
 }
 
 // countBottlenecks increments counts for every component the analysis flags

@@ -72,6 +72,10 @@ func TestGridValidate(t *testing.T) {
 		{"repeated param", `{"base":"SKL","axes":[{"param":"rob_size","values":[1]},{"param":"rob_size","values":[2]}]}`, "repeats param"},
 		{"no values", `{"base":"SKL","axes":[{"param":"rob_size","values":[]}]}`, "no values"},
 		{"duplicate value", `{"base":"SKL","axes":[{"param":"rob_size","values":[224,224]}]}`, "twice"},
+		{"duplicate number spelling", `{"base":"SKL","axes":[{"param":"issue_width","values":[4,4.0,4e0]}]}`, "lists value 4 twice (as 4.0)"},
+		{"duplicate port list spelling", `{"base":"SKL","axes":[{"param":"role_ports.alu","values":[[0,1],[0,1e0]]}]}`, "twice"},
+		{"duplicate role map order", `{"base":"SKL","axes":[{"param":"role_ports","values":[{"alu":[0],"branch":[6]},{"branch":[6],"alu":[0]}]}]}`, "twice"},
+		{"distinct numbers", `{"base":"SKL","axes":[{"param":"issue_width","values":[4,4.5,40]}]}`, ""},
 		{"label mismatch", `{"base":"SKL","axes":[{"param":"rob_size","values":[1,2],"labels":["a"]}]}`, "1 labels for 2 values"},
 		{"label charset", `{"base":"SKL","axes":[{"param":"rob_size","values":[1],"labels":["a b"]}]}`, "illegal"},
 		{"bare role prefix", `{"base":"SKL","axes":[{"param":"role_ports.","values":[[0]]}]}`, "names no role"},

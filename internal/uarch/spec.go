@@ -216,6 +216,12 @@ func (s *Spec) Config() (*Config, error) {
 	return c, nil
 }
 
+// MaxSpecValue bounds every width, buffer size and latency of a spec. Real
+// cores stay below a few hundred; the bound keeps an untrusted overlay from
+// sizing an analysis's tables (the decoder model keeps one entry per
+// decoder) at gigabytes.
+const MaxSpecValue = 1 << 12
+
 // Validate checks the spec's structural invariants: a resolvable generation,
 // plausible widths and buffer sizes, LSD/IDQ consistency, full role
 // coverage, and port masks that fit the machine. It reports the first
@@ -240,36 +246,35 @@ func (s *Spec) Validate() error {
 		return bad("%v", err)
 	}
 
-	// Widths and buffer sizes must be positive; NumPorts must also fit the
-	// PortMask representation.
+	// Widths and buffer sizes must be positive, the LSD unroll target and
+	// the latencies non-negative, and all of them at most MaxSpecValue, so
+	// no spec can make an analysis allocate or loop in proportion to an
+	// absurd count. NumPorts must also fit the PortMask representation.
 	for _, f := range []struct {
 		name string
 		v    int
+		min  int
 	}{
-		{"predec_width", s.PredecWidth}, {"num_decoders", s.NumDecoders},
-		{"iq_size", s.IQSize}, {"dsb_width", s.DSBWidth}, {"idq_size", s.IDQSize},
-		{"issue_width", s.IssueWidth}, {"retire_width", s.RetireWidth},
-		{"rob_size", s.ROBSize}, {"sched_size", s.SchedSize},
-		{"num_ports", s.NumPorts},
+		{"predec_width", s.PredecWidth, 1}, {"num_decoders", s.NumDecoders, 1},
+		{"iq_size", s.IQSize, 1}, {"dsb_width", s.DSBWidth, 1}, {"idq_size", s.IDQSize, 1},
+		{"issue_width", s.IssueWidth, 1}, {"retire_width", s.RetireWidth, 1},
+		{"rob_size", s.ROBSize, 1}, {"sched_size", s.SchedSize, 1},
+		{"num_ports", s.NumPorts, 1},
+		{"lsd_unroll_target", s.LSDUnrollTgt, 0}, {"load_latency", s.LoadLat, 0},
+		{"fp_add_latency", s.FPAddLat, 0}, {"fp_mul_latency", s.FPMulLat, 0},
+		{"fma_latency", s.FMALat, 0},
 	} {
-		if f.v <= 0 {
+		switch {
+		case f.v < f.min && f.min > 0:
 			return bad("%s must be positive (got %d)", f.name, f.v)
+		case f.v < f.min:
+			return bad("%s must not be negative (got %d)", f.name, f.v)
+		case f.v > MaxSpecValue:
+			return bad("%s must be at most %d (got %d)", f.name, MaxSpecValue, f.v)
 		}
 	}
 	if s.NumPorts > 16 {
 		return bad("num_ports %d exceeds the 16-port mask representation", s.NumPorts)
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"lsd_unroll_target", s.LSDUnrollTgt}, {"load_latency", s.LoadLat},
-		{"fp_add_latency", s.FPAddLat}, {"fp_mul_latency", s.FPMulLat},
-		{"fma_latency", s.FMALat},
-	} {
-		if f.v < 0 {
-			return bad("%s must not be negative (got %d)", f.name, f.v)
-		}
 	}
 
 	// LSD/IDQ invariants: the LSD window is the IDQ, so the unroll target

@@ -88,6 +88,8 @@ func TestSpecValidationRejections(t *testing.T) {
 		{"negative idq", func(s *Spec) { s.IDQSize = -4 }, "idq_size must be positive"},
 		{"too many ports", func(s *Spec) { s.NumPorts = 17 }, "16-port mask"},
 		{"negative latency", func(s *Spec) { s.LoadLat = -1 }, "load_latency"},
+		{"absurd decoder count", func(s *Spec) { s.NumDecoders = 1 << 30 }, "num_decoders must be at most 4096"},
+		{"absurd latency", func(s *Spec) { s.LoadLat = MaxSpecValue + 1 }, "load_latency must be at most"},
 		{"lsd window exceeds idq", func(s *Spec) { s.LSDUnrollTgt = s.IDQSize + 1 },
 			"exceeds idq_size"},
 		{"missing role", func(s *Spec) { delete(s.RolePorts, "load") },

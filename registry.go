@@ -85,7 +85,7 @@ func (ar *ArchRegistry) Derive(name, base string, overlay []byte) (ArchInfo, err
 // take no registry slot — enumerating a 2,000-point design-space grid can
 // never hit ErrArchRegistryFull — and are invisible to name lookup, so they
 // cannot collide with (or poison the cache-key versioning of) registered
-// arches. Analyze a workload against one with Engine.AnalyzeVariantBatchN.
+// arches. Analyze a block against one by setting Request.Variant.
 //
 // A Variant is immutable and safe for concurrent use.
 type Variant struct {

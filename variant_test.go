@@ -3,9 +3,11 @@ package facile_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"facile"
+	"facile/internal/bhive"
 )
 
 // TestDeriveVariantEphemeral: a variant is a fully validated design point —
@@ -109,5 +111,63 @@ func TestDeriveVariantsBeyondRegistryCapacity(t *testing.T) {
 	// Registration capacity is untouched: a registered derive still works.
 	if _, err := reg.Derive("SKL-after", "SKL", nil); err != nil {
 		t.Fatalf("registered Derive after variant storm: %v", err)
+	}
+}
+
+// TestBlockMajorBatchMatchesFresh: a batch ordered block-major — each block
+// analyzed back to back for several variants, arches and modes, as a sweep
+// orders it — lets a worker keep the block's decode, instruction text and
+// precedence solve across consecutive misses. Every result must equal a
+// fresh engine's uncached analysis of the same request at DetailFull, also
+// after a miss that fails on the block and after an undecodable block.
+func TestBlockMajorBatchMatchesFresh(t *testing.T) {
+	reg := facile.NewArchRegistry()
+	var variants []*facile.Variant
+	for i, ov := range []string{
+		`{"issue_width":3}`,
+		`{"load_latency":9}`,
+		`{"macro_fusion":false,"move_elim_gpr":false}`,
+		`{"fma_latency":0,"role_ports":{"fma":[]}}`,
+		`{}`,
+	} {
+		v, err := reg.DeriveVariant(fmt.Sprintf("SKL~v%d", i), "SKL", []byte(ov))
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants = append(variants, v)
+	}
+	var blocks [][]byte
+	for _, g := range bhive.GenerateBlocks(9, 12) {
+		blocks = append(blocks, g.LoopCode)
+	}
+	blocks = append(blocks,
+		decode(t, "c4e271b8c2 48ffc9 75f7"), // vfmadd231ps loop: fails without FMA units
+		decode(t, "d9c0"),                   // x87: undecodable
+		blocks[0],
+	)
+	var reqs []facile.Request
+	for _, code := range blocks {
+		for _, mode := range []facile.Mode{facile.Loop, facile.Unroll} {
+			for _, v := range variants {
+				reqs = append(reqs, facile.Request{Code: code, Mode: mode, Variant: v, Detail: facile.DetailFull})
+			}
+			for _, arch := range []string{"SKL", "ICL", "IVB"} {
+				reqs = append(reqs, facile.Request{Code: code, Arch: arch, Mode: mode, Detail: facile.DetailFull})
+			}
+		}
+	}
+	ctx := context.Background()
+	fresh := newTestEngine(t, facile.EngineConfig{Registry: reg, CacheSize: -1, Workers: 1})
+	for _, workers := range []int{1, 3} {
+		e := newTestEngine(t, facile.EngineConfig{Registry: reg, Workers: 3})
+		for i, r := range e.AnalyzeBatchN(ctx, reqs, workers) {
+			want, err := fresh.Analyze(ctx, reqs[i])
+			if (err == nil) != (r.Err == nil) || (err != nil && err.Error() != r.Err.Error()) {
+				t.Fatalf("workers=%d, request %d: error %v, fresh %v", workers, i, r.Err, err)
+			}
+			if err == nil && !reflect.DeepEqual(r.Analysis, want) {
+				t.Fatalf("workers=%d, request %d: batch analysis\n%+v\nfresh\n%+v", workers, i, r.Analysis, want)
+			}
+		}
 	}
 }
