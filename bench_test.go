@@ -241,9 +241,12 @@ func BenchmarkAblationPorts(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCycleRatio compares Howard's policy iteration (paper
-// §4.9) against the parametric binary-search/Bellman-Ford reference on the
-// same dependence graphs.
+// BenchmarkAblationCycleRatio compares three exact solvers of the
+// precedence bound (paper §4.9) on the same blocks: Howard's policy
+// iteration and the parametric binary-search/Bellman-Ford reference on the
+// prebuilt dependence graphs, and the carried-value summary the analysis
+// uses, which starts from the block and builds no graph (its time includes
+// the summary's construction and the critical chain).
 func BenchmarkAblationCycleRatio(b *testing.B) {
 	blocks := benchBlocks(b, uarch.MustByName("SKL"), true)
 	graphs := make([]*cycleratio.Graph, len(blocks))
@@ -263,6 +266,11 @@ func BenchmarkAblationCycleRatio(b *testing.B) {
 			if _, err := cycleratio.MaxRatioReference(graphs[i%len(graphs)]); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("CarriedSummary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.PrecedenceBound(blocks[i%len(blocks)])
 		}
 	})
 }

@@ -73,9 +73,9 @@ func TestAnalyzeCostNearLinear(t *testing.T) {
 	// fits under the minimum heap goal and never meets a collection, while
 	// a 64 KiB one allocates tens of MB and meets several, which would
 	// charge the collector's pacing to the algorithm. Before each, the
-	// engine analyzes another block: a miss scratch skips the cycle-ratio
-	// solve for a dependence graph equal to its last one, and every timed
-	// run must pay for its solve.
+	// engine analyzes another block: a miss scratch skips the precedence
+	// solve for an input equal to its last one, and every timed run must
+	// pay for its solve.
 	other := facile.Request{Code: []byte{0x48, 0x01, 0xd8}, Arch: "SKL"} // add rax, rbx
 	fastest := func(code []byte, mode facile.Mode) time.Duration {
 		e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1})

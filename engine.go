@@ -121,8 +121,11 @@ type Engine struct {
 	workers  int
 	maxCode  int
 
-	// scratch pools *missScratch values across cache misses.
+	// scratch pools *missScratch values across cache misses. spare holds
+	// one more, tried first: a collection empties the pool but not spare,
+	// so the first miss after it still finds a warm scratch.
 	scratch sync.Pool
+	spare   atomic.Pointer[missScratch]
 
 	// uncached counts resolutions when memoization is disabled (cache ==
 	// nil); cached resolutions are counted by per-shard cache counters and
@@ -555,7 +558,7 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // Requests may mix arches, modes and variants (Request.Variant). A miss
 // reuses what is byte-identical to the worker's previous miss: a block
 // built from the same bytes keeps its decoded instructions, effects and
-// instruction text, and a dependence graph equal to the last one solved
+// instruction text, and a precedence solve whose input equals the last one
 // keeps its solution. Ordering the requests so that every analysis of one
 // block comes back to back — as a design-space sweep does — lets a batch
 // decode, render and solve each block once for all of them.
@@ -640,16 +643,31 @@ type missScratch struct {
 	text  []byte
 }
 
-// getScratch draws a miss scratch from the engine's pool.
-func (e *Engine) getScratch() *missScratch { return e.scratch.Get().(*missScratch) }
+// getScratch draws a miss scratch: the engine's spare if it holds one, else
+// one from the pool.
+func (e *Engine) getScratch() *missScratch {
+	if ms := e.spare.Swap(nil); ms != nil {
+		return ms
+	}
+	return e.scratch.Get().(*missScratch)
+}
 
-// putScratch returns ms to the engine's pool. Its block's instructions
-// subslice the last request's code, so they are released first: the pool
-// must not pin a caller's buffer or a server's request memory.
+// putScratch returns ms to the engine's spare, or to its pool when the
+// spare is taken or ms too large. Its block's instructions subslice the
+// last request's code, so they are released first: neither may pin a
+// caller's buffer or a server's request memory.
 func (e *Engine) putScratch(ms *missScratch) {
 	ms.block.Release()
-	e.scratch.Put(ms)
+	if cap(ms.block.Insts) > maxSpareInsts || !e.spare.CompareAndSwap(nil, ms) {
+		e.scratch.Put(ms)
+	}
 }
+
+// maxSpareInsts bounds the blocks a spare scratch may have grown to serve
+// (about 256 KiB of code). A larger scratch goes to the pool, which a
+// collection empties, so one huge request does not pin its memory for the
+// engine's lifetime.
+const maxSpareInsts = 1 << 16
 
 // batchScratch is the state a cache miss is filled from: a miss scratch
 // drawn from the engine pool, and slabs that prediction payloads, bound

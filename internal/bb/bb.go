@@ -102,15 +102,16 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	if !kept {
 		// Decode straight into the instruction array, reserved up front so
 		// a fresh block grows it at most once.
+		held := len(b.Insts)
 		insts := slices.Grow(b.Insts[:0], len(code)/x86.MinAvgInstLen+1)
 		for off := 0; off < len(code); off += insts[len(insts)-1].Inst.Len {
 			insts = append(insts, Instr{Off: off})
 			if err := x86.DecodeAt(&insts[len(insts)-1].Inst, code, off); err != nil {
-				b.Insts = insts // Release must find the Raw bytes decoded so far
+				b.Insts = dropTail(insts, held) // Release must find the Raw bytes decoded so far
 				return err
 			}
 		}
-		b.Insts = insts
+		b.Insts = dropTail(insts, held)
 	}
 	insts := b.Insts
 	n := len(insts)
@@ -197,19 +198,32 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// dropTail clears the Raw bytes of the instructions in insts[len:held], the
+// tail a larger block decoded into the same array left, so no entry past
+// an instruction array's length holds a reference; it returns insts.
+func dropTail(insts []Instr, held int) []Instr {
+	if held > len(insts) {
+		tail := insts[len(insts):held]
+		for k := range tail {
+			tail[k].Inst.Raw = nil
+		}
+	}
+	return insts
+}
+
 // Release drops b's references to its code and configuration, the
 // instructions' Raw bytes among them, and keeps its arrays for the next
 // BuildInto: a pooled block must pin neither a caller's buffer nor a
-// configuration. It clears the arrays up to their capacity, since a smaller
-// block built after a larger one leaves the larger one's tail in place, and
-// the decode-unit tail may point into an instruction array since replaced.
+// configuration. A build that shrinks the instruction or decode-unit array
+// clears the tail it leaves (the decode-unit tail may point into an
+// instruction array since replaced), so Release clears only up to the
+// arrays' lengths: its cost follows the last block, not the largest one.
 func (b *Block) Release() {
 	b.Cfg, b.Code, b.kept = nil, nil, false
-	insts := b.Insts[:cap(b.Insts)]
-	for k := range insts {
-		insts[k].Inst.Raw = nil
+	for k := range b.Insts {
+		b.Insts[k].Inst.Raw = nil
 	}
-	clear(b.decodeUnits[:cap(b.decodeUnits)])
+	clear(b.decodeUnits)
 }
 
 // derive precomputes every per-prediction view of the block. It must run
@@ -227,6 +241,7 @@ func (b *Block) derive() {
 		}
 	}
 	b.fusedUops, b.issueUops = 0, 0
+	held := len(b.decodeUnits)
 	b.decodeUnits = resize(b.decodeUnits, units)[:0]
 	b.execUops = resize(b.execUops, exec)[:0]
 	for k := range b.Insts {
@@ -240,6 +255,9 @@ func (b *Block) derive() {
 		if !ins.Desc.Eliminated {
 			b.execUops = append(b.execUops, ins.Desc.Uops...)
 		}
+	}
+	if held > units {
+		clear(b.decodeUnits[units:held]) // see Release
 	}
 	b.jccErratum = b.computeJCCErratum()
 }

@@ -291,6 +291,31 @@ func TestBuildIntoReuse(t *testing.T) {
 	}
 }
 
+// TestShrinkingBuildDropsTail: a build smaller than the block's last one
+// leaves no reference in the instruction or decode-unit array past its
+// length, so Release, which clears only up to the lengths, drops every
+// reference to the larger block's code.
+func TestShrinkingBuildDropsTail(t *testing.T) {
+	cfg := uarch.MustByName("SKL")
+	add := asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.R(x86.RBX))
+	large := asm.MustEncodeBlock([]asm.Instr{add, add, add, add, add, add, add, add})
+	small := asm.MustEncodeBlock([]asm.Instr{add})
+	var b Block
+	for _, code := range [][]byte{large, small, large, {0x48, 0x01, 0xd8, 0xd9, 0xc0}} {
+		BuildInto(&b, cfg, code) // the last one fails to decode its x87 tail
+		for k, ins := range b.Insts[len(b.Insts):cap(b.Insts)] {
+			if ins.Inst.Raw != nil {
+				t.Fatalf("%x: instruction %d past the length holds code bytes", code, len(b.Insts)+k)
+			}
+		}
+		for k, u := range b.decodeUnits[len(b.decodeUnits):cap(b.decodeUnits)] {
+			if u != nil {
+				t.Fatalf("%x: decode unit %d past the length is set", code, len(b.decodeUnits)+k)
+			}
+		}
+	}
+}
+
 // TestReleaseDropsCode: after Release a Block references neither its code
 // nor its configuration, also in the tail a smaller block left of a larger
 // one's instruction array, and it still builds like a fresh one.

@@ -2,14 +2,13 @@ package core
 
 import (
 	"facile/internal/bb"
-	"facile/internal/cycleratio"
 	"facile/internal/uarch"
 )
 
 // Analysis is a reusable scratch context for the per-component predictors.
 // Every transient buffer the predictors need — predecoder block counters,
-// decoder simulation state, port-combination worklists, the dependence
-// graph and its node bookkeeping — lives here and is grown once, then
+// decoder simulation state, port-combination worklists, the carried-value
+// summary of the precedence bound — lives here and is grown once, then
 // reused across calls, so a warm Analysis computes a full bound vector with
 // no transient heap allocations in this package. An Analysis is NOT safe
 // for concurrent use; pool instances (the package-level entry points and
@@ -34,21 +33,9 @@ type Analysis struct {
 	portsUnions []uarch.PortMask
 	portsInstrs []int
 
-	// Precedence (precedence.go): the value dependence graph and its
-	// bookkeeping. graph.Edges, nodeInstr and the per-instruction value-node
-	// lists all retain capacity across calls. The embedded cycle-ratio
-	// solver reuses Howard-iteration state the same way. prec and precChain
-	// are the bound and critical chain of the graph in graph (for the zero
-	// Analysis, the empty graph's: 0 and none); see precedenceBound.
-	solver    cycleratio.Solver
-	graph     depGraph
-	prec      float64
-	precChain []int
-	consumed  [][]valNode
-	produced  [][]valNode
-	vals      []valNode // backing array of the consumed and produced lists
-	chain     []int
-	chainSeen []bool
+	// Precedence (precedence.go): the last solve's input and results, the
+	// carried-value summary and the chain recovery's scratch.
+	prec precScratch
 }
 
 // NewAnalysis returns an empty scratch context. Buffers grow on first use
@@ -233,22 +220,6 @@ func growInts(s *[]int, n int) []int {
 	t = t[:n]
 	for i := range t {
 		t[i] = 0
-	}
-	*s = t
-	return t
-}
-
-// growBools returns *s resized to n elements and zeroed, reusing capacity.
-func growBools(s *[]bool, n int) []bool {
-	t := *s
-	if cap(t) < n {
-		t = make([]bool, n)
-		*s = t
-		return t
-	}
-	t = t[:n]
-	for i := range t {
-		t[i] = false
 	}
 	*s = t
 	return t

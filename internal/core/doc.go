@@ -33,7 +33,11 @@
 // bound (predec.go) to §4.3, the decoder bound (dec.go) to §4.4, the DSB
 // and LSD bounds (frontend.go) to §4.5–4.6, the issue bound to §4.7, the
 // execution-port bound (ports.go) to §4.8, and the loop-carried dependence
-// bound (precedence.go, via internal/cycleratio) to §4.9. The dependence
-// graph is built in forward sweeps with per-register last-writer tables, so
-// its construction is linear in the block.
+// bound (precedence.go) to §4.9. The precedence bound solves an m×m summary
+// of the block's m carried values, built in one forward pass and solved
+// exactly with Karp's algorithm, rather than the value dependence graph.
+// BuildDependenceGraph still builds that graph for internal/cycleratio:
+// it is the oracle the summary is tested against, and the ablation
+// benchmark, the layer benchmark (bench/) and internal/baselines analyze
+// it.
 package core

@@ -1,6 +1,9 @@
 package cycleratio
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // Edge is a directed edge with a latency weight and an iteration count.
 type Edge struct {
@@ -46,49 +49,90 @@ func MaxRatioReference(g *Graph) (float64, error) {
 	if s.hasZeroTransitCycle(core) {
 		return 0, ErrZeroTransitCycle
 	}
-	return maxRatioBF(core)
+	return maxRatioBF(core).Ratio, nil
 }
 
 // maxRatioBF computes the maximum cycle ratio by bisection on λ with
-// positive-cycle detection on the reweighted graph w' = w − λ·t.
-func maxRatioBF(g *Graph) (float64, error) {
+// positive-cycle detection on the reweighted graph w' = w − λ·t. The last
+// positive cycle the bisection finds lies within its final bracket, far
+// closer to the optimum than any two distinct ratios of a small integer
+// graph lie to each other, so it is a critical cycle: the result is that
+// cycle and its exact w/t. Weights are assumed nonnegative; a graph whose
+// cycles all weigh 0 reports any one of them.
+func maxRatioBF(g *Graph) Result {
 	lo, hi := 0.0, 1.0
 	for _, e := range g.Edges {
 		if e.W > 0 {
 			hi += e.W
 		}
 	}
+	var best []int
 	for iter := 0; iter < 64; iter++ {
 		mid := (lo + hi) / 2
-		if hasPositiveCycle(g, mid) {
-			lo = mid
+		if c := positiveCycle(g, mid); c != nil {
+			lo, best = mid, c
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2, nil
+	if best == nil {
+		// Every cycle is positive at λ = −1, since each spans an iteration.
+		best = positiveCycle(g, -1)
+	}
+	if best == nil {
+		return Result{Ratio: (lo + hi) / 2, HasCycle: true}
+	}
+	var w float64
+	var t int
+	for _, ei := range best {
+		w += g.Edges[ei].W
+		t += g.Edges[ei].T
+	}
+	return Result{Ratio: w / float64(t), Cycle: best, HasCycle: true}
 }
 
-// hasPositiveCycle reports whether the graph reweighted by λ contains a
-// strictly positive cycle (Bellman-Ford, maximizing).
-func hasPositiveCycle(g *Graph, lambda float64) bool {
+// positiveCycle returns the edges, in traversal order, of a strictly
+// positive cycle of the graph reweighted by λ, or nil when there is none
+// (Bellman-Ford from a virtual source to every node, maximizing). A
+// relaxation in round N means a positive cycle, and N predecessor steps
+// back from the node it relaxed land on one.
+func positiveCycle(g *Graph, lambda float64) []int {
 	const eps = 1e-12
-	dist := make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		dist[i] = 0 // virtual source connected to all nodes with weight 0
+	dist := make([]float64, g.N) // the virtual source reaches every node with 0
+	pred := make([]int, g.N)
+	for i := range pred {
+		pred[i] = -1
 	}
+	last := -1
 	for round := 0; round < g.N; round++ {
-		changed := false
-		for _, e := range g.Edges {
+		last = -1
+		for i, e := range g.Edges {
 			w := e.W - lambda*float64(e.T)
 			if dist[e.From]+w > dist[e.To]+eps {
 				dist[e.To] = dist[e.From] + w
-				changed = true
+				pred[e.To] = i
+				last = e.To
 			}
 		}
-		if !changed {
-			return false
+		if last < 0 {
+			return nil
 		}
 	}
-	return true
+	v := last
+	for i := 0; i < g.N; i++ {
+		if pred[v] < 0 {
+			return nil
+		}
+		v = g.Edges[pred[v]].From
+	}
+	var cyc []int
+	for u := v; ; {
+		ei := pred[u]
+		cyc = append(cyc, ei)
+		if u = g.Edges[ei].From; u == v {
+			break
+		}
+	}
+	slices.Reverse(cyc)
+	return cyc
 }

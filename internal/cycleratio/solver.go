@@ -115,11 +115,7 @@ func (s *Solver) MaxRatio(g *Graph) (Result, error) {
 		comp := &s.sccs[i]
 		res, _, ok := s.howard(&comp.g)
 		if !ok {
-			ratio, err := maxRatioBF(&comp.g)
-			if err != nil {
-				return Result{}, err
-			}
-			res = Result{Ratio: ratio, HasCycle: true}
+			res = maxRatioBF(&comp.g)
 		}
 		if res.HasCycle && (!best.HasCycle || res.Ratio > best.Ratio) {
 			// Translate to original-graph edge indices.

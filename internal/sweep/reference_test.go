@@ -97,11 +97,10 @@ points:
 }
 
 // TestRunMatchesFreshReference: the block-major sweep, whose batches keep a
-// block's decode, text and dependence-graph solution across the design
-// points of one block, returns at 1, 2 and 4 workers exactly what a
-// pair-by-pair reference with nothing shared returns. The grid mixes a
-// front-end axis with axes that change the dependence graph
-// (load_latency), the descriptors (move_elim_gpr, gen) and the fusion
+// block's decode, text and precedence solve across the design points of
+// one block, returns at 1, 2 and 4 workers exactly what a pair-by-pair
+// reference with nothing shared returns. The grid mixes a front-end axis
+// with axes that change the precedence solve's input (load_latency), the descriptors (move_elim_gpr, gen) and the fusion
 // marks (macro_fusion). FMA support follows the fma port assignment, not
 // gen, so the pair of fma axes removes it: two of its combinations fail to
 // derive, and one fails on the FMA block.
