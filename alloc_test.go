@@ -18,7 +18,7 @@ import (
 // benchmark job runs them race-free.
 
 // TestEngineWarmReportTextZeroAllocs: every Detail's Analysis — the
-// rendered report text at DetailFull included — lives inline in the cache
+// rendered report text at DetailFull included — is kept by the cache
 // entry, so a warm Analyze at any Detail must not allocate: the lookup
 // probes the LRU with a zero-copy key and the views are derived exactly
 // once.
@@ -197,8 +197,9 @@ func TestEngineColdStreamAllocFlat(t *testing.T) {
 // (Stats.SizeBytes, which byte budgets and snapshot weighting use) stays
 // within 2x of the heap bytes those entries actually retain — whether each
 // entry is computed by Analyze or by the batch kernel, here in batches of
-// one, the shape of a small /v1/predict/batch call. A batch must not leave
-// a slab sized for many blocks reachable from the one entry it computed.
+// one, the shape of a small /v1/predict/batch call, and whether or not its
+// prediction's encoding is remembered. A batch must not leave a slab sized
+// for many blocks reachable from the one entry it computed.
 func TestEngineEntrySizeTracksHeap(t *testing.T) {
 	const n = 2000
 	var codes [][]byte
@@ -215,6 +216,16 @@ func TestEngineEntrySizeTracksHeap(t *testing.T) {
 		}},
 		{"AnalyzeBatchOfOne", func(e *facile.Engine, req facile.Request) error {
 			return e.AnalyzeBatch(context.Background(), []facile.Request{req})[0].Err
+		}},
+		// Every cached prediction encoded once, as a batch response does:
+		// the entry keeps the bytes, and its accounted size includes them.
+		{"AnalyzeAndEncode", func(e *facile.Engine, req facile.Request) error {
+			ana, err := e.Analyze(context.Background(), req)
+			if err != nil {
+				return err
+			}
+			_, err = ana.Prediction.AppendJSON(nil, "      ")
+			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,9 +25,9 @@ package main
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -106,9 +106,7 @@ func main() {
 
 	switch {
 	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ana); err != nil {
+		if err := writeJSON(os.Stdout, ana); err != nil {
 			fatal(err)
 		}
 	case *explain:
@@ -135,6 +133,17 @@ func main() {
 		}
 		fmt.Printf("reference simulator: %.2f cycles/iteration\n", tp)
 	}
+}
+
+// writeJSON prints ana as one indented JSON document and a newline: the
+// bytes a json.Encoder with a two-space indent writes.
+func writeJSON(w io.Writer, ana *facile.Analysis) error {
+	b, err := ana.AppendJSON(nil, "")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 func readBlock(hexStr, file string) ([]byte, error) {

@@ -177,14 +177,15 @@ const entryBaseBytes = 512
 
 // entrySizeBytes estimates an entry's resident footprint once its analysis
 // is computed: the durable code copy (shared by the cache key), the bound
-// breakdown and the prediction's per-instruction payloads. Error entries
-// carry only the base and the code.
+// breakdown, the prediction's per-instruction payloads and, once published,
+// the prediction's remembered encoding. Error entries carry only the base
+// and the code.
 func entrySizeBytes(ent *engineEntry) int {
 	n := entryBaseBytes + len(ent.code)
 	if ent.err != nil {
 		return n
 	}
-	a := &ent.ana[DetailPrediction]
+	a := &ent.ana
 	n += 32 * len(a.Bounds)
 	n += 8 * (len(a.Prediction.CriticalChain) + len(a.Prediction.ContendedInstrs))
 	for _, s := range a.Prediction.Instructions {
@@ -193,21 +194,24 @@ func entrySizeBytes(ent *engineEntry) int {
 	for _, s := range a.Prediction.Bottlenecks {
 		n += 16 + len(s)
 	}
+	if w := ent.wire.Load(); w != nil {
+		n += wireBaseBytes + len(w.json)
+	}
 	return n
 }
 
 // engineEntry is a single-flight cache slot: the first caller computes the
 // prediction under once; concurrent callers for the same key block
 // on once and then share the result. Decode/lookup errors are cached too, so
-// repeatedly querying an undecodable block stays cheap. The entry holds its
-// Analysis at every Detail inline: fill sets the prediction-level value, and
-// the views once derives the other two from it — the sorted speedups and the
-// rendered report are a pure recombination and rendering of the cached
-// bound vector, never a re-run of the component predictors. Nothing in an
-// entry aliases caller memory, so callers may reuse their Code buffers as
-// soon as a call returns.
+// repeatedly querying an undecodable block stays cheap. The entry holds the
+// prediction-level Analysis inline; viewOnce derives the other two from it
+// on first use — the sorted speedups and the rendered report are a pure
+// recombination and rendering of the cached bound vector, never a re-run of
+// the component predictors. Nothing in an entry aliases caller memory, so
+// callers may reuse their Code buffers as soon as a call returns.
 type engineEntry struct {
-	once sync.Once
+	once     sync.Once
+	viewOnce sync.Once
 	// code is the entry's durable copy of the block bytes (the cache key's
 	// code string); empty on private (uncached) entries.
 	code string
@@ -215,35 +219,44 @@ type engineEntry struct {
 	bounds core.Bounds
 	err    error
 
-	// size is the entry's accounted footprint estimate in bytes, computed
-	// with the analysis (inside once) and registered with the cache shard
-	// by the computing caller; see entrySizeBytes.
-	size int
+	// ana is the Analysis served at DetailPrediction. Its prediction's
+	// home is itself, which is how Prediction.AppendJSON finds wire.
+	ana Analysis
+	// views holds the DetailSpeedups and DetailFull analyses, which share
+	// ana's prediction and bound slices; nil until fillViews runs.
+	views *[numDetails - 1]Analysis
+	// wire is the prediction's remembered encoding, published once by
+	// appendPredictionJSON on a cached entry.
+	wire atomic.Pointer[predictionWire]
 
-	// ana[d] is the Analysis served at Detail d. The three values share
-	// their prediction and bound slices.
-	ana   [numDetails]Analysis
-	views sync.Once
+	// eng and ver re-register the entry's size with its cache shard when
+	// wire is published: the owning engine (nil on private entries) and
+	// the registry version of the entry's key.
+	eng *Engine
+	ver uint64
 }
 
 // analysis returns the entry's Analysis for one detail level, deriving the
 // speedup and report views on first use above DetailPrediction. A warm
 // Analyze returns a pointer into the entry without allocating.
 func (ent *engineEntry) analysis(d Detail) *Analysis {
-	if d > DetailPrediction {
-		ent.views.Do(ent.fillViews)
+	if d == DetailPrediction {
+		return &ent.ana
 	}
-	return &ent.ana[d]
+	ent.viewOnce.Do(ent.fillViews)
+	return &ent.views[d-1]
 }
 
 // fillViews derives the DetailSpeedups and DetailFull analyses from the
 // prediction-level one: one speedup recombination, one report rendering.
 func (ent *engineEntry) fillViews() {
-	a := ent.ana[DetailPrediction]
+	v := new([numDetails - 1]Analysis)
+	a := ent.ana
 	a.Speedups = speedupList(&ent.bounds, coreMode(a.Prediction.Mode))
-	ent.ana[DetailSpeedups] = a
+	v[DetailSpeedups-1] = a
 	a.ReportText = renderReport(&a)
-	ent.ana[DetailFull] = a
+	v[DetailFull-1] = a
+	ent.views = v
 }
 
 // NewEngine constructs an Engine over cfg.Registry (default: the process-
@@ -423,7 +436,6 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 	)
 	ent.once.Do(func() {
 		computed = true
-		defer func() { ent.size = entrySizeBytes(ent) }()
 		if sc == nil {
 			own.missScratch = e.getScratch()
 			defer e.putScratch(own.missScratch)
@@ -439,8 +451,9 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 		sc.blocksLeft(left)
 		p := sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
 		ent.bounds = p.Bounds
-		a := &ent.ana[DetailPrediction]
+		a := &ent.ana
 		a.Prediction = publicPrediction(&p, block, cfg.Name, mode, sc)
+		a.Prediction.home = &a.Prediction
 		a.Bounds = componentBounds(&p, sc)
 	})
 	if computed {
@@ -473,7 +486,7 @@ func (e *Engine) resolveEntry(ctx context.Context, code []byte, canon string, ve
 		}
 		key := engineKey{arch: canon, ver: ver, mode: mode, code: string(code)}
 		ent, _ = e.cache.GetOrAdd(key,
-			func() *engineEntry { return &engineEntry{code: key.code} })
+			func() *engineEntry { return &engineEntry{code: key.code, eng: e, ver: ver} })
 	}
 	return ent, nil
 }
@@ -488,14 +501,15 @@ func (e *Engine) privateEntry(ctx context.Context) (*engineEntry, error) {
 	return &engineEntry{}, nil
 }
 
-// recordEntrySize registers a freshly computed cached entry's size estimate
-// with its cache shard, enforcing the byte budget. Private (uncached)
+// recordEntrySize registers a cached entry's size estimate with its cache
+// shard, enforcing the byte budget: once when the entry is computed, and
+// again when its prediction's encoding is published. Private (uncached)
 // entries have no shard to account to.
 func (e *Engine) recordEntrySize(ent *engineEntry, canon string, ver uint64, mode Mode) {
 	if e.cache == nil || ent.code == "" {
 		return
 	}
-	e.cache.SetSize(engineKey{arch: canon, ver: ver, mode: mode, code: ent.code}, ent.size)
+	e.cache.SetSize(engineKey{arch: canon, ver: ver, mode: mode, code: ent.code}, entrySizeBytes(ent))
 }
 
 // unsafeString views b as a string without copying. The result aliases b

@@ -137,6 +137,12 @@ type Prediction struct {
 	ContendedInstrs []int  `json:"contended_instrs,omitempty"`
 	// Instructions is the decoded block in Intel-like syntax.
 	Instructions []string `json:"instructions"`
+
+	// home is the prediction of the engine entry this one was served from
+	// (nil if none). It is the prediction itself only for the entry's own
+	// copy, which AppendJSON then encodes once; any other copy, however it
+	// was modified, encodes its own fields.
+	home *Prediction
 }
 
 // ComponentNames returns every component name in pipeline order (front end

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -81,7 +82,9 @@ func (r *Reader) Next() (Row, error) {
 			return Row{}, fmt.Errorf("accuracy: line %d: empty hex block", r.line)
 		}
 		cycles, err := strconv.ParseFloat(cyclesField, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(cycles) || math.IsInf(cycles, 0) {
+			// A NaN or infinite measurement has no relative error; it
+			// would reach the accumulator's histogram as an invalid index.
 			return Row{}, fmt.Errorf("accuracy: line %d: bad measured cycles %q", r.line, cyclesField)
 		}
 		if cycles < 0 {

@@ -110,6 +110,11 @@ func TestReaderGoldenErrors(t *testing.T) {
 			want:  `accuracy: line 1: bad measured cycles "fast"`,
 		},
 		{
+			name:  "non-finite cycles",
+			input: "90,1\n90,NaN\n",
+			want:  `accuracy: line 2: bad measured cycles "NaN"`,
+		},
+		{
 			name:  "negative cycles",
 			input: "90,-1\n",
 			want:  "accuracy: line 1: negative measured cycles -1",

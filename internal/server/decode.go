@@ -117,18 +117,17 @@ func (sc *batchScratch) codeSlab(need int) []byte {
 // string through an allocated []byte conversion.
 func appendHexDecode(dst []byte, s string) ([]byte, error) {
 	for j := 1; j < len(s); j += 2 {
-		a, ok := fromHexChar(s[j-1])
-		if !ok {
-			return dst, hex.InvalidByteError(s[j-1])
-		}
-		b, ok := fromHexChar(s[j])
-		if !ok {
+		a, b := hexValue[s[j-1]], hexValue[s[j]]
+		if a|b > 0x0f {
+			if a > 0x0f {
+				return dst, hex.InvalidByteError(s[j-1])
+			}
 			return dst, hex.InvalidByteError(s[j])
 		}
 		dst = append(dst, a<<4|b)
 	}
 	if len(s)%2 == 1 {
-		if _, ok := fromHexChar(s[len(s)-1]); !ok {
+		if hexValue[s[len(s)-1]] > 0x0f {
 			return dst, hex.InvalidByteError(s[len(s)-1])
 		}
 		return dst, hex.ErrLength
@@ -136,17 +135,20 @@ func appendHexDecode(dst []byte, s string) ([]byte, error) {
 	return dst, nil
 }
 
-func fromHexChar(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, true
+// hexValue maps each byte to its hex digit value, or to 0xff if it is not a
+// hex digit.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
 	}
-	return 0, false
-}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	for i, c := range "ABCDEF" {
+		t[c] = byte(10 + i)
+	}
+	return
+}()
 
 // parseBatchRequest is a zero-copy parser for the canonical batch request
 // shape: {"requests": [{"code"/"code_b64"/"arch"/"mode": "..."}, ...],
