@@ -49,6 +49,9 @@ type PredictorResult struct {
 	Blocks int64 `json:"blocks_evaluated"`
 	// ZeroMeasured counts rows skipped for a zero measurement.
 	ZeroMeasured int64 `json:"zero_measured,omitempty"`
+	// NonFinite counts rows skipped because the measurement or the
+	// prediction was NaN or infinite.
+	NonFinite int64 `json:"non_finite,omitempty"`
 	// Errors counts rows where the predictor itself failed (a subprocess
 	// referee rejecting a block, say); such rows are excluded from this
 	// predictor's statistics only.

@@ -219,6 +219,7 @@ func predictorResult(name string, acc *Accumulator, errs int64) PredictorResult 
 		Predictor:    name,
 		Blocks:       acc.Blocks(),
 		ZeroMeasured: acc.ZeroMeasured(),
+		NonFinite:    acc.NonFinite(),
 		Errors:       errs,
 		MAPE:         acc.MAPE() * 100,
 		KendallTau:   acc.KendallTau(),

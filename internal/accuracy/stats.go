@@ -38,11 +38,12 @@ type centiKey struct{ m, p int32 }
 // Accumulator is the per-(arch, mode, predictor) streaming state. The zero
 // value is ready to use.
 type Accumulator struct {
-	n        int64   // pairs with measured > 0 (the MAPE/tau population)
-	zeroMeas int64   // pairs skipped because measured == 0
-	sumAPE   float64 // Σ |m-p|/m over the population
-	cells    map[centiKey]int64
-	hist     [apeBuckets + 1]int64
+	n         int64   // pairs with measured > 0 (the MAPE/tau population)
+	zeroMeas  int64   // pairs skipped because measured == 0
+	nonFinite int64   // pairs skipped for a NaN or infinite value
+	sumAPE    float64 // Σ |m-p|/m over the population
+	cells     map[centiKey]int64
+	hist      [apeBuckets + 1]int64
 }
 
 // centi quantizes a cycles value to the corpus-wide two-decimal grid.
@@ -58,12 +59,17 @@ func centi(v float64) int32 {
 }
 
 // Add ingests one (measured, predicted) pair. Pairs with a zero (or
-// negative) measurement carry no relative information and are counted
-// separately; they contribute to neither MAPE nor tau (mirroring
-// metrics.MAPE's guard).
+// negative) measurement carry no relative information, and pairs with a
+// NaN or infinite value no error at all; each kind is counted separately
+// and contributes to neither MAPE nor tau (mirroring metrics.MAPE's
+// guard).
 func (a *Accumulator) Add(measured, predicted float64) {
-	if measured <= 0 {
+	switch {
+	case measured <= 0:
 		a.zeroMeas++
+		return
+	case math.IsNaN(measured) || math.IsInf(measured, 0) || math.IsNaN(predicted) || math.IsInf(predicted, 0):
+		a.nonFinite++
 		return
 	}
 	a.n++
@@ -85,6 +91,10 @@ func (a *Accumulator) Blocks() int64 { return a.n }
 
 // ZeroMeasured returns the number of pairs skipped for a zero measurement.
 func (a *Accumulator) ZeroMeasured() int64 { return a.zeroMeas }
+
+// NonFinite returns the number of pairs skipped for a NaN or infinite
+// measured or predicted value.
+func (a *Accumulator) NonFinite() int64 { return a.nonFinite }
 
 // MAPE returns the mean absolute percentage error as a fraction (0.17 is
 // 17%).

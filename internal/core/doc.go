@@ -33,11 +33,13 @@
 // bound (predec.go) to §4.3, the decoder bound (dec.go) to §4.4, the DSB
 // and LSD bounds (frontend.go) to §4.5–4.6, the issue bound to §4.7, the
 // execution-port bound (ports.go) to §4.8, and the loop-carried dependence
-// bound (precedence.go) to §4.9. The precedence bound solves an m×m summary
-// of the block's m carried values, built in one forward pass and solved
-// exactly with Karp's algorithm, rather than the value dependence graph.
-// BuildDependenceGraph still builds that graph for internal/cycleratio:
-// it is the oracle the summary is tested against, and the ablation
-// benchmark, the layer benchmark (bench/) and internal/baselines analyze
-// it.
+// bound (precedence.go) to §4.9. The paper solves §4.9 on the value
+// dependence graph with Howard's policy iteration; this package runs no
+// Howard solver. The precedence bound solves an m×m summary of the block's
+// m carried values, built in one forward pass and solved exactly with
+// Karp's algorithm in integers. BuildDependenceGraph still builds the graph
+// for internal/cycleratio, whose exact Karp solver over the whole graph is
+// the oracle the summary is tested against, bit for bit
+// (TestPrecedenceMatchesGraph, FuzzPrecedence); the ablation benchmark, the
+// layer benchmark (bench/) and internal/baselines analyze it too.
 package core

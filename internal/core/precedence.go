@@ -494,11 +494,13 @@ func growN[T any](s *[]T, n int) []T {
 // consumer reads the value before any write in the block (the flow wraps
 // around the loop). The second result maps each node to its instruction.
 //
-// The precedence bound does not build this graph; its maximum cycle ratio
-// (cycleratio.Solver.MaxRatio) is the oracle the summary solve is tested
-// against, and the ablation benchmark, the layer benchmark and the
-// baselines analyze it. The graph is freshly allocated and owned by the
-// caller.
+// The precedence bound does not build this graph, and does not run the
+// paper's Howard solver (§4.9) on it. The graph's maximum cycle ratio, from
+// cycleratio.Solver.MaxRatio (Karp's theorem over the whole graph, exact in
+// integers), is the oracle the summary solve must match bit for bit in
+// TestPrecedenceMatchesGraph and FuzzPrecedence; the ablation benchmark,
+// the layer benchmark and the baselines analyze it too. The graph is
+// freshly allocated and owned by the caller.
 func BuildDependenceGraph(block *bb.Block) (*cycleratio.Graph, []int) {
 	n := len(block.Insts)
 	g := &cycleratio.Graph{}

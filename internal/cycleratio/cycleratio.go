@@ -2,13 +2,14 @@ package cycleratio
 
 import (
 	"errors"
+	"math"
 	"slices"
 )
 
 // Edge is a directed edge with a latency weight and an iteration count.
 type Edge struct {
 	From, To int
-	W        float64 // latency weight
+	W        float64 // latency weight, an integer
 	T        int     // iteration count (transit time), >= 0
 }
 
@@ -27,112 +28,156 @@ func (g *Graph) AddEdge(from, to int, w float64, t int) {
 // (which would imply an unbounded ratio and a malformed dependence graph).
 var ErrZeroTransitCycle = errors.New("cycleratio: cycle with zero total transit time")
 
-// Result describes the maximum-ratio cycle.
+// errEdge rejects an edge the integer solve cannot represent exactly.
+var errEdge = errors.New("cycleratio: weight not an integer of magnitude at most 2^31, or negative transit")
+
+// Result is the maximum cycle ratio of a graph.
 type Result struct {
 	Ratio float64
-	// Cycle is a list of edge indices (into Graph.Edges) forming a critical
-	// cycle, in traversal order. Empty when the graph has no cycle.
-	Cycle []int
 	// HasCycle is false when the graph is acyclic (Ratio is 0).
 	HasCycle bool
 }
 
-// MaxRatioReference computes the maximum cycle ratio with the parametric
-// binary-search solver only (used to cross-check Howard's algorithm).
-func MaxRatioReference(g *Graph) (float64, error) {
-	s := NewSolver()
-	s.prune(g)
-	core := &s.pruned
-	if core.N == 0 {
-		return 0, nil
-	}
-	if s.hasZeroTransitCycle(core) {
-		return 0, ErrZeroTransitCycle
-	}
-	return maxRatioBF(core).Ratio, nil
+// Solver holds MaxRatio's buffers, which grow to the largest graph seen, so
+// a warm Solver answers without allocating. It is not safe for concurrent
+// use.
+type Solver struct {
+	off, adj, indeg, order, node []int
+	val, d                       []int64
 }
 
-// maxRatioBF computes the maximum cycle ratio by bisection on λ with
-// positive-cycle detection on the reweighted graph w' = w − λ·t. The last
-// positive cycle the bisection finds lies within its final bracket, far
-// closer to the optimum than any two distinct ratios of a small integer
-// graph lie to each other, so it is a critical cycle: the result is that
-// cycle and its exact w/t. Weights are assumed nonnegative; a graph whose
-// cycles all weigh 0 reports any one of them.
-func maxRatioBF(g *Graph) Result {
-	lo, hi := 0.0, 1.0
-	for _, e := range g.Edges {
-		if e.W > 0 {
-			hi += e.W
-		}
-	}
-	var best []int
-	for iter := 0; iter < 64; iter++ {
-		mid := (lo + hi) / 2
-		if c := positiveCycle(g, mid); c != nil {
-			lo, best = mid, c
-		} else {
-			hi = mid
-		}
-	}
-	if best == nil {
-		// Every cycle is positive at λ = −1, since each spans an iteration.
-		best = positiveCycle(g, -1)
-	}
-	if best == nil {
-		return Result{Ratio: (lo + hi) / 2, HasCycle: true}
-	}
-	var w float64
-	var t int
-	for _, ei := range best {
-		w += g.Edges[ei].W
-		t += g.Edges[ei].T
-	}
-	return Result{Ratio: w / float64(t), Cycle: best, HasCycle: true}
-}
+// NewSolver returns an empty solver.
+func NewSolver() *Solver { return new(Solver) }
 
-// positiveCycle returns the edges, in traversal order, of a strictly
-// positive cycle of the graph reweighted by λ, or nil when there is none
-// (Bellman-Ford from a virtual source to every node, maximizing). A
-// relaxation in round N means a positive cycle, and N predecessor steps
-// back from the node it relaxed land on one.
-func positiveCycle(g *Graph, lambda float64) []int {
-	const eps = 1e-12
-	dist := make([]float64, g.N) // the virtual source reaches every node with 0
-	pred := make([]int, g.N)
-	for i := range pred {
-		pred[i] = -1
+// noPath marks a node no walk of the current length reaches.
+const noPath = math.MinInt64 / 4
+
+// MaxRatio returns the maximum cycle ratio of g, exactly: the largest
+// Σ W / Σ T over its cycles, as one float64 division of two integers.
+//
+// It applies Karp's theorem to walks counted by their carried (T > 0)
+// edges. An edge of transit t is t unit steps, the first carrying its
+// weight; the summary nodes are the heads of the unit steps, m of them.
+// D[k][v] is the heaviest walk of k unit steps ending at summary node v,
+// starting at any summary node: each layer closes the previous one over
+// the zero-transit edges in topological order, then takes one step. The
+// ratio is the max over v of min over k < m of (D[m][v] − D[k][v]) / (m − k),
+// compared by cross-multiplying.
+func (s *Solver) MaxRatio(g *Graph) (Result, error) {
+	n, edges := g.N, g.Edges
+	// Zero-transit successors (edge indices) in CSR form: node v's are
+	// adj[off[v]:off[v+1]]. node[v] is 1 + the summary node v heads, or 0.
+	off, indeg, node := grown(&s.off, n+2), grown(&s.indeg, n), grown(&s.node, n)
+	m := 0
+	for _, e := range edges {
+		if e.T < 0 || e.W != math.Trunc(e.W) || math.Abs(e.W) > 1<<31 {
+			return Result{}, errEdge
+		}
+		switch {
+		case e.T == 0:
+			off[e.From+2]++
+			indeg[e.To]++
+		case node[e.To] == 0:
+			m++
+			node[e.To] = m
+		}
 	}
-	last := -1
-	for round := 0; round < g.N; round++ {
-		last = -1
-		for i, e := range g.Edges {
-			w := e.W - lambda*float64(e.T)
-			if dist[e.From]+w > dist[e.To]+eps {
-				dist[e.To] = dist[e.From] + w
-				pred[e.To] = i
-				last = e.To
+	for v := 2; v <= n+1; v++ {
+		off[v] += off[v-1]
+	}
+	adj := grown(&s.adj, off[n+1])
+	for i, e := range edges {
+		if e.T == 0 {
+			adj[off[e.From+1]] = i
+			off[e.From+1]++
+		}
+	}
+	order := s.order[:0]
+	for v := range n {
+		if indeg[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, ei := range adj[off[order[i]]:off[order[i]+1]] {
+			if to := edges[ei].To; indeg[to] == 1 {
+				order = append(order, to)
+			} else {
+				indeg[to]--
 			}
 		}
-		if last < 0 {
-			return nil
+	}
+	s.order = order
+	if len(order) < n {
+		return Result{}, ErrZeroTransitCycle
+	}
+	// The intermediate unit steps of longer edges are summary nodes of
+	// their own, numbered after the heads.
+	heads := m
+	for _, e := range edges {
+		m += max(e.T-1, 0)
+	}
+	val, d := grown(&s.val, n), grown(&s.d, (m+1)*m)
+	for k := 1; k <= m; k++ {
+		prev, cur := d[(k-1)*m:k*m], d[k*m:(k+1)*m]
+		for v := range val {
+			val[v] = noPath
+			if node[v] > 0 {
+				val[v] = prev[node[v]-1]
+			}
+		}
+		for _, u := range order {
+			if val[u] == noPath {
+				continue
+			}
+			for _, ei := range adj[off[u]:off[u+1]] {
+				val[edges[ei].To] = max(val[edges[ei].To], val[u]+int64(edges[ei].W))
+			}
+		}
+		for v := range cur {
+			cur[v] = noPath
+		}
+		mid := heads // the edge's first intermediate summary node
+		for _, e := range edges {
+			if e.T == 0 {
+				continue
+			}
+			x := val[e.From]
+			if x != noPath {
+				x += int64(e.W)
+			}
+			for j := 0; j < e.T-1; j++ {
+				x, cur[mid+j] = prev[mid+j], x
+			}
+			mid += e.T - 1
+			cur[node[e.To]-1] = max(cur[node[e.To]-1], x)
 		}
 	}
-	v := last
-	for i := 0; i < g.N; i++ {
-		if pred[v] < 0 {
-			return nil
+	var bw, bl int64 // bl stays 0 without a cycle
+	for v, dm := range d[m*m:] {
+		if dm == noPath {
+			continue // no walk of m steps ends at v, so no cycle reaches it
 		}
-		v = g.Edges[pred[v]].From
-	}
-	var cyc []int
-	for u := v; ; {
-		ei := pred[u]
-		cyc = append(cyc, ei)
-		if u = g.Edges[ei].From; u == v {
-			break
+		var vw, vl int64
+		for k := range m {
+			num, den := dm-d[k*m+v], int64(m-k)
+			if k == 0 || num*vl < vw*den {
+				vw, vl = num, den
+			}
+		}
+		if bl == 0 || vw*bl > bw*vl {
+			bw, bl = vw, vl
 		}
 	}
-	slices.Reverse(cyc)
-	return cyc
+	if bl == 0 {
+		return Result{}, nil
+	}
+	return Result{Ratio: float64(bw) / float64(bl), HasCycle: true}, nil
+}
+
+// grown returns *s resized to n zeroed elements, reusing its capacity.
+func grown[T int | int64](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	clear(*s)
+	return *s
 }

@@ -1,37 +1,37 @@
-package cycleratio
+package cycleratio_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"facile/internal/cycleratio"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
-// maxRatio solves g on a fresh Solver, so the result's Cycle is the
-// caller's to keep.
-func maxRatio(g *Graph) (Result, error) { return NewSolver().MaxRatio(g) }
+func maxRatio(g *cycleratio.Graph) (cycleratio.Result, error) {
+	return cycleratio.NewSolver().MaxRatio(g)
+}
 
 func TestSimpleSelfLoop(t *testing.T) {
-	g := &Graph{N: 1}
+	g := &cycleratio.Graph{N: 1}
 	g.AddEdge(0, 0, 3, 1)
 	res, err := maxRatio(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.HasCycle || !almostEq(res.Ratio, 3) {
+	if !res.HasCycle || res.Ratio != 3 {
 		t.Fatalf("got %+v", res)
-	}
-	if len(res.Cycle) != 1 {
-		t.Fatalf("cycle: %v", res.Cycle)
 	}
 }
 
 func TestTwoCycles(t *testing.T) {
 	// Cycle A: 0 -> 1 -> 0 with total weight 4, transit 1 => ratio 4.
 	// Cycle B: 2 -> 3 -> 2 with total weight 10, transit 2 => ratio 5.
-	g := &Graph{N: 4}
+	g := &cycleratio.Graph{N: 4}
 	g.AddEdge(0, 1, 4, 0)
 	g.AddEdge(1, 0, 0, 1)
 	g.AddEdge(2, 3, 7, 1)
@@ -40,13 +40,13 @@ func TestTwoCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(res.Ratio, 5) {
+	if res.Ratio != 5 {
 		t.Fatalf("ratio = %v, want 5", res.Ratio)
 	}
 }
 
 func TestAcyclic(t *testing.T) {
-	g := &Graph{N: 3}
+	g := &cycleratio.Graph{N: 3}
 	g.AddEdge(0, 1, 5, 0)
 	g.AddEdge(1, 2, 5, 1)
 	res, err := maxRatio(g)
@@ -59,17 +59,17 @@ func TestAcyclic(t *testing.T) {
 }
 
 func TestZeroTransitCycle(t *testing.T) {
-	g := &Graph{N: 2}
+	g := &cycleratio.Graph{N: 2}
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 0, 1, 0)
-	if _, err := maxRatio(g); err != ErrZeroTransitCycle {
+	if _, err := maxRatio(g); err != cycleratio.ErrZeroTransitCycle {
 		t.Fatalf("err = %v, want ErrZeroTransitCycle", err)
 	}
 }
 
 func TestSharedNodeCycles(t *testing.T) {
 	// Two cycles through node 0: ratio 2 and ratio 7/2.
-	g := &Graph{N: 3}
+	g := &cycleratio.Graph{N: 3}
 	g.AddEdge(0, 1, 2, 0)
 	g.AddEdge(1, 0, 0, 1)
 	g.AddEdge(0, 2, 6, 1)
@@ -78,48 +78,115 @@ func TestSharedNodeCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(res.Ratio, 3.5) {
+	if res.Ratio != 3.5 {
 		t.Fatalf("ratio = %v, want 3.5", res.Ratio)
 	}
 }
 
-func TestCriticalCycleIsConsistent(t *testing.T) {
-	g := &Graph{N: 4}
-	g.AddEdge(0, 1, 1, 0)
-	g.AddEdge(1, 2, 5, 0)
-	g.AddEdge(2, 0, 0, 1)
-	g.AddEdge(2, 3, 1, 0)
-	g.AddEdge(3, 2, 1, 1)
-	res, err := maxRatio(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HasCycle {
-		t.Fatal("expected a cycle")
-	}
-	// The reported critical cycle's own ratio must equal the result ratio.
-	var w float64
-	var tr int
-	for _, ei := range res.Cycle {
-		w += g.Edges[ei].W
-		tr += g.Edges[ei].T
-	}
-	if tr == 0 || !almostEq(w/float64(tr), res.Ratio) {
-		t.Fatalf("critical cycle ratio %v/%d inconsistent with %v", w, tr, res.Ratio)
-	}
-	// And the cycle must be connected: each edge ends where the next begins.
-	for i, ei := range res.Cycle {
-		next := res.Cycle[(i+1)%len(res.Cycle)]
-		if g.Edges[ei].To != g.Edges[next].From {
-			t.Fatalf("cycle edges not connected: %v", res.Cycle)
+// TestRejectsUnrepresentableEdges: the solve is exact in integers, so a
+// fractional, non-finite or huge weight, or a negative transit, is an error.
+func TestRejectsUnrepresentableEdges(t *testing.T) {
+	for _, e := range []cycleratio.Edge{
+		{W: 0.5, T: 1}, {W: math.NaN(), T: 1}, {W: math.Inf(1), T: 1},
+		{W: 1 << 40, T: 1}, {W: 1, T: -1},
+	} {
+		g := &cycleratio.Graph{N: 1, Edges: []cycleratio.Edge{e}}
+		if _, err := maxRatio(g); err == nil || errors.Is(err, cycleratio.ErrZeroTransitCycle) {
+			t.Errorf("edge %+v: err = %v, want a weight error", e, err)
 		}
+	}
+}
+
+// enumerate returns the maximum W/T over every simple cycle of g as an
+// exact fraction, whether g has a cycle, and whether it has one of zero
+// transit, by walking every simple cycle from its lowest node.
+func enumerate(g *cycleratio.Graph) (w, t int64, cyclic, zeroTransit bool) {
+	onPath := make([]bool, g.N)
+	var walk func(start, v int, pw, pt int64)
+	walk = func(start, v int, pw, pt int64) {
+		for _, e := range g.Edges {
+			if e.From != v || e.To < start {
+				continue
+			}
+			cw, ct := pw+int64(e.W), pt+int64(e.T)
+			switch {
+			case e.To == start:
+				if ct == 0 {
+					zeroTransit = true
+				} else if !cyclic || cw*t > w*ct {
+					w, t, cyclic = cw, ct, true
+				}
+			case !onPath[e.To]:
+				onPath[e.To] = true
+				walk(start, e.To, cw, ct)
+				onPath[e.To] = false
+			}
+		}
+	}
+	for s := 0; s < g.N; s++ {
+		onPath[s] = true
+		walk(s, s, 0, 0)
+		onPath[s] = false
+	}
+	return w, t, cyclic || zeroTransit, zeroTransit
+}
+
+// checkEnumerated fails t unless MaxRatio on g agrees exactly with
+// enumerate: the ratio bit for bit, whether a cycle exists, and
+// ErrZeroTransitCycle exactly when a zero-transit cycle exists.
+func checkEnumerated(t *testing.T, s *cycleratio.Solver, g *cycleratio.Graph) {
+	t.Helper()
+	w, tr, cyclic, zero := enumerate(g)
+	res, err := s.MaxRatio(g)
+	switch {
+	case zero:
+		if err != cycleratio.ErrZeroTransitCycle {
+			t.Fatalf("graph %+v has a zero-transit cycle; MaxRatio = %+v, %v", g, res, err)
+		}
+	case err != nil:
+		t.Fatalf("graph %+v: %v", g, err)
+	case res.HasCycle != cyclic:
+		t.Fatalf("graph %+v: HasCycle = %v, enumeration found a cycle: %v", g, res.HasCycle, cyclic)
+	case cyclic && math.Float64bits(res.Ratio) != math.Float64bits(float64(w)/float64(tr)):
+		t.Fatalf("graph %+v: ratio %v, enumeration %d/%d", g, res.Ratio, w, tr)
+	case !cyclic && res.Ratio != 0:
+		t.Fatalf("graph %+v: acyclic with ratio %v", g, res.Ratio)
+	}
+}
+
+// TestMatchesCycleEnumeration is the solver's independent property check:
+// on random multigraphs of at most 7 nodes, with transits 0–2 and integral
+// weights (some negative), MaxRatio equals the best ratio over every simple
+// cycle. One warm Solver answers every graph, so reused buffers are
+// covered too.
+func TestMatchesCycleEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	s := cycleratio.NewSolver()
+	var acyclic, cyclic, zero int
+	for iter := 0; iter < 20000; iter++ {
+		g := &cycleratio.Graph{N: 1 + rng.Intn(7)}
+		for range rng.Intn(2*g.N + 2) {
+			g.AddEdge(rng.Intn(g.N), rng.Intn(g.N), float64(rng.Intn(13)-3), rng.Intn(3))
+		}
+		checkEnumerated(t, s, g)
+		switch _, _, c, z := enumerate(g); {
+		case z:
+			zero++
+		case c:
+			cyclic++
+		default:
+			acyclic++
+		}
+	}
+	if acyclic < 1000 || cyclic < 5000 || zero < 1000 {
+		t.Fatalf("too few graphs of some kind: %d acyclic, %d cyclic, %d with a zero-transit cycle", acyclic, cyclic, zero)
 	}
 }
 
 // randomGraph builds a random graph guaranteed to be free of zero-transit
 // cycles by making every edge that closes a "backward" step carry transit 1.
-func randomGraph(rng *rand.Rand, n, m int) *Graph {
-	g := &Graph{N: n}
+func randomGraph(rng *rand.Rand, n, m int) *cycleratio.Graph {
+	g := &cycleratio.Graph{N: n}
 	for k := 0; k < m; k++ {
 		from := rng.Intn(n)
 		to := rng.Intn(n)
@@ -133,34 +200,6 @@ func randomGraph(rng *rand.Rand, n, m int) *Graph {
 	return g
 }
 
-// TestHowardMatchesReference is the core property test: Howard's algorithm
-// and the parametric Bellman-Ford solver must agree on random graphs.
-func TestHowardMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 500; iter++ {
-		n := 2 + rng.Intn(12)
-		m := 1 + rng.Intn(30)
-		g := randomGraph(rng, n, m)
-		res, err := maxRatio(g)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		ref, err := MaxRatioReference(g)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if !res.HasCycle {
-			if ref > 1e-6 {
-				t.Fatalf("iter %d: howard says acyclic, reference ratio %v", iter, ref)
-			}
-			continue
-		}
-		if math.Abs(res.Ratio-ref) > 1e-6*(1+ref) {
-			t.Fatalf("iter %d: howard %v != reference %v", iter, res.Ratio, ref)
-		}
-	}
-}
-
 // TestQuickCycleRatioScaling: scaling all weights by a constant scales the
 // ratio by the same constant (testing/quick property).
 func TestQuickCycleRatioScaling(t *testing.T) {
@@ -169,7 +208,7 @@ func TestQuickCycleRatioScaling(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(8), 1+rng.Intn(16))
 		res1, err1 := maxRatio(g)
-		scaled := &Graph{N: g.N}
+		scaled := &cycleratio.Graph{N: g.N}
 		for _, e := range g.Edges {
 			scaled.AddEdge(e.From, e.To, e.W*scale, e.T)
 		}
@@ -183,7 +222,7 @@ func TestQuickCycleRatioScaling(t *testing.T) {
 		if !res1.HasCycle {
 			return true
 		}
-		return math.Abs(res1.Ratio*scale-res2.Ratio) < 1e-6*(1+res2.Ratio)
+		return almostEq(res1.Ratio*scale, res2.Ratio)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -200,7 +239,7 @@ func TestQuickAddingEdgeNeverDecreases(t *testing.T) {
 		if err != nil {
 			return true // skip malformed
 		}
-		g2 := &Graph{N: g.N, Edges: append([]Edge(nil), g.Edges...)}
+		g2 := &cycleratio.Graph{N: g.N, Edges: append([]cycleratio.Edge(nil), g.Edges...)}
 		from := rng.Intn(g.N)
 		to := rng.Intn(g.N)
 		t2 := 1
@@ -213,18 +252,5 @@ func TestQuickAddingEdgeNeverDecreases(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkHoward(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	graphs := make([]*Graph, 64)
-	for i := range graphs {
-		graphs[i] = randomGraph(rng, 40, 120)
-	}
-	s := NewSolver()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = s.MaxRatio(graphs[i%len(graphs)])
 	}
 }

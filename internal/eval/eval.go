@@ -88,13 +88,12 @@ func PredictAll(pred baselines.Predictor, blocks []*bb.Block, loop bool) []float
 
 // score folds one (measurements, predictions) cell through the streaming
 // accumulator that cmd/facile-bench reports with, returning the MAPE (a
-// fraction) and Kendall's tau-b. NaN predictions stay out of the cell.
+// fraction) and Kendall's tau-b. NaN predictions stay out of the cell (see
+// Accumulator.Add).
 func score(measured, predicted []float64) (mape, tau float64) {
 	var acc accuracy.Accumulator
 	for i, p := range predicted {
-		if !math.IsNaN(p) {
-			acc.Add(measured[i], p)
-		}
+		acc.Add(measured[i], p)
 	}
 	return acc.MAPE(), acc.KendallTau()
 }
