@@ -133,8 +133,9 @@ func enumerate(g *cycleratio.Graph) (w, t int64, cyclic, zeroTransit bool) {
 
 // checkEnumerated fails t unless MaxRatio on g agrees exactly with
 // enumerate: the ratio bit for bit, whether a cycle exists, and
-// ErrZeroTransitCycle exactly when a zero-transit cycle exists.
-func checkEnumerated(t *testing.T, s *cycleratio.Solver, g *cycleratio.Graph) {
+// ErrZeroTransitCycle exactly when a zero-transit cycle exists. It returns
+// the last two.
+func checkEnumerated(t *testing.T, s *cycleratio.Solver, g *cycleratio.Graph) (cyclic, zero bool) {
 	t.Helper()
 	w, tr, cyclic, zero := enumerate(g)
 	res, err := s.MaxRatio(g)
@@ -152,6 +153,7 @@ func checkEnumerated(t *testing.T, s *cycleratio.Solver, g *cycleratio.Graph) {
 	case !cyclic && res.Ratio != 0:
 		t.Fatalf("graph %+v: acyclic with ratio %v", g, res.Ratio)
 	}
+	return cyclic, zero
 }
 
 // TestMatchesCycleEnumeration is the solver's independent property check:
@@ -168,8 +170,7 @@ func TestMatchesCycleEnumeration(t *testing.T) {
 		for range rng.Intn(2*g.N + 2) {
 			g.AddEdge(rng.Intn(g.N), rng.Intn(g.N), float64(rng.Intn(13)-3), rng.Intn(3))
 		}
-		checkEnumerated(t, s, g)
-		switch _, _, c, z := enumerate(g); {
+		switch c, z := checkEnumerated(t, s, g); {
 		case z:
 			zero++
 		case c:
