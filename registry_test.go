@@ -60,6 +60,31 @@ func TestRegisterArchVariant(t *testing.T) {
 	}
 }
 
+// TestBuiltinSpecExportMatchesFile: the exported spec of each built-in is
+// its embedded spec file byte for byte (less the file's final newline).
+// Snapshot spec digests hash these bytes, so any change to the export
+// format would orphan every existing cache snapshot.
+func TestBuiltinSpecExportMatchesFile(t *testing.T) {
+	reg := NewArchRegistry()
+	names := reg.Archs()
+	if len(names) != 9 {
+		t.Fatalf("fresh registry has %d arches, want the nine built-ins", len(names))
+	}
+	for _, name := range names {
+		file, err := os.ReadFile(filepath.Join("internal", "uarch", "specs", strings.ToLower(name)+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reg.Spec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.TrimSuffix(string(file), "\n"); string(got) != want {
+			t.Errorf("%s: exported spec differs from its file:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
 // TestEngineServesRegistryDynamically: an arch registered after engine
 // construction must be predictable without rebuilding the engine, and warm
 // queries must be cache hits.
