@@ -4,9 +4,9 @@
 // prediction-level half of the gate is the TestArchParity golden test).
 //
 // For every spec it checks validation (port masks, role coverage,
-// generation, LSD/IDQ invariants) and the Config round trip
-// (spec → Config → spec must be the identity); for the embedded set it
-// additionally checks Table 1 completeness and generation ordering.
+// generation, LSD/IDQ invariants); for the embedded set it additionally
+// checks the JSON round trip (Config → JSON → Config must be the identity),
+// Table 1 completeness and generation ordering.
 //
 // With -grid the arguments are design-space grid files (the JSON consumed
 // by cmd/facile-sweep and POST /v1/sweep) instead: each is parsed and
@@ -22,6 +22,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -76,34 +77,29 @@ func main() {
 	seenGen := make(map[uarch.Gen]string)
 	var prevGen uarch.Gen = 1<<31 - 1
 	for _, cfg := range all {
-		spec := uarch.SpecFromConfig(cfg)
-		if err := spec.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			bad("%s: %v", cfg.Name, err)
 			continue
 		}
-		// Round trip: spec → JSON → spec → Config → spec must be stable.
-		data, err := spec.JSON()
+		// Round trip: Config → JSON → Config must be the identity, and the
+		// JSON must render back to the same bytes.
+		data, err := cfg.JSON()
 		if err != nil {
 			bad("%s: marshal: %v", cfg.Name, err)
 			continue
 		}
-		parsed, err := uarch.ParseSpec(data)
-		if err != nil {
+		var back uarch.Config
+		if err := json.Unmarshal(data, &back); err != nil {
 			bad("%s: reparse: %v", cfg.Name, err)
 			continue
 		}
-		back, err := parsed.Config()
-		if err != nil {
-			bad("%s: to config: %v", cfg.Name, err)
-			continue
-		}
-		data2, err := uarch.SpecFromConfig(back).JSON()
+		data2, err := back.JSON()
 		if err != nil {
 			bad("%s: remarshal: %v", cfg.Name, err)
 			continue
 		}
-		if !bytes.Equal(data, data2) {
-			bad("%s: spec does not round-trip through Config", cfg.Name)
+		if back != *cfg || !bytes.Equal(data, data2) {
+			bad("%s: spec does not round-trip through JSON", cfg.Name)
 		}
 		// Table 1 completeness and Gen ordering (newest first, distinct).
 		if cfg.FullName == "" || cfg.CPU == "" || cfg.Released == 0 {

@@ -164,20 +164,21 @@ func Archs() []string { return DefaultRegistry().Archs() }
 
 // ArchInfo describes a registered microarchitecture: its Table 1 identity
 // plus the key front- and back-end parameters, so clients can introspect
-// what they are predicting against.
+// what they are predicting against. facile-serve sends it as is in GET and
+// POST /v1/archs responses.
 type ArchInfo struct {
-	Name     string
-	FullName string
-	CPU      string // the evaluation CPU from the paper's Table 1; empty for variants
-	Released int
+	Name     string `json:"name"`
+	FullName string `json:"full_name,omitempty"`
+	CPU      string `json:"cpu,omitempty"` // the evaluation CPU from the paper's Table 1; empty for variants
+	Released int    `json:"released,omitempty"`
 	// Gen is the generation the gen-gated instruction tables treat this
 	// microarchitecture as ("SNB" … "RKL").
-	Gen string
+	Gen string `json:"gen"`
 	// Key pipeline parameters.
-	IssueWidth int
-	IDQSize    int
-	LSDEnabled bool
-	NumPorts   int
+	IssueWidth int  `json:"issue_width"`
+	IDQSize    int  `json:"idq_size"`
+	LSDEnabled bool `json:"lsd_enabled"`
+	NumPorts   int  `json:"num_ports"`
 }
 
 // ArchInfos returns details for every microarchitecture in the default

@@ -266,16 +266,6 @@ func (p *Prediction) PrimaryBottleneck() Component {
 	return Precedence
 }
 
-// EachBottleneck calls fn for every bottleneck component in front-end-first
-// order (the order of PrimaryBottleneck's tie breaking).
-func (p *Prediction) EachBottleneck(fn func(Component)) {
-	for _, c := range bottleneckOrder {
-		if p.Bottlenecks.Has(c) {
-			fn(c)
-		}
-	}
-}
-
 // EachBound calls fn for every computed component bound in pipeline
 // (front-end-first) order, together with whether that component is a
 // bottleneck of the prediction. It is the ordered typed walk of the bound

@@ -75,33 +75,7 @@ type BatchResponse struct {
 
 // ArchsResponse is the wire form of a GET /v1/archs response.
 type ArchsResponse struct {
-	Archs []Arch `json:"archs"`
-}
-
-// Arch is the wire form of a facile.ArchInfo: the Table 1 identity plus the
-// key front-/back-end parameters, so clients can introspect what they are
-// predicting against.
-type Arch struct {
-	Name       string `json:"name"`
-	FullName   string `json:"full_name,omitempty"`
-	CPU        string `json:"cpu,omitempty"`
-	Released   int    `json:"released,omitempty"`
-	Gen        string `json:"gen"`
-	IssueWidth int    `json:"issue_width"`
-	IDQSize    int    `json:"idq_size"`
-	LSDEnabled bool   `json:"lsd_enabled"`
-	NumPorts   int    `json:"num_ports"`
-}
-
-// wireArch converts a facile.ArchInfo to its wire form.
-func wireArch(info facile.ArchInfo) Arch {
-	return Arch{
-		Name: info.Name, FullName: info.FullName,
-		CPU: info.CPU, Released: info.Released,
-		Gen:        info.Gen,
-		IssueWidth: info.IssueWidth, IDQSize: info.IDQSize,
-		LSDEnabled: info.LSDEnabled, NumPorts: info.NumPorts,
-	}
+	Archs []facile.ArchInfo `json:"archs"`
 }
 
 // RegisterArchRequest is the wire form of POST /v1/archs. Exactly one of
@@ -120,7 +94,7 @@ type RegisterArchRequest struct {
 
 // RegisterArchResponse is the wire form of a successful POST /v1/archs.
 type RegisterArchResponse struct {
-	Arch Arch `json:"arch"`
+	Arch facile.ArchInfo `json:"arch"`
 }
 
 // SweepRequest is the wire form of POST /v1/sweep: a design-space grid

@@ -413,7 +413,7 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) (any, error
 		if err != nil {
 			continue // raced with nothing: registered names never disappear
 		}
-		resp.Archs = append(resp.Archs, wireArch(info))
+		resp.Archs = append(resp.Archs, info)
 	}
 	return resp, nil
 }
@@ -454,7 +454,7 @@ func (s *Server) handleRegisterArch(w http.ResponseWriter, r *http.Request) (any
 		}
 		return nil, badRequest("%v", err)
 	}
-	return RegisterArchResponse{Arch: wireArch(info)}, nil
+	return RegisterArchResponse{Arch: info}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (any, error) {

@@ -11,12 +11,6 @@ import (
 	"sync/atomic"
 )
 
-// looseUnmarshal decodes data into v without rejecting unknown fields; it
-// is used only to peek at a spec's "base" before the strict decode.
-func looseUnmarshal(data []byte, v any) error {
-	return json.Unmarshal(data, v)
-}
-
 // specFS embeds the declarative spec files of the nine Table 1
 // microarchitectures. They are the source of truth: the registry that backs
 // the package-level All/ByName/Chronological API is built from these files,
@@ -94,11 +88,11 @@ func (r *Registry) loadEmbedded() error {
 	return nil
 }
 
-// Register validates spec and adds it to the registry. It fails with
+// Register validates cfg and adds it to the registry, which takes
+// ownership: the caller must not modify cfg afterwards. It fails with
 // ErrDuplicate if the name is already taken (case-insensitively).
-func (r *Registry) Register(spec *Spec) (*Config, error) {
-	cfg, err := spec.Config()
-	if err != nil {
+func (r *Registry) Register(cfg *Config) (*Config, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -118,82 +112,89 @@ func (r *Registry) Register(spec *Spec) (*Config, error) {
 	return cfg, nil
 }
 
-// Load parses a spec from JSON and registers it. If the spec names a base
-// microarchitecture, it is resolved as an overlay: the base's spec is
-// materialized from this registry and data is decoded on top of it, so only
-// overridden fields need to be present.
+// Load parses a spec document and registers it. A full spec must name
+// every role in role_ports. A spec that names a base microarchitecture is
+// an overlay: it is decoded onto a copy of the base from this registry, so
+// only overridden fields need to be present.
 func (r *Registry) Load(data []byte) (*Config, error) {
-	// Peek at the base without committing to a full parse, so overlays and
-	// full specs share one decode path.
+	// Peek at the base, and at the roles the document names, before the
+	// strict decode.
 	var head struct {
-		Base string `json:"base"`
+		Base      string                     `json:"base"`
+		RolePorts map[string]json.RawMessage `json:"role_ports"`
 	}
-	if err := looseUnmarshal(data, &head); err != nil {
+	if err := json.Unmarshal(data, &head); err != nil {
 		return nil, fmt.Errorf("uarch: invalid spec: %w", err)
 	}
-	var spec Spec
 	if head.Base != "" {
-		base, err := r.ByName(head.Base)
+		cfg, _, err := r.overlay(head.Base, data)
 		if err != nil {
-			return nil, fmt.Errorf("uarch: spec base: %w", err)
-		}
-		spec = *SpecFromConfig(base)
-		// The overlay gets a fresh role map: decoding into the base's map
-		// would be fine (maps merge), but the base spec is ours to reuse.
-		rp := make(map[string]PortList, len(spec.RolePorts))
-		for k, v := range spec.RolePorts {
-			rp[k] = v
-		}
-		spec.RolePorts = rp
-		spec.Name = "" // the overlay must name itself
-		// Hypothetical design points model no Table 1 CPU and have no
-		// release year; the overlay may set its own.
-		spec.CPU, spec.Released = "", 0
-	}
-	if err := unmarshalSpecInto(data, &spec); err != nil {
-		return nil, err
-	}
-	spec.Base = ""
-	return r.Register(&spec)
-}
-
-// deriveSpec materializes the spec of a variant of base under name: the
-// base's spec with overlay (a JSON object holding just the overridden
-// fields) decoded on top, CPU/release identity cleared, and the new name
-// applied. It is the shared front half of Derive and DeriveConfig.
-func (r *Registry) deriveSpec(name, base string, overlay []byte) (*Spec, error) {
-	baseCfg, err := r.ByName(base)
-	if err != nil {
-		return nil, fmt.Errorf("uarch: derive base: %w", err)
-	}
-	spec := *SpecFromConfig(baseCfg)
-	rp := make(map[string]PortList, len(spec.RolePorts))
-	for k, v := range spec.RolePorts {
-		rp[k] = v
-	}
-	spec.RolePorts = rp
-	spec.CPU, spec.Released = "", 0
-	if len(overlay) > 0 {
-		if err := unmarshalSpecInto(overlay, &spec); err != nil {
 			return nil, err
 		}
+		return r.Register(cfg)
 	}
-	if spec.Base != "" {
+	cfg := new(Config)
+	if _, err := decodeSpec(cfg, data); err != nil {
+		return nil, err
+	}
+	// Only an overlay may leave roles to its base.
+	if head.RolePorts == nil {
+		return nil, fmt.Errorf("uarch: invalid spec %q: missing \"role_ports\"", cfg.Name)
+	}
+	for role := Role(0); role < NumRoles; role++ {
+		if _, ok := head.RolePorts[role.String()]; !ok {
+			return nil, fmt.Errorf("uarch: invalid spec %q: role_ports missing role %q", cfg.Name, role.String())
+		}
+	}
+	return r.Register(cfg)
+}
+
+// overlay is the one path from a base to a variant: it copies the
+// registered base, without its name (the overlay or the caller names the
+// variant) and without its CPU and release year (a design point models no
+// Table 1 CPU, unless the overlay sets its own), then decodes doc onto the
+// copy. It returns the copy and doc's "base" field.
+func (r *Registry) overlay(base string, doc []byte) (*Config, string, error) {
+	b, err := r.ByName(base)
+	if err != nil {
+		return nil, "", fmt.Errorf("uarch: overlay base: %w", err)
+	}
+	cfg := *b
+	cfg.Name, cfg.CPU, cfg.Released = "", "", 0
+	if len(doc) == 0 {
+		return &cfg, "", nil
+	}
+	docBase, err := decodeSpec(&cfg, doc)
+	if err != nil {
+		return nil, "", err
+	}
+	return &cfg, docBase, nil
+}
+
+// derive builds an unvalidated variant of base under name from overlay, a
+// JSON object holding just the overridden fields; it is the shared front
+// half of Derive and DeriveConfig.
+func (r *Registry) derive(name, base string, overlay []byte) (*Config, error) {
+	cfg, docBase, err := r.overlay(base, overlay)
+	if err != nil {
+		return nil, err
+	}
+	if docBase != "" {
 		return nil, fmt.Errorf("uarch: derive overlay for %q must not set \"base\"", name)
 	}
-	spec.Name = name
-	return &spec, nil
+	cfg.Name = name
+	return cfg, nil
 }
 
 // Derive registers a variant of base under name: overlay is a JSON object
 // holding just the overridden spec fields ("SKL but lsd_enabled true"). A
 // nil or empty overlay registers an exact copy under the new name.
 func (r *Registry) Derive(name, base string, overlay []byte) (*Config, error) {
-	spec, err := r.deriveSpec(name, base, overlay)
+	cfg, err := r.derive(name, base, overlay)
 	if err != nil {
 		return nil, err
 	}
-	return r.Register(spec)
+	return r.Register(cfg)
 }
 
 // DeriveConfig builds and validates a variant of base under name without
@@ -203,11 +204,14 @@ func (r *Registry) Derive(name, base string, overlay []byte) (*Config, error) {
 // sweeps derive their grid points through this path and analyze them with
 // variant-scoped engine calls that bypass the prediction cache.
 func (r *Registry) DeriveConfig(name, base string, overlay []byte) (*Config, error) {
-	spec, err := r.deriveSpec(name, base, overlay)
+	cfg, err := r.derive(name, base, overlay)
 	if err != nil {
 		return nil, err
 	}
-	return spec.Config()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return cfg, nil
 }
 
 // ByName looks up a microarchitecture by name, case-insensitively, in O(1).

@@ -4,70 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 )
-
-// Spec is the declarative, JSON-serializable form of a Config. It is the
-// source of truth for the microarchitecture layer: the nine Table 1
-// microarchitectures ship as embedded spec files (see specs/), and new
-// scenarios — hypothetical design points, erratum toggles, future cores —
-// are opened by loading a spec at runtime instead of recompiling.
-//
-// The field set mirrors Config one-to-one, with two wire-level differences:
-// Gen is the generation name ("SNB" … "RKL") rather than an ordinal, and
-// RolePorts maps role names ("alu", "load", …; see Role) to lists of port
-// numbers rather than bit masks.
-//
-// A spec may name a Base microarchitecture, in which case it is an overlay:
-// the base's spec is materialized first and the overlay's JSON is decoded on
-// top of it, so only the overridden fields need to be present ("SKL but
-// lsd_enabled true"). Overlays are resolved by Registry.Load.
-type Spec struct {
-	Name     string `json:"name"`
-	FullName string `json:"full_name,omitempty"`
-	CPU      string `json:"cpu,omitempty"`
-	Released int    `json:"released,omitempty"`
-	Gen      string `json:"gen"`
-	Base     string `json:"base,omitempty"`
-
-	// Front end.
-	PredecWidth  int  `json:"predec_width"`
-	NumDecoders  int  `json:"num_decoders"`
-	IQSize       int  `json:"iq_size"`
-	DSBWidth     int  `json:"dsb_width"`
-	IDQSize      int  `json:"idq_size"`
-	LSDEnabled   bool `json:"lsd_enabled"`
-	LSDUnrollTgt int  `json:"lsd_unroll_target"`
-	JCCErratum   bool `json:"jcc_erratum"`
-
-	// Back end.
-	IssueWidth  int `json:"issue_width"`
-	RetireWidth int `json:"retire_width"`
-	ROBSize     int `json:"rob_size"`
-	SchedSize   int `json:"sched_size"`
-	NumPorts    int `json:"num_ports"`
-
-	// Fusion and elimination behavior.
-	MacroFusion          bool `json:"macro_fusion"`
-	FusibleOnLastDecoder bool `json:"fusible_on_last_decoder"`
-	FuseWithMem          bool `json:"fuse_with_mem"`
-	MoveElimGPR          bool `json:"move_elim_gpr"`
-	MoveElimVec          bool `json:"move_elim_vec"`
-	UnlaminateIndexed    bool `json:"unlaminate_indexed"`
-
-	// Key latencies (cycles).
-	LoadLat  int `json:"load_latency"`
-	FPAddLat int `json:"fp_add_latency"`
-	FPMulLat int `json:"fp_mul_latency"`
-	FMALat   int `json:"fma_latency"`
-
-	RolePorts map[string]PortList `json:"role_ports"`
-}
-
-// PortList is a list of port numbers: a plain JSON array on the wire. The
-// named type exists so the whole role map reads as what it is in code.
-type PortList []int
 
 // genNames maps Gen ordinals to their wire names; the names coincide with
 // the short names of the nine Table 1 microarchitectures that introduced
@@ -82,16 +24,36 @@ func (g Gen) String() string {
 	return fmt.Sprintf("Gen(%d)", int(g))
 }
 
-// ParseGen maps a wire name onto a Gen (case-insensitive).
-func ParseGen(name string) (Gen, error) {
+// MarshalText renders the generation's wire name.
+func (g Gen) MarshalText() ([]byte, error) { return []byte(g.String()), nil }
+
+// UnmarshalText parses a wire name, case-insensitively.
+func (g *Gen) UnmarshalText(text []byte) error {
 	for i, n := range genNames {
-		if strings.EqualFold(n, name) {
-			return Gen(i + 1), nil
+		if strings.EqualFold(n, string(text)) {
+			*g = Gen(i + 1)
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("uarch: unknown generation %q (one of %s)",
-		name, strings.Join(genNames[:], ", "))
+	return fmt.Errorf("uarch: unknown generation %q (one of %s)",
+		text, strings.Join(genNames[:], ", "))
 }
+
+// RoleTable maps each µop role to the ports it may dispatch to. Its JSON
+// form is an object from role name ("alu", "load", …; see Role) to the
+// ascending list of port numbers, with [] for a role without ports.
+type RoleTable [NumRoles]PortMask
+
+// rolesByName lists the roles in the order of their names, the key order of
+// a rendered RoleTable.
+var rolesByName = func() []Role {
+	out := make([]Role, NumRoles)
+	for r := range out {
+		out[r] = Role(r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}()
 
 // roleByName maps role wire names onto Role ordinals.
 var roleByName = func() map[string]Role {
@@ -102,62 +64,91 @@ var roleByName = func() map[string]Role {
 	return m
 }()
 
-// ParseSpec decodes one spec from JSON, rejecting unknown fields so a typo
-// in an overlay fails loudly instead of silently changing nothing.
-func ParseSpec(data []byte) (*Spec, error) {
-	var s Spec
-	if err := unmarshalSpecInto(data, &s); err != nil {
-		return nil, err
+// MarshalJSON renders every role, in name order.
+func (t RoleTable) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, r := range rolesByName {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, r.String())
+		b = append(b, ':', '[')
+		for j, p := range t[r].Ports() {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
 	}
-	return &s, nil
+	return append(b, '}'), nil
 }
 
-// unmarshalSpecInto decodes data over s, leaving fields absent from the JSON
-// untouched (this is what makes overlay resolution a plain decode).
-func unmarshalSpecInto(data []byte, s *Spec) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(s); err != nil {
-		return fmt.Errorf("uarch: invalid spec: %w", err)
+// UnmarshalJSON decodes a role object onto t role by role, so an overlay
+// naming one role leaves the others as they were. A null port list empties
+// its role, and a null table empties every role (Validate then reports the
+// roles left without ports). An unknown role, a port outside the 16-port
+// mask, or a port listed twice is an error here, before num_ports is known;
+// Validate checks the ports against num_ports.
+func (t *RoleTable) UnmarshalJSON(data []byte) error {
+	var m map[string][]int
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*t = RoleTable{}
+		return nil
+	}
+	for name := range m {
+		if _, ok := roleByName[name]; !ok {
+			return fmt.Errorf("unknown role %q in role_ports", name)
+		}
+	}
+	for r := Role(0); r < NumRoles; r++ {
+		ports, ok := m[r.String()]
+		if !ok {
+			continue
+		}
+		var mask PortMask
+		for _, p := range ports {
+			if p < 0 || p >= 16 {
+				return fmt.Errorf("role %q uses port %d outside [0, 16)", r.String(), p)
+			}
+			if mask.Has(p) {
+				return fmt.Errorf("role %q lists port %d twice", r.String(), p)
+			}
+			mask |= P(p)
+		}
+		t[r] = mask
 	}
 	return nil
 }
 
-// SpecFromConfig materializes the spec form of a Config. The result
-// round-trips: SpecFromConfig(c).Config() is field-identical to c.
-func SpecFromConfig(c *Config) *Spec {
-	s := &Spec{
-		Name: c.Name, FullName: c.FullName, CPU: c.CPU,
-		Released: c.Released, Gen: c.Gen.String(),
-		PredecWidth: c.PredecWidth, NumDecoders: c.NumDecoders, IQSize: c.IQSize,
-		DSBWidth: c.DSBWidth, IDQSize: c.IDQSize,
-		LSDEnabled: c.LSDEnabled, LSDUnrollTgt: c.LSDUnrollTgt,
-		JCCErratum: c.JCCErratum,
-		IssueWidth: c.IssueWidth, RetireWidth: c.RetireWidth,
-		ROBSize: c.ROBSize, SchedSize: c.SchedSize, NumPorts: c.NumPorts,
-		MacroFusion:          c.MacroFusion,
-		FusibleOnLastDecoder: c.FusibleOnLastDecoder,
-		FuseWithMem:          c.FuseWithMem,
-		MoveElimGPR:          c.MoveElimGPR, MoveElimVec: c.MoveElimVec,
-		UnlaminateIndexed: c.UnlaminateIndexed,
-		LoadLat:           c.LoadLat, FPAddLat: c.FPAddLat,
-		FPMulLat: c.FPMulLat, FMALat: c.FMALat,
-		RolePorts: make(map[string]PortList, NumRoles),
-	}
-	for r := Role(0); r < NumRoles; r++ {
-		ports := PortList(c.RolePorts[r].Ports())
-		if ports == nil {
-			ports = PortList{} // marshal as [], not null
-		}
-		s.RolePorts[r.String()] = ports
-	}
-	return s
+// specDoc is a spec document: a Config plus, for an overlay, the name of
+// the registered base it overlays.
+type specDoc struct {
+	*Config
+	Base string `json:"base"`
 }
 
-// JSON renders the spec in the embedded-file layout: two-space indent, with
-// each role's port list collapsed onto one line.
-func (s *Spec) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
+// decodeSpec decodes a spec document onto c, leaving the fields it does not
+// name untouched (this is what makes an overlay a plain decode), and returns
+// the document's "base". Unknown fields are rejected, so a typo in an
+// overlay fails loudly instead of silently changing nothing.
+func decodeSpec(c *Config, data []byte) (base string, err error) {
+	doc := specDoc{Config: c}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return "", fmt.Errorf("uarch: invalid spec: %w", err)
+	}
+	return doc.Base, nil
+}
+
+// JSON renders c as a spec document in the embedded-file layout: two-space
+// indent, with each role's port list collapsed onto one line.
+func (c *Config) JSON() ([]byte, error) {
+	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -185,65 +176,31 @@ func (s *Spec) JSON() ([]byte, error) {
 // whitespace MarshalIndent spread it over.
 var portArrayRe = regexp.MustCompile(`\[[\s\d,]*\]`)
 
-// Config validates the spec and converts it to a Config. The returned
-// Config is freshly allocated and safe to retain.
-func (s *Spec) Config() (*Config, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	gen, _ := ParseGen(s.Gen) // Validate checked it
-	c := &Config{
-		Name: s.Name, FullName: s.FullName, CPU: s.CPU,
-		Released: s.Released, Gen: gen,
-		PredecWidth: s.PredecWidth, NumDecoders: s.NumDecoders, IQSize: s.IQSize,
-		DSBWidth: s.DSBWidth, IDQSize: s.IDQSize,
-		LSDEnabled: s.LSDEnabled, LSDUnrollTgt: s.LSDUnrollTgt,
-		JCCErratum: s.JCCErratum,
-		IssueWidth: s.IssueWidth, RetireWidth: s.RetireWidth,
-		ROBSize: s.ROBSize, SchedSize: s.SchedSize, NumPorts: s.NumPorts,
-		MacroFusion:          s.MacroFusion,
-		FusibleOnLastDecoder: s.FusibleOnLastDecoder,
-		FuseWithMem:          s.FuseWithMem,
-		MoveElimGPR:          s.MoveElimGPR, MoveElimVec: s.MoveElimVec,
-		UnlaminateIndexed: s.UnlaminateIndexed,
-		LoadLat:           s.LoadLat, FPAddLat: s.FPAddLat,
-		FPMulLat: s.FPMulLat, FMALat: s.FMALat,
-	}
-	for name, ports := range s.RolePorts {
-		r := roleByName[name] // Validate checked membership
-		c.RolePorts[r] = P(ports...)
-	}
-	return c, nil
-}
-
 // MaxSpecValue bounds every width, buffer size and latency of a spec. Real
 // cores stay below a few hundred; the bound keeps an untrusted overlay from
 // sizing an analysis's tables (the decoder model keeps one entry per
 // decoder) at gigabytes.
 const MaxSpecValue = 1 << 12
 
-// Validate checks the spec's structural invariants: a resolvable generation,
-// plausible widths and buffer sizes, LSD/IDQ consistency, full role
-// coverage, and port masks that fit the machine. It reports the first
-// violation found.
-func (s *Spec) Validate() error {
+// Validate checks the config's structural invariants: a name, a known
+// generation, plausible widths and buffer sizes, LSD/IDQ consistency, and
+// port masks that cover every role and fit the machine. It reports the
+// first violation found.
+func (c *Config) Validate() error {
 	bad := func(format string, args ...any) error {
-		return fmt.Errorf("uarch: invalid spec %q: %s", s.Name, fmt.Sprintf(format, args...))
+		return fmt.Errorf("uarch: invalid spec %q: %s", c.Name, fmt.Sprintf(format, args...))
 	}
-	if s.Name == "" {
+	if c.Name == "" {
 		return fmt.Errorf("uarch: invalid spec: missing \"name\"")
 	}
-	if strings.ContainsAny(s.Name, " \t\n,/") {
+	if strings.ContainsAny(c.Name, " \t\n,/") {
 		return bad("name must not contain whitespace, commas, or slashes")
 	}
-	if s.Base != "" {
-		return bad("unresolved \"base\" %q (load overlays through a Registry)", s.Base)
-	}
-	if s.Gen == "" {
+	if c.Gen == 0 {
 		return bad("missing \"gen\"")
 	}
-	if _, err := ParseGen(s.Gen); err != nil {
-		return bad("%v", err)
+	if c.Gen < 0 || int(c.Gen) > len(genNames) {
+		return bad("unknown generation %v", c.Gen)
 	}
 
 	// Widths and buffer sizes must be positive, the LSD unroll target and
@@ -255,14 +212,14 @@ func (s *Spec) Validate() error {
 		v    int
 		min  int
 	}{
-		{"predec_width", s.PredecWidth, 1}, {"num_decoders", s.NumDecoders, 1},
-		{"iq_size", s.IQSize, 1}, {"dsb_width", s.DSBWidth, 1}, {"idq_size", s.IDQSize, 1},
-		{"issue_width", s.IssueWidth, 1}, {"retire_width", s.RetireWidth, 1},
-		{"rob_size", s.ROBSize, 1}, {"sched_size", s.SchedSize, 1},
-		{"num_ports", s.NumPorts, 1},
-		{"lsd_unroll_target", s.LSDUnrollTgt, 0}, {"load_latency", s.LoadLat, 0},
-		{"fp_add_latency", s.FPAddLat, 0}, {"fp_mul_latency", s.FPMulLat, 0},
-		{"fma_latency", s.FMALat, 0},
+		{"predec_width", c.PredecWidth, 1}, {"num_decoders", c.NumDecoders, 1},
+		{"iq_size", c.IQSize, 1}, {"dsb_width", c.DSBWidth, 1}, {"idq_size", c.IDQSize, 1},
+		{"issue_width", c.IssueWidth, 1}, {"retire_width", c.RetireWidth, 1},
+		{"rob_size", c.ROBSize, 1}, {"sched_size", c.SchedSize, 1},
+		{"num_ports", c.NumPorts, 1},
+		{"lsd_unroll_target", c.LSDUnrollTgt, 0}, {"load_latency", c.LoadLat, 0},
+		{"fp_add_latency", c.FPAddLat, 0}, {"fp_mul_latency", c.FPMulLat, 0},
+		{"fma_latency", c.FMALat, 0},
 	} {
 		switch {
 		case f.v < f.min && f.min > 0:
@@ -273,50 +230,34 @@ func (s *Spec) Validate() error {
 			return bad("%s must be at most %d (got %d)", f.name, MaxSpecValue, f.v)
 		}
 	}
-	if s.NumPorts > 16 {
-		return bad("num_ports %d exceeds the 16-port mask representation", s.NumPorts)
+	if c.NumPorts > 16 {
+		return bad("num_ports %d exceeds the 16-port mask representation", c.NumPorts)
 	}
 
 	// LSD/IDQ invariants: the LSD window is the IDQ, so the unroll target
 	// cannot exceed it, and an enabled LSD needs an IDQ to stream from.
-	if s.LSDUnrollTgt > s.IDQSize {
+	if c.LSDUnrollTgt > c.IDQSize {
 		return bad("lsd_unroll_target %d exceeds idq_size %d (the LSD window is the IDQ)",
-			s.LSDUnrollTgt, s.IDQSize)
+			c.LSDUnrollTgt, c.IDQSize)
 	}
 
-	// Role coverage: every role must be assigned, unknown roles rejected.
-	if s.RolePorts == nil {
-		return bad("missing \"role_ports\"")
-	}
-	for name := range s.RolePorts {
-		if _, ok := roleByName[name]; !ok {
-			return bad("unknown role %q in role_ports", name)
-		}
-	}
+	// Every role's ports must exist on the machine, and only the FMA role
+	// may be empty (no FMA units pre-Haswell); its presence must agree with
+	// the FMA latency.
+	machine := PortMask(1<<c.NumPorts - 1)
 	for r := Role(0); r < NumRoles; r++ {
-		ports, ok := s.RolePorts[r.String()]
-		if !ok {
-			return bad("role_ports missing role %q", r.String())
+		ports := c.RolePorts[r]
+		if outside := ports &^ machine; outside != 0 {
+			return bad("role %q uses port %d outside [0, %d)",
+				r.String(), bits.TrailingZeros16(uint16(outside)), c.NumPorts)
 		}
-		seen := PortMask(0)
-		for _, p := range ports {
-			if p < 0 || p >= s.NumPorts {
-				return bad("role %q uses port %d outside [0, %d)", r.String(), p, s.NumPorts)
-			}
-			if seen.Has(p) {
-				return bad("role %q lists port %d twice", r.String(), p)
-			}
-			seen |= P(p)
-		}
-		// Only the FMA role may be absent (no FMA units pre-Haswell); its
-		// presence must agree with the FMA latency.
-		if len(ports) == 0 && r != RoleVecFMA {
+		if ports == 0 && r != RoleVecFMA {
 			return bad("role %q has no ports", r.String())
 		}
 	}
-	if (len(s.RolePorts[RoleVecFMA.String()]) == 0) != (s.FMALat == 0) {
+	if fma := c.RolePorts[RoleVecFMA]; (fma == 0) != (c.FMALat == 0) {
 		return bad("fma_latency %d disagrees with the %q port assignment %v (no FMA units ⇔ zero latency)",
-			s.FMALat, RoleVecFMA.String(), s.RolePorts[RoleVecFMA.String()])
+			c.FMALat, RoleVecFMA.String(), fma.Ports())
 	}
 	return nil
 }

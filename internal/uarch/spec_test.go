@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,44 +11,50 @@ import (
 	"testing"
 )
 
-// TestSpecRoundTrip: Config → Spec → JSON → Spec → Config must be the
-// identity for every registered microarchitecture.
+// TestSpecRoundTrip: Config → JSON → Config must be the identity for every
+// registered microarchitecture, and the JSON must load back under a new
+// name to the same config.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, cfg := range All() {
-		spec := SpecFromConfig(cfg)
-		data, err := spec.JSON()
+		data, err := cfg.JSON()
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", cfg.Name, err)
 		}
-		parsed, err := ParseSpec(data)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", cfg.Name, err)
+		var back Config
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: unmarshal: %v", cfg.Name, err)
 		}
-		back, err := parsed.Config()
-		if err != nil {
-			t.Fatalf("%s: to config: %v", cfg.Name, err)
+		if !reflect.DeepEqual(&back, cfg) {
+			t.Errorf("%s: round trip diverges:\n got: %+v\nwant: %+v", cfg.Name, &back, cfg)
 		}
-		if !reflect.DeepEqual(back, cfg) {
-			t.Errorf("%s: round trip diverges:\n got: %+v\nwant: %+v", cfg.Name, back, cfg)
+		renamed := bytes.Replace(data, []byte(`"name": "`+cfg.Name+`"`), []byte(`"name": "Copy"`), 1)
+		loaded, err := NewRegistry().Load(renamed)
+		if err != nil {
+			t.Fatalf("%s: load: %v", cfg.Name, err)
+		}
+		want := *cfg
+		want.Name = "Copy"
+		if !reflect.DeepEqual(loaded, &want) {
+			t.Errorf("%s: loaded copy diverges:\n got: %+v\nwant: %+v", cfg.Name, loaded, &want)
 		}
 	}
 }
 
-// TestSpecJSONBracketsInStrings: the port-list collapsing in Spec.JSON must
-// not touch bracketed text in string fields.
+// TestSpecJSONBracketsInStrings: the port-list collapsing in Config.JSON
+// must not touch bracketed text in string fields.
 func TestSpecJSONBracketsInStrings(t *testing.T) {
-	s := validSpec()
-	s.Name = "Bracketed"
-	s.FullName = "test [1, 2] machine"
-	data, err := s.JSON()
+	c := validConfig()
+	c.Name = "Bracketed"
+	c.FullName = "test [1, 2] machine"
+	data, err := c.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseSpec(data)
+	parsed, err := NewRegistry().Load(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.FullName != s.FullName {
+	if parsed.FullName != c.FullName {
 		t.Fatalf("FullName corrupted by rendering: %q", parsed.FullName)
 	}
 }
@@ -68,83 +76,129 @@ func TestRegistryCapacity(t *testing.T) {
 	}
 }
 
-// validSpec returns a fresh, valid spec to mutate per rejection case.
-func validSpec() *Spec {
-	return SpecFromConfig(MustByName("SKL"))
+// validConfig returns a fresh, valid config to mutate per rejection case.
+func validConfig() *Config {
+	c := *MustByName("SKL")
+	return &c
 }
 
+// sklDoc returns SKL's spec document under the name "X", edited by edit
+// (a generic JSON object), for the rejection cases a Config cannot express.
+func sklDoc(t *testing.T, edit func(doc map[string]any)) []byte {
+	t.Helper()
+	data, err := MustByName("SKL").JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["name"] = "X"
+	edit(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func rolePorts(doc map[string]any) map[string]any { return doc["role_ports"].(map[string]any) }
+
 func TestSpecValidationRejections(t *testing.T) {
+	// Cases a Config can express: Validate rejects them, and so does
+	// registration.
 	cases := []struct {
 		name    string
-		mutate  func(*Spec)
+		mutate  func(*Config)
 		wantSub string
 	}{
-		{"missing name", func(s *Spec) { s.Name = "" }, "missing \"name\""},
-		{"name with space", func(s *Spec) { s.Name = "my arch" }, "whitespace"},
-		{"unknown gen", func(s *Spec) { s.Gen = "P4" }, "unknown generation"},
-		{"missing gen", func(s *Spec) { s.Gen = "" }, "missing \"gen\""},
-		{"unresolved base", func(s *Spec) { s.Base = "SKL" }, "unresolved \"base\""},
-		{"zero issue width", func(s *Spec) { s.IssueWidth = 0 }, "issue_width must be positive"},
-		{"negative idq", func(s *Spec) { s.IDQSize = -4 }, "idq_size must be positive"},
-		{"too many ports", func(s *Spec) { s.NumPorts = 17 }, "16-port mask"},
-		{"negative latency", func(s *Spec) { s.LoadLat = -1 }, "load_latency"},
-		{"absurd decoder count", func(s *Spec) { s.NumDecoders = 1 << 30 }, "num_decoders must be at most 4096"},
-		{"absurd latency", func(s *Spec) { s.LoadLat = MaxSpecValue + 1 }, "load_latency must be at most"},
-		{"lsd window exceeds idq", func(s *Spec) { s.LSDUnrollTgt = s.IDQSize + 1 },
+		{"missing name", func(c *Config) { c.Name = "" }, "missing \"name\""},
+		{"name with space", func(c *Config) { c.Name = "my arch" }, "whitespace"},
+		{"missing gen", func(c *Config) { c.Gen = 0 }, "missing \"gen\""},
+		{"zero issue width", func(c *Config) { c.IssueWidth = 0 }, "issue_width must be positive"},
+		{"negative idq", func(c *Config) { c.IDQSize = -4 }, "idq_size must be positive"},
+		{"too many ports", func(c *Config) { c.NumPorts = 17 }, "16-port mask"},
+		{"negative latency", func(c *Config) { c.LoadLat = -1 }, "load_latency"},
+		{"absurd decoder count", func(c *Config) { c.NumDecoders = 1 << 30 }, "num_decoders must be at most 4096"},
+		{"absurd latency", func(c *Config) { c.LoadLat = MaxSpecValue + 1 }, "load_latency must be at most"},
+		{"lsd window exceeds idq", func(c *Config) { c.LSDUnrollTgt = c.IDQSize + 1 },
 			"exceeds idq_size"},
-		{"missing role", func(s *Spec) { delete(s.RolePorts, "load") },
-			"missing role \"load\""},
-		{"unknown role", func(s *Spec) { s.RolePorts["warp"] = PortList{0} },
-			"unknown role \"warp\""},
-		{"port out of range", func(s *Spec) { s.RolePorts["alu"] = PortList{0, s.NumPorts} },
+		{"port out of range", func(c *Config) { c.RolePorts[RoleALU] = P(0, c.NumPorts) },
 			"outside [0, 8)"},
-		{"negative port", func(s *Spec) { s.RolePorts["alu"] = PortList{-1} },
-			"outside [0, 8)"},
-		{"duplicate port", func(s *Spec) { s.RolePorts["alu"] = PortList{0, 0} },
-			"lists port 0 twice"},
-		{"empty non-fma role", func(s *Spec) { s.RolePorts["load"] = PortList{} },
+		{"empty non-fma role", func(c *Config) { c.RolePorts[RoleLoad] = 0 },
 			"role \"load\" has no ports"},
-		{"fma ports without latency", func(s *Spec) { s.FMALat = 0 },
+		{"fma ports without latency", func(c *Config) { c.FMALat = 0 },
 			"fma_latency 0 disagrees"},
-		{"fma latency without ports", func(s *Spec) { s.RolePorts["fma"] = PortList{} },
+		{"fma latency without ports", func(c *Config) { c.RolePorts[RoleVecFMA] = 0 },
 			"disagrees"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := validSpec()
-			tc.mutate(s)
-			err := s.Validate()
+			c := validConfig()
+			tc.mutate(c)
+			err := c.Validate()
+			if err == nil {
+				t.Fatalf("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+			// The same rejection must surface through registration.
+			if _, rerr := NewRegistry().Register(c); rerr == nil {
+				t.Fatal("Register accepted an invalid config")
+			}
+		})
+	}
+
+	// Cases only a document can express: Load rejects them, some while
+	// decoding.
+	docs := []struct {
+		name    string
+		edit    func(doc map[string]any)
+		wantSub string
+	}{
+		{"unknown gen", func(d map[string]any) { d["gen"] = "P4" }, "unknown generation"},
+		{"unresolved base", func(d map[string]any) { d["base"] = "P4" }, "unknown microarchitecture \"P4\""},
+		{"missing role", func(d map[string]any) { delete(rolePorts(d), "load") },
+			"missing role \"load\""},
+		{"unknown role", func(d map[string]any) { rolePorts(d)["warp"] = []int{0} },
+			"unknown role \"warp\""},
+		{"negative port", func(d map[string]any) { rolePorts(d)["alu"] = []int{-1} },
+			"outside [0, 16)"},
+		{"duplicate port", func(d map[string]any) { rolePorts(d)["alu"] = []int{0, 0} },
+			"lists port 0 twice"},
+	}
+	for _, tc := range docs {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewRegistry().Load(sklDoc(t, tc.edit))
 			if err == nil {
 				t.Fatalf("invalid spec accepted")
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
-			// The same rejection must surface through registration.
-			if _, rerr := NewRegistry().Register(s); rerr == nil {
-				t.Fatal("Register accepted an invalid spec")
-			}
 		})
 	}
 }
 
-func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"name":"X","gen":"SKL","lsd_enable":true}`)); err == nil {
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	if _, err := NewRegistry().Load([]byte(`{"name":"X","gen":"SKL","lsd_enable":true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }
 
 func TestRegistryDuplicateName(t *testing.T) {
 	r := NewRegistry()
-	s := validSpec()
-	s.Name = "Custom1"
-	if _, err := r.Register(s); err != nil {
+	c := validConfig()
+	c.Name = "Custom1"
+	if _, err := r.Register(c); err != nil {
 		t.Fatal(err)
 	}
 	// Exact and case-folded duplicates must both be rejected, and be
 	// distinguishable from validation failures.
 	for _, dup := range []string{"Custom1", "CUSTOM1", "custom1", "skl"} {
-		d := validSpec()
+		d := validConfig()
 		d.Name = dup
 		_, err := r.Register(d)
 		if !errors.Is(err, ErrDuplicate) {

@@ -16,47 +16,51 @@ const (
 	GenRKL
 )
 
-// Config describes one microarchitecture.
+// Config describes one microarchitecture. It is also the spec format: the
+// JSON tags below are the keys of a spec document (specs/*.json), Gen
+// travels as its name ("SKL") and RolePorts as an object of port lists (see
+// RoleTable). Registry.Load and Registry.Derive decode documents straight
+// onto a Config, and Config.JSON writes one back out.
 type Config struct {
-	Name     string // short name, e.g. "SKL"
-	FullName string // e.g. "Skylake"
-	CPU      string // the evaluation CPU from the paper's Table 1
-	Released int
-	Gen      Gen
+	Name     string `json:"name"`                // short name, e.g. "SKL"
+	FullName string `json:"full_name,omitempty"` // e.g. "Skylake"
+	CPU      string `json:"cpu,omitempty"`       // the evaluation CPU from the paper's Table 1
+	Released int    `json:"released,omitempty"`
+	Gen      Gen    `json:"gen"`
 
 	// Front end.
-	PredecWidth  int  // instructions predecoded per cycle
-	NumDecoders  int  // total decoders (first one is the complex decoder)
-	IQSize       int  // predecoded instruction queue entries
-	DSBWidth     int  // µops per cycle deliverable from the DSB
-	IDQSize      int  // instruction decode queue capacity (µops); also LSD window
-	LSDEnabled   bool // loop stream detector active (SKL150 erratum disables it)
-	LSDUnrollTgt int  // LSD unrolls small loops up to ~this many µops (0 = no unrolling)
-	JCCErratum   bool // JCC-erratum mitigation active (SKL-derived cores)
+	PredecWidth  int  `json:"predec_width"`      // instructions predecoded per cycle
+	NumDecoders  int  `json:"num_decoders"`      // total decoders (first one is the complex decoder)
+	IQSize       int  `json:"iq_size"`           // predecoded instruction queue entries
+	DSBWidth     int  `json:"dsb_width"`         // µops per cycle deliverable from the DSB
+	IDQSize      int  `json:"idq_size"`          // instruction decode queue capacity (µops); also LSD window
+	LSDEnabled   bool `json:"lsd_enabled"`       // loop stream detector active (SKL150 erratum disables it)
+	LSDUnrollTgt int  `json:"lsd_unroll_target"` // LSD unrolls small loops up to ~this many µops (0 = no unrolling)
+	JCCErratum   bool `json:"jcc_erratum"`       // JCC-erratum mitigation active (SKL-derived cores)
 
 	// Back end.
-	IssueWidth  int // µops issued per cycle by the renamer
-	RetireWidth int
-	ROBSize     int
-	SchedSize   int // scheduler (reservation station) entries
-	NumPorts    int
+	IssueWidth  int `json:"issue_width"` // µops issued per cycle by the renamer
+	RetireWidth int `json:"retire_width"`
+	ROBSize     int `json:"rob_size"`
+	SchedSize   int `json:"sched_size"` // scheduler (reservation station) entries
+	NumPorts    int `json:"num_ports"`
 
 	// Fusion and elimination behavior.
-	MacroFusion          bool // macro-fusion supported at all
-	FusibleOnLastDecoder bool // a macro-fusible instr may decode on the last decoder
-	FuseWithMem          bool // first instruction of a fused pair may have a memory operand
-	MoveElimGPR          bool
-	MoveElimVec          bool
-	UnlaminateIndexed    bool // micro-fused µops with indexed addressing unlaminate at issue
+	MacroFusion          bool `json:"macro_fusion"`            // macro-fusion supported at all
+	FusibleOnLastDecoder bool `json:"fusible_on_last_decoder"` // a macro-fusible instr may decode on the last decoder
+	FuseWithMem          bool `json:"fuse_with_mem"`           // first instruction of a fused pair may have a memory operand
+	MoveElimGPR          bool `json:"move_elim_gpr"`
+	MoveElimVec          bool `json:"move_elim_vec"`
+	UnlaminateIndexed    bool `json:"unlaminate_indexed"` // micro-fused µops with indexed addressing unlaminate at issue
 
 	// Key latencies (cycles).
-	LoadLat  int // L1 load-to-use
-	FPAddLat int
-	FPMulLat int
-	FMALat   int
+	LoadLat  int `json:"load_latency"` // L1 load-to-use
+	FPAddLat int `json:"fp_add_latency"`
+	FPMulLat int `json:"fp_mul_latency"`
+	FMALat   int `json:"fma_latency"`
 
 	// RolePorts maps each µop role to the ports it may dispatch to.
-	RolePorts [NumRoles]PortMask
+	RolePorts RoleTable `json:"role_ports"`
 }
 
 // PortsFor returns the port mask for a role.
@@ -79,7 +83,7 @@ func (c *Config) LSDUnroll(nUops int) int {
 
 // The package-level lookup API is backed by the process-wide default
 // Registry, which is built from the embedded declarative spec files in
-// specs/ (see Spec and Registry). Additional microarchitectures — loaded
+// specs/ (see Config and Registry). Additional microarchitectures — loaded
 // spec files, derived variants — registered on Default() become visible
 // here as well.
 

@@ -28,9 +28,10 @@ var ErrArchRegistryFull = uarch.ErrRegistryFull
 // Every registry starts with the nine built-ins. Names are unique per
 // registry (case-insensitively) and immutable once registered, and lookups
 // are case-insensitive O(1). The process-wide DefaultRegistry backs the
-// package-level Predict/Archs/RegisterArch API; independent registries
-// (NewArchRegistry) isolate design-space experiments from each other and
-// can be attached to an Engine via EngineConfig.Registry.
+// package-level Archs/ArchInfos/RegisterArch/LoadArchSpec/LoadArchDir API
+// and every engine that configures no registry of its own; independent
+// registries (NewArchRegistry) isolate design-space experiments from each
+// other and can be attached to an Engine via EngineConfig.Registry.
 type ArchRegistry struct {
 	r *uarch.Registry
 }
@@ -102,7 +103,7 @@ func (v *Variant) Info() ArchInfo { return infoFor(v.cfg) }
 // Spec returns the variant's full declarative JSON spec — the document that
 // would recreate it (via LoadSpec or DeriveVariant with no overlay).
 func (v *Variant) Spec() ([]byte, error) {
-	return uarch.SpecFromConfig(v.cfg).JSON()
+	return v.cfg.JSON()
 }
 
 // DeriveVariant builds and validates a variant of base under name without
@@ -208,7 +209,7 @@ func (ar *ArchRegistry) Spec(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return uarch.SpecFromConfig(cfg).JSON()
+	return cfg.JSON()
 }
 
 // RegisterArch registers a variant of a built-in (or previously registered)
