@@ -692,3 +692,14 @@ func BenchmarkSnapshotWarmStart(b *testing.B) {
 	b.Run("ColdStart", func(b *testing.B) { run(b, false) })
 	b.Run("WarmStart", func(b *testing.B) { run(b, true) })
 }
+
+// BenchmarkNewArchRegistry times building a registry of the nine built-in
+// microarchitectures, which every FuzzLoadSpec input pays for.
+func BenchmarkNewArchRegistry(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if facile.NewArchRegistry().Has("SKL") != true {
+			b.Fatal("no SKL")
+		}
+	}
+}

@@ -113,18 +113,24 @@ func TestRegisterArchFullSpec(t *testing.T) {
 func TestRegisterArchRejections(t *testing.T) {
 	s, _ := newRegistryServer(t, facile.EngineConfig{})
 	cases := []struct {
-		name string
-		body string
-		want int
+		name    string
+		body    string
+		want    int
+		wantErr string // the error text, when pinned
 	}{
-		{"empty", `{}`, 400},
-		{"both shapes", `{"spec": {"name":"A"}, "base": "SKL"}`, 400},
-		{"variant without name", `{"base": "SKL"}`, 400},
-		{"unknown base", `{"name": "A", "base": "P4"}`, 400},
-		{"invalid overlay field", `{"name": "A", "base": "SKL", "overlay": {"lsd_enable": true}}`, 400},
-		{"invalid overlay value", `{"name": "A", "base": "SKL", "overlay": {"issue_width": 0}}`, 400},
-		{"bad port mask", `{"name": "A", "base": "SKL", "overlay": {"role_ports": {"load": [11]}}}`, 400},
-		{"duplicate builtin", `{"name": "skl", "base": "SKL"}`, 409},
+		{"empty", `{}`, 400, ""},
+		{"both shapes", `{"spec": {"name":"A"}, "base": "SKL"}`, 400, ""},
+		{"variant without name", `{"base": "SKL"}`, 400, ""},
+		{"unknown base", `{"name": "A", "base": "P4"}`, 400, ""},
+		{"invalid overlay field", `{"name": "A", "base": "SKL", "overlay": {"lsd_enable": true}}`, 400, ""},
+		{"invalid overlay value", `{"name": "A", "base": "SKL", "overlay": {"issue_width": 0}}`, 400, ""},
+		{"bad port mask", `{"name": "A", "base": "SKL", "overlay": {"role_ports": {"load": [11]}}}`, 400, ""},
+		{"duplicate builtin", `{"name": "skl", "base": "SKL"}`, 409, ""},
+		{"float width in a spec", `{"spec": {"name": "A", "gen": "SKL", "issue_width": 4.0}}`, 400,
+			"uarch: invalid spec: issue_width: want an integer, got number 4.0"},
+		{"float width in an overlay", `{"name": "A", "base": "SKL", "overlay": {"issue_width": 4.0}}`, 400,
+			"uarch: invalid spec: issue_width: want an integer, got number 4.0"},
+		{"spec not an object", `{"spec": ["SKL"]}`, 400, "uarch: spec must be a JSON object, got array"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,6 +140,9 @@ func TestRegisterArchRejections(t *testing.T) {
 			}
 			if resp.Error == "" {
 				t.Fatal("error body missing")
+			}
+			if tc.wantErr != "" && resp.Error != tc.wantErr {
+				t.Fatalf("error %q, want %q", resp.Error, tc.wantErr)
 			}
 		})
 	}

@@ -59,8 +59,22 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry pre-populated with the nine Table 1
-// microarchitectures from the embedded spec files, newest first.
+// microarchitectures from the embedded spec files, newest first. Each
+// registry holds its own copies of the Configs, which the files are
+// decoded into once per process.
 func NewRegistry() *Registry {
+	r := &Registry{entries: make(map[string]*regEntry)}
+	for _, c := range embedded() {
+		if _, err := r.Register(&c); err != nil {
+			panic(err)
+		}
+	}
+	return r
+}
+
+// embedded returns the Configs of the embedded spec files in Table 1
+// order, decoded on first use.
+var embedded = sync.OnceValue(func() []Config {
 	r := &Registry{entries: make(map[string]*regEntry)}
 	if err := r.loadEmbedded(); err != nil {
 		// The embedded specs ship with the binary and are gated by tests
@@ -68,8 +82,12 @@ func NewRegistry() *Registry {
 		// condition.
 		panic(err)
 	}
-	return r
-}
+	out := make([]Config, len(r.ordered))
+	for i, c := range r.ordered {
+		out[i] = *c
+	}
+	return out
+})
 
 // embeddedOrder lists the embedded spec files in Table 1 order (newest
 // first), which becomes the registration order of every new registry.
@@ -124,7 +142,7 @@ func (r *Registry) Load(data []byte) (*Config, error) {
 		RolePorts map[string]json.RawMessage `json:"role_ports"`
 	}
 	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("uarch: invalid spec: %w", err)
+		return nil, specError(err)
 	}
 	if head.Base != "" {
 		cfg, _, err := r.overlay(head.Base, data)

@@ -2,9 +2,12 @@ package uarch
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -140,9 +143,43 @@ func decodeSpec(c *Config, data []byte) (base string, err error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		return "", fmt.Errorf("uarch: invalid spec: %w", err)
+		return "", specError(err)
 	}
 	return doc.Base, nil
+}
+
+// specError words an error decoding a spec document in the document's
+// terms: a value of the wrong JSON type names its spec field and the JSON
+// type the field wants, and a document that is no JSON object says so.
+// Other errors, such as malformed JSON, keep their text.
+func specError(err error) error {
+	var te *json.UnmarshalTypeError
+	switch {
+	case !errors.As(err, &te):
+		return fmt.Errorf("uarch: invalid spec: %w", err)
+	case te.Field == "":
+		return fmt.Errorf("uarch: spec must be a JSON object, got %s", te.Value)
+	}
+	field := te.Field[strings.LastIndexByte(te.Field, '.')+1:]
+	return fmt.Errorf("uarch: invalid spec: %s: want %s, got %s", field, jsonType(te.Type), te.Value)
+}
+
+// jsonType names the JSON type a value of t decodes from.
+func jsonType(t reflect.Type) string {
+	if reflect.PointerTo(t).Implements(reflect.TypeFor[encoding.TextUnmarshaler]()) {
+		return "a string"
+	}
+	switch t.Kind() {
+	case reflect.Bool:
+		return "a boolean"
+	case reflect.String:
+		return "a string"
+	case reflect.Slice, reflect.Array:
+		return "an array"
+	case reflect.Map, reflect.Struct:
+		return "an object"
+	}
+	return "an integer"
 }
 
 // JSON renders c as a spec document in the embedded-file layout: two-space

@@ -168,6 +168,12 @@ func TestSpecValidationRejections(t *testing.T) {
 			"outside [0, 16)"},
 		{"duplicate port", func(d map[string]any) { rolePorts(d)["alu"] = []int{0, 0} },
 			"lists port 0 twice"},
+		{"float width", func(d map[string]any) { d["issue_width"] = json.Number("4.0") },
+			"uarch: invalid spec: issue_width: want an integer, got number 4.0"},
+		{"string flag", func(d map[string]any) { d["lsd_enabled"] = "yes" },
+			"uarch: invalid spec: lsd_enabled: want a boolean, got string"},
+		{"numeric gen", func(d map[string]any) { d["gen"] = 5 },
+			"uarch: invalid spec: gen: want a string, got number"},
 	}
 	for _, tc := range docs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,6 +183,20 @@ func TestSpecValidationRejections(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+
+	// A document that is no JSON object, as a full spec and as an overlay.
+	for _, doc := range []string{`[1]`, `"SKL"`, `4`} {
+		t.Run("not an object "+doc, func(t *testing.T) {
+			r := NewRegistry()
+			_, errLoad := r.Load([]byte(doc))
+			_, errDerive := r.DeriveConfig("X", "SKL", []byte(doc))
+			for _, err := range []error{errLoad, errDerive} {
+				if err == nil || !strings.HasPrefix(err.Error(), "uarch: spec must be a JSON object, got ") {
+					t.Fatalf("error %v, want one saying the spec must be a JSON object", err)
+				}
 			}
 		})
 	}

@@ -132,3 +132,26 @@ func TestGenerationalDifferencesExist(t *testing.T) {
 		t.Fatal("GPR move-elimination generations wrong")
 	}
 }
+
+// TestRegistriesIndependent: every registry holds its own copies of the
+// built-in Configs, although the spec files are decoded once per process:
+// writing to one registry's Config changes no other registry's.
+func TestRegistriesIndependent(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	for _, name := range a.Names() {
+		ca, _ := a.ByName(name)
+		cb, _ := b.ByName(name)
+		if ca == cb {
+			t.Fatalf("%s: two registries share one Config", name)
+		}
+		want := *cb
+		ca.IssueWidth++
+		ca.RolePorts[RoleALU] = 0
+		if *cb != want {
+			t.Fatalf("%s: writing one registry's Config changed another's", name)
+		}
+		if c, _ := NewRegistry().ByName(name); *c != want {
+			t.Fatalf("%s: writing one registry's Config changed a new registry's", name)
+		}
+	}
+}
