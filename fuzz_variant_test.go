@@ -14,9 +14,13 @@ import (
 // panic. An accepted variant's spec is the document that recreates it, so
 // deriving from it as an overlay gives the same spec back, and analyzing a
 // few fixed blocks against the variant, in both modes, yields a positive
-// prediction or a bad-request error for each. Seeds live in
-// testdata/fuzz/FuzzDeriveVariant: the committed sweep grid's axes, every
-// kind of field, and overlays the validator rejects.
+// prediction or a bad-request error for each. Each block is then analyzed
+// in both modes on SKL and right after on the variant through one batch
+// worker, which keeps whatever the overlay leaves alone, and every result
+// must equal a fresh engine's: an arbitrary overlay must not get past the
+// reuse keys. Seeds live in testdata/fuzz/FuzzDeriveVariant: the committed
+// sweep grid's axes, every kind of field, and overlays the validator
+// rejects.
 func FuzzDeriveVariant(f *testing.F) {
 	reg := facile.NewArchRegistry()
 	eng, err := facile.NewEngine(facile.EngineConfig{Registry: reg, CacheSize: -1, Workers: 1})
@@ -63,5 +67,7 @@ func FuzzDeriveVariant(f *testing.F) {
 				t.Fatalf("request %d: prediction %g", i, r.Analysis.Prediction.CyclesPerIteration)
 			}
 		}
+		reqs = pairRequests(blocks, facile.Request{Arch: "SKL"}, facile.Request{Variant: v})
+		checkBatchFresh(t, eng, reg, reqs, "reuse")
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"facile/internal/isa"
@@ -57,7 +58,14 @@ type Block struct {
 
 	// kept records that the last build kept its predecessor's decode.
 	kept bool
+	// The generations of the decode and of the descriptors (see DecodeGen
+	// and DescGen).
+	decodeGen, descGen uint64
 }
+
+// generations hands out the process-unique decode and descriptor
+// generations of built blocks.
+var generations atomic.Uint64
 
 // uopsPerInst sizes a block's µop array: real code averages about 1.3
 // unfused-domain µops per instruction.
@@ -85,21 +93,45 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 // reusable.
 //
 // When b was last built successfully from the same bytes, BuildInto keeps
-// that decode — the instructions and their effects, which depend on the
-// bytes alone — re-points it at code, and redoes only what depends on cfg:
-// the descriptors, macro-fusion and the derived views (see KeptDecode). A
-// failed build and Release end this reuse. The previous build's code is
-// compared byte by byte, so it must not have changed since: a caller that
+// what the bytes and the configuration fields it reads leave alone, and
+// re-points the instructions at code (see KeptDecode):
+//
+//   - the decode — the instructions and their effects — always;
+//   - the descriptors, the macro-fusion marks and the derived views too
+//     when isa.SameDescs holds for the two configurations, redoing only the
+//     JCC-erratum flag when their jcc_erratum differs.
+//
+// Each build that decodes afresh stamps b with a new decode generation,
+// and each that derives the descriptors afresh with a new descriptor
+// generation (see DecodeGen and DescGen), so a result computed from a
+// block's decode or descriptors stays valid for as long as the generation
+// it was computed at does. A failed build and Release end this reuse. The
+// previous build's code is compared byte by byte, and its configuration
+// field by field, so neither must have changed since: a caller that
 // rewrites a buffer in place releases the block first.
 func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	kept := len(code) > 0 && b.Code != nil && bytes.Equal(b.Code, code)
+	prev := b.Cfg
 	// Until this build succeeds, b.Code is nil: nothing is kept from a
 	// failed build.
 	b.Cfg, b.Code, b.kept = cfg, nil, kept
 	if len(code) == 0 {
 		return fmt.Errorf("bb: empty block")
 	}
+	if kept && isa.SameDescs(prev, cfg) {
+		for k := range b.Insts {
+			ins := &b.Insts[k]
+			ins.Inst.Raw = code[ins.Off:ins.End()]
+		}
+		if prev.JCCErratum != cfg.JCCErratum {
+			b.jccErratum = b.computeJCCErratum()
+		}
+		b.Code = code
+		return nil
+	}
+	b.descGen = generations.Add(1)
 	if !kept {
+		b.decodeGen = b.descGen
 		// Decode straight into the instruction array, reserved up front so
 		// a fresh block grows it at most once.
 		held := len(b.Insts)
@@ -187,6 +219,21 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 // afresh. What depends only on the decode, such as the instructions' text,
 // is then unchanged too.
 func (b *Block) KeptDecode() bool { return b.kept }
+
+// DecodeGen returns the generation of b's decode: it changes whenever a
+// build decodes afresh, and is unique within the process, so what was
+// computed from the instructions' bytes, offsets and effects alone is
+// still valid for a block of the same decode generation. A block that
+// BuildInto has not built, such as one assembled by hand, has generation
+// 0, which stands for no generation.
+func (b *Block) DecodeGen() uint64 { return b.decodeGen }
+
+// DescGen returns the generation of b's descriptors, macro-fusion marks and
+// the views derived from them (everything but the JCC-erratum flag): it
+// changes whenever a build derives them afresh, which every new decode
+// does, and is unique within the process. 0 stands for no generation, as
+// for DecodeGen.
+func (b *Block) DescGen() uint64 { return b.descGen }
 
 // resize returns s with length n, reusing its array when it has room; the
 // elements are left for the caller to overwrite. The result is never nil,

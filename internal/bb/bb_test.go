@@ -274,7 +274,7 @@ func TestBuildIntoReuse(t *testing.T) {
 		if errWant != nil {
 			continue
 		}
-		if !reflect.DeepEqual(&b, want) {
+		if !sameAsFresh(&b, want) {
 			t.Fatalf("%s: BuildInto into a reused block differs from Build:\n%s\nwant\n%s", tc.name, b.String(), want.String())
 		}
 		// Equal values are not enough: every descriptor's µops must lie in
@@ -342,16 +342,17 @@ func TestReleaseDropsCode(t *testing.T) {
 	if err := BuildInto(&b, cfg, small); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := Build(cfg, small); !reflect.DeepEqual(&b, want) {
+	if want, _ := Build(cfg, small); !sameAsFresh(&b, want) {
 		t.Fatalf("a released block rebuilds differently:\n%s\nwant\n%s", b.String(), want.String())
 	}
 }
 
 // sameAsFresh reports whether b equals a fresh Build of the same block; the
-// kept mark records how b was built, not what it holds, so it is ignored.
+// kept mark and the generations record how and when b was built, not what
+// it holds, so they are ignored.
 func sameAsFresh(b, fresh *Block) bool {
 	got := *b
-	got.kept = fresh.kept
+	got.kept, got.decodeGen, got.descGen = fresh.kept, fresh.decodeGen, fresh.descGen
 	return reflect.DeepEqual(&got, fresh)
 }
 
@@ -424,4 +425,87 @@ func TestBuildIntoKeepsDecode(t *testing.T) {
 	sameLength := append([]byte(nil), loop...)
 	sameLength[len(sameLength)-1]-- // another jump target, same length
 	step("other bytes of the same length", noFusion, sameLength, false)
+}
+
+// TestBuildIntoKeepsDescriptors: rebuilding the same bytes for a
+// configuration that agrees with the last one on every field isa.SameDescs
+// compares keeps the descriptors, fusion marks and derived views under the
+// same descriptor generation, and redoes the JCC-erratum flag when only
+// jcc_erratum differs; a configuration that differs in a compared field
+// derives them afresh under a new one, keeping the decode generation. Every
+// block still equals a fresh Build.
+func TestBuildIntoKeepsDescriptors(t *testing.T) {
+	derive := func(overlay string) *uarch.Config {
+		cfg, err := uarch.Default().DeriveConfig("SKL-variant", "SKL", []byte(overlay))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	skl := uarch.MustByName("SKL")
+	widths := derive(`{"issue_width":6,"num_decoders":2,"dsb_width":8,"lsd_enabled":true,"predec_width":6}`)
+	slowLoads := derive(`{"load_latency":9}`)
+	noJCC := derive(`{"jcc_erratum":false}`)
+	slowAdds := derive(`{"fp_add_latency":9}`)
+	// A loop whose jump ends on a 32-byte boundary, with an FP add and a
+	// fusible pair.
+	var instrs []asm.Instr
+	for k := 0; k < 6; k++ {
+		instrs = append(instrs, asm.Mk(x86.ADDPS, 128, asm.R(x86.X0), asm.R(x86.X1)))
+	}
+	instrs = append(instrs,
+		asm.Mk(x86.ADD, 64, asm.R(x86.RAX), asm.M(x86.RDI, 8)),
+		asm.Mk(x86.CMP, 64, asm.R(x86.RAX), asm.R(x86.RDX)),
+	)
+	body := asm.MustEncodeBlock(instrs)
+	for len(body) < 30 {
+		body = append([]byte{0x90}, body...)
+	}
+	loop := append(body, 0x75, 0xe0) // jne back to the start
+	if len(loop) != 32 {
+		t.Fatalf("loop is %d bytes, want 32", len(loop))
+	}
+	var b Block
+	step := func(name string, cfg *uarch.Config, code []byte, keepDecode, keepDescs bool) {
+		t.Helper()
+		decodeGen, descGen := b.DecodeGen(), b.DescGen()
+		code = append([]byte(nil), code...)
+		if err := BuildInto(&b, cfg, code); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.DecodeGen() == 0 || b.DescGen() == 0 {
+			t.Fatalf("%s: built block has no generation", name)
+		}
+		if (b.DecodeGen() == decodeGen) != keepDecode || (b.DescGen() == descGen) != keepDescs {
+			t.Fatalf("%s: generations %d/%d after %d/%d, want decode kept %v, descriptors kept %v",
+				name, b.DecodeGen(), b.DescGen(), decodeGen, descGen, keepDecode, keepDescs)
+		}
+		fresh, err := Build(cfg, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAsFresh(&b, fresh) {
+			t.Fatalf("%s: block differs from a fresh Build:\n%s\nwant\n%s", name, b.String(), fresh.String())
+		}
+		if &b.Insts[0].Inst.Raw[0] != &code[0] {
+			t.Fatalf("%s: instructions do not point into the new code", name)
+		}
+	}
+	step("SKL", skl, loop, false, false)
+	if !b.JCCErratumAffected() || !b.Insts[len(b.Insts)-2].FusedWithNext {
+		t.Fatal("the loop should fuse its pair and trigger the JCC erratum on SKL")
+	}
+	step("other widths", widths, loop, true, true)
+	step("slower loads", slowLoads, loop, true, true)
+	step("no JCC mitigation", noJCC, loop, true, true)
+	if b.JCCErratumAffected() {
+		t.Fatal("JCC-erratum flag kept from SKL")
+	}
+	step("SKL again", skl, loop, true, true)
+	step("slower FP adds", slowAdds, loop, true, false)
+	step("slower FP adds again", slowAdds, loop, true, true)
+	step("other bytes", slowAdds, body, false, false)
+	step("the loop again", slowAdds, loop, false, false)
+	b.Release()
+	step("after Release", slowAdds, loop, false, false)
 }

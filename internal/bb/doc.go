@@ -19,4 +19,8 @@
 // instruction list. facile.Engine builds every cache miss into a pooled
 // Block that it releases (Block.Release) before pooling it again, and keeps
 // no block in its cache; Engine.Simulate builds a fresh Block with Build.
+// Rebuilding the same bytes keeps the decode, and for a configuration that
+// isa.SameDescs finds equivalent the descriptors too; the decode and
+// descriptor generations (Block.DecodeGen, Block.DescGen) tell results
+// computed from a block whether it still holds what they read.
 package bb

@@ -15,9 +15,11 @@ import (
 // the facile Engine both do) and hand one to at most one goroutine at a
 // time.
 type Analysis struct {
-	// Predecoder (predec.go): per-16-byte-block instruction counters, and
-	// the instructions' opcode and last-byte offsets (predecLCPOpc: the
-	// opcode offsets of the LCP instructions).
+	// Predecoder (predec.go): the last bound and its key, per-16-byte-block
+	// instruction counters, and the instructions' opcode and last-byte
+	// offsets (predecLCPOpc: the opcode offsets of the LCP instructions).
+	predecKey                              predecKey
+	predecV                                float64
 	predecL, predecO, predecLCP, predecCyc []int
 	predecOpc, predecLast, predecLCPOpc    []int
 
@@ -26,8 +28,13 @@ type Analysis struct {
 	decComplex []int
 	decFirst   []int
 
-	// Ports (ports.go): distinct port combinations with per-combination µop
-	// counts, their pairwise unions, and the contended-instruction list.
+	// Ports (ports.go): the last bound, its contended port combination and
+	// the descriptor generation they were computed at; distinct port
+	// combinations with per-combination µop counts, their pairwise unions,
+	// and the contended-instruction list.
+	portsGen    uint64
+	portsV      float64
+	portsPC     string
 	portsPCs    []uarch.PortMask
 	portsCounts []int
 	portsUnions []uarch.PortMask
@@ -50,6 +57,19 @@ type analysisDetail struct {
 	chain  []int // instruction indices on the critical dependence cycle
 	instrs []int // instructions restricted to the contended ports
 	ports  string
+}
+
+// testHookReuse, when non-nil, is invoked each time a component that
+// keeps its last result (Predec, Ports, Precedence) is asked for a bound,
+// with whether it reused that result.
+var testHookReuse func(c Component, reused bool)
+
+// reuse reports hit to testHookReuse and returns it.
+func reuse(c Component, hit bool) bool {
+	if testHookReuse != nil {
+		testHookReuse(c, hit)
+	}
+	return hit
 }
 
 // testHookComponent, when non-nil, is invoked for every per-component

@@ -45,7 +45,7 @@ func (a *Analysis) decBound(block *bb.Block) float64 {
 		for idx, ins := range units {
 			if ins.Desc.Complex {
 				curDec = 0
-				nAvailSimple = ins.Desc.AvailSimple
+				nAvailSimple = ins.Desc.AvailSimple(nDec)
 			} else {
 				wrapForFusible := curDec+1 == nDec-1 &&
 					ins.Desc.MacroFusible && !cfg.FusibleOnLastDecoder

@@ -24,7 +24,21 @@
 // predictions. Bound vectors of many blocks are a plain []Bounds. All
 // scratch state lives in a reusable Analysis context; the package-level
 // entry points draw one from a sync.Pool, so a warm call performs no
-// transient heap allocations inside this package. A prediction's owned
+// transient heap allocations inside this package.
+//
+// An Analysis also keeps the last result of three components, with the
+// key it was computed for, and returns it for a block whose key matches:
+// the ports bound keys on the block's descriptor generation, the
+// predecoder bound on its decode generation, predec_width and the mode,
+// and the precedence bound (with its critical chain) on its descriptor
+// generation and load_latency. bb.BuildInto stamps those generations: a
+// new decode generation for each fresh decode, and a new descriptor
+// generation for each build that derives the descriptors afresh, which it
+// skips for the same bytes on a configuration isa.SameDescs finds
+// equivalent. These are the three reuse levels — decode, descriptors,
+// component results — that let a design-space sweep compute each block's
+// bounds once for all the points that leave their inputs alone. A block
+// assembled by hand has no generation and is always computed afresh. A prediction's owned
 // payloads (critical chain, contended instructions) are carved from a Slab
 // (slab.go) by Analysis.PredictSlab, which the facile Engine calls on every
 // cache miss; Analysis.Predict is PredictSlab over a fresh slab.

@@ -62,13 +62,15 @@ type instKey struct {
 }
 
 // precScratch is the precedence bound's state in an Analysis: the input and
-// results of its last solve, and scratch that grows to the largest block
-// and the most carried sources seen. Nothing in it is n×m: the summary is
-// m×m, the per-register vectors NumRegs×m, and the per-instruction arrays
-// hold a few words per instruction.
+// results of its last solve with the descriptor generation it was computed
+// at, and scratch that grows to the largest block and the most carried
+// sources seen. Nothing in it is n×m: the summary is m×m, the per-register
+// vectors NumRegs×m, and the per-instruction arrays hold a few words per
+// instruction.
 type precScratch struct {
-	// The last solve's input (see sameInput) and results (the zero value:
-	// an empty block, no cycle).
+	// The last solve's key (see precedenceBound), input (see fillInput)
+	// and results (the zero value: an empty block, no cycle).
+	gen     uint64
 	key     []instKey
 	loadLat int
 	bound   float64
@@ -120,15 +122,21 @@ type carried struct {
 //
 // The second result is the critical chain (see recoverChain); it points
 // into Analysis scratch. Both results are a function of the solve's input
-// alone, so an input equal to the one this Analysis solved last — as
-// consecutive analyses of one block for design points that leave its
-// latencies alone give — takes that solve's results without solving again.
+// alone: the instructions' effects, latencies and load bits, which the
+// block's descriptor generation fixes, and the load latency. So a block of
+// the descriptor generation this Analysis solved last, for an equal load
+// latency — as consecutive analyses of one block for design points that
+// leave its descriptors and load latency alone give — takes that solve's
+// results without solving again.
 func (a *Analysis) precedenceBound(block *bb.Block) (float64, []int) {
 	p := &a.prec
-	var c carried
-	if p.sameInput(block, &c) {
+	gen := block.DescGen()
+	if reuse(Precedence, gen != 0 && gen == p.gen && block.Cfg.LoadLat == p.loadLat) {
 		return p.bound, p.chain
 	}
+	p.gen = gen
+	var c carried
+	p.fillInput(block, &c)
 	// The chain keeps its capacity: it is empty, not nil, without a cycle.
 	p.bound, p.chain = 0, p.chain[:0]
 	m := p.summarize(&c)
@@ -141,16 +149,12 @@ func (a *Analysis) precedenceBound(block *bb.Block) (float64, []int) {
 	return p.bound, p.chain
 }
 
-// sameInput writes the solve's whole input into p.key and p.loadLat — each
+// fillInput writes the solve's whole input into p.key and p.loadLat: each
 // instruction's registers, flags, latency and load bit, and the load
-// latency — comparing it with the previous input as it overwrites it, and
-// reports whether the two are equal. The same pass fills c's final writers
-// and carried registers.
-func (p *precScratch) sameInput(block *bb.Block, c *carried) bool {
-	n := len(block.Insts)
-	same := len(p.key) == n && p.loadLat == block.Cfg.LoadLat
+// latency. The same pass fills c's final writers and carried registers.
+func (p *precScratch) fillInput(block *bb.Block, c *carried) {
 	p.loadLat = block.Cfg.LoadLat
-	key := growN(&p.key, n)
+	key := growN(&p.key, len(block.Insts))
 	for r := range c.final {
 		c.final[r] = -1
 	}
@@ -171,9 +175,7 @@ func (p *precScratch) sameInput(block *bb.Block, c *carried) bool {
 		if eff.WritesFlags {
 			k.writes |= 1 << x86.RegFlags
 		}
-		if key[i] != k {
-			key[i], same = k, false
-		}
+		key[i] = k
 		readFirst |= (k.reads | k.addrs) &^ written
 		written |= k.writes
 		for w := k.writes; w != 0; {
@@ -181,7 +183,6 @@ func (p *precScratch) sameInput(block *bb.Block, c *carried) bool {
 		}
 	}
 	c.regs = readFirst & written
-	return same
 }
 
 // extra is the latency the load adds on k's address paths.

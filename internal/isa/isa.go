@@ -39,10 +39,6 @@ type Desc struct {
 	Eliminated bool
 	// Complex: must be decoded by the complex decoder.
 	Complex bool
-	// AvailSimple is the number of simple decoders that can still be used
-	// in the same cycle after this instruction occupies the complex decoder
-	// (the uops.info "nAvailableSimpleDecoders" attribute).
-	AvailSimple int
 	// Unlaminated: the renamer splits the micro-fused µops of this
 	// instruction (IssueUops == len(Uops) > FusedUops).
 	Unlaminated bool
@@ -52,6 +48,18 @@ type Desc struct {
 	FusibleJCC bool
 	Load       bool
 	Store      bool
+}
+
+// AvailSimple returns the number of simple decoders of a decoding unit
+// with numDecoders decoders that can still be used in the same cycle after
+// this instruction occupies its complex decoder (the uops.info
+// "nAvailableSimpleDecoders" attribute): every one for a single-µop
+// instruction, one fewer per fused-domain µop beyond the second.
+func (d *Desc) AvailSimple(numDecoders int) int {
+	if !d.Complex {
+		return numDecoders - 1
+	}
+	return max(0, numDecoders-1-max(0, d.FusedUops-2))
 }
 
 // TotalRecTP returns the sum of port-occupancy cycles of the µops (used by
@@ -75,13 +83,28 @@ func (e *ErrUnsupported) Error() string {
 	return fmt.Sprintf("isa: %v not supported on %s", e.Op, e.Arch)
 }
 
+// SameDescs reports whether Lookup and CanMacroFuse give every instruction
+// the same descriptor and the same fusion on a as on b: whether the two
+// configurations agree on every field those functions read. The name is
+// read only for the text of an ErrUnsupported, so configurations that
+// differ in their names alone give the same descriptors to every
+// instruction that has one on either.
+func SameDescs(a, b *uarch.Config) bool {
+	return a.Gen == b.Gen && a.RolePorts == b.RolePorts &&
+		a.FPAddLat == b.FPAddLat && a.FPMulLat == b.FPMulLat && a.FMALat == b.FMALat &&
+		a.MoveElimGPR == b.MoveElimGPR && a.MoveElimVec == b.MoveElimVec &&
+		a.UnlaminateIndexed == b.UnlaminateIndexed &&
+		a.MacroFusion == b.MacroFusion && a.FuseWithMem == b.FuseWithMem
+}
+
 // Lookup fills d with the descriptor of inst on cfg, given the
 // instruction's effects, and appends its µops to uops. d.Uops is the
 // appended part, capacity-limited so that descriptors carved from one
 // buffer never share µops. It returns the extended buffer; on error the
-// buffer is returned unextended.
+// buffer is returned unextended. Of cfg it reads only the fields SameDescs
+// compares, and the name for the error text.
 func Lookup(cfg *uarch.Config, inst *x86.Inst, eff *x86.Effects, d *Desc, uops []Uop) ([]Uop, error) {
-	*d = Desc{AvailSimple: cfg.NumDecoders - 1, Load: eff.Load, Store: eff.Store}
+	*d = Desc{Load: eff.Load, Store: eff.Store}
 
 	// NOP: one fused-domain µop that occupies no execution port.
 	if inst.Op == x86.NOP {
@@ -166,13 +189,7 @@ func Lookup(cfg *uarch.Config, inst *x86.Inst, eff *x86.Effects, d *Desc, uops [
 	}
 
 	// Decoder constraints.
-	if d.FusedUops > 1 {
-		d.Complex = true
-		d.AvailSimple = cfg.NumDecoders - 1 - max(0, d.FusedUops-2)
-		if d.AvailSimple < 0 {
-			d.AvailSimple = 0
-		}
-	}
+	d.Complex = d.FusedUops > 1
 
 	// Macro-fusion.
 	d.MacroFusible = macroFusibleFirst(cfg, inst, eff)

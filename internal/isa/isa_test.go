@@ -173,7 +173,7 @@ func TestCMOVGenerations(t *testing.T) {
 
 func TestDIVHeavy(t *testing.T) {
 	_, d := mustDesc(t, uarch.MustByName("SKL"), asm.Mk(x86.DIV, 64, asm.R(x86.RBX)))
-	if !d.Complex || d.AvailSimple != 1 {
+	if !d.Complex || d.AvailSimple(uarch.MustByName("SKL").NumDecoders) != 1 {
 		t.Fatalf("%+v", d)
 	}
 	if d.TotalRecTP() <= 4 {

@@ -131,7 +131,7 @@ func buildUnits(block *bb.Block) []*unit {
 			lastOfIter:  false,
 			isBranch:    ins.Inst.IsBranch() || ins.FusedWithNext,
 			complex:     d.Complex,
-			availSimple: d.AvailSimple,
+			availSimple: d.AvailSimple(block.Cfg.NumDecoders),
 			fusible:     d.MacroFusible,
 			eff:         ins.Eff,
 		}
