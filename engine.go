@@ -695,11 +695,12 @@ type batchScratch struct {
 	ints   core.Slab[int]
 	bounds core.Slab[ComponentBound]
 	strs   core.Slab[string]
-	// insts is the Instructions of the last prediction filled from this
-	// scratch, shared by the next one when its block keeps the decode (see
-	// publicPrediction). The miss scratch's block is released before it
-	// serves another batchScratch, so a kept decode is always this one's.
-	insts []string
+	// insts is the Instructions last rendered into this scratch, and
+	// instsGen the decode generation of the block they were rendered from:
+	// a later miss whose block has that decode generation shares them (see
+	// publicPrediction).
+	insts    []string
+	instsGen uint64
 }
 
 // blocksLeft sizes the worker's fresh slabs for the n blocks, the current

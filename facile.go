@@ -201,8 +201,8 @@ const textBytesPerInst = 24
 // instruction lists are carved from the scratch's slab, and the
 // instruction texts are rendered into the scratch's text buffer and
 // converted to one string, of which Instructions holds substrings. A block
-// that kept the decode of the scratch's previous miss renders the same
-// text, so it shares that miss's Instructions instead. The per-component
+// of the decode generation the scratch last rendered renders the same
+// text, so it shares those Instructions instead. The per-component
 // bounds are not copied here; Analysis.Bounds carries them.
 func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
 	out := Prediction{
@@ -218,7 +218,7 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	// known up front and its part of the carve fills by append without
 	// growing.
 	nb := bits.OnesCount8(uint8(p.Bottlenecks))
-	kept := block.KeptDecode()
+	kept := block.DecodeGen() == sc.instsGen
 	ni := len(block.Insts)
 	if kept {
 		ni = 0
@@ -254,7 +254,7 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 		ins[k], text = text[:end], text[end+1:]
 	}
 	out.Instructions = ins
-	sc.insts = ins
+	sc.insts, sc.instsGen = ins, block.DecodeGen()
 	return out
 }
 

@@ -56,8 +56,6 @@ type Block struct {
 	decodeUnits []*Instr
 	jccErratum  bool
 
-	// kept records that the last build kept its predecessor's decode.
-	kept bool
 	// The generations of the decode and of the descriptors (see DecodeGen
 	// and DescGen).
 	decodeGen, descGen uint64
@@ -94,7 +92,7 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 //
 // When b was last built successfully from the same bytes, BuildInto keeps
 // what the bytes and the configuration fields it reads leave alone, and
-// re-points the instructions at code (see KeptDecode):
+// re-points the instructions at code:
 //
 //   - the decode — the instructions and their effects — always;
 //   - the descriptors, the macro-fusion marks and the derived views too
@@ -114,7 +112,7 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	prev := b.Cfg
 	// Until this build succeeds, b.Code is nil: nothing is kept from a
 	// failed build.
-	b.Cfg, b.Code, b.kept = cfg, nil, kept
+	b.Cfg, b.Code = cfg, nil
 	if len(code) == 0 {
 		return fmt.Errorf("bb: empty block")
 	}
@@ -214,16 +212,10 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	return nil
 }
 
-// KeptDecode reports whether the last BuildInto kept the instructions the
-// build before it decoded from the same bytes, rather than decoding them
-// afresh. What depends only on the decode, such as the instructions' text,
-// is then unchanged too.
-func (b *Block) KeptDecode() bool { return b.kept }
-
 // DecodeGen returns the generation of b's decode: it changes whenever a
 // build decodes afresh, and is unique within the process, so what was
-// computed from the instructions' bytes, offsets and effects alone is
-// still valid for a block of the same decode generation. A block that
+// computed from the instructions' bytes, offsets and effects alone, such
+// as their text, is still valid for a block of the same decode generation. A block that
 // BuildInto has not built, such as one assembled by hand, has generation
 // 0, which stands for no generation.
 func (b *Block) DecodeGen() uint64 { return b.decodeGen }
@@ -266,7 +258,7 @@ func dropTail(insts []Instr, held int) []Instr {
 // instruction array since replaced), so Release clears only up to the
 // arrays' lengths: its cost follows the last block, not the largest one.
 func (b *Block) Release() {
-	b.Cfg, b.Code, b.kept = nil, nil, false
+	b.Cfg, b.Code = nil, nil
 	for k := range b.Insts {
 		b.Insts[k].Inst.Raw = nil
 	}

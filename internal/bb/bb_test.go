@@ -348,11 +348,11 @@ func TestReleaseDropsCode(t *testing.T) {
 }
 
 // sameAsFresh reports whether b equals a fresh Build of the same block; the
-// kept mark and the generations record how and when b was built, not what
-// it holds, so they are ignored.
+// generations record when b was built, not what it holds, so they are
+// ignored.
 func sameAsFresh(b, fresh *Block) bool {
 	got := *b
-	got.kept, got.decodeGen, got.descGen = fresh.kept, fresh.decodeGen, fresh.descGen
+	got.decodeGen, got.descGen = fresh.decodeGen, fresh.descGen
 	return reflect.DeepEqual(&got, fresh)
 }
 
@@ -384,11 +384,12 @@ func TestBuildIntoKeepsDecode(t *testing.T) {
 	step := func(name string, cfg *uarch.Config, code []byte, wantKept bool) {
 		t.Helper()
 		code = append([]byte(nil), code...) // a new buffer every time
+		gen := b.DecodeGen()
 		if err := BuildInto(&b, cfg, code); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if b.KeptDecode() != wantKept {
-			t.Fatalf("%s: KeptDecode() = %v, want %v", name, b.KeptDecode(), wantKept)
+		if kept := b.DecodeGen() == gen; kept != wantKept {
+			t.Fatalf("%s: decode kept %v, want %v", name, kept, wantKept)
 		}
 		fresh, err := Build(cfg, code)
 		if err != nil {
