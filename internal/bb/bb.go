@@ -215,9 +215,9 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 // DecodeGen returns the generation of b's decode: it changes whenever a
 // build decodes afresh, and is unique within the process, so what was
 // computed from the instructions' bytes, offsets and effects alone, such
-// as their text, is still valid for a block of the same decode generation. A block that
-// BuildInto has not built, such as one assembled by hand, has generation
-// 0, which stands for no generation.
+// as their text, is still valid for a block of the same decode generation.
+// A block that BuildInto has not built, such as one assembled by hand, has
+// generation 0, which stands for no generation.
 func (b *Block) DecodeGen() uint64 { return b.decodeGen }
 
 // DescGen returns the generation of b's descriptors, macro-fusion marks and
