@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"facile/internal/core"
@@ -191,11 +190,11 @@ type AnalysisResult struct {
 }
 
 // componentBounds materializes the ordered typed breakdown of a core
-// prediction, carved from the scratch's slab instead of a per-block
+// prediction, carved from the worker's slab instead of a per-block
 // allocation. Across a batch chunk the breakdowns land contiguously — one
 // flat block×component slab.
-func componentBounds(p *core.Prediction, sc *batchScratch) []ComponentBound {
-	out := sc.bounds.Carve(bits.OnesCount8(uint8(p.Bounds.Present)))
+func componentBounds(p *core.Prediction, rs *resultSlabs) []ComponentBound {
+	out := rs.bounds.Carve(bits.OnesCount8(uint8(p.Bounds.Present)))
 	i := 0
 	p.EachBound(func(c core.Component, cycles float64, bottleneck bool) {
 		out[i] = ComponentBound{Component: c.String(), Cycles: cycles, Bottleneck: bottleneck}
@@ -204,22 +203,44 @@ func componentBounds(p *core.Prediction, sc *batchScratch) []ComponentBound {
 	return out
 }
 
-// speedupList materializes the sorted speedup list from an already-computed
-// bound vector: one Bounds.Speedups recombination, then a stable descending
-// sort (ties keep pipeline order).
+// speedupSets holds, per core mode, the components a speedup list covers.
+var speedupSets = [...]core.ComponentSet{
+	core.TPU: core.Set(core.SpeedupComponents(core.TPU)...),
+	core.TPL: core.Set(core.SpeedupComponents(core.TPL)...),
+}
+
+// numSpeedups is the length of a speedup list in mode m.
+func numSpeedups(m core.Mode) int { return bits.OnesCount8(uint8(speedupSets[m])) }
+
+// speedupList materializes the sorted speedup list of an already-computed
+// bound vector into a list of its own.
 func speedupList(b *core.Bounds, m core.Mode) []Speedup {
+	return appendSpeedups(make([]Speedup, 0, numSpeedups(m)), b, m)
+}
+
+// appendSpeedups appends the sorted speedup list of an already-computed
+// bound vector to dst: one Bounds.Speedups recombination, then a stable
+// descending sort (ties keep pipeline order). The sort is an insertion
+// sort, which is what sort.SliceStable runs on lists this short, so the
+// order is the same, and it allocates nothing.
+func appendSpeedups(dst []Speedup, b *core.Bounds, m core.Mode) []Speedup {
 	sp := b.Speedups(m)
-	set := core.Set(core.SpeedupComponents(m)...)
-	out := make([]Speedup, 0, core.NumComponents)
+	set := speedupSets[m]
+	lo := len(dst)
 	// Components iterate in pipeline order, so the stable sort's tie-break
 	// is front-end first.
 	for c := core.Component(0); c < core.NumComponents; c++ {
 		if set.Has(c) {
-			out = append(out, Speedup{Component: c.String(), Factor: sp[c]})
+			dst = append(dst, Speedup{Component: c.String(), Factor: sp[c]})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Factor > out[j].Factor })
-	return out
+	out := dst[lo:]
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Factor > out[j-1].Factor; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return dst
 }
 
 // defaultEngine backs DefaultEngine: one lazily constructed process-wide

@@ -38,7 +38,10 @@ func batchRequests(t *testing.T, n int) []Request {
 	return reqs
 }
 
-func TestSplitChunks(t *testing.T) {
+// TestChunkLen: the chunks the batch kernel claims, chunkLen items each,
+// tile the batch with at most maxChunkLen items a chunk and give every
+// worker a share.
+func TestChunkLen(t *testing.T) {
 	for _, tc := range []struct{ workers, n int }{
 		{4, 10},
 		{8, 1024},
@@ -46,19 +49,12 @@ func TestSplitChunks(t *testing.T) {
 		{2, 5000},
 		{3, 7},
 	} {
-		chunks := splitChunks(tc.n, tc.workers)
-		pos := 0
-		for _, c := range chunks {
-			if c.lo != pos || c.hi <= c.lo {
-				t.Fatalf("workers=%d: chunks %v do not tile [0, %d)", tc.workers, chunks, tc.n)
-			}
-			if c.hi-c.lo > maxChunkLen {
-				t.Fatalf("workers=%d: chunk %v exceeds maxChunkLen", tc.workers, c)
-			}
-			pos = c.hi
+		size := chunkLen(tc.n, tc.workers)
+		if size < 1 || size > maxChunkLen {
+			t.Fatalf("workers=%d, n=%d: chunk length %d outside [1, %d]", tc.workers, tc.n, size, maxChunkLen)
 		}
-		if pos != tc.n {
-			t.Fatalf("workers=%d: chunks %v cover %d of %d", tc.workers, chunks, pos, tc.n)
+		if chunks := (tc.n + size - 1) / size; chunks < min(tc.workers, tc.n) {
+			t.Fatalf("workers=%d, n=%d: %d chunks of %d leave workers idle", tc.workers, tc.n, chunks, size)
 		}
 	}
 }
@@ -245,6 +241,15 @@ func TestMissReleasesCodeBuffer(t *testing.T) {
 		}},
 		{"AnalyzeBatch", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
 			return e.AnalyzeBatch(context.Background(), []Request{{Code: code, Arch: "SKL", Mode: Loop}})[0].Err
+		}},
+		{"AnalyzeEach variant", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
+			v, err := e.Registry().DeriveVariant("SKL~w", "SKL", []byte(`{"issue_width":3}`))
+			if err != nil {
+				return err
+			}
+			e.AnalyzeEach(context.Background(), []Request{{Code: code, Mode: Loop, Variant: v, Detail: DetailFull}}, 1,
+				func(_ int, _ *Analysis, aerr error) { err = aerr })
+			return err
 		}},
 		{"Simulate", EngineConfig{Archs: []string{"SKL"}}, func(e *Engine, code []byte) error {
 			_, err := e.Simulate(code, "SKL", Loop)

@@ -1,0 +1,139 @@
+package facile_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"facile"
+	"facile/internal/bhive"
+)
+
+// cloneAnalysis deep-copies a, strings included: a private analysis that
+// AnalyzeEach yields lives in the worker's scratch, and its slices and
+// strings alias buffers the worker overwrites after yield returns. Nil and
+// empty slices stay told apart.
+func cloneAnalysis(a *facile.Analysis) *facile.Analysis {
+	if a == nil {
+		return nil
+	}
+	c := *a
+	p := &c.Prediction
+	p.Arch = strings.Clone(p.Arch)
+	p.FrontEndSource = strings.Clone(p.FrontEndSource)
+	p.ContendedPorts = strings.Clone(p.ContendedPorts)
+	p.Bottlenecks = cloneStrings(p.Bottlenecks)
+	p.Instructions = cloneStrings(p.Instructions)
+	p.CriticalChain = slices.Clone(p.CriticalChain)
+	p.ContendedInstrs = slices.Clone(p.ContendedInstrs)
+	c.Bounds = slices.Clone(c.Bounds)
+	for i := range c.Bounds {
+		c.Bounds[i].Component = strings.Clone(c.Bounds[i].Component)
+	}
+	c.Speedups = slices.Clone(c.Speedups)
+	for i := range c.Speedups {
+		c.Speedups[i].Component = strings.Clone(c.Speedups[i].Component)
+	}
+	c.ReportText = strings.Clone(c.ReportText)
+	return &c
+}
+
+func cloneStrings(s []string) []string {
+	out := slices.Clone(s)
+	for i := range out {
+		out[i] = strings.Clone(out[i])
+	}
+	return out
+}
+
+// TestAnalyzeEachMatchesBatch: AnalyzeEach yields every index exactly once,
+// and what it yields — copied inside yield, since a private analysis is
+// valid only until yield returns — equals AnalyzeBatchN's durable result
+// and a fresh uncached engine's, at every worker count. The batch mixes
+// cached arches and variants, all three details (a variant at
+// DetailPrediction follows one at DetailFull on the same worker, so a
+// scratch analysis that kept an earlier item's speedups or report fails),
+// an undecodable block and an oversized one; a cancelled context yields
+// its error at every index.
+func TestAnalyzeEachMatchesBatch(t *testing.T) {
+	const maxCode = 256
+	reg := facile.NewArchRegistry()
+	var variants []*facile.Variant
+	for i, ov := range []string{`{"issue_width":3}`, `{"load_latency":9}`, `{"macro_fusion":false}`} {
+		v, err := reg.DeriveVariant(fmt.Sprintf("SKL~e%d", i), "SKL", []byte(ov))
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants = append(variants, v)
+	}
+	var blocks [][]byte
+	for _, g := range bhive.GenerateBlocks(21, 10) {
+		blocks = append(blocks, g.LoopCode)
+	}
+	blocks = append(blocks,
+		decode(t, "d9c0"),                          // x87: undecodable
+		bytes.Repeat(decode(t, "4801d8"), maxCode), // over MaxCodeBytes
+		blocks[0],
+	)
+	var reqs []facile.Request
+	for _, code := range blocks {
+		for _, mode := range []facile.Mode{facile.Loop, facile.Unroll} {
+			for _, v := range variants {
+				reqs = append(reqs, facile.Request{Code: code, Mode: mode, Variant: v})
+			}
+			for _, arch := range []string{"SKL", "ICL"} {
+				reqs = append(reqs, facile.Request{Code: code, Arch: arch, Mode: mode})
+			}
+		}
+	}
+	for i := range reqs {
+		reqs[i].Detail = facile.Detail(2 - i%3)
+	}
+	cfg := facile.EngineConfig{Registry: reg, Workers: 4, MaxCodeBytes: maxCode}
+	freshCfg := cfg
+	freshCfg.CacheSize, freshCfg.Workers = -1, 1
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ctx := range []context.Context{context.Background(), cancelled} {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("workers=%d, cancelled=%v", workers, ctx.Err() != nil)
+			counts := make([]atomic.Int32, len(reqs))
+			got := make([]facile.AnalysisResult, len(reqs))
+			newTestEngine(t, cfg).AnalyzeEach(ctx, reqs, workers, func(i int, a *facile.Analysis, err error) {
+				counts[i].Add(1)
+				got[i] = facile.AnalysisResult{Analysis: cloneAnalysis(a), Err: err}
+			})
+			want := newTestEngine(t, cfg).AnalyzeBatchN(ctx, reqs, workers)
+			for i := range reqs {
+				if n := counts[i].Load(); n != 1 {
+					t.Fatalf("%s: index %d yielded %d times, want once", name, i, n)
+				}
+				g, w := got[i], want[i]
+				if (g.Err == nil) != (w.Err == nil) || (g.Err != nil && g.Err.Error() != w.Err.Error()) {
+					t.Fatalf("%s, request %d: AnalyzeEach error %v, AnalyzeBatchN %v", name, i, g.Err, w.Err)
+				}
+				if (g.Err == nil) == (g.Analysis == nil) {
+					t.Fatalf("%s, request %d: yielded analysis %v with error %v", name, i, g.Analysis, g.Err)
+				}
+				if !facile.EqualAnalyses(g.Analysis, w.Analysis) {
+					t.Fatalf("%s, request %d (%v): AnalyzeEach\n%+v\nAnalyzeBatchN\n%+v", name, i, reqs[i].Detail, g.Analysis, w.Analysis)
+				}
+				if ctx.Err() != nil {
+					continue
+				}
+				fresh, err := newTestEngine(t, freshCfg).Analyze(ctx, reqs[i])
+				if (err == nil) != (g.Err == nil) || (err != nil && err.Error() != g.Err.Error()) {
+					t.Fatalf("%s, request %d: AnalyzeEach error %v, fresh %v", name, i, g.Err, err)
+				}
+				if !facile.EqualAnalyses(g.Analysis, fresh) {
+					t.Fatalf("%s, request %d (%v): AnalyzeEach\n%+v\nfresh\n%+v", name, i, reqs[i].Detail, g.Analysis, fresh)
+				}
+			}
+		}
+	}
+}

@@ -81,8 +81,7 @@ const wireBaseBytes = 48
 // appendPredictionJSON is AppendJSON on the entry's own prediction. The first
 // successful encoding of a cached entry is published once; when two calls
 // race, the later publication is dropped. Publishing re-registers the entry's
-// accounted size, which now includes the bytes. A private (uncached) entry
-// remembers nothing.
+// accounted size, which now includes the bytes.
 func (ent *engineEntry) appendPredictionJSON(dst []byte, prefix string) ([]byte, error) {
 	w := ent.wire.Load()
 	if w != nil && w.prefix == prefix {
@@ -90,7 +89,7 @@ func (ent *engineEntry) appendPredictionJSON(dst []byte, prefix string) ([]byte,
 	}
 	n := len(dst)
 	dst, err := ent.ana.Prediction.appendJSON(dst, prefix)
-	if err != nil || w != nil || ent.eng == nil {
+	if err != nil || w != nil {
 		return dst, err
 	}
 	if ent.wire.CompareAndSwap(nil, &predictionWire{prefix: prefix, json: bytes.Clone(dst[n:])}) {

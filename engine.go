@@ -97,14 +97,19 @@ type EngineConfig struct {
 //   - Analyze and every batch item take one per-request path (see
 //     Engine.analyze): validate, resolve the microarchitecture, probe the
 //     cache, and fill a miss. The miss builds its block into a pooled
-//     scratch's block (see missScratch) with bb.BuildInto and computes the
-//     full bound vector in the scratch's analysis context, both warm after
-//     the first misses, and its result payloads are carved from slabs — a
-//     batch worker's, shared across its chunk, or for a single request
-//     fresh ones sized for one block;
-//   - AnalyzeBatch fans independent requests across a worker pool while
-//     keeping result order deterministic, and observes its context between
-//     items so a cancelled batch stops computing.
+//     worker scratch's block (see workerScratch) with bb.BuildInto and
+//     computes the full bound vector in the scratch's analysis context,
+//     both warm after the first misses, and its result payloads are carved
+//     from the scratch's slabs — sized for the worker's chunk in a batch,
+//     for one block in a single request;
+//   - a private analysis — a request with Request.Variant set, or any
+//     request when memoization is disabled — has no cache entry: it is
+//     computed straight into an Analysis at the requested Detail, carved
+//     from the same slabs, or under AnalyzeEach into the worker's scratch;
+//   - AnalyzeEach fans independent requests across a worker pool and hands
+//     each result to a callback, observing its context between items so a
+//     cancelled batch stops computing; AnalyzeBatch collects the results in
+//     request order.
 //
 // Simulate validates its request the same way but bypasses the cache: it
 // builds its own block and runs the reference simulator.
@@ -121,15 +126,17 @@ type Engine struct {
 	workers  int
 	maxCode  int
 
-	// scratch pools *missScratch values across cache misses. spare holds
-	// one more, tried first: a collection empties the pool but not spare,
-	// so the first miss after it still finds a warm scratch.
+	// scratch pools *workerScratch values across misses and batches. spare
+	// holds one more, tried first: a collection empties the pool but not
+	// spare, so the first miss after it still finds a warm scratch.
 	scratch sync.Pool
-	spare   atomic.Pointer[missScratch]
+	spare   atomic.Pointer[workerScratch]
 
-	// uncached counts resolutions when memoization is disabled (cache ==
-	// nil); cached resolutions are counted by per-shard cache counters and
-	// summed in Stats.
+	// uncached counts private analyses (variants, and every analysis when
+	// memoization is disabled), added once per worker scratch as it goes
+	// back to the pool, so a batch's workers do not contend on it; cached
+	// resolutions are counted by per-shard cache counters and summed in
+	// Stats.
 	uncached atomic.Uint64
 }
 
@@ -213,7 +220,7 @@ type engineEntry struct {
 	once     sync.Once
 	viewOnce sync.Once
 	// code is the entry's durable copy of the block bytes (the cache key's
-	// code string); empty on private (uncached) entries.
+	// code string).
 	code string
 	// bounds is the bound vector the speedup view recombines.
 	bounds core.Bounds
@@ -230,8 +237,8 @@ type engineEntry struct {
 	wire atomic.Pointer[predictionWire]
 
 	// eng and ver re-register the entry's size with its cache shard when
-	// wire is published: the owning engine (nil on private entries) and
-	// the registry version of the entry's key.
+	// wire is published: the owning engine and the registry version of the
+	// entry's key.
 	eng *Engine
 	ver uint64
 }
@@ -268,7 +275,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		pub = DefaultRegistry()
 	}
 	e := &Engine{reg: pub.reg(), pub: pub}
-	e.scratch.New = func() any { return new(missScratch) }
+	e.scratch.New = func() any {
+		sc := new(workerScratch)
+		sc.tmp.transient = true
+		return sc
+	}
 	if len(cfg.Archs) > 0 {
 		e.restrict = make(map[string]bool, len(cfg.Archs))
 		for _, name := range cfg.Archs {
@@ -389,10 +400,11 @@ func (e *Engine) prepare(variant *uarch.Config, arch string, mode Mode, code []b
 }
 
 // analyze is the one per-request path of Analyze and every batch item: the
-// boundary checks, then one cache resolution — a private entry for a
-// variant — then the fill on a miss. sc and left are the batch worker's
-// scratch and the blocks left in its chunk; a nil sc is a single request's.
-func (e *Engine) analyze(ctx context.Context, req *Request, sc *batchScratch, left int) (*Analysis, error) {
+// boundary checks, then either a private analysis (a variant, or any
+// request when memoization is disabled) or one cache resolution and the
+// fill on a miss. sc and left are the batch worker's scratch and the blocks
+// left in its chunk; a nil sc is a single request's.
+func (e *Engine) analyze(ctx context.Context, req *Request, sc *workerScratch, left int) (*Analysis, error) {
 	if err := checkDetail(req.Detail); err != nil {
 		return nil, err
 	}
@@ -404,12 +416,13 @@ func (e *Engine) analyze(ctx context.Context, req *Request, sc *batchScratch, le
 	if err != nil {
 		return nil, err
 	}
-	var ent *engineEntry
-	if variant != nil {
-		ent, err = e.privateEntry(ctx)
-	} else {
-		ent, err = e.resolveEntry(ctx, req.Code, cfg.Name, ver, req.Mode)
+	if variant != nil || e.cache == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return e.private(cfg, req, sc, left)
 	}
+	ent, err := e.resolveEntry(ctx, req.Code, cfg.Name, ver, req.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -420,45 +433,66 @@ func (e *Engine) analyze(ctx context.Context, req *Request, sc *batchScratch, le
 	return ent.analysis(req.Detail), nil
 }
 
-// fill computes ent on its first use: the one miss path, reached only
-// through analyze. It builds the block from the request's bytes into sc's
-// block, runs one PredictSlab, and carves the public
-// prediction and the bound breakdown from sc's slabs, sized for the left
-// blocks (this one included) still to be filled from them. A nil sc is a
-// single request's miss: the scratch — a pooled missScratch and fresh
-// slabs sized for one block — is drawn inside the once, so a warm call
-// allocates nothing. A freshly computed entry registers its size with its
-// cache shard.
-func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []byte, mode Mode, sc *batchScratch, left int) {
-	var (
-		computed bool
-		own      batchScratch
-	)
+// fill computes ent on its first use: the one miss path of a cached
+// request, reached only through analyze. It runs sc.predict into sc's
+// durable slabs, sized for the left blocks (this one included) still to be
+// filled from them. A nil sc is a single request's miss: the scratch is
+// drawn inside the once, so a warm call allocates nothing. A freshly
+// computed entry registers its size with its cache shard.
+func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []byte, mode Mode, sc *workerScratch, left int) {
+	computed := false
 	ent.once.Do(func() {
 		computed = true
 		if sc == nil {
-			own.missScratch = e.getScratch()
-			defer e.putScratch(own.missScratch)
-			sc = &own
+			sc = e.getScratch()
+			defer e.putScratch(sc)
 		}
-		block := &sc.block
-		if err := bb.BuildInto(block, cfg, code); err != nil {
-			// Decode failures are about the request's bytes: classify them
-			// into the uniform bad-request vocabulary (text unchanged).
-			ent.err = asBadRequest(err)
+		sc.keep.blocksLeft(left)
+		b, err := sc.predict(&ent.ana, cfg, code, mode, &sc.keep)
+		if err != nil {
+			ent.err = err
 			return
 		}
-		sc.blocksLeft(left)
-		p := sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &sc.ints)
-		ent.bounds = p.Bounds
-		a := &ent.ana
-		a.Prediction = publicPrediction(&p, block, cfg.Name, mode, sc)
-		a.Prediction.home = &a.Prediction
-		a.Bounds = componentBounds(&p, sc)
+		ent.bounds = *b
+		ent.ana.Prediction.home = &ent.ana.Prediction
 	})
 	if computed {
 		e.recordEntrySize(ent, cfg.Name, ver, mode)
 	}
+}
+
+// private computes a private analysis at req's Detail, counted as a miss:
+// the speedups and the report are filled directly, not derived from an
+// entry. On a streaming worker (see AnalyzeEach) the analysis and its
+// payloads live in the worker's transient slabs and are overwritten by its
+// next analysis; otherwise they are carved from its durable slabs, and a
+// single request (nil sc) draws a scratch of its own.
+func (e *Engine) private(cfg *uarch.Config, req *Request, sc *workerScratch, left int) (*Analysis, error) {
+	if sc == nil {
+		sc = e.getScratch()
+		defer e.putScratch(sc)
+	}
+	sc.private++
+	rs, a := &sc.tmp, &sc.tmpAna
+	if sc.stream {
+		rs.rewind()
+	} else {
+		rs = &sc.keep
+		rs.blocksLeft(left)
+		a = &rs.anas.Carve(1)[0]
+	}
+	b, err := sc.predict(a, cfg, req.Code, req.Mode, rs)
+	if err != nil {
+		return nil, err
+	}
+	if req.Detail >= DetailSpeedups {
+		m := coreMode(req.Mode)
+		a.Speedups = appendSpeedups(rs.sps.Carve(numSpeedups(m))[:0], b, m)
+	}
+	if req.Detail == DetailFull {
+		a.ReportText = rs.reportText(a)
+	}
+	return a, nil
 }
 
 // resolveEntry performs the one cache resolution of a request: a zero-copy
@@ -467,10 +501,6 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 // never creates (or pollutes stats with) a miss, while a warm hit is served
 // regardless — it costs nothing.
 func (e *Engine) resolveEntry(ctx context.Context, code []byte, canon string, ver uint64, mode Mode) (*engineEntry, error) {
-	if e.cache == nil {
-		// Memoization disabled: every call recomputes on a private entry.
-		return e.privateEntry(ctx)
-	}
 	// Probe with a zero-copy string view of code first: the cache does
 	// not retain lookup keys, so the unsafe aliasing never outlives this
 	// call, and a warm hit performs no allocation. Only a miss pays for
@@ -491,24 +521,10 @@ func (e *Engine) resolveEntry(ctx context.Context, code []byte, canon string, ve
 	return ent, nil
 }
 
-// privateEntry returns a fresh uncached entry, counted as a miss, unless
-// ctx is already done.
-func (e *Engine) privateEntry(ctx context.Context) (*engineEntry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.uncached.Add(1)
-	return &engineEntry{}, nil
-}
-
 // recordEntrySize registers a cached entry's size estimate with its cache
 // shard, enforcing the byte budget: once when the entry is computed, and
-// again when its prediction's encoding is published. Private (uncached)
-// entries have no shard to account to.
+// again when its prediction's encoding is published.
 func (e *Engine) recordEntrySize(ent *engineEntry, canon string, ver uint64, mode Mode) {
-	if e.cache == nil || ent.code == "" {
-		return
-	}
 	e.cache.SetSize(engineKey{arch: canon, ver: ver, mode: mode, code: ent.code}, entrySizeBytes(ent))
 }
 
@@ -563,60 +579,27 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // answering many independent batch requests) can bound an individual
 // batch's parallelism but never exceed the engine's.
 //
-// Internally the batch runs on a chunked kernel rather than per-index
-// dispatch: each worker claims a contiguous chunk of indices and runs every
-// item through Analyze's per-request path, computing the misses against one
-// analysis scratch context with result payloads carved from per-worker
-// slabs — allocation happens only on cache misses, amortized per chunk.
+// AnalyzeBatchN collects what AnalyzeEach yields; every result it returns
+// is durable. Misses and private analyses are computed against each
+// worker's analysis scratch context, with their payloads carved from
+// per-worker slabs, so allocation happens only on misses, amortized per
+// chunk.
 //
-// Requests may mix arches, modes and variants (Request.Variant). A miss
-// reuses what is byte-identical to the worker's previous miss: a block
-// built from the same bytes keeps its decoded instructions, effects and
-// instruction text, and a precedence solve whose input equals the last one
-// keeps its solution. Ordering the requests so that every analysis of one
-// block comes back to back — as a design-space sweep does — lets a batch
-// decode, render and solve each block once for all of them.
+// Requests may mix arches, modes, details and variants (Request.Variant).
+// A miss reuses what its inputs leave alone from the worker's previous
+// miss: a block built from the same bytes keeps its decode and rendered
+// instruction text, and its descriptors too when the descriptor fields of
+// the two configs agree; the ports, predecoder and precedence bounds are
+// kept while the block's decode or descriptor generation and the
+// component's own config fields are unchanged. Ordering the requests so
+// that every analysis of one block comes back to back — as a design-space
+// sweep does — lets a batch decode, render and bound each block once for
+// all the design points that leave those inputs alone.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(reqs)
-	out := make([]AnalysisResult, n)
-	if n == 0 {
-		return out
-	}
-	if workers <= 0 || workers > e.workers {
-		workers = e.workers
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sc := batchScratch{missScratch: e.getScratch()}
-		e.processChunk(ctx, reqs, out, batchChunk{0, n}, &sc)
-		e.putScratch(sc.missScratch)
-		return out
-	}
-	chunks := splitChunks(n, workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := batchScratch{missScratch: e.getScratch()}
-			defer e.putScratch(sc.missScratch)
-			for {
-				ci := int(next.Add(1))
-				if ci >= len(chunks) {
-					return
-				}
-				e.processChunk(ctx, reqs, out, chunks[ci], &sc)
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([]AnalysisResult, len(reqs))
+	e.each(ctx, reqs, workers, false, func(i int, a *Analysis, err error) {
+		out[i] = AnalysisResult{Analysis: a, Err: err}
+	})
 	return out
 }
 
@@ -640,40 +623,241 @@ func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Re
 	return e.AnalyzeBatchN(ctx, vreqs, workers)
 }
 
-// batchChunk is a half-open run [lo, hi) of batch indices: the scheduling
-// unit of the chunked batch kernel.
-type batchChunk struct{ lo, hi int }
-
-// missScratch is the working state of a cache miss, pooled across misses:
-// the analysis scratch context, the block the miss is built into, and the
-// instruction-text render buffer. Its arrays grow to the largest block it
-// has served and are refilled in place, so a miss on a warm scratch
-// allocates only the results its entry keeps. Nothing in it outlives the
-// miss; putScratch drops the block's references to the request before the
-// scratch goes back to the pool.
-type missScratch struct {
-	ana   core.Analysis
-	block bb.Block
-	text  []byte
+// AnalyzeEach analyzes every request as AnalyzeBatchN does, but hands each
+// result to yield instead of collecting them: yield(i, a, err) is called
+// exactly once for each index i of reqs, with a nil a when err is non-nil.
+// Calls come from the worker that computed the result, so with more than
+// one worker they run concurrently and in no set order; AnalyzeEach
+// returns after the last one.
+//
+// A cached analysis handed to yield is the memoized one, durable and
+// shared as Analyze's results are. A private analysis — a request with
+// Variant set, or any request on an engine whose CacheSize is negative —
+// is computed into the worker's scratch, which the worker reuses for its
+// next request: that Analysis and everything it references, slices and
+// strings alike, are valid only until yield returns, and may be
+// overwritten by a later analysis. Yield must copy what it keeps. This is
+// what lets a stream of uncached analyses, such as a design-space sweep,
+// allocate nothing per analysis.
+//
+// Cancellation behaves as in AnalyzeBatch: once ctx is done, every item not
+// yet begun is yielded with ctx's error.
+func (e *Engine) AnalyzeEach(ctx context.Context, reqs []Request, workers int, yield func(i int, a *Analysis, err error)) {
+	e.each(ctx, reqs, workers, true, yield)
 }
 
-// getScratch draws a miss scratch: the engine's spare if it holds one, else
-// one from the pool.
-func (e *Engine) getScratch() *missScratch {
-	if ms := e.spare.Swap(nil); ms != nil {
-		return ms
+// each is the batch kernel behind AnalyzeBatchN and AnalyzeEach: workers
+// claim contiguous chunks of indices off one counter and run every item
+// through the per-request path (Engine.analyze). stream selects where the
+// workers' private analyses live (see workerScratch).
+func (e *Engine) each(ctx context.Context, reqs []Request, workers int, stream bool, yield func(int, *Analysis, error)) {
+	// A nil ctx is context.Background(). ctx is captured by the workers, so
+	// it is never reassigned: a reassigned captured variable moves to the
+	// heap.
+	if ctx == nil {
+		e.each(context.Background(), reqs, workers, stream, yield)
+		return
 	}
-	return e.scratch.Get().(*missScratch)
+	n := len(reqs)
+	if workers <= 0 || workers > e.workers {
+		workers = e.workers
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		var one atomic.Int64 // not next, which the goroutines move to the heap
+		e.work(ctx, reqs, n, &one, stream, yield)
+		return
+	}
+	size := chunkLen(n, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.work(ctx, reqs, size, &next, stream, yield)
+		}()
+	}
+	wg.Wait()
 }
 
-// putScratch returns ms to the engine's spare, or to its pool when the
-// spare is taken or ms too large. Its block's instructions subslice the
+// work is one batch worker: on a scratch held for the whole call, it runs
+// the chunks of size items it claims off next, yielding each result, until
+// none is left. The context is observed per item, so a cancelled batch
+// stops computing while every index is still yielded once.
+func (e *Engine) work(ctx context.Context, reqs []Request, size int, next *atomic.Int64, stream bool, yield func(int, *Analysis, error)) {
+	sc := e.getScratch()
+	sc.stream = stream
+	defer e.putScratch(sc)
+	for {
+		lo := int(next.Add(1)-1) * size
+		if lo >= len(reqs) {
+			return
+		}
+		hi := min(lo+size, len(reqs))
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				yield(i, nil, err)
+				continue
+			}
+			a, err := e.analyze(ctx, &reqs[i], sc, hi-i)
+			yield(i, a, err)
+		}
+	}
+}
+
+// maxChunkLen caps one chunk's share of a batch so workers rebalance on
+// skewed per-block cost (a run of misses next to a run of hits).
+const maxChunkLen = 256
+
+// chunkLen sizes the chunks the batch indices [0, n) are claimed in for the
+// worker count: about four chunks per worker, at most maxChunkLen items.
+func chunkLen(n, workers int) int {
+	target := (n + 4*workers - 1) / (4 * workers)
+	return min(max(target, 1), maxChunkLen)
+}
+
+// workerScratch is a worker's working state, pooled across misses and
+// batch calls: the analysis scratch context, the block a miss is built
+// into, and two sets of result slabs. Its arrays grow to the largest block
+// it has served and are refilled in place.
+//
+// keep holds durable results: cached entries' payloads, and private
+// analyses outside AnalyzeEach. Its slabs are sized for the blocks left in
+// the worker's chunk and dropped when the scratch goes back to the pool,
+// so what a call's results share stays within that call. tmpAna is the
+// private analysis of a streaming worker (stream set, for AnalyzeEach), and
+// tmp the transient slabs its payloads are carved from; they are rewound
+// for every such analysis and kept across calls, so a warm worker computes
+// one with no allocation. putScratch
+// drops the block's references to the request before the scratch goes
+// back to the pool.
+type workerScratch struct {
+	ana    core.Analysis
+	pred   core.Prediction
+	block  bb.Block
+	keep   resultSlabs
+	tmp    resultSlabs
+	tmpAna Analysis
+	stream bool
+	// private counts the private analyses computed since the scratch was
+	// drawn; putScratch adds them to the engine's count.
+	private uint64
+}
+
+// resultSlabs are the slabs analysis payloads are carved from: prediction
+// payloads, bound breakdowns, name lists, speedup lists and, for private
+// analyses, the Analysis itself. text is the buffer instruction texts are
+// rendered into, and insts the Instructions last rendered from it, for a
+// block of decode generation instsGen: a later analysis of a block with
+// that decode generation shares them (see publicPrediction).
+//
+// Durable slabs (transient false) never hand out memory twice, and their
+// strings are copies of text. Transient ones are rewound for every
+// analysis, and their strings alias text and report, so everything carved
+// from them is overwritten by the next analysis.
+type resultSlabs struct {
+	ints      core.Slab[int]
+	bounds    core.Slab[ComponentBound]
+	strs      core.Slab[string]
+	sps       core.Slab[Speedup]
+	anas      core.Slab[Analysis]
+	text      []byte
+	report    []byte
+	insts     []string
+	instsGen  uint64
+	transient bool
+}
+
+// blocksLeft sizes the slabs' fresh backing arrays for the n blocks, the
+// current one included, left in the worker's chunk.
+func (rs *resultSlabs) blocksLeft(n int) {
+	rs.ints.Blocks, rs.bounds.Blocks, rs.strs.Blocks = n, n, n
+	rs.sps.Blocks, rs.anas.Blocks = n, n
+}
+
+// rewind makes transient slabs' memory available to the next analysis.
+func (rs *resultSlabs) rewind() {
+	rs.ints.Rewind()
+	rs.bounds.Rewind()
+	rs.strs.Rewind()
+	rs.sps.Rewind()
+}
+
+// drop lets go of durable slabs' backing arrays and shared instruction
+// texts, which the results carved from them keep, and keeps the render
+// buffer.
+func (rs *resultSlabs) drop() {
+	*rs = resultSlabs{text: rs.text[:0]}
+}
+
+// str returns buf's text: a copy on durable slabs, an alias of buf on
+// transient ones.
+func (rs *resultSlabs) str(buf []byte) string {
+	if rs.transient {
+		return unsafeString(buf)
+	}
+	return string(buf)
+}
+
+// reportText renders a's report: into a string of its own on durable
+// slabs, into the report buffer on transient ones.
+func (rs *resultSlabs) reportText(a *Analysis) string {
+	if !rs.transient {
+		return renderReport(a)
+	}
+	rs.report = appendReport(rs.report[:0], a)
+	return unsafeString(rs.report)
+}
+
+// predict builds code into sc's block, runs one bound computation for mode
+// and sets a to its analysis at DetailPrediction, with the public
+// prediction and the bound breakdown carved from rs. It returns the bound
+// vector the other details are derived from, valid until sc's next
+// prediction; a decode failure is classified as a bad request.
+func (sc *workerScratch) predict(a *Analysis, cfg *uarch.Config, code []byte, mode Mode, rs *resultSlabs) (*core.Bounds, error) {
+	block := &sc.block
+	if err := bb.BuildInto(block, cfg, code); err != nil {
+		// Decode failures are about the request's bytes: classify them
+		// into the uniform bad-request vocabulary (text unchanged).
+		return nil, asBadRequest(err)
+	}
+	p := &sc.pred
+	*p = sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &rs.ints)
+	publicPrediction(&a.Prediction, p, block, cfg.Name, mode, rs)
+	a.Bounds = componentBounds(p, rs)
+	a.Speedups, a.ReportText = nil, ""
+	return &p.Bounds, nil
+}
+
+// getScratch draws a worker scratch: the engine's spare if it holds one,
+// else one from the pool.
+func (e *Engine) getScratch() *workerScratch {
+	if sc := e.spare.Swap(nil); sc != nil {
+		return sc
+	}
+	return e.scratch.Get().(*workerScratch)
+}
+
+// putScratch returns sc to the engine's spare, or to its pool when the
+// spare is taken or sc too large. Its block's instructions subslice the
 // last request's code, so they are released first: neither may pin a
-// caller's buffer or a server's request memory.
-func (e *Engine) putScratch(ms *missScratch) {
-	ms.block.Release()
-	if cap(ms.block.Insts) > maxSpareInsts || !e.spare.CompareAndSwap(nil, ms) {
-		e.scratch.Put(ms)
+// caller's buffer or a server's request memory. The durable slabs are
+// dropped, and the transient analysis cleared.
+func (e *Engine) putScratch(sc *workerScratch) {
+	if sc.private > 0 {
+		e.uncached.Add(sc.private)
+		sc.private = 0
+	}
+	sc.block.Release()
+	sc.keep.drop()
+	sc.pred = core.Prediction{}
+	sc.tmpAna = Analysis{}
+	sc.stream = false
+	if cap(sc.block.Insts) > maxSpareInsts || !e.spare.CompareAndSwap(nil, sc) {
+		e.scratch.Put(sc)
 	}
 }
 
@@ -682,63 +866,6 @@ func (e *Engine) putScratch(ms *missScratch) {
 // collection empties, so one huge request does not pin its memory for the
 // engine's lifetime.
 const maxSpareInsts = 1 << 16
-
-// batchScratch is the state a cache miss is filled from: a miss scratch
-// drawn from the engine pool, and slabs that prediction payloads, bound
-// breakdowns and name lists are carved from. A batch worker holds one
-// across its chunks, drawn once per batch (not once per block): a chunk of
-// cache hits touches none of it, and a chunk of misses allocates only when
-// a slab drains. A single request's miss fills from one of its own (see
-// Engine.fill).
-type batchScratch struct {
-	*missScratch
-	ints   core.Slab[int]
-	bounds core.Slab[ComponentBound]
-	strs   core.Slab[string]
-	// insts is the Instructions last rendered into this scratch, and
-	// instsGen the decode generation of the block they were rendered from:
-	// a later miss whose block has that decode generation shares them (see
-	// publicPrediction).
-	insts    []string
-	instsGen uint64
-}
-
-// blocksLeft sizes the worker's fresh slabs for the n blocks, the current
-// one included, left in its chunk.
-func (sc *batchScratch) blocksLeft(n int) {
-	sc.ints.Blocks, sc.bounds.Blocks, sc.strs.Blocks = n, n, n
-}
-
-// maxChunkLen caps one chunk's share of a batch so workers rebalance on
-// skewed per-block cost (a run of misses next to a run of hits).
-const maxChunkLen = 256
-
-// splitChunks divides the batch indices [0, n) into contiguous chunks sized
-// for the worker count: about four chunks per worker, capped at
-// maxChunkLen.
-func splitChunks(n, workers int) []batchChunk {
-	target := (n + 4*workers - 1) / (4 * workers)
-	target = min(max(target, 1), maxChunkLen)
-	chunks := make([]batchChunk, 0, (n+target-1)/target)
-	for lo := 0; lo < n; lo += target {
-		chunks = append(chunks, batchChunk{lo, min(lo+target, n)})
-	}
-	return chunks
-}
-
-// processChunk runs one chunk of a batch through the per-request path,
-// computing misses against the worker's shared scratch. The context is
-// observed per item, so a cancelled batch stops computing while keeping one
-// deterministic result per request.
-func (e *Engine) processChunk(ctx context.Context, reqs []Request, out []AnalysisResult, c batchChunk, sc *batchScratch) {
-	for i := c.lo; i < c.hi; i++ {
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Analysis, out[i].Err = e.analyze(ctx, &reqs[i], sc, c.hi-i)
-	}
-}
 
 // Simulate runs the reference cycle-accurate pipeline simulator on the
 // block. It validates the request as Analyze does, then builds its own block
@@ -762,7 +889,9 @@ func (e *Engine) Simulate(code []byte, arch string, mode Mode) (float64, error) 
 type EngineStats struct {
 	// Hits and Misses count cache entry resolutions by outcome; one Analyze
 	// performs exactly one resolution regardless of Detail. A lookup that
-	// joins a computation already in flight counts as a hit.
+	// joins a computation already in flight counts as a hit. Misses also
+	// counts private analyses (variants, and every analysis when
+	// memoization is disabled), a batch's once its worker finishes.
 	Hits, Misses uint64
 	// Evictions counts entries displaced from the bounded LRU — by the
 	// entry capacity or by EngineConfig.MaxCacheBytes.

@@ -662,7 +662,7 @@ func TestMissPathParity(t *testing.T) {
 					if (w.Err == nil) != (g.Err == nil) || (w.Err != nil && w.Err.Error() != g.Err.Error()) {
 						t.Fatalf("%v/%v block %d, %d workers: Analyze err %v, batch err %v", mode, d, i, workers, w.Err, g.Err)
 					}
-					if !reflect.DeepEqual(w.Analysis, g.Analysis) {
+					if !facile.EqualAnalyses(w.Analysis, g.Analysis) {
 						t.Fatalf("%v/%v block %d, %d workers: analyses differ (a nil and an empty slice differ too)\nAnalyze: %+v\nbatch:   %+v",
 							mode, d, i, workers, w.Analysis, g.Analysis)
 					}

@@ -196,16 +196,16 @@ func coreMode(mode Mode) core.Mode {
 // about 15 bytes per instruction, plus the separator.
 const textBytesPerInst = 24
 
-// publicPrediction materializes the exported Prediction from the core
-// result: the bottleneck set becomes an ordered name list. The name and
-// instruction lists are carved from the scratch's slab, and the
-// instruction texts are rendered into the scratch's text buffer and
-// converted to one string, of which Instructions holds substrings. A block
-// of the decode generation the scratch last rendered renders the same
-// text, so it shares those Instructions instead. The per-component
-// bounds are not copied here; Analysis.Bounds carries them.
-func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mode, sc *batchScratch) Prediction {
-	out := Prediction{
+// publicPrediction sets out to the exported Prediction of the core result:
+// the bottleneck set becomes an ordered name list. The name and
+// instruction lists are carved from the worker's slab, and the instruction
+// texts are rendered into the slabs' text buffer (see resultSlabs.text), of
+// which Instructions holds substrings. A block of the decode generation the
+// slabs last rendered renders the same text, so it shares those
+// Instructions instead. The per-component bounds are not copied here;
+// Analysis.Bounds carries them.
+func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch string, mode Mode, rs *resultSlabs) {
+	*out = Prediction{
 		CyclesPerIteration: round2(p.TP),
 		Arch:               arch,
 		Mode:               mode,
@@ -216,14 +216,15 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	// One carve holds the bottleneck names, then the instruction texts.
 	// Bottlenecks is a subset of the computed components, so its size is
 	// known up front and its part of the carve fills by append without
-	// growing.
+	// growing. Transient slabs keep the texts in a list of their own,
+	// since their carves do not outlive the analysis.
 	nb := bits.OnesCount8(uint8(p.Bottlenecks))
-	kept := block.DecodeGen() == sc.instsGen
+	kept := block.DecodeGen() == rs.instsGen
 	ni := len(block.Insts)
-	if kept {
+	if kept || rs.transient {
 		ni = 0
 	}
-	strs := sc.strs.Carve(nb + ni)
+	strs := rs.strs.Carve(nb + ni)
 	if nb > 0 {
 		out.Bottlenecks = strs[:0:nb]
 	}
@@ -235,27 +236,30 @@ func publicPrediction(p *core.Prediction, block *bb.Block, arch string, mode Mod
 	if mode == Loop {
 		out.FrontEndSource = p.FrontEndSource.String()
 	}
-	if kept {
-		out.Instructions = sc.insts
-		return out
+	if !kept {
+		ins := strs[nb:]
+		if rs.transient {
+			if cap(rs.insts) < len(block.Insts) {
+				rs.insts = make([]string, len(block.Insts))
+			}
+			ins = rs.insts[:len(block.Insts)]
+		}
+		buf := rs.text[:0]
+		if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
+			buf = make([]byte, 0, want)
+		}
+		for k := range block.Insts {
+			buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
+		}
+		rs.text = buf
+		text := rs.str(buf)
+		for k := range ins {
+			end := strings.IndexByte(text, '\n')
+			ins[k], text = text[:end], text[end+1:]
+		}
+		rs.insts, rs.instsGen = ins, block.DecodeGen()
 	}
-	buf := sc.text[:0]
-	if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
-		buf = make([]byte, 0, want)
-	}
-	for k := range block.Insts {
-		buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
-	}
-	sc.text = buf
-	text := string(buf)
-	ins := strs[nb:]
-	for k := range ins {
-		end := strings.IndexByte(text, '\n')
-		ins[k], text = text[:end], text[end+1:]
-	}
-	out.Instructions = ins
-	sc.insts, sc.instsGen = ins, block.DecodeGen()
-	return out
+	out.Instructions = rs.insts
 }
 
 func simulateBlock(block *bb.Block, mode Mode) float64 {

@@ -14,7 +14,8 @@ import (
 // export is a full document that loads under a fresh name and exports the
 // same bytes apart from the name. Seeds live in testdata/fuzz/FuzzLoadSpec:
 // the nine embedded specs, an overlay, and documents the loader rejects —
-// a missing or unknown role, bad ports, 17 ports, and null values.
+// a missing or unknown role, bad ports, a port list or port of the wrong
+// JSON type, 17 ports, and null values.
 func FuzzLoadSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		reg := facile.NewArchRegistry()

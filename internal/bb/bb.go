@@ -109,6 +109,9 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 // rewrites a buffer in place releases the block first.
 func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	kept := len(code) > 0 && b.Code != nil && bytes.Equal(b.Code, code)
+	// The instructions already point into code when it is the buffer the
+	// last build read.
+	pointed := kept && unsafe.SliceData(b.Code) == unsafe.SliceData(code)
 	prev := b.Cfg
 	// Until this build succeeds, b.Code is nil: nothing is kept from a
 	// failed build.
@@ -117,9 +120,11 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 		return fmt.Errorf("bb: empty block")
 	}
 	if kept && isa.SameDescs(prev, cfg) {
-		for k := range b.Insts {
-			ins := &b.Insts[k]
-			ins.Inst.Raw = code[ins.Off:ins.End()]
+		if !pointed {
+			for k := range b.Insts {
+				ins := &b.Insts[k]
+				ins.Inst.Raw = code[ins.Off:ins.End()]
+			}
 		}
 		if prev.JCCErratum != cfg.JCCErratum {
 			b.jccErratum = b.computeJCCErratum()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"facile"
@@ -87,19 +88,24 @@ type Result struct {
 
 // groupPairs is about how many (block, design point) analyses one batch
 // call of Run carries: whole blocks, every live point of a block back to
-// back. Groups bound the results Run holds at once, and keep a sweep of
-// few points (one, as a designer trying one configuration makes) to a
-// single call.
+// back. Groups bound the requests and compact results Run holds at once,
+// let a point that fails stop being analyzed, and keep a sweep of few
+// points (one, as a designer trying one configuration makes) to a single
+// call. On the 108-point example grid over 32 blocks, groups of 256, 1024
+// or all pairs sweep equally fast; the whole sweep in one group allocates
+// 3.5 times the bytes.
 const groupPairs = 256
 
 // Run executes a sweep: one cached base pass over the workload, then every
 // grid point as an ephemeral variant, folded into the ranked frontier. The
 // variant passes run block-major: the blocks stream through the engine's
-// batch kernel in groups, each block analyzed for every design point back
-// to back, so the batch decodes, renders and solves it once for all the
-// points that leave those inputs alone. Each variant's fold reads its own
-// results in block order, and ranking breaks ties by name — the Result is
-// identical at any worker count.
+// batch kernel (Engine.AnalyzeEach) in groups, each block analyzed for
+// every design point back to back, so the kernel decodes, renders and
+// bounds it once for all the points that leave those inputs alone. Each
+// analysis is read where the kernel yields it, into its prediction and
+// bottleneck mask, so the variant analyses allocate nothing. Each
+// variant's fold reads its own results in block order, and ranking breaks
+// ties by name — the Result is identical at any worker count.
 //
 // ctx cancels the sweep between analyses; a cancelled run returns ctx's
 // error. Individually invalid design points do not fail the run: they are
@@ -120,10 +126,6 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	}
 
 	comps := facile.ComponentNames()
-	compIdx := make(map[string]int, len(comps))
-	for i, c := range comps {
-		compIdx[c] = i
-	}
 
 	// Base pass: the registered base arch through the normal cached path.
 	nb := len(wl.Blocks)
@@ -147,7 +149,7 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		}
 		baseTP[i] = tp
 		baseLogSum += math.Log(tp)
-		countBottlenecks(r.Analysis, compIdx, baseBn)
+		countBottlenecks(baseBn, bottleneckMask(r.Analysis, comps))
 	}
 
 	res := &Result{
@@ -175,10 +177,16 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		f.bn = make([]int, len(comps))
 	}
 
-	// Variant passes, block-major. A point that fails on a block drops out
-	// of the groups after it; within its group its later results are
-	// skipped, so each failure names the first failing block.
-	var live []*variantFold
+	// Variant passes, block-major. Each pair's analysis is folded into a
+	// compact result as it is yielded; the results are then reduced in
+	// block order, so the Result does not depend on the worker count. A
+	// point that fails on a block drops out of the groups after it; within
+	// its group its later results are skipped, so each failure names the
+	// first failing block.
+	var (
+		live  []*variantFold
+		pairs []pairResult
+	)
 	for lo := 0; lo < nb; {
 		live = live[:0]
 		for pi := range folds {
@@ -196,24 +204,31 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 				reqs = append(reqs, facile.Request{Code: wl.Blocks[i], Mode: wl.Mode, Variant: f.v})
 			}
 		}
-		out := eng.AnalyzeBatchN(ctx, reqs, opts.Workers)
+		pairs = slices.Grow(pairs[:0], len(reqs))[:len(reqs)]
+		eng.AnalyzeEach(ctx, reqs, opts.Workers, func(k int, a *facile.Analysis, err error) {
+			if err != nil {
+				pairs[k] = pairResult{err: err}
+				return
+			}
+			pairs[k] = pairResult{tp: a.Prediction.CyclesPerIteration, bn: bottleneckMask(a, comps)}
+		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		k := 0
 		for i := lo; i < hi; i++ {
 			for _, f := range live {
-				r := &out[k]
+				r := &pairs[k]
 				k++
 				switch {
 				case f.err != "":
-				case r.Err != nil:
-					f.err = r.Err.Error()
-				case r.Analysis.Prediction.CyclesPerIteration <= 0:
-					f.err = fmt.Sprintf("block %d: non-positive prediction %g", i, r.Analysis.Prediction.CyclesPerIteration)
+				case r.err != nil:
+					f.err = r.err.Error()
+				case r.tp <= 0:
+					f.err = fmt.Sprintf("block %d: non-positive prediction %g", i, r.tp)
 				default:
-					f.logSum += math.Log(baseTP[i] / r.Analysis.Prediction.CyclesPerIteration)
-					countBottlenecks(r.Analysis, compIdx, f.bn)
+					f.logSum += math.Log(baseTP[i] / r.tp)
+					countBottlenecks(f.bn, r.bn)
 				}
 			}
 		}
@@ -265,14 +280,39 @@ type variantFold struct {
 	bn     []int
 }
 
-// countBottlenecks increments counts for every component the analysis flags
-// as a bottleneck.
-func countBottlenecks(a *facile.Analysis, compIdx map[string]int, counts []int) {
-	for _, b := range a.Bounds {
-		if b.Bottleneck {
-			counts[compIdx[b.Component]]++
+// pairResult is what the fold keeps of one (block, design point)
+// analysis: its prediction and bottleneck mask, or its error.
+type pairResult struct {
+	tp  float64
+	bn  uint32
+	err error
+}
+
+// countBottlenecks increments counts[i] for every component i in the
+// bottleneck mask m.
+func countBottlenecks(counts []int, m uint32) {
+	for i := range counts {
+		if m&(1<<i) != 0 {
+			counts[i]++
 		}
 	}
+}
+
+// bottleneckMask returns the components the analysis flags as bottlenecks,
+// bit i standing for comps[i]. Both a.Bounds and comps are in pipeline
+// order, so one forward scan of comps finds every bound's component.
+func bottleneckMask(a *facile.Analysis, comps []string) uint32 {
+	var m uint32
+	ci := 0
+	for _, b := range a.Bounds {
+		for comps[ci] != b.Component {
+			ci++
+		}
+		if b.Bottleneck {
+			m |= 1 << ci
+		}
+	}
+	return m
 }
 
 func pct(n, total int) float64 {

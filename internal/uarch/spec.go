@@ -92,9 +92,11 @@ func (t RoleTable) MarshalJSON() ([]byte, error) {
 // its role, and a null table empties every role (Validate then reports the
 // roles left without ports). An unknown role, a port outside the 16-port
 // mask, or a port listed twice is an error here, before num_ports is known;
-// Validate checks the ports against num_ports.
+// Validate checks the ports against num_ports. A port list of the wrong
+// JSON type is a type error whose field is the role, so a spec error names
+// it (role_ports.alu).
 func (t *RoleTable) UnmarshalJSON(data []byte) error {
-	var m map[string][]int
+	var m map[string]json.RawMessage
 	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
@@ -108,9 +110,17 @@ func (t *RoleTable) UnmarshalJSON(data []byte) error {
 		}
 	}
 	for r := Role(0); r < NumRoles; r++ {
-		ports, ok := m[r.String()]
+		raw, ok := m[r.String()]
 		if !ok {
 			continue
+		}
+		var ports []int
+		if err := json.Unmarshal(raw, &ports); err != nil {
+			var te *json.UnmarshalTypeError
+			if errors.As(err, &te) {
+				te.Field = r.String()
+			}
+			return err
 		}
 		var mask PortMask
 		for _, p := range ports {
@@ -149,9 +159,10 @@ func decodeSpec(c *Config, data []byte) (base string, err error) {
 }
 
 // specError words an error decoding a spec document in the document's
-// terms: a value of the wrong JSON type names its spec field and the JSON
-// type the field wants, and a document that is no JSON object says so.
-// Other errors, such as malformed JSON, keep their text.
+// terms: a value of the wrong JSON type names its spec field (a role's
+// port list as role_ports.<role>) and the JSON type the field wants, and a
+// document that is no JSON object says so. Other errors, such as malformed
+// JSON, keep their text.
 func specError(err error) error {
 	var te *json.UnmarshalTypeError
 	switch {
@@ -160,7 +171,8 @@ func specError(err error) error {
 	case te.Field == "":
 		return fmt.Errorf("uarch: spec must be a JSON object, got %s", te.Value)
 	}
-	field := te.Field[strings.LastIndexByte(te.Field, '.')+1:]
+	// The path runs through specDoc's embedded Config.
+	field := strings.TrimPrefix(te.Field, "Config.")
 	return fmt.Errorf("uarch: invalid spec: %s: want %s, got %s", field, jsonType(te.Type), te.Value)
 }
 

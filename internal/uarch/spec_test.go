@@ -174,6 +174,12 @@ func TestSpecValidationRejections(t *testing.T) {
 			"uarch: invalid spec: lsd_enabled: want a boolean, got string"},
 		{"numeric gen", func(d map[string]any) { d["gen"] = 5 },
 			"uarch: invalid spec: gen: want a string, got number"},
+		{"string port list", func(d map[string]any) { rolePorts(d)["alu"] = "x" },
+			"uarch: invalid spec: role_ports.alu: want an array, got string"},
+		{"fractional port", func(d map[string]any) { rolePorts(d)["alu"] = []any{json.Number("1.5")} },
+			"uarch: invalid spec: role_ports.alu: want an integer, got number 1.5"},
+		{"string role table", func(d map[string]any) { d["role_ports"] = "x" },
+			"uarch: invalid spec: role_ports: want an object, got string"},
 	}
 	for _, tc := range docs {
 		t.Run(tc.name, func(t *testing.T) {

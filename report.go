@@ -14,6 +14,12 @@ import (
 // files. The text is built in a stack buffer and copied out once, so a
 // typical report costs one allocation.
 func renderReport(a *Analysis) string {
+	var stack [4096]byte
+	return string(appendReport(stack[:0], a))
+}
+
+// appendReport appends a's rendered report to b.
+func appendReport(b []byte, a *Analysis) []byte {
 	p := &a.Prediction
 	primary := ""
 	if len(p.Bottlenecks) > 0 {
@@ -47,8 +53,6 @@ func renderReport(a *Analysis) string {
 		}
 	}
 
-	var stack [4096]byte
-	b := stack[:0]
 	b = append(b, "Facile throughput report — "...)
 	b = append(b, p.Arch...)
 	b = append(b, ", "...)
@@ -125,7 +129,7 @@ func renderReport(a *Analysis) string {
 			}
 		}
 	}
-	return string(b)
+	return b
 }
 
 // appendPadded appends s left-justified in a field of width bytes, as fmt's

@@ -37,7 +37,7 @@ func checkBatchFresh(t testing.TB, eng *facile.Engine, reg *facile.ArchRegistry,
 		if (err == nil) != (r.Err == nil) || (err != nil && err.Error() != r.Err.Error()) {
 			t.Fatalf("%s, request %d: error %v, fresh %v", what, i, r.Err, err)
 		}
-		if err == nil && !reflect.DeepEqual(r.Analysis, want) {
+		if err == nil && !facile.EqualAnalyses(r.Analysis, want) {
 			t.Fatalf("%s, request %d (%x, %v): analysis\n%+v\nfresh\n%+v", what, i, reqs[i].Code, reqs[i].Mode, r.Analysis, want)
 		}
 	}

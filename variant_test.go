@@ -3,7 +3,6 @@ package facile_test
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"facile"
@@ -165,7 +164,7 @@ func TestBlockMajorBatchMatchesFresh(t *testing.T) {
 			if (err == nil) != (r.Err == nil) || (err != nil && err.Error() != r.Err.Error()) {
 				t.Fatalf("workers=%d, request %d: error %v, fresh %v", workers, i, r.Err, err)
 			}
-			if err == nil && !reflect.DeepEqual(r.Analysis, want) {
+			if err == nil && !facile.EqualAnalyses(r.Analysis, want) {
 				t.Fatalf("workers=%d, request %d: batch analysis\n%+v\nfresh\n%+v", workers, i, r.Analysis, want)
 			}
 		}
