@@ -233,7 +233,9 @@ func TestAnalyzeValidation(t *testing.T) {
 			"facile: invalid mode 7"},
 		{"bad detail", facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: facile.Detail(9)},
 			"facile: invalid detail 9"},
-		{"unknown arch", facile.Request{Code: code, Arch: "???", Mode: facile.Loop}, "???"},
+		// A restricted engine names only the arches it serves.
+		{"unknown arch", facile.Request{Code: code, Arch: "???", Mode: facile.Loop},
+			`uarch: unknown microarchitecture "???" (one of SKL)`},
 		{"unconfigured arch", facile.Request{Code: code, Arch: "SNB", Mode: facile.Loop},
 			"not configured"},
 		{"undecodable", facile.Request{Code: []byte{0xD9, 0xC0}, Arch: "SKL", Mode: facile.Loop}, ""},

@@ -121,9 +121,12 @@ func main() {
 			}
 		}
 	}
+	// The engine judges every block the server forwards; real basic blocks
+	// are tens of bytes, so the service refuses any over 4 KiB.
 	engine, err := facile.NewEngine(facile.EngineConfig{
 		Archs: archList, CacheSize: *cache, Workers: *workers,
 		CacheShards: *cacheShards, MaxCacheBytes: *cacheBytes,
+		MaxCodeBytes: 4096,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "facile-serve:", err)

@@ -137,3 +137,32 @@ func TestAnalyzeEachMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeEachDurableWithoutVariant: an analysis of a request without
+// Variant outlives yield, on an uncached engine too, so a caller may keep
+// the pointer it is handed (the server's batch endpoint does). Kept
+// pointers still equal a serial batch's results after every worker has
+// moved on to later requests.
+func TestAnalyzeEachDurableWithoutVariant(t *testing.T) {
+	var reqs []facile.Request
+	for _, g := range bhive.GenerateBlocks(5, 16) {
+		reqs = append(reqs, facile.Request{Code: g.LoopCode, Arch: "SKL", Mode: facile.Loop, Detail: facile.DetailFull})
+	}
+	ctx := context.Background()
+	want := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: -1}).AnalyzeBatchN(ctx, reqs, 1)
+	for _, cacheSize := range []int{0, -1} {
+		got := make([]*facile.Analysis, len(reqs))
+		e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}, CacheSize: cacheSize})
+		e.AnalyzeEach(ctx, reqs, 2, func(i int, a *facile.Analysis, err error) {
+			if err != nil {
+				t.Errorf("CacheSize %d, request %d: %v", cacheSize, i, err)
+			}
+			got[i] = a
+		})
+		for i := range reqs {
+			if !facile.EqualAnalyses(got[i], want[i].Analysis) {
+				t.Fatalf("CacheSize %d, request %d: kept analysis\n%+v\nwant\n%+v", cacheSize, i, got[i], want[i].Analysis)
+			}
+		}
+	}
+}

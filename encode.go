@@ -3,7 +3,6 @@ package facile
 import (
 	"bytes"
 	"fmt"
-	"unsafe"
 
 	"facile/internal/jsonenc"
 )
@@ -26,8 +25,8 @@ import (
 // the remembered bytes. Calls with another prefix, and calls on copies of a
 // served prediction, encode the fields afresh.
 func (p *Prediction) AppendJSON(dst []byte, prefix string) ([]byte, error) {
-	if p.home == p {
-		return entryOf(p).appendPredictionJSON(dst, prefix)
+	if p.entry != nil && &p.entry.ana.Prediction == p {
+		return p.entry.appendPredictionJSON(dst, prefix)
 	}
 	return p.appendJSON(dst, prefix)
 }
@@ -55,16 +54,6 @@ func result(e *jsonenc.Encoder, n int) ([]byte, error) {
 		return e.Buf[:n], e.Err
 	}
 	return e.Buf, nil
-}
-
-// entryPredictionOffset locates an entry's prediction within the entry.
-const entryPredictionOffset = unsafe.Offsetof(engineEntry{}.ana) + unsafe.Offsetof(Analysis{}.Prediction)
-
-// entryOf returns the cache entry holding p. Only the engine sets
-// Prediction.home, and only on an entry's own prediction, so p.home == p
-// means p sits at entryPredictionOffset inside an engineEntry.
-func entryOf(p *Prediction) *engineEntry {
-	return (*engineEntry)(unsafe.Add(unsafe.Pointer(p), -int(entryPredictionOffset)))
 }
 
 // predictionWire is a cached prediction's remembered encoding: the bytes of

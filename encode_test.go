@@ -172,7 +172,7 @@ func TestAppendJSONConcurrentMemo(t *testing.T) {
 }
 
 // TestAppendJSONCopyEncodesOwnFields: a caller's modified copy of a cached
-// prediction shares the entry's home but not its address, so it encodes its
+// prediction shares the entry but not its address, so it encodes its
 // own fields, before and after the entry remembers its bytes. The cached
 // prediction itself is left as it was.
 func TestAppendJSONCopyEncodesOwnFields(t *testing.T) {

@@ -105,7 +105,8 @@ type EngineConfig struct {
 //   - a private analysis — a request with Request.Variant set, or any
 //     request when memoization is disabled — has no cache entry: it is
 //     computed straight into an Analysis at the requested Detail, carved
-//     from the same slabs, or under AnalyzeEach into the worker's scratch;
+//     from the same slabs, or, for a variant under AnalyzeEach, into the
+//     worker's scratch;
 //   - AnalyzeEach fans independent requests across a worker pool and hands
 //     each result to a callback, observing its context between items so a
 //     cancelled batch stops computing; AnalyzeBatch collects the results in
@@ -227,7 +228,7 @@ type engineEntry struct {
 	err    error
 
 	// ana is the Analysis served at DetailPrediction. Its prediction's
-	// home is itself, which is how Prediction.AppendJSON finds wire.
+	// entry is this one, which is how Prediction.AppendJSON finds wire.
 	ana Analysis
 	// views holds the DetailSpeedups and DetailFull analyses, which share
 	// ana's prediction and bound slices; nil until fillViews runs.
@@ -353,11 +354,13 @@ func (e *Engine) HasArch(arch string) bool {
 // resolve resolves arch through the registry (case-insensitively) and
 // returns its configuration and the registry version, which scopes cache
 // keys. Lookup and restriction failures are classified as ErrBadRequest: the
-// arch name is client input.
+// arch name is client input. Both list the arches the engine serves, which
+// a restricted engine's registry outnumbers.
 func (e *Engine) resolve(arch string) (*uarch.Config, uint64, error) {
 	uc, ver, err := e.reg.Resolve(arch)
 	if err != nil {
-		return nil, 0, asBadRequest(err)
+		return nil, 0, &requestError{err: err, msg: fmt.Sprintf("uarch: unknown microarchitecture %q (one of %s)",
+			arch, strings.Join(e.Archs(), ", "))}
 	}
 	if e.restrict != nil && !e.restrict[uc.Name] {
 		return nil, 0, badRequestf("facile: engine not configured for microarchitecture %q (one of %s)",
@@ -454,7 +457,7 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 			return
 		}
 		ent.bounds = *b
-		ent.ana.Prediction.home = &ent.ana.Prediction
+		ent.ana.Prediction.entry = ent
 	})
 	if computed {
 		e.recordEntrySize(ent, cfg.Name, ver, mode)
@@ -463,10 +466,10 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 
 // private computes a private analysis at req's Detail, counted as a miss:
 // the speedups and the report are filled directly, not derived from an
-// entry. On a streaming worker (see AnalyzeEach) the analysis and its
-// payloads live in the worker's transient slabs and are overwritten by its
-// next analysis; otherwise they are carved from its durable slabs, and a
-// single request (nil sc) draws a scratch of its own.
+// entry. A variant's analysis on a streaming worker (see AnalyzeEach) and
+// its payloads live in the worker's transient slabs and are overwritten by
+// its next analysis; every other one is carved from its durable slabs, and
+// a single request (nil sc) draws a scratch of its own.
 func (e *Engine) private(cfg *uarch.Config, req *Request, sc *workerScratch, left int) (*Analysis, error) {
 	if sc == nil {
 		sc = e.getScratch()
@@ -474,7 +477,7 @@ func (e *Engine) private(cfg *uarch.Config, req *Request, sc *workerScratch, lef
 	}
 	sc.private++
 	rs, a := &sc.tmp, &sc.tmpAna
-	if sc.stream {
+	if sc.stream && req.Variant != nil {
 		rs.rewind()
 	} else {
 		rs = &sc.keep
@@ -630,15 +633,15 @@ func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Re
 // one worker they run concurrently and in no set order; AnalyzeEach
 // returns after the last one.
 //
-// A cached analysis handed to yield is the memoized one, durable and
-// shared as Analyze's results are. A private analysis — a request with
-// Variant set, or any request on an engine whose CacheSize is negative —
-// is computed into the worker's scratch, which the worker reuses for its
-// next request: that Analysis and everything it references, slices and
-// strings alike, are valid only until yield returns, and may be
-// overwritten by a later analysis. Yield must copy what it keeps. This is
-// what lets a stream of uncached analyses, such as a design-space sweep,
-// allocate nothing per analysis.
+// An analysis of a request without Variant is durable, as AnalyzeBatchN's
+// are: the memoized one, or on an engine whose CacheSize is negative a
+// private one carved from durable slabs. A variant analysis is computed
+// into the worker's scratch, which the worker reuses for its next request:
+// that Analysis and everything it references, slices and strings alike,
+// are valid only until yield returns, and may be overwritten by a later
+// analysis. Yield must copy what it keeps of it. This is what lets a
+// stream of variant analyses, such as a design-space sweep, allocate
+// nothing per analysis.
 //
 // Cancellation behaves as in AnalyzeBatch: once ctx is done, every item not
 // yet begun is yielded with ctx's error.
@@ -649,7 +652,7 @@ func (e *Engine) AnalyzeEach(ctx context.Context, reqs []Request, workers int, y
 // each is the batch kernel behind AnalyzeBatchN and AnalyzeEach: workers
 // claim contiguous chunks of indices off one counter and run every item
 // through the per-request path (Engine.analyze). stream selects where the
-// workers' private analyses live (see workerScratch).
+// workers' variant analyses live (see workerScratch).
 func (e *Engine) each(ctx context.Context, reqs []Request, workers int, stream bool, yield func(int, *Analysis, error)) {
 	// A nil ctx is context.Background(). ctx is captured by the workers, so
 	// it is never reassigned: a reassigned captured variable moves to the
@@ -725,13 +728,13 @@ func chunkLen(n, workers int) int {
 // it has served and are refilled in place.
 //
 // keep holds durable results: cached entries' payloads, and private
-// analyses outside AnalyzeEach. Its slabs are sized for the blocks left in
-// the worker's chunk and dropped when the scratch goes back to the pool,
-// so what a call's results share stays within that call. tmpAna is the
-// private analysis of a streaming worker (stream set, for AnalyzeEach), and
-// tmp the transient slabs its payloads are carved from; they are rewound
-// for every such analysis and kept across calls, so a warm worker computes
-// one with no allocation. putScratch
+// analyses other than a streaming worker's variant ones. Its slabs are
+// sized for the blocks left in the worker's chunk and dropped when the
+// scratch goes back to the pool, so what a call's results share stays
+// within that call. tmpAna is the variant analysis of a streaming worker
+// (stream set, for AnalyzeEach), and tmp the transient slabs its payloads
+// are carved from; they are rewound for every such analysis and kept
+// across calls, so a warm worker computes one with no allocation. putScratch
 // drops the block's references to the request before the scratch goes
 // back to the pool.
 type workerScratch struct {

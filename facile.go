@@ -138,11 +138,11 @@ type Prediction struct {
 	// Instructions is the decoded block in Intel-like syntax.
 	Instructions []string `json:"instructions"`
 
-	// home is the prediction of the engine entry this one was served from
-	// (nil if none). It is the prediction itself only for the entry's own
-	// copy, which AppendJSON then encodes once; any other copy, however it
-	// was modified, encodes its own fields.
-	home *Prediction
+	// entry is the engine entry this prediction was served from (nil if
+	// none). Only the entry's own prediction, &entry.ana.Prediction, is
+	// encoded once by AppendJSON; any other copy, however it was modified,
+	// encodes its own fields.
+	entry *engineEntry
 }
 
 // ComponentNames returns every component name in pipeline order (front end

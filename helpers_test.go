@@ -16,7 +16,7 @@ func predictT(e *Engine, code []byte, arch string, mode Mode) (Prediction, error
 }
 
 // EqualAnalyses reports whether a and b are deeply equal, nil and empty
-// slices told apart, in everything but Prediction.home, which says only
+// slices told apart, in everything but Prediction.entry, which says only
 // whether an analysis is a cache entry's own: a cached analysis and a
 // private one of the same request differ there and nowhere else. The
 // external tests compare analyses through it.
@@ -25,6 +25,6 @@ func EqualAnalyses(a, b *Analysis) bool {
 		return a == b
 	}
 	x, y := *a, *b
-	x.Prediction.home, y.Prediction.home = nil, nil
+	x.Prediction.entry, y.Prediction.entry = nil, nil
 	return reflect.DeepEqual(x, y)
 }

@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
+	"unsafe"
 
 	"facile"
 )
@@ -145,21 +147,16 @@ func parseMode(s string) (facile.Mode, error) {
 	return m, nil
 }
 
-// decodeBlock validates a BlockRequest against the server's limits and the
-// engine's microarchitecture set, returning the engine-level request (with
-// the zero, cheapest Detail; callers raise it as their endpoint requires).
-// All failures are 400s with a field-specific message; nothing reaches the
-// engine undecoded.
-func (s *Server) decodeBlock(req *BlockRequest) (facile.Request, error) {
-	out, _, err := s.decodeBlockSlab(req, nil)
-	return out, err
-}
-
-// decodeBlockSlab is decodeBlock with the hex-decoded block bytes appended to
-// slab (the batch path's pooled carving buffer; the returned slab must
-// replace the caller's). A nil slab decodes into a fresh allocation, which is
-// what the single-block endpoint uses.
-func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request, []byte, error) {
+// decodeBlock decodes a BlockRequest's wire fields into the engine-level
+// request (with the zero, cheapest Detail; callers raise it as their
+// endpoint requires), appending hex-decoded block bytes to slab (the batch
+// path's pooled carving buffer; the returned slab must replace the
+// caller's; a nil slab decodes into a fresh allocation). Its failures are
+// 400s naming the wire field. The block itself is the engine's to judge:
+// Engine.Analyze and the batch kernel reject an empty or oversized block
+// and an arch they do not serve, in their own ErrBadRequest words. A
+// request without block bytes is an empty block.
+func (s *Server) decodeBlock(req *BlockRequest, slab []byte) (facile.Request, []byte, error) {
 	var out facile.Request
 	var code []byte
 	switch {
@@ -167,7 +164,7 @@ func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request
 		return out, slab, badRequest("set exactly one of \"code\" (hex) and \"code_b64\" (base64), not both")
 	case req.Code != "":
 		lo := len(slab)
-		b, err := appendHexDecode(slab, req.Code)
+		b, err := appendHex(slab, req.Code)
 		slab = b
 		if err != nil {
 			return out, slab, badRequest("invalid hex in \"code\": %v", err)
@@ -179,28 +176,20 @@ func (s *Server) decodeBlockSlab(req *BlockRequest, slab []byte) (facile.Request
 			return out, slab, badRequest("invalid base64 in \"code_b64\": %v", err)
 		}
 		code = b
-	default:
-		return out, slab, badRequest("missing block bytes: set \"code\" (hex) or \"code_b64\" (base64)")
-	}
-	if len(code) == 0 {
-		return out, slab, badRequest("empty basic block")
-	}
-	if len(code) > s.maxBlockBytes {
-		return out, slab, badRequest("block is %d bytes; the limit is %d", len(code), s.maxBlockBytes)
 	}
 	if req.Arch == "" {
 		return out, slab, badRequest("missing \"arch\" (one of %s)", strings.Join(s.engine.Archs(), ", "))
-	}
-	// The arch set is the engine's at request time, not a construction-time
-	// snapshot: arches registered via POST /v1/archs validate immediately.
-	if !s.engine.HasArch(req.Arch) {
-		return out, slab, badRequest("unknown microarchitecture %q (one of %s)", req.Arch, strings.Join(s.engine.Archs(), ", "))
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
 		return out, slab, err
 	}
 	return facile.Request{Code: code, Arch: req.Arch, Mode: mode}, slab, nil
+}
+
+// appendHex appends the hex decoding of s to dst, reading s in place.
+func appendHex(dst []byte, s string) ([]byte, error) {
+	return hex.AppendDecode(dst, unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
 // readJSON decodes the request body into v, rejecting unknown fields and

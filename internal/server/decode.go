@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/hex"
 	"io"
 	"sync"
 	"unsafe"
@@ -110,45 +109,6 @@ func (sc *batchScratch) codeSlab(need int) []byte {
 	sc.code = sc.code[:0]
 	return sc.code
 }
-
-// appendHexDecode appends the hex decoding of s to dst, replicating
-// hex.DecodeString's semantics and error values exactly (first invalid byte
-// wins; a trailing valid nibble is an odd-length error) without forcing the
-// string through an allocated []byte conversion.
-func appendHexDecode(dst []byte, s string) ([]byte, error) {
-	for j := 1; j < len(s); j += 2 {
-		a, b := hexValue[s[j-1]], hexValue[s[j]]
-		if a|b > 0x0f {
-			if a > 0x0f {
-				return dst, hex.InvalidByteError(s[j-1])
-			}
-			return dst, hex.InvalidByteError(s[j])
-		}
-		dst = append(dst, a<<4|b)
-	}
-	if len(s)%2 == 1 {
-		if hexValue[s[len(s)-1]] > 0x0f {
-			return dst, hex.InvalidByteError(s[len(s)-1])
-		}
-		return dst, hex.ErrLength
-	}
-	return dst, nil
-}
-
-// hexValue maps each byte to its hex digit value, or to 0xff if it is not a
-// hex digit.
-var hexValue = func() (t [256]byte) {
-	for i := range t {
-		t[i] = 0xff
-	}
-	for i, c := range "0123456789abcdef" {
-		t[c] = byte(i)
-	}
-	for i, c := range "ABCDEF" {
-		t[c] = byte(10 + i)
-	}
-	return
-}()
 
 // parseBatchRequest is a zero-copy parser for the canonical batch request
 // shape: {"requests": [{"code"/"code_b64"/"arch"/"mode": "..."}, ...],

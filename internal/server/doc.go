@@ -19,10 +19,14 @@
 //	                         histograms, admission, sweeps, engine cache
 //
 // The layer owns everything HTTP-shaped so the engine does not have to:
-// request validation (hex/base64 block bytes, arch, mode — nothing reaches
-// the engine undecoded), body and batch-size limits, per-request deadline
-// installation and propagation, admission control (429 load shedding), and
-// graceful shutdown. The single-block endpoint makes one Engine.Analyze call
-// on the request's own goroutine, at the detail level the request names; the
-// batch endpoint makes one Engine.AnalyzeBatchN call.
+// decoding the wire (JSON, hex or base64 block bytes, a missing arch, the
+// mode and detail strings), body, batch and sweep size limits, per-request
+// deadline installation and propagation, admission control (429 load
+// shedding), and graceful shutdown. What a block may be — non-empty, within
+// EngineConfig.MaxCodeBytes, for an arch the engine serves — is the
+// engine's to judge, and its ErrBadRequest text is the 400's. The
+// single-block endpoint makes one Engine.Analyze call on the request's own
+// goroutine, at the detail level the request names; the batch endpoint
+// makes one Engine.AnalyzeEach call, each result written into its wire
+// slot.
 package server

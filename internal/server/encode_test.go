@@ -120,7 +120,7 @@ func TestEncodeBatchResponseIdentical(t *testing.T) {
 		"empty results": {Results: []BatchResult{}},
 		"mixed": {Results: []BatchResult{
 			{Prediction: &p},
-			{Error: `unknown microarchitecture "XXX" (one of SKL)`},
+			{Error: `uarch: unknown microarchitecture "XXX" (one of SKL)`},
 			{},
 			{Prediction: &p, Error: "both set"},
 		}},

@@ -20,7 +20,6 @@ import (
 // Defaults for Config fields left zero.
 const (
 	DefaultRequestTimeout = 10 * time.Second
-	DefaultMaxBlockBytes  = 4096
 	DefaultMaxBatchItems  = 1024
 	DefaultMaxBodyBytes   = 1 << 20
 	DefaultMaxSweepPoints = 1024
@@ -29,7 +28,8 @@ const (
 // Config configures a Server. Engine is required; every other field has a
 // sensible default.
 type Config struct {
-	// Engine answers all predictions. Required.
+	// Engine answers all predictions and judges every block: its size
+	// limit (EngineConfig.MaxCodeBytes) and the arches it serves. Required.
 	Engine *facile.Engine
 	// RequestTimeout bounds the server-side handling of one request; the
 	// deadline is installed on the request context, so a request waiting
@@ -37,9 +37,6 @@ type Config struct {
 	// instead of waiting forever.
 	// Zero selects DefaultRequestTimeout; negative disables the limit.
 	RequestTimeout time.Duration
-	// MaxBlockBytes bounds the byte length of one basic block.
-	// Zero selects DefaultMaxBlockBytes.
-	MaxBlockBytes int
 	// MaxBatchItems bounds len(requests) of one /v1/predict/batch call and
 	// the workload size of one /v1/sweep call.
 	// Zero selects DefaultMaxBatchItems.
@@ -82,7 +79,6 @@ type Server struct {
 	mux            *http.ServeMux
 	admit          *admission // nil when admission control is disabled
 	timeout        time.Duration
-	maxBlockBytes  int
 	maxBatchItems  int
 	maxSweepPoints int
 	maxBodyBytes   int64
@@ -122,16 +118,12 @@ func New(cfg Config) (*Server, error) {
 		engine:         cfg.Engine,
 		mux:            http.NewServeMux(),
 		timeout:        cfg.RequestTimeout,
-		maxBlockBytes:  cfg.MaxBlockBytes,
 		maxBatchItems:  cfg.MaxBatchItems,
 		maxSweepPoints: cfg.MaxSweepPoints,
 		maxBodyBytes:   cfg.MaxBodyBytes,
 	}
 	if s.timeout == 0 {
 		s.timeout = DefaultRequestTimeout
-	}
-	if s.maxBlockBytes <= 0 {
-		s.maxBlockBytes = DefaultMaxBlockBytes
 	}
 	if s.maxBatchItems <= 0 {
 		s.maxBatchItems = DefaultMaxBatchItems
@@ -313,7 +305,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, err
 	if err := readJSON(json.NewDecoder(r.Body), &wire); err != nil {
 		return nil, wrapBodyErr(err)
 	}
-	req, err := s.decodeBlock(&wire.BlockRequest)
+	req, _, err := s.decodeBlock(&wire.BlockRequest, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -354,12 +346,12 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any
 	if wire.Concurrency < 0 {
 		return nil, badRequest("negative \"concurrency\"")
 	}
-	// Validation failures are per-item, like prediction failures: one bad
-	// block must not fail its 1023 siblings. Valid items are compacted,
-	// analyzed with the request's concurrency bound, and scattered back.
-	// Every hex-decoded block is carved from one slab pre-sized for the
-	// whole batch, so carving never reallocates while earlier blocks alias
-	// the buffer.
+	// Wire failures are per-item, like the engine's: one bad block must
+	// not fail its 1023 siblings. Decoded items are compacted and analyzed
+	// with the request's concurrency bound, each result written into its
+	// wire slot. Every hex-decoded block is carved from one slab pre-sized
+	// for the whole batch, so carving never reallocates while earlier
+	// blocks alias the buffer.
 	results := sc.resultSlab(len(wire.Requests))
 	need := 0
 	for i := range wire.Requests {
@@ -368,7 +360,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any
 	slab := sc.codeSlab(need)
 	idx, compact := sc.idx[:0], sc.compact[:0]
 	for i := range wire.Requests {
-		req, rest, err := s.decodeBlockSlab(&wire.Requests[i], slab)
+		req, rest, err := s.decodeBlock(&wire.Requests[i], slab)
 		slab = rest
 		if err != nil {
 			results[i].Error = err.Error()
@@ -382,19 +374,19 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) (any
 	// client (or past its deadline) aborts its unstarted items between
 	// cache probe and compute instead of burning the shared worker pool on
 	// a response nobody reads. The whole call then fails with the context's
-	// status, matching the historical wire behavior.
-	out := s.engine.AnalyzeBatchN(r.Context(), compact, wire.Concurrency)
+	// status, matching the historical wire behavior. Results point at the
+	// engine's durable predictions (no request sets a Variant): repeated
+	// blocks share a cached one, which the encoder renders once and copies
+	// for its repeats. Workers write distinct slots.
+	s.engine.AnalyzeEach(r.Context(), compact, wire.Concurrency, func(j int, a *facile.Analysis, err error) {
+		if err != nil {
+			results[idx[j]].Error = err.Error()
+			return
+		}
+		results[idx[j]].Prediction = &a.Prediction
+	})
 	if err := r.Context().Err(); err != nil {
 		return nil, err
-	}
-	// Results point at the engine's cached predictions: repeated blocks
-	// share one, which the encoder renders once and copies for its repeats.
-	for j := range out {
-		if err := out[j].Err; err != nil {
-			results[idx[j]].Error = err.Error()
-			continue
-		}
-		results[idx[j]].Prediction = &out[j].Analysis.Prediction
 	}
 	// The response aliases the pooled scratch (results, decoded code), so it
 	// is written here — before the deferred release recycles the scratch —

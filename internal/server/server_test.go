@@ -152,8 +152,8 @@ func TestPredictValidation(t *testing.T) {
 		{"bad hex", predictBody(BlockRequest{Code: "zz", Arch: "SKL"}), 400, "invalid hex"},
 		{"bad base64", predictBody(BlockRequest{CodeB64: "!!", Arch: "SKL"}), 400, "invalid base64"},
 		{"both encodings", predictBody(BlockRequest{Code: "90", CodeB64: "kA==", Arch: "SKL"}), 400, "not both"},
-		{"no code", predictBody(BlockRequest{Arch: "SKL"}), 400, "missing block bytes"},
-		{"empty code", predictBody(BlockRequest{Code: "", CodeB64: "", Arch: "SKL"}), 400, "missing block bytes"},
+		{"no code", predictBody(BlockRequest{Arch: "SKL"}), 400, "facile: empty basic block"},
+		{"empty code", predictBody(BlockRequest{Code: "", CodeB64: "", Arch: "SKL"}), 400, "facile: empty basic block"},
 		{"missing arch", predictBody(BlockRequest{Code: "90"}), 400, "missing \"arch\""},
 		{"unknown arch", predictBody(BlockRequest{Code: "90", Arch: "ZEN4"}), 400, "unknown microarchitecture"},
 		{"bad mode", predictBody(BlockRequest{Code: "90", Arch: "SKL", Mode: "sideways"}), 400, "invalid mode"},
@@ -179,13 +179,87 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
+// TestBlockTooLarge: the block limit is the engine's MaxCodeBytes, answered
+// with the engine's error.
 func TestBlockTooLarge(t *testing.T) {
-	s := newTestServer(t, Config{MaxBlockBytes: 4})
+	engine, err := facile.NewEngine(facile.EngineConfig{MaxCodeBytes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Engine: engine})
 	var resp ErrorResponse
 	code := do(t, s, "POST", "/v1/analyze",
 		predictBody(BlockRequest{Code: "9090909090", Arch: "SKL"}), &resp)
-	if code != 400 || !strings.Contains(resp.Error, "limit is 4") {
-		t.Fatalf("status %d, error %q", code, resp.Error)
+	const want = "facile: basic block is 5 bytes; the limit is 4 (EngineConfig.MaxCodeBytes)"
+	if code != 400 || resp.Error != want {
+		t.Fatalf("status %d, error %q; want 400, %q", code, resp.Error, want)
+	}
+}
+
+// TestOneValidationBoundary: the server decodes the wire and the engine
+// judges the block. For each request, /v1/analyze, a /v1/predict/batch item
+// and a /v1/sweep block answer with Engine.Analyze's error for the same
+// request, or with encoding/hex's for a block that is not hex.
+func TestOneValidationBoundary(t *testing.T) {
+	newEngine := func(cfg facile.EngineConfig) *facile.Engine {
+		cfg.MaxCodeBytes = 8
+		e, err := facile.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	open, sklOnly := newEngine(facile.EngineConfig{}), newEngine(facile.EngineConfig{Archs: []string{"SKL"}})
+	cases := []struct {
+		name   string
+		engine *facile.Engine
+		code   string
+		arch   string
+	}{
+		{"unknown arch", open, "4801d8", "ZEN4"},
+		{"unknown arch, restricted engine", sklOnly, "4801d8", "ZEN4"},
+		{"arch outside a restricted engine", sklOnly, "4801d8", "ICL"},
+		{"empty block", open, "", "SKL"},
+		{"block over MaxCodeBytes", open, strings.Repeat("90", 9), "SKL"},
+		{"odd hex", open, "4801d", "SKL"},
+		{"invalid hex", open, "48zz", "SKL"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			if code, err := hex.DecodeString(tc.code); err != nil {
+				want = err.Error()
+			} else if _, err := tc.engine.Analyze(context.Background(),
+				facile.Request{Code: code, Arch: tc.arch, Mode: facile.Loop}); err != nil {
+				want = err.Error()
+			} else {
+				t.Fatal("the engine accepts the request")
+			}
+			s := newTestServer(t, Config{Engine: tc.engine})
+
+			var one ErrorResponse
+			if code := do(t, s, "POST", "/v1/analyze", predictBody(BlockRequest{Code: tc.code, Arch: tc.arch}), &one); code != 400 || !strings.Contains(one.Error, want) {
+				t.Errorf("/v1/analyze: %d %q, want 400 containing %q", code, one.Error, want)
+			}
+
+			var batch BatchResponse
+			body := BatchRequest{Requests: []BlockRequest{{Code: "4801d8", Arch: "SKL"}, {Code: tc.code, Arch: tc.arch}}}
+			if code := do(t, s, "POST", "/v1/predict/batch", body, &batch); code != 200 || len(batch.Results) != 2 {
+				t.Fatalf("/v1/predict/batch: %d, %d results", code, len(batch.Results))
+			}
+			if got := batch.Results[1]; got.Prediction != nil || !strings.Contains(got.Error, want) {
+				t.Errorf("/v1/predict/batch item: %+v, want an error containing %q", got, want)
+			}
+			if batch.Results[0].Prediction == nil {
+				t.Errorf("/v1/predict/batch: the valid sibling failed: %q", batch.Results[0].Error)
+			}
+
+			var sw ErrorResponse
+			grid := fmt.Sprintf(`{"base":%q,"axes":[]}`, tc.arch)
+			if code := do(t, s, "POST", "/v1/sweep", json.RawMessage(sweepBody(t, grid, []string{tc.code}, nil)), &sw); code != 400 || !strings.Contains(sw.Error, want) {
+				t.Errorf("/v1/sweep: %d %q, want 400 containing %q", code, sw.Error, want)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 
 	"facile/internal/sweep"
 )
@@ -25,10 +24,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	grid, err := sweep.ParseGrid(wire.Grid)
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	if !s.engine.HasArch(grid.Base) {
-		return nil, badRequest("unknown base microarchitecture %q (one of %s)",
-			grid.Base, strings.Join(s.engine.Archs(), ", "))
 	}
 	if pts := grid.Points(); pts > s.maxSweepPoints {
 		return nil, badRequest("grid enumerates %d design points; the limit is %d", pts, s.maxSweepPoints)
@@ -54,25 +49,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	}
 	blocks := make([][]byte, len(wire.Blocks))
 	for i, h := range wire.Blocks {
-		code, err := appendHexDecode(nil, h)
-		if err != nil {
+		if blocks[i], err = appendHex(nil, h); err != nil {
 			return nil, badRequest("blocks[%d]: invalid hex: %v", i, err)
 		}
-		if len(code) == 0 {
-			return nil, badRequest("blocks[%d]: empty basic block", i)
-		}
-		if len(code) > s.maxBlockBytes {
-			return nil, badRequest("blocks[%d] is %d bytes; the limit is %d", i, len(code), s.maxBlockBytes)
-		}
-		blocks[i] = code
 	}
 
 	res, err := sweep.Run(r.Context(), s.engine, grid,
 		sweep.Workload{Blocks: blocks, Mode: mode},
 		sweep.Options{Workers: wire.Workers})
 	if err != nil {
-		// Engine-level request rejections wrap facile.ErrBadRequest (400);
-		// context errors map to 499/504; the rest are server faults.
+		// The engine judges the base arch and every block in the base pass:
+		// its rejections wrap facile.ErrBadRequest (400); context errors
+		// map to 499/504; the rest are server faults.
 		return nil, err
 	}
 	s.sweepPoints.Add(uint64(res.Points))

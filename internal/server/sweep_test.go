@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"facile"
 	"facile/internal/sweep"
 )
 
@@ -111,7 +112,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	s := newTestServer(t, Config{MaxSweepPoints: 4, MaxBlockBytes: 16})
+	engine, err := facile.NewEngine(facile.EngineConfig{MaxCodeBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Engine: engine, MaxSweepPoints: 4})
 	cases := []struct {
 		name string
 		body []byte
@@ -120,13 +125,14 @@ func TestSweepValidation(t *testing.T) {
 		{"missing grid", []byte(`{"blocks":["90"]}`), `missing "grid"`},
 		{"grid typo", sweepBody(t, `{"base":"SKL","axis":[]}`, []string{"90"}, nil), "invalid grid"},
 		{"identity axis", sweepBody(t, `{"base":"SKL","axes":[{"param":"name","values":["X"]}]}`, []string{"90"}, nil), "identity field"},
-		{"unknown base", sweepBody(t, `{"base":"ZEN4","axes":[]}`, []string{"90"}, nil), "unknown base microarchitecture"},
+		{"unknown base", sweepBody(t, `{"base":"ZEN4","axes":[]}`, []string{"90"}, nil), `sweep: base "ZEN4", block 0: uarch: unknown microarchitecture "ZEN4"`},
 		{"too many points", sweepBody(t, `{"base":"SKL","axes":[{"param":"issue_width","values":[1,2,3,4,5]}]}`, []string{"90"}, nil), "the limit is 4"},
 		{"bad mode", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{"90"}, map[string]any{"mode": "sideways"}), "invalid mode"},
 		{"empty blocks", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{}, nil), `empty "blocks"`},
 		{"bad hex", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{"90", "zz"}, nil), "blocks[1]: invalid hex"},
-		{"empty block", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{""}, nil), "blocks[0]: empty basic block"},
-		{"oversized block", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{strings.Repeat("90", 17)}, nil), "the limit is 16"},
+		{"empty block", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{"90", ""}, nil), `block 1: facile: empty basic block`},
+		{"oversized block", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{strings.Repeat("90", 17)}, nil),
+			"block 0: facile: basic block is 17 bytes; the limit is 16 (EngineConfig.MaxCodeBytes)"},
 		{"negative workers", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{"90"}, map[string]any{"workers": -1}), `negative "workers"`},
 		{"negative top", sweepBody(t, `{"base":"SKL","axes":[]}`, []string{"90"}, map[string]any{"top": -1}), `negative "top"`},
 		{"unknown field", []byte(`{"grid":{"base":"SKL"},"blocks":["90"],"konkurrency":2}`), "invalid request body"},

@@ -168,10 +168,20 @@ func (g *Grid) Enumerate() ([]Point, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	// Each axis value's name fragment, "param=label", is built once for
+	// every point that takes it.
+	frags := make([][]string, len(g.Axes))
+	for k := range g.Axes {
+		ax := &g.Axes[k]
+		frags[k] = make([]string, len(ax.Values))
+		for j := range ax.Values {
+			frags[k][j] = ax.Param + "=" + ax.label(j)
+		}
+	}
 	pts := make([]Point, 0, g.Points())
 	idx := make([]int, len(g.Axes))
 	for {
-		pts = append(pts, g.point(idx))
+		pts = append(pts, g.point(idx, frags))
 		k := len(idx) - 1
 		for ; k >= 0; k-- {
 			idx[k]++
@@ -186,14 +196,14 @@ func (g *Grid) Enumerate() ([]Point, error) {
 	}
 }
 
-// point builds one design point from an axis-index vector. Overlay keys
-// keep axis order; dotted role params fold into a single "role_ports"
-// object so the overlay is plain spec JSON.
-func (g *Grid) point(idx []int) Point {
+// point builds one design point from an axis-index vector and each axis
+// value's name fragment. Overlay keys keep axis order; dotted role params
+// fold into a single "role_ports" object so the overlay is plain spec JSON.
+func (g *Grid) point(idx []int, frags [][]string) Point {
 	if len(idx) == 0 {
 		return Point{Name: g.Base + "~base", Overlay: nil}
 	}
-	frags := make([]string, 0, len(idx))
+	names := make([]string, 0, len(idx))
 	var buf bytes.Buffer
 	buf.WriteByte('{')
 	var roleKeys []string
@@ -201,7 +211,7 @@ func (g *Grid) point(idx []int) Point {
 	first := true
 	for k, ax := range g.Axes {
 		v := ax.Values[idx[k]]
-		frags = append(frags, ax.Param+"="+ax.label(idx[k]))
+		names = append(names, frags[k][idx[k]])
 		if role, ok := strings.CutPrefix(ax.Param, "role_ports."); ok {
 			roleKeys = append(roleKeys, role)
 			roleVals = append(roleVals, v)
@@ -230,7 +240,7 @@ func (g *Grid) point(idx []int) Point {
 	}
 	buf.WriteByte('}')
 	return Point{
-		Name:    g.Base + "~" + strings.Join(frags, "~"),
+		Name:    g.Base + "~" + strings.Join(names, "~"),
 		Overlay: append([]byte(nil), buf.Bytes()...),
 	}
 }
