@@ -120,23 +120,36 @@ func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 
 // TestAnalyzeWarmHitZeroAllocs: a warm Analyze at any Detail returns the
 // memoized shared Analysis — one cache resolution, zero allocations — so
-// the unified entrypoint costs no more than the narrowest legacy view.
+// the unified entrypoint costs no more than the narrowest legacy view. That
+// holds whether Analyze or the batch kernel computed the entry: a replica
+// warmed by replaying a prediction-level batch serves every Detail without
+// allocating.
 func TestAnalyzeWarmHitZeroAllocs(t *testing.T) {
-	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
 	code := decode(t, "480307 4883c708 48ffc9 75f2")
 	ctx := context.Background()
-
-	for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
-		req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: d}
-		if _, err := e.Analyze(ctx, req); err != nil {
-			t.Fatal(err)
+	for _, warmBy := range []string{"Analyze", "AnalyzeBatch"} {
+		e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+		if warmBy == "AnalyzeBatch" {
+			req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop}
+			if err := e.AnalyzeBatch(ctx, []facile.Request{req})[0].Err; err != nil {
+				t.Fatal(err)
+			}
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
+		for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+			req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: d}
 			if _, err := e.Analyze(ctx, req); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs != 0 {
-			t.Errorf("warm Analyze(%v) hit allocates %.1f/op, want 0", d, allocs)
+			if allocs := testing.AllocsPerRun(200, func() {
+				if _, err := e.Analyze(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("warmed by %s: warm Analyze(%v) hit allocates %.1f/op, want 0", warmBy, d, allocs)
+			}
+		}
+		if st := e.Stats(); st.Misses != 1 {
+			t.Errorf("warmed by %s: %d misses, want 1", warmBy, st.Misses)
 		}
 	}
 }
@@ -195,11 +208,11 @@ func TestEngineColdStreamAllocFlat(t *testing.T) {
 }
 
 // TestEngineEntrySizeTracksHeap: the accounted size of cached entries
-// (Stats.SizeBytes, which byte budgets and snapshot weighting use) stays
-// within 2x of the heap bytes those entries actually retain — whether each
-// entry is computed by Analyze or by the batch kernel, here in batches of
-// one, the shape of a small /v1/predict/batch call, and whether or not its
-// prediction's encoding is remembered. A batch must not leave a slab sized
+// (Stats.SizeBytes, which byte budgets use) stays within 2x of the heap
+// bytes those entries actually retain — whether each entry is computed by
+// Analyze or by the batch kernel, here in batches of one, the shape of a
+// small /v1/predict/batch call, and whether or not its prediction's
+// encoding is remembered. A batch must not leave a slab sized
 // for many blocks reachable from the one entry it computed.
 func TestEngineEntrySizeTracksHeap(t *testing.T) {
 	const n = 2000

@@ -9,7 +9,6 @@
 package facile_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -642,55 +641,6 @@ func BenchmarkAnalyzeWarmParallel(b *testing.B) {
 	}
 	b.Run("Sharded", func(b *testing.B) { run(b, 0) })
 	b.Run("SingleShard", func(b *testing.B) { run(b, 1) })
-}
-
-// BenchmarkSnapshotWarmStart measures time-to-first-hit after a restart
-// (tracked in BENCH_9.json): one iteration boots a fresh engine and serves
-// the whole working set once. WarmStart first imports a snapshot exported by
-// the previous "process" — off the timer, the way facile-serve imports before
-// the listener takes traffic — so the serving pass runs entirely on cache
-// hits; ColdStart computes every distinct block on first encounter. The
-// ns/op gap is the request latency the -snapshot flag removes from the
-// post-restart warmup window.
-func BenchmarkSnapshotWarmStart(b *testing.B) {
-	const batchSize = 200
-	reqs := engineBatchReqs(b, batchSize)
-	donor, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range reqs {
-		req := facile.Request{Code: r.Code, Arch: r.Arch, Mode: r.Mode, Detail: facile.DetailFull}
-		if _, err := donor.Analyze(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var snap bytes.Buffer
-	if _, err := donor.ExportSnapshot(&snap, 0); err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, warmStart bool) {
-		for i := 0; i < b.N; i++ {
-			engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if warmStart {
-				b.StopTimer()
-				if _, _, err := engine.ImportSnapshot(context.Background(), bytes.NewReader(snap.Bytes())); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			for _, r := range reqs {
-				if _, err := predict(engine, r.Code, r.Arch, r.Mode); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("ColdStart", func(b *testing.B) { run(b, false) })
-	b.Run("WarmStart", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkNewArchRegistry times building a registry of the nine built-in

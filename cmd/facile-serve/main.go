@@ -7,7 +7,6 @@
 //	             [-cache 4096] [-cache-shards 0] [-cache-bytes 0] [-workers 0]
 //	             [-timeout 10s]
 //	             [-max-inflight 0] [-max-queue 0] [-client-concurrency 0] [-retry-after 1]
-//	             [-snapshot warm.facsnp] [-snapshot-interval 5m]
 //	             [-pprof]
 //
 // Endpoints (see docs/API.md for the full reference):
@@ -17,8 +16,6 @@
 //	POST /v1/sweep           {"grid":{"base":"SKL","axes":[...]},"blocks":["4801d8"]}
 //	GET  /v1/archs
 //	POST /v1/archs           {"name":"SKL-LSD","base":"SKL","overlay":{"lsd_enabled":true}}
-//	GET  /v1/cache/snapshot  the warm working set, hottest-first (?max_bytes=N)
-//	PUT  /v1/cache/snapshot  import a snapshot (re-analyzed, never replaces newer entries)
 //	GET  /healthz
 //	GET  /metrics
 //
@@ -32,13 +29,9 @@
 // registered over HTTP via POST /v1/archs (disabled when -archs pins a
 // fixed set). Registered arches are served without restart.
 //
-// Warm start: -snapshot names a cache snapshot file. If it exists at boot it
-// is imported (spec-mismatched or corrupt snapshots are logged and ignored —
-// the server starts cold rather than not at all), and on graceful shutdown
-// the warm working set is exported back to it (atomically, via a temp file).
-// -snapshot-interval additionally exports periodically, so a crash loses at
-// most one interval of warmth; shutdown waits for a periodic export in
-// progress before writing the final one.
+// Warm start: a new replica starts cold. A client that wants it warm
+// replays its hot blocks through POST /v1/predict/batch; each becomes an
+// ordinary cache entry, so later /v1/analyze requests for them are hits.
 //
 // Load shedding: -max-inflight bounds concurrently processed analysis
 // requests; -max-queue more wait for a slot and the rest are answered 429
@@ -53,12 +46,10 @@
 // of the public API, and exposes goroutine/heap internals.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener stops
-// accepting, in-flight requests complete, then the server is closed and the
-// snapshot written.
+// accepting, in-flight requests complete, then the server is closed.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -69,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -93,8 +83,6 @@ func main() {
 		clientConc  = flag.Int("client-concurrency", 0, "admission control: per-client concurrent request cap, keyed by X-API-Key or remote host (0: none)")
 		retryAfter  = flag.Int("retry-after", 1, "Retry-After seconds sent with shed (429) responses")
 		sweepPoints = flag.Int("max-sweep-points", 0, "max design points one /v1/sweep grid may enumerate (0: default)")
-		snapshot    = flag.String("snapshot", "", "cache snapshot file: imported at boot if present, exported on shutdown")
-		snapEvery   = flag.Duration("snapshot-interval", 0, "additionally export the snapshot at this interval (0: only on shutdown)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
 	)
 	flag.Parse()
@@ -143,10 +131,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *snapshot != "" {
-		importSnapshot(engine, *snapshot)
-	}
-
 	// The pprof handlers are mounted on an explicit mux (not the default
 	// one) so nothing is exposed unless the flag asks for it; the service
 	// handles everything else, including unknown /debug paths (404).
@@ -172,26 +156,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// The final export waits for the periodic exporter to return, so the
-	// two never share the temp file.
-	var snapWG sync.WaitGroup
-	if *snapshot != "" && *snapEvery > 0 {
-		snapWG.Add(1)
-		go func() {
-			defer snapWG.Done()
-			tick := time.NewTicker(*snapEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					exportSnapshot(engine, *snapshot)
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("facile-serve: listening on %s (archs: %s)", *addr, strings.Join(engine.Archs(), ", "))
@@ -213,74 +177,7 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("facile-serve: %v", err)
 	}
-	if *snapshot != "" {
-		snapWG.Wait()
-		exportSnapshot(engine, *snapshot)
-	}
 	stats := engine.Stats()
 	log.Printf("facile-serve: bye (cache: %d hits, %d misses, %d entries)",
 		stats.Hits, stats.Misses, stats.Entries)
-}
-
-// importSnapshot warms the engine from path at boot. A missing file is the
-// normal first boot; a stale or damaged one is logged and skipped — a cold
-// start is always safe, so snapshot trouble never prevents serving.
-func importSnapshot(engine *facile.Engine, path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("facile-serve: snapshot: %v", err)
-		}
-		return
-	}
-	defer f.Close()
-	start := time.Now()
-	imported, skipped, err := engine.ImportSnapshot(context.Background(), f)
-	if err != nil {
-		log.Printf("facile-serve: snapshot %s not imported (starting cold): %v", path, err)
-		return
-	}
-	log.Printf("facile-serve: imported %d cache entries from %s in %v (%d skipped)",
-		imported, path, time.Since(start).Round(time.Millisecond), skipped)
-}
-
-// exportSnapshot writes the warm working set to path atomically: a temp file
-// in the same directory, synced to disk, then renamed, so a crash mid-write
-// never leaves a truncated snapshot for the next boot. Only one export may
-// run at a time: they share the temp file.
-func exportSnapshot(engine *facile.Engine, path string) {
-	var buf bytes.Buffer
-	n, err := engine.ExportSnapshot(&buf, 0)
-	if err == nil {
-		err = writeFileAtomic(path, buf.Bytes())
-	}
-	if err != nil {
-		log.Printf("facile-serve: snapshot export: %v", err)
-		return
-	}
-	log.Printf("facile-serve: exported %d cache entries to %s", n, path)
-}
-
-// writeFileAtomic replaces path with data through path+".tmp", syncing the
-// temp file before the rename; on failure the temp file is removed.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }

@@ -76,9 +76,8 @@ type EngineConfig struct {
 	CacheShards int
 	// MaxCacheBytes bounds the prediction cache's accounted size (the sum
 	// of per-entry size estimates, split evenly across shards): entries
-	// beyond the budget are evicted least-recently-used first. The same
-	// per-entry sizes weight snapshot-export byte budgets
-	// (Engine.ExportSnapshot). Zero or negative means no byte budget.
+	// beyond the budget are evicted least-recently-used first. Zero or
+	// negative means no byte budget.
 	MaxCacheBytes int64
 }
 
@@ -179,8 +178,7 @@ func hashEngineKey(k engineKey) uint64 {
 
 // entryBaseBytes is the fixed per-entry footprint estimate: the entry
 // struct and its cache bookkeeping (map slot, list element). The accounted
-// sizes are deterministic estimates for budgeting and snapshot weighting,
-// not measured heap bytes.
+// sizes are deterministic estimates for budgeting, not measured heap bytes.
 const entryBaseBytes = 512
 
 // entrySizeBytes estimates an entry's resident footprint once its analysis

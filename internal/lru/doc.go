@@ -11,8 +11,7 @@
 // logical cache into a power-of-two number of independently locked shards
 // (hash-routed keys), so warm high-parallelism lookups scale instead of
 // serializing on a single mutex; and an optional byte budget (NewWithBytes
-// with SetSize accounting) bounds memory, with per-entry sizes doubling as
-// the weight used by cache-snapshot export budgets. Per-shard atomic
+// with SetSize accounting) bounds memory. Per-shard atomic
 // hit/miss counters are summed on read (Stats), keeping accounting race-free
 // without a shared counter cache line.
 package lru

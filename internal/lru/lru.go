@@ -204,25 +204,3 @@ func (c *Cache[K, V]) Stats() Stats {
 		Bytes:   c.bytes,
 	}
 }
-
-// MRUEntry is one element of an MRU-ordered cache walk: the key, its value,
-// and its SetSize-reported size (0 if never sized).
-type MRUEntry[K comparable, V any] struct {
-	Key  K
-	Val  V
-	Size int
-}
-
-// AppendMRU appends the cache's entries to dst in most-recently-used-first
-// order and returns the extended slice. The walk is a consistent snapshot
-// taken under the cache lock; the returned keys and values are shared with
-// the cache and must be treated as read-only.
-func (c *Cache[K, V]) AppendMRU(dst []MRUEntry[K, V]) []MRUEntry[K, V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*entry[K, V])
-		dst = append(dst, MRUEntry[K, V]{Key: ent.key, Val: ent.val, Size: ent.size})
-	}
-	return dst
-}

@@ -133,24 +133,6 @@ func TestCapacityEvictionReleasesBytes(t *testing.T) {
 	}
 }
 
-func TestAppendMRUOrder(t *testing.T) {
-	c := New[string, int](4)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	c.Get("a") // a is now MRU
-	got := c.AppendMRU(nil)
-	want := []string{"a", "c", "b"}
-	if len(got) != len(want) {
-		t.Fatalf("AppendMRU returned %d entries, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].Key != w {
-			t.Fatalf("AppendMRU[%d].Key = %q, want %q", i, got[i].Key, w)
-		}
-	}
-}
-
 // fnv64 is the test hash: real FNV-1a so shard routing is well distributed.
 func fnv64(s string) uint64 {
 	h := uint64(1469598103934665603)
@@ -215,31 +197,6 @@ func TestShardedByteBudget(t *testing.T) {
 	}
 	if st.Evicted == 0 {
 		t.Fatal("expected byte-budget evictions")
-	}
-}
-
-func TestShardedMRUShards(t *testing.T) {
-	s := NewSharded[string, int](64, 0, 4, fnv64)
-	for i := 0; i < 16; i++ {
-		k := fmt.Sprintf("k%d", i)
-		s.GetOrAdd(k, func() int { return i })
-		s.SetSize(k, i+1)
-	}
-	lists := s.MRUShards()
-	if len(lists) != 4 {
-		t.Fatalf("MRUShards returned %d lists, want 4", len(lists))
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-		for _, e := range l {
-			if e.Size == 0 {
-				t.Fatalf("entry %q lost its size", e.Key)
-			}
-		}
-	}
-	if total != 16 {
-		t.Fatalf("MRUShards covered %d entries, want 16", total)
 	}
 }
 

@@ -97,15 +97,3 @@ func (s *Sharded[K, V]) Stats() Stats {
 	}
 	return st
 }
-
-// MRUShards returns one MRU-ordered entry list per shard (see
-// Cache.AppendMRU). Recency is exact within a shard and unordered across
-// shards; callers wanting an approximate global hottest-first order should
-// interleave the lists round-robin.
-func (s *Sharded[K, V]) MRUShards() [][]MRUEntry[K, V] {
-	out := make([][]MRUEntry[K, V], len(s.shards))
-	for i, c := range s.shards {
-		out[i] = c.AppendMRU(nil)
-	}
-	return out
-}

@@ -128,32 +128,72 @@ func TestAnalyzeViewsAgree(t *testing.T) {
 	}
 }
 
-// TestEndpointsSingleResolution: a warm single-block request resolves the
-// engine cache exactly once at every detail level.
+// TestEndpointsSingleResolution: once a block is warm, a single-block
+// request for it resolves the engine cache exactly once, with no miss, at
+// every detail level, and its body equals a cold replica's byte for byte.
+// The blocks are warmed by /v1/analyze, or replayed through
+// /v1/predict/batch, the documented way to warm a new replica.
 func TestEndpointsSingleResolution(t *testing.T) {
-	engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Engine: engine})
-	body := map[string]string{"code": testBlockHex, "arch": "SKL", "mode": "loop"}
-
-	// Warm the entry.
-	if code := do(t, s, "POST", "/v1/analyze", body, nil); code != 200 {
-		t.Fatalf("warmup status %d", code)
-	}
-	for _, detail := range []string{"full", "prediction", "speedups"} {
-		body["detail"] = detail
-		before := engine.Stats()
-		if code := do(t, s, "POST", "/v1/analyze", body, nil); code != 200 {
-			t.Fatalf("detail=%s: status %d", detail, code)
+	const n = 8
+	var batch BatchRequest
+	for i := range n {
+		mode := "loop"
+		if i%2 == 1 {
+			mode = "unroll"
 		}
-		after := engine.Stats()
-		if hits := after.Hits - before.Hits; hits != 1 {
-			t.Errorf("detail=%s: %d cache resolutions on a warm request, want exactly 1", detail, hits)
+		batch.Requests = append(batch.Requests, BlockRequest{
+			Code: hex.EncodeToString(uniqueBlock(t, uint32(i))), Arch: "SKL", Mode: mode,
+		})
+	}
+	cold := newTestServer(t, Config{})
+	for _, warmBy := range []string{"/v1/analyze", "/v1/predict/batch"} {
+		engine, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if after.Misses != before.Misses {
-			t.Errorf("detail=%s: warm request missed the cache", detail)
+		s := newTestServer(t, Config{Engine: engine})
+		if warmBy == "/v1/analyze" {
+			for _, br := range batch.Requests {
+				if code := do(t, s, "POST", warmBy, AnalyzeRequest{BlockRequest: br}, nil); code != 200 {
+					t.Fatalf("warming by %s: status %d", warmBy, code)
+				}
+			}
+		} else {
+			var resp BatchResponse
+			if code := do(t, s, "POST", warmBy, batch, &resp); code != 200 {
+				t.Fatalf("warming by %s: status %d", warmBy, code)
+			}
+			for i, r := range resp.Results {
+				if r.Error != "" {
+					t.Fatalf("warming by %s: result %d: %s", warmBy, i, r.Error)
+				}
+			}
+		}
+		if st := engine.Stats(); st.Misses != n || st.Entries != n {
+			t.Fatalf("warmed by %s: %d misses, %d entries, want %d and %d", warmBy, st.Misses, st.Entries, n, n)
+		}
+		for i, br := range batch.Requests {
+			for _, detail := range []string{"prediction", "speedups", "full"} {
+				body, err := json.Marshal(AnalyzeRequest{BlockRequest: br, Detail: detail})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := engine.Stats()
+				code, got := doRaw(t, s, "POST", "/v1/analyze", body)
+				after := engine.Stats()
+				if code != 200 {
+					t.Fatalf("warmed by %s, block %d, detail=%s: status %d", warmBy, i, detail, code)
+				}
+				if hits := after.Hits - before.Hits; hits != 1 {
+					t.Errorf("warmed by %s, block %d, detail=%s: %d cache resolutions, want exactly 1", warmBy, i, detail, hits)
+				}
+				if after.Misses != before.Misses {
+					t.Errorf("warmed by %s, block %d, detail=%s: warm request missed the cache", warmBy, i, detail)
+				}
+				if _, want := doRaw(t, cold, "POST", "/v1/analyze", body); !bytes.Equal(got, want) {
+					t.Errorf("warmed by %s, block %d, detail=%s: body differs from a cold replica's:\n%s\nvs\n%s", warmBy, i, detail, got, want)
+				}
+			}
 		}
 	}
 }

@@ -12,8 +12,6 @@
 //	POST /v1/sweep           a design-space grid over a block workload
 //	GET  /v1/archs           the served microarchitectures (paper Table 1)
 //	POST /v1/archs           register a spec or variant without restart
-//	GET  /v1/cache/snapshot  export the warm working set, hottest first
-//	PUT  /v1/cache/snapshot  import a snapshot (re-analyzed on arrival)
 //	GET  /healthz            liveness
 //	GET  /metrics            Prometheus text: request counts, latency
 //	                         histograms, admission, sweeps, engine cache

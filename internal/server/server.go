@@ -67,10 +67,6 @@ type Config struct {
 	RetryAfter int
 }
 
-// DefaultMaxSnapshotBytes bounds the body of PUT /v1/cache/snapshot — cache
-// snapshots are legitimately larger than JSON request bodies.
-const DefaultMaxSnapshotBytes = 256 << 20
-
 // Server is the HTTP prediction service over a facile.Engine. It implements
 // http.Handler; construct with New, serve with net/http, and Close when
 // done. See docs/API.md for the endpoint reference.
@@ -146,15 +142,13 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	// The analysis endpoints go through the admission gate; the operational
-	// endpoints (archs, health, metrics, snapshots) never shed — they must
+	// endpoints (archs, health, metrics) never shed — they must
 	// stay observable exactly when the server is saturated.
 	s.route("POST /v1/analyze", s.admitted(s.handleAnalyze))
 	s.route("POST /v1/predict/batch", s.admitted(s.handlePredictBatch))
 	s.route("POST /v1/sweep", s.admitted(s.handleSweep))
 	s.route("GET /v1/archs", s.handleArchs)
 	s.route("POST /v1/archs", s.handleRegisterArch)
-	s.route("GET /v1/cache/snapshot", s.handleSnapshotGet)
-	s.routeLimit("PUT /v1/cache/snapshot", s.handleSnapshotPut, DefaultMaxSnapshotBytes)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
 	return s, nil
@@ -184,23 +178,12 @@ type handler func(w http.ResponseWriter, r *http.Request) (any, error)
 // route registers pattern with the shared middleware: per-route metrics,
 // body-size limiting, and deadline installation.
 func (s *Server) route(pattern string, h handler) {
-	s.routeLimit(pattern, h, 0)
-}
-
-// routeLimit is route with a per-route body limit overriding the server-wide
-// one (0 keeps the default); the snapshot import uses it, since snapshots are
-// legitimately larger than JSON request bodies.
-func (s *Server) routeLimit(pattern string, h handler, bodyLimit int64) {
 	rm := &routeMetrics{name: pattern, latency: metrics.NewHistogram(metrics.LatencyBounds())}
 	s.routes = append(s.routes, rm)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if r.Body != nil {
-			limit := s.maxBodyBytes
-			if bodyLimit > 0 {
-				limit = bodyLimit
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
+			r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
 		}
 		ctx := r.Context()
 		if s.timeout > 0 {

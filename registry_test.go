@@ -62,8 +62,6 @@ func TestRegisterArchVariant(t *testing.T) {
 
 // TestBuiltinSpecExportMatchesFile: the exported spec of each built-in is
 // its embedded spec file byte for byte (less the file's final newline).
-// Snapshot spec digests hash these bytes, so any change to the export
-// format would orphan every existing cache snapshot.
 func TestBuiltinSpecExportMatchesFile(t *testing.T) {
 	reg := NewArchRegistry()
 	names := reg.Archs()
