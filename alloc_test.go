@@ -11,6 +11,7 @@ import (
 	"facile"
 	"facile/internal/asm"
 	"facile/internal/bhive"
+	"facile/internal/eval"
 	"facile/internal/x86"
 )
 
@@ -120,37 +121,66 @@ func TestAnalyzeBatchWarmZeroPerBlockAllocs(t *testing.T) {
 
 // TestAnalyzeWarmHitZeroAllocs: a warm Analyze at any Detail returns the
 // memoized shared Analysis — one cache resolution, zero allocations — so
-// the unified entrypoint costs no more than the narrowest legacy view. That
-// holds whether Analyze or the batch kernel computed the entry: a replica
-// warmed by replaying a prediction-level batch serves every Detail without
-// allocating.
+// the unified entrypoint costs no more than the narrowest legacy view.
 func TestAnalyzeWarmHitZeroAllocs(t *testing.T) {
+	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
 	code := decode(t, "480307 4883c708 48ffc9 75f2")
 	ctx := context.Background()
-	for _, warmBy := range []string{"Analyze", "AnalyzeBatch"} {
-		e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
-		if warmBy == "AnalyzeBatch" {
-			req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop}
-			if err := e.AnalyzeBatch(ctx, []facile.Request{req})[0].Err; err != nil {
-				t.Fatal(err)
-			}
+
+	for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+		req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: d}
+		if _, err := e.Analyze(ctx, req); err != nil {
+			t.Fatal(err)
 		}
-		for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
-			req := facile.Request{Code: code, Arch: "SKL", Mode: facile.Loop, Detail: d}
+		if allocs := testing.AllocsPerRun(200, func() {
 			if _, err := e.Analyze(ctx, req); err != nil {
 				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(200, func() {
-				if _, err := e.Analyze(ctx, req); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("warmed by %s: warm Analyze(%v) hit allocates %.1f/op, want 0", warmBy, d, allocs)
+		}); allocs != 0 {
+			t.Errorf("warm Analyze(%v) hit allocates %.1f/op, want 0", d, allocs)
+		}
+	}
+}
+
+// TestSnapshotWarmHitZeroAllocs: a replica warmed by replaying another
+// engine's working set as one prediction-level batch (the way a cache is
+// carried to a fresh engine) serves every Detail from that entry without
+// allocating and without a second miss.
+func TestSnapshotWarmHitZeroAllocs(t *testing.T) {
+	ctx := context.Background()
+	src := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+	var reqs []facile.Request
+	for _, bm := range bhive.Generate(eval.DefaultSeed, 5) {
+		req := facile.Request{Code: bm.LoopCode, Arch: "SKL", Mode: facile.Loop}
+		if _, err := src.Analyze(ctx, req); err == nil {
+			reqs = append(reqs, req)
+		}
+	}
+	if len(reqs) == 0 {
+		t.Fatal("no valid corpus blocks")
+	}
+	dst := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
+	for i, r := range dst.AnalyzeBatch(ctx, reqs) {
+		if r.Err != nil {
+			t.Fatalf("replay %d: %v", i, r.Err)
+		}
+	}
+	misses := dst.Stats().Misses
+	for d := facile.DetailPrediction; d <= facile.DetailFull; d++ {
+		req := facile.Request{Code: reqs[0].Code, Arch: "SKL", Mode: facile.Loop, Detail: d}
+		if _, err := dst.Analyze(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dst.Analyze(ctx, req); err != nil {
+				t.Fatal(err)
 			}
+		}); allocs != 0 {
+			t.Errorf("warm Analyze(%v) on a batch-replayed entry allocates %.1f/op, want 0", d, allocs)
 		}
-		if st := e.Stats(); st.Misses != 1 {
-			t.Errorf("warmed by %s: %d misses, want 1", warmBy, st.Misses)
-		}
+	}
+	if got := dst.Stats().Misses; got != misses {
+		t.Errorf("Analyze after replay missed %d more times, want 0", got-misses)
 	}
 }
 
