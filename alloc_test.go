@@ -4,7 +4,6 @@ package facile_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -351,62 +350,5 @@ func TestAnalyzeColdMissAllocs(t *testing.T) {
 		if allocs[0] != allocs[1] {
 			t.Errorf("%v: uncached Analyze allocates %.1f/op at 8 instructions, %.1f/op at 256, want equal", mode, allocs[0], allocs[1])
 		}
-	}
-}
-
-// TestAnalyzeEachZeroPerItemAllocs: AnalyzeEach computes a private
-// analysis into the worker's scratch, rewound for every item, so on a warm
-// worker a block-major variant batch — each block analyzed for every
-// design point back to back, as a sweep orders it, at all three details —
-// allocates the same per call at 64 items as at 1,024, which is nothing:
-// not per item, and not per block either, although each block's first
-// analysis in a call decodes and bounds it afresh.
-func TestAnalyzeEachZeroPerItemAllocs(t *testing.T) {
-	e := newTestEngine(t, facile.EngineConfig{Archs: []string{"SKL"}})
-	reg := e.Registry()
-	var variants []*facile.Variant
-	for i, ov := range []string{
-		`{"issue_width":3}`, `{"issue_width":6}`, `{"lsd_enabled":true}`, `{"dsb_width":4}`,
-		`{"num_decoders":2}`, `{"load_latency":9}`, `{"predec_width":4}`, `{}`,
-	} {
-		v, err := reg.DeriveVariant(fmt.Sprintf("SKL~a%d", i), "SKL", []byte(ov))
-		if err != nil {
-			t.Fatal(err)
-		}
-		variants = append(variants, v)
-	}
-	const nBlocks = 8
-	var blocks [][]byte
-	for _, g := range bhive.GenerateBlocks(4, nBlocks) {
-		blocks = append(blocks, g.LoopCode)
-	}
-	mkReqs := func(n int) []facile.Request {
-		var reqs []facile.Request
-		for _, code := range blocks {
-			for k := 0; k < n/nBlocks; k++ {
-				reqs = append(reqs, facile.Request{Code: code, Mode: facile.Loop,
-					Variant: variants[k%len(variants)], Detail: facile.Detail(k % 3)})
-			}
-		}
-		return reqs
-	}
-	ctx := context.Background()
-	var sum float64
-	yield := func(i int, a *facile.Analysis, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += a.Prediction.CyclesPerIteration
-	}
-	measure := func(reqs []facile.Request) float64 {
-		e.AnalyzeEach(ctx, reqs, 1, yield)
-		return testing.AllocsPerRun(20, func() { e.AnalyzeEach(ctx, reqs, 1, yield) })
-	}
-	aSmall, aLarge := measure(mkReqs(64)), measure(mkReqs(1024))
-	if aSmall != aLarge {
-		t.Errorf("warm AnalyzeEach allocates %.1f/call at 64 items, %.1f/call at 1024 (want equal)", aSmall, aLarge)
-	}
-	if aLarge != 0 {
-		t.Errorf("warm AnalyzeEach allocates %.1f/call over %d blocks, want 0", aLarge, nBlocks)
 	}
 }

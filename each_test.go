@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,47 +11,10 @@ import (
 	"facile/internal/bhive"
 )
 
-// cloneAnalysis deep-copies a, strings included: a private analysis that
-// AnalyzeEach yields lives in the worker's scratch, and its slices and
-// strings alias buffers the worker overwrites after yield returns. Nil and
-// empty slices stay told apart.
-func cloneAnalysis(a *facile.Analysis) *facile.Analysis {
-	if a == nil {
-		return nil
-	}
-	c := *a
-	p := &c.Prediction
-	p.Arch = strings.Clone(p.Arch)
-	p.FrontEndSource = strings.Clone(p.FrontEndSource)
-	p.ContendedPorts = strings.Clone(p.ContendedPorts)
-	p.Bottlenecks = cloneStrings(p.Bottlenecks)
-	p.Instructions = cloneStrings(p.Instructions)
-	p.CriticalChain = slices.Clone(p.CriticalChain)
-	p.ContendedInstrs = slices.Clone(p.ContendedInstrs)
-	c.Bounds = slices.Clone(c.Bounds)
-	for i := range c.Bounds {
-		c.Bounds[i].Component = strings.Clone(c.Bounds[i].Component)
-	}
-	c.Speedups = slices.Clone(c.Speedups)
-	for i := range c.Speedups {
-		c.Speedups[i].Component = strings.Clone(c.Speedups[i].Component)
-	}
-	c.ReportText = strings.Clone(c.ReportText)
-	return &c
-}
-
-func cloneStrings(s []string) []string {
-	out := slices.Clone(s)
-	for i := range out {
-		out[i] = strings.Clone(out[i])
-	}
-	return out
-}
-
 // TestAnalyzeEachMatchesBatch: AnalyzeEach yields every index exactly once,
-// and what it yields — copied inside yield, since a private analysis is
-// valid only until yield returns — equals AnalyzeBatchN's durable result
-// and a fresh uncached engine's, at every worker count. The batch mixes
+// and what it yields — kept past yield, since every analysis it yields is
+// durable — equals AnalyzeBatchN's result and a fresh uncached engine's,
+// after every worker has moved on, at every worker count. The batch mixes
 // cached arches and variants, all three details (a variant at
 // DetailPrediction follows one at DetailFull on the same worker, so a
 // scratch analysis that kept an earlier item's speedups or report fails),
@@ -106,7 +67,7 @@ func TestAnalyzeEachMatchesBatch(t *testing.T) {
 			got := make([]facile.AnalysisResult, len(reqs))
 			newTestEngine(t, cfg).AnalyzeEach(ctx, reqs, workers, func(i int, a *facile.Analysis, err error) {
 				counts[i].Add(1)
-				got[i] = facile.AnalysisResult{Analysis: cloneAnalysis(a), Err: err}
+				got[i] = facile.AnalysisResult{Analysis: a, Err: err}
 			})
 			want := newTestEngine(t, cfg).AnalyzeBatchN(ctx, reqs, workers)
 			for i := range reqs {

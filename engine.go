@@ -11,6 +11,7 @@ import (
 
 	"facile/internal/bb"
 	"facile/internal/core"
+	"facile/internal/kernel"
 	"facile/internal/lru"
 	"facile/internal/uarch"
 )
@@ -104,12 +105,12 @@ type EngineConfig struct {
 //   - a private analysis — a request with Request.Variant set, or any
 //     request when memoization is disabled — has no cache entry: it is
 //     computed straight into an Analysis at the requested Detail, carved
-//     from the same slabs, or, for a variant under AnalyzeEach, into the
-//     worker's scratch;
+//     from the same slabs;
 //   - AnalyzeEach fans independent requests across a worker pool and hands
 //     each result to a callback, observing its context between items so a
 //     cancelled batch stops computing; AnalyzeBatch collects the results in
-//     request order.
+//     request order. The same worker loop runs the items of a design-space
+//     sweep (see internal/kernel).
 //
 // Simulate validates its request the same way but bypasses the cache: it
 // builds its own block and runs the reference simulator.
@@ -274,11 +275,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		pub = DefaultRegistry()
 	}
 	e := &Engine{reg: pub.reg(), pub: pub}
-	e.scratch.New = func() any {
-		sc := new(workerScratch)
-		sc.tmp.transient = true
-		return sc
-	}
+	e.scratch.New = func() any { return new(workerScratch) }
 	if len(cfg.Archs) > 0 {
 		e.restrict = make(map[string]bool, len(cfg.Archs))
 		for _, name := range cfg.Archs {
@@ -464,24 +461,18 @@ func (e *Engine) fill(ent *engineEntry, cfg *uarch.Config, ver uint64, code []by
 
 // private computes a private analysis at req's Detail, counted as a miss:
 // the speedups and the report are filled directly, not derived from an
-// entry. A variant's analysis on a streaming worker (see AnalyzeEach) and
-// its payloads live in the worker's transient slabs and are overwritten by
-// its next analysis; every other one is carved from its durable slabs, and
-// a single request (nil sc) draws a scratch of its own.
+// entry. The analysis and its payloads are carved from the worker's
+// durable slabs, sized for the left blocks still to be carved from them; a
+// single request (nil sc) draws a scratch of its own.
 func (e *Engine) private(cfg *uarch.Config, req *Request, sc *workerScratch, left int) (*Analysis, error) {
 	if sc == nil {
 		sc = e.getScratch()
 		defer e.putScratch(sc)
 	}
 	sc.private++
-	rs, a := &sc.tmp, &sc.tmpAna
-	if sc.stream && req.Variant != nil {
-		rs.rewind()
-	} else {
-		rs = &sc.keep
-		rs.blocksLeft(left)
-		a = &rs.anas.Carve(1)[0]
-	}
+	rs := &sc.keep
+	rs.blocksLeft(left)
+	a := &rs.anas.Carve(1)[0]
 	b, err := sc.predict(a, cfg, req.Code, req.Mode, rs)
 	if err != nil {
 		return nil, err
@@ -491,7 +482,7 @@ func (e *Engine) private(cfg *uarch.Config, req *Request, sc *workerScratch, lef
 		a.Speedups = appendSpeedups(rs.sps.Carve(numSpeedups(m))[:0], b, m)
 	}
 	if req.Detail == DetailFull {
-		a.ReportText = rs.reportText(a)
+		a.ReportText = renderReport(a)
 	}
 	return a, nil
 }
@@ -597,8 +588,12 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // sweep does — lets a batch decode, render and bound each block once for
 // all the design points that leave those inputs alone.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
+	if ctx == nil {
+		return e.AnalyzeBatchN(context.Background(), reqs, workers)
+	}
 	out := make([]AnalysisResult, len(reqs))
-	e.each(ctx, reqs, workers, false, func(i int, a *Analysis, err error) {
+	e.each(len(reqs), workers, func(sc *workerScratch, i, left int) {
+		a, err := e.batchItem(ctx, &reqs[i], sc, left)
 		out[i] = AnalysisResult{Analysis: a, Err: err}
 	})
 	return out
@@ -629,37 +624,39 @@ func (e *Engine) AnalyzeVariantBatchN(ctx context.Context, v *Variant, reqs []Re
 // exactly once for each index i of reqs, with a nil a when err is non-nil.
 // Calls come from the worker that computed the result, so with more than
 // one worker they run concurrently and in no set order; AnalyzeEach
-// returns after the last one.
-//
-// An analysis of a request without Variant is durable, as AnalyzeBatchN's
-// are: the memoized one, or on an engine whose CacheSize is negative a
-// private one carved from durable slabs. A variant analysis is computed
-// into the worker's scratch, which the worker reuses for its next request:
-// that Analysis and everything it references, slices and strings alike,
-// are valid only until yield returns, and may be overwritten by a later
-// analysis. Yield must copy what it keeps of it. This is what lets a
-// stream of variant analyses, such as a design-space sweep, allocate
-// nothing per analysis.
+// returns after the last one. Every analysis it yields is durable, as
+// AnalyzeBatchN's are: the memoized one, or a private one carved from the
+// worker's durable slabs.
 //
 // Cancellation behaves as in AnalyzeBatch: once ctx is done, every item not
 // yet begun is yielded with ctx's error.
 func (e *Engine) AnalyzeEach(ctx context.Context, reqs []Request, workers int, yield func(i int, a *Analysis, err error)) {
-	e.each(ctx, reqs, workers, true, yield)
-}
-
-// each is the batch kernel behind AnalyzeBatchN and AnalyzeEach: workers
-// claim contiguous chunks of indices off one counter and run every item
-// through the per-request path (Engine.analyze). stream selects where the
-// workers' variant analyses live (see workerScratch).
-func (e *Engine) each(ctx context.Context, reqs []Request, workers int, stream bool, yield func(int, *Analysis, error)) {
-	// A nil ctx is context.Background(). ctx is captured by the workers, so
-	// it is never reassigned: a reassigned captured variable moves to the
-	// heap.
 	if ctx == nil {
-		e.each(context.Background(), reqs, workers, stream, yield)
+		e.AnalyzeEach(context.Background(), reqs, workers, yield)
 		return
 	}
-	n := len(reqs)
+	e.each(len(reqs), workers, func(sc *workerScratch, i, left int) {
+		a, err := e.batchItem(ctx, &reqs[i], sc, left)
+		yield(i, a, err)
+	})
+}
+
+// batchItem is one request of a batch: ctx's error once ctx is done, so a
+// cancelled batch stops computing while every index still gets a result,
+// else the per-request path.
+func (e *Engine) batchItem(ctx context.Context, req *Request, sc *workerScratch, left int) (*Analysis, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e.analyze(ctx, req, sc, left)
+}
+
+// each is the one worker loop behind every batch and every sweep: workers
+// claim contiguous chunks of the indices [0, n) off one counter and run
+// item(sc, i, left) for each index i of a chunk, on a scratch each holds
+// for the whole call; left is how many items of the chunk, i included, are
+// still to run.
+func (e *Engine) each(n, workers int, item func(sc *workerScratch, i, left int)) {
 	if workers <= 0 || workers > e.workers {
 		workers = e.workers
 	}
@@ -668,7 +665,7 @@ func (e *Engine) each(ctx context.Context, reqs []Request, workers int, stream b
 	}
 	if workers <= 1 {
 		var one atomic.Int64 // not next, which the goroutines move to the heap
-		e.work(ctx, reqs, n, &one, stream, yield)
+		e.work(n, n, &one, item)
 		return
 	}
 	size := chunkLen(n, workers)
@@ -678,33 +675,25 @@ func (e *Engine) each(ctx context.Context, reqs []Request, workers int, stream b
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.work(ctx, reqs, size, &next, stream, yield)
+			e.work(n, size, &next, item)
 		}()
 	}
 	wg.Wait()
 }
 
-// work is one batch worker: on a scratch held for the whole call, it runs
-// the chunks of size items it claims off next, yielding each result, until
-// none is left. The context is observed per item, so a cancelled batch
-// stops computing while every index is still yielded once.
-func (e *Engine) work(ctx context.Context, reqs []Request, size int, next *atomic.Int64, stream bool, yield func(int, *Analysis, error)) {
+// work is one worker of each: on a scratch held for the whole call, it
+// runs the chunks of size items it claims off next until none is left.
+func (e *Engine) work(n, size int, next *atomic.Int64, item func(sc *workerScratch, i, left int)) {
 	sc := e.getScratch()
-	sc.stream = stream
 	defer e.putScratch(sc)
 	for {
 		lo := int(next.Add(1)-1) * size
-		if lo >= len(reqs) {
+		if lo >= n {
 			return
 		}
-		hi := min(lo+size, len(reqs))
+		hi := min(lo+size, n)
 		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				yield(i, nil, err)
-				continue
-			}
-			a, err := e.analyze(ctx, &reqs[i], sc, hi-i)
-			yield(i, a, err)
+			item(sc, i, hi-i)
 		}
 	}
 }
@@ -720,29 +709,22 @@ func chunkLen(n, workers int) int {
 	return min(max(target, 1), maxChunkLen)
 }
 
-// workerScratch is a worker's working state, pooled across misses and
-// batch calls: the analysis scratch context, the block a miss is built
-// into, and two sets of result slabs. Its arrays grow to the largest block
-// it has served and are refilled in place.
+// workerScratch is a worker's working state, pooled across misses, batch
+// calls and sweeps: the block a miss is built into, the analysis scratch
+// context (together the kernel.Scratch a sweep's items get), and the
+// result slabs. Its arrays grow to the largest block it has served and are
+// refilled in place.
 //
-// keep holds durable results: cached entries' payloads, and private
-// analyses other than a streaming worker's variant ones. Its slabs are
-// sized for the blocks left in the worker's chunk and dropped when the
-// scratch goes back to the pool, so what a call's results share stays
-// within that call. tmpAna is the variant analysis of a streaming worker
-// (stream set, for AnalyzeEach), and tmp the transient slabs its payloads
-// are carved from; they are rewound for every such analysis and kept
-// across calls, so a warm worker computes one with no allocation. putScratch
-// drops the block's references to the request before the scratch goes
-// back to the pool.
+// keep holds the results' payloads: cached entries', and private
+// analyses' together with the analyses themselves. Its slabs are sized for
+// the blocks left in the worker's chunk and dropped when the scratch goes
+// back to the pool, so what a call's results share stays within that
+// call. putScratch drops the block's references to the request before the
+// scratch goes back to the pool.
 type workerScratch struct {
-	ana    core.Analysis
-	pred   core.Prediction
-	block  bb.Block
-	keep   resultSlabs
-	tmp    resultSlabs
-	tmpAna Analysis
-	stream bool
+	kernel.Scratch
+	pred core.Prediction
+	keep resultSlabs
 	// private counts the private analyses computed since the scratch was
 	// drawn; putScratch adds them to the engine's count.
 	private uint64
@@ -753,23 +735,17 @@ type workerScratch struct {
 // analyses, the Analysis itself. text is the buffer instruction texts are
 // rendered into, and insts the Instructions last rendered from it, for a
 // block of decode generation instsGen: a later analysis of a block with
-// that decode generation shares them (see publicPrediction).
-//
-// Durable slabs (transient false) never hand out memory twice, and their
-// strings are copies of text. Transient ones are rewound for every
-// analysis, and their strings alias text and report, so everything carved
-// from them is overwritten by the next analysis.
+// that decode generation shares them (see publicPrediction). The slabs
+// never hand out memory twice, and their strings are copies of text.
 type resultSlabs struct {
-	ints      core.Slab[int]
-	bounds    core.Slab[ComponentBound]
-	strs      core.Slab[string]
-	sps       core.Slab[Speedup]
-	anas      core.Slab[Analysis]
-	text      []byte
-	report    []byte
-	insts     []string
-	instsGen  uint64
-	transient bool
+	ints     core.Slab[int]
+	bounds   core.Slab[ComponentBound]
+	strs     core.Slab[string]
+	sps      core.Slab[Speedup]
+	anas     core.Slab[Analysis]
+	text     []byte
+	insts    []string
+	instsGen uint64
 }
 
 // blocksLeft sizes the slabs' fresh backing arrays for the n blocks, the
@@ -779,38 +755,11 @@ func (rs *resultSlabs) blocksLeft(n int) {
 	rs.sps.Blocks, rs.anas.Blocks = n, n
 }
 
-// rewind makes transient slabs' memory available to the next analysis.
-func (rs *resultSlabs) rewind() {
-	rs.ints.Rewind()
-	rs.bounds.Rewind()
-	rs.strs.Rewind()
-	rs.sps.Rewind()
-}
-
 // drop lets go of durable slabs' backing arrays and shared instruction
 // texts, which the results carved from them keep, and keeps the render
 // buffer.
 func (rs *resultSlabs) drop() {
 	*rs = resultSlabs{text: rs.text[:0]}
-}
-
-// str returns buf's text: a copy on durable slabs, an alias of buf on
-// transient ones.
-func (rs *resultSlabs) str(buf []byte) string {
-	if rs.transient {
-		return unsafeString(buf)
-	}
-	return string(buf)
-}
-
-// reportText renders a's report: into a string of its own on durable
-// slabs, into the report buffer on transient ones.
-func (rs *resultSlabs) reportText(a *Analysis) string {
-	if !rs.transient {
-		return renderReport(a)
-	}
-	rs.report = appendReport(rs.report[:0], a)
-	return unsafeString(rs.report)
 }
 
 // predict builds code into sc's block, runs one bound computation for mode
@@ -819,14 +768,14 @@ func (rs *resultSlabs) reportText(a *Analysis) string {
 // vector the other details are derived from, valid until sc's next
 // prediction; a decode failure is classified as a bad request.
 func (sc *workerScratch) predict(a *Analysis, cfg *uarch.Config, code []byte, mode Mode, rs *resultSlabs) (*core.Bounds, error) {
-	block := &sc.block
+	block := &sc.Block
 	if err := bb.BuildInto(block, cfg, code); err != nil {
 		// Decode failures are about the request's bytes: classify them
 		// into the uniform bad-request vocabulary (text unchanged).
 		return nil, asBadRequest(err)
 	}
 	p := &sc.pred
-	*p = sc.ana.PredictSlab(block, coreMode(mode), core.Options{}, &rs.ints)
+	*p = sc.Ana.PredictSlab(block, coreMode(mode), core.Options{}, &rs.ints)
 	publicPrediction(&a.Prediction, p, block, cfg.Name, mode, rs)
 	a.Bounds = componentBounds(p, rs)
 	a.Speedups, a.ReportText = nil, ""
@@ -845,19 +794,16 @@ func (e *Engine) getScratch() *workerScratch {
 // putScratch returns sc to the engine's spare, or to its pool when the
 // spare is taken or sc too large. Its block's instructions subslice the
 // last request's code, so they are released first: neither may pin a
-// caller's buffer or a server's request memory. The durable slabs are
-// dropped, and the transient analysis cleared.
+// caller's buffer or a server's request memory. The slabs are dropped.
 func (e *Engine) putScratch(sc *workerScratch) {
 	if sc.private > 0 {
 		e.uncached.Add(sc.private)
 		sc.private = 0
 	}
-	sc.block.Release()
+	sc.Block.Release()
 	sc.keep.drop()
 	sc.pred = core.Prediction{}
-	sc.tmpAna = Analysis{}
-	sc.stream = false
-	if cap(sc.block.Insts) > maxSpareInsts || !e.spare.CompareAndSwap(nil, sc) {
+	if cap(sc.Block.Insts) > maxSpareInsts || !e.spare.CompareAndSwap(nil, sc) {
 		e.scratch.Put(sc)
 	}
 }
@@ -927,3 +873,22 @@ func (e *Engine) Stats() EngineStats {
 	st.Misses += e.uncached.Load()
 	return st
 }
+
+func init() {
+	kernel.Of = func(eng any) kernel.Engine { return kernelEngine{eng.(*Engine)} }
+}
+
+// kernelEngine is the view of an Engine that internal/kernel lends the
+// module's other packages.
+type kernelEngine struct{ e *Engine }
+
+func (k kernelEngine) Each(n, workers int, item func(sc *kernel.Scratch, i int)) {
+	k.e.each(n, workers, func(sc *workerScratch, i, _ int) { item(&sc.Scratch, i) })
+}
+
+func (k kernelEngine) Resolve(arch string) (*uarch.Config, error) {
+	cfg, _, err := k.e.resolve(arch)
+	return cfg, err
+}
+
+func (k kernelEngine) CountUncached(n uint64) { k.e.uncached.Add(n) }

@@ -216,12 +216,11 @@ func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch
 	// One carve holds the bottleneck names, then the instruction texts.
 	// Bottlenecks is a subset of the computed components, so its size is
 	// known up front and its part of the carve fills by append without
-	// growing. Transient slabs keep the texts in a list of their own,
-	// since their carves do not outlive the analysis.
+	// growing.
 	nb := bits.OnesCount8(uint8(p.Bottlenecks))
 	kept := block.DecodeGen() == rs.instsGen
 	ni := len(block.Insts)
-	if kept || rs.transient {
+	if kept {
 		ni = 0
 	}
 	strs := rs.strs.Carve(nb + ni)
@@ -238,12 +237,6 @@ func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch
 	}
 	if !kept {
 		ins := strs[nb:]
-		if rs.transient {
-			if cap(rs.insts) < len(block.Insts) {
-				rs.insts = make([]string, len(block.Insts))
-			}
-			ins = rs.insts[:len(block.Insts)]
-		}
 		buf := rs.text[:0]
 		if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
 			buf = make([]byte, 0, want)
@@ -252,7 +245,7 @@ func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch
 			buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
 		}
 		rs.text = buf
-		text := rs.str(buf)
+		text := string(buf)
 		for k := range ins {
 			end := strings.IndexByte(text, '\n')
 			ins[k], text = text[:end], text[end+1:]

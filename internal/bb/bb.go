@@ -61,6 +61,11 @@ type Block struct {
 	decodeGen, descGen uint64
 }
 
+// Reads lists the uarch.Config fields, by spec key, a build reads: those
+// of the descriptors and macro-fusion (isa.DescReads) and the JCC-erratum
+// flag. Two configurations that agree on them build a block alike.
+var Reads = append(slices.Clip(isa.DescReads), "jcc_erratum")
+
 // generations hands out the process-unique decode and descriptor
 // generations of built blocks.
 var generations atomic.Uint64

@@ -77,78 +77,67 @@ func reuse(c Component, hit bool) bool {
 // perform exactly one full bound computation per block.
 var testHookComponent func(Component)
 
-// computeBounds derives every applicable component bound in one pass. Which
-// components run follows eq. 1 for TPU and eq. 3's selection context for
-// TPL: under the JCC erratum the legacy-decode bounds (Predec, Dec) are
-// computed; otherwise the LSD bound (when eligible) AND the DSB bound are
-// both computed so that recombinations excluding the LSD can fall back to
-// the DSB without re-running anything.
+// Bound computes the bound of component c for a prepared block in mode,
+// reusing this Analysis's scratch state and kept results. It reads the
+// block's decode and descriptors and the fields of block.Cfg that Reads
+// lists for c.
+func (a *Analysis) Bound(block *bb.Block, mode Mode, c Component) float64 {
+	return a.bound(block, mode, c, Options{}, nil)
+}
+
+// bound is Bound under the ablation options; a non-nil det receives the
+// interpretability payload of the ports and precedence bounds.
+func (a *Analysis) bound(block *bb.Block, mode Mode, c Component, opts Options, det *analysisDetail) float64 {
+	if testHookComponent != nil {
+		testHookComponent(c)
+	}
+	switch c {
+	case Predec:
+		if opts.SimplePredec {
+			return SimplePredecBound(block, mode)
+		}
+		return a.predecBound(block, mode)
+	case Dec:
+		if opts.SimpleDec {
+			return SimpleDecBound(block)
+		}
+		return a.decBound(block)
+	case DSB:
+		return DSBBound(block)
+	case LSD:
+		return LSDBound(block)
+	case Issue:
+		return IssueBound(block)
+	case Ports:
+		v, instrs, ports := a.portsBoundDetail(block)
+		if det != nil {
+			det.instrs, det.ports = instrs, ports
+		}
+		return v
+	case Precedence:
+		v, chain := a.precedenceBound(block)
+		if det != nil {
+			det.chain = chain
+		}
+		return v
+	}
+	return 0
+}
+
+// computeBounds derives every applicable component bound in one pass: the
+// components Computed selects for the block's front-end selection context,
+// within the options' inclusion set.
 func (a *Analysis) computeBounds(block *bb.Block, mode Mode, opts Options) (Bounds, analysisDetail) {
-	inc := opts.include()
 	var b Bounds
 	var det analysisDetail
-
-	compute := func(c Component) {
-		if testHookComponent != nil {
-			testHookComponent(c)
-		}
-		var v float64
-		switch c {
-		case Predec:
-			if opts.SimplePredec {
-				v = SimplePredecBound(block, mode)
-			} else {
-				v = a.predecBound(block, mode)
-			}
-		case Dec:
-			if opts.SimpleDec {
-				v = SimpleDecBound(block)
-			} else {
-				v = a.decBound(block)
-			}
-		case DSB:
-			v = DSBBound(block)
-		case LSD:
-			v = LSDBound(block)
-		case Issue:
-			v = IssueBound(block)
-		case Ports:
-			v, det.instrs, det.ports = a.portsBoundDetail(block)
-		case Precedence:
-			v, det.chain = a.precedenceBound(block)
-		}
-		b.set(c, v)
-	}
-
-	switch mode {
-	case TPU:
-		for _, c := range tpuComponents {
-			if inc.Has(c) {
-				compute(c)
-			}
-		}
-	case TPL:
+	if mode == TPL {
 		b.JCCErratum = block.JCCErratumAffected()
-		b.LSDEligible = block.Cfg.LSDEnabled && block.FusedUops() <= block.Cfg.IDQSize
-		if b.JCCErratum {
-			if inc.Has(Predec) {
-				compute(Predec)
-			}
-			if inc.Has(Dec) {
-				compute(Dec)
-			}
-		} else {
-			if b.LSDEligible && inc.Has(LSD) {
-				compute(LSD)
-			}
-			if inc.Has(DSB) {
-				compute(DSB)
-			}
-		}
-		for _, c := range tplBackEnd {
-			if inc.Has(c) {
-				compute(c)
-			}
+		b.LSDEligible = LSDEligible(block)
+	}
+	set := Computed(mode, b.JCCErratum, b.LSDEligible) & opts.include()
+	for c := Component(0); c < NumComponents; c++ {
+		if set.Has(c) {
+			b.set(c, a.bound(block, mode, c, opts, &det))
 		}
 	}
 	return b, det
@@ -176,14 +165,7 @@ func (a *Analysis) PredictSlab(block *bb.Block, mode Mode, opts Options, ar *Sla
 		Bounds:         b,
 		FrontEnd:       comb.FrontEnd,
 		FrontEndSource: comb.FrontEndSource,
-	}
-	const eps = 1e-9
-	if comb.TP > 0 {
-		for _, c := range bottleneckOrder {
-			if comb.Considered.Has(c) && b.V[c] >= comb.TP-eps {
-				p.Bottlenecks |= 1 << c
-			}
-		}
+		Bottlenecks:    b.Bottlenecks(comb),
 	}
 	// The interpretability payloads point into scratch; copy them into a
 	// carve of ar so the Prediction outlives the Analysis's next use.

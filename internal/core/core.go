@@ -147,6 +147,53 @@ var (
 	tplBackEnd    = [...]Component{Issue, Ports, Precedence}
 )
 
+// Computed returns the components computeBounds computes in mode, given
+// eq. 3's selection context: eq. 1's components for TPU; for TPL the legacy
+// decode path (Predec, Dec) under the JCC erratum, otherwise the DSB and,
+// when the LSD may serve the loop, the LSD too, so that recombinations
+// excluding the LSD can fall back to the DSB; and the back end.
+func Computed(mode Mode, jccErratum, lsdEligible bool) ComponentSet {
+	const (
+		legacy = 1<<Predec | 1<<Dec | 1<<Issue | 1<<Ports | 1<<Precedence
+		dsb    = 1<<DSB | 1<<Issue | 1<<Ports | 1<<Precedence
+	)
+	switch {
+	case mode == TPU || jccErratum:
+		return legacy
+	case lsdEligible:
+		return dsb | 1<<LSD
+	}
+	return dsb
+}
+
+// LSDEligible reports whether the loop stream detector can serve the block:
+// it is enabled on block.Cfg and the block fits the IDQ.
+func LSDEligible(block *bb.Block) bool {
+	return block.Cfg.LSDEnabled && block.FusedUops() <= block.Cfg.IDQSize
+}
+
+// Reads declares, for each component, the uarch.Config fields (by spec
+// key) its bound reads besides the block's decode and descriptors (the
+// predecoder reads the mode too): two configurations that agree on them,
+// for blocks built alike, give the component the same bound. A component
+// whose computation depends on the selection context also lists the fields
+// that decide it (the LSD bound is computed only where the LSD may serve
+// the loop). A design-space sweep computes each bound once per distinct
+// tuple of these fields; TestReadsComplete holds every bound to them.
+var Reads = [NumComponents][]string{
+	Predec:     {"predec_width"},
+	Dec:        {"num_decoders", "fusible_on_last_decoder"},
+	DSB:        {"dsb_width"},
+	LSD:        {"issue_width", "lsd_enabled", "idq_size", "lsd_unroll_target"},
+	Issue:      {"issue_width"},
+	Ports:      nil,
+	Precedence: {"load_latency"},
+}
+
+// SelectionReads lists the uarch.Config fields eq. 3's front-end selection
+// reads besides the block's JCC-erratum flag: those LSDEligible reads.
+var SelectionReads = []string{"lsd_enabled", "idq_size"}
+
 // Combine folds the bound vector into a throughput prediction for the given
 // inclusion set, re-evaluating eq. 3's front-end selection in-memory. An
 // include value of zero means AllComponents. Combine never allocates; it is
@@ -204,6 +251,21 @@ func (b *Bounds) Combine(mode Mode, include ComponentSet) Combined {
 		}
 	}
 	return r
+}
+
+// Bottlenecks returns the components of comb, a recombination of b, whose
+// bound equals its prediction (to within rounding noise).
+func (b *Bounds) Bottlenecks(comb Combined) ComponentSet {
+	const eps = 1e-9
+	var s ComponentSet
+	if comb.TP > 0 {
+		for _, c := range bottleneckOrder {
+			if comb.Considered.Has(c) && b.V[c] >= comb.TP-eps {
+				s |= 1 << c
+			}
+		}
+	}
+	return s
 }
 
 // Speedups answers the counterfactual question of the paper's Table 4 for

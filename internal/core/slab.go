@@ -7,8 +7,7 @@ package core
 // would pay one heap allocation each. A Slab amortizes that cost:
 // each block carves its payload with one Carve call, a drained backing
 // array is replaced (never recycled), and carved memory stays valid for the
-// lifetime of whatever retains it, unless its owner rewinds the slab
-// (Rewind). The zero value is ready to use. A Slab
+// lifetime of whatever retains it. The zero value is ready to use. A Slab
 // is NOT safe for concurrent use; give each worker its own.
 type Slab[T any] struct {
 	buf []T
@@ -38,9 +37,3 @@ func (s *Slab[T]) Carve(n int) []T {
 	// slab's tail and clobber a later carve.
 	return s.buf[lo : lo+n : lo+n]
 }
-
-// Rewind makes the slab's whole backing array available to Carve again, so
-// a caller that is done with everything carved so far reuses the memory
-// instead of replacing it. Carves made before a Rewind are overwritten by
-// later ones.
-func (s *Slab[T]) Rewind() { s.buf = s.buf[:0] }

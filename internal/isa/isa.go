@@ -83,6 +83,13 @@ func (e *ErrUnsupported) Error() string {
 	return fmt.Sprintf("isa: %v not supported on %s", e.Op, e.Arch)
 }
 
+// DescReads lists the uarch.Config fields, by spec key, that Lookup and
+// CanMacroFuse read, and so SameDescs compares.
+var DescReads = []string{
+	"gen", "role_ports", "fp_add_latency", "fp_mul_latency", "fma_latency",
+	"move_elim_gpr", "move_elim_vec", "unlaminate_indexed", "macro_fusion", "fuse_with_mem",
+}
+
 // SameDescs reports whether Lookup and CanMacroFuse give every instruction
 // the same descriptor and the same fusion on a as on b: whether the two
 // configurations agree on every field those functions read. The name is
@@ -90,6 +97,7 @@ func (e *ErrUnsupported) Error() string {
 // differ in their names alone give the same descriptors to every
 // instruction that has one on either.
 func SameDescs(a, b *uarch.Config) bool {
+	// Keep in step with DescReads.
 	return a.Gen == b.Gen && a.RolePorts == b.RolePorts &&
 		a.FPAddLat == b.FPAddLat && a.FPMulLat == b.FPMulLat && a.FMALat == b.FMALat &&
 		a.MoveElimGPR == b.MoveElimGPR && a.MoveElimVec == b.MoveElimVec &&

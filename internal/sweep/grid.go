@@ -168,81 +168,12 @@ func (g *Grid) Enumerate() ([]Point, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// Each axis value's name fragment, "param=label", is built once for
-	// every point that takes it.
-	frags := make([][]string, len(g.Axes))
-	for k := range g.Axes {
-		ax := &g.Axes[k]
-		frags[k] = make([]string, len(ax.Values))
-		for j := range ax.Values {
-			frags[k][j] = ax.Param + "=" + ax.label(j)
-		}
+	d := newDesign(g, nil)
+	pts := make([]Point, d.points)
+	for p := range pts {
+		pts[p] = Point{Name: d.name(p), Overlay: d.overlay(p)}
 	}
-	pts := make([]Point, 0, g.Points())
-	idx := make([]int, len(g.Axes))
-	for {
-		pts = append(pts, g.point(idx, frags))
-		k := len(idx) - 1
-		for ; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < len(g.Axes[k].Values) {
-				break
-			}
-			idx[k] = 0
-		}
-		if k < 0 {
-			return pts, nil
-		}
-	}
-}
-
-// point builds one design point from an axis-index vector and each axis
-// value's name fragment. Overlay keys keep axis order; dotted role params
-// fold into a single "role_ports" object so the overlay is plain spec JSON.
-func (g *Grid) point(idx []int, frags [][]string) Point {
-	if len(idx) == 0 {
-		return Point{Name: g.Base + "~base", Overlay: nil}
-	}
-	names := make([]string, 0, len(idx))
-	var buf bytes.Buffer
-	buf.WriteByte('{')
-	var roleKeys []string
-	var roleVals []json.RawMessage
-	first := true
-	for k, ax := range g.Axes {
-		v := ax.Values[idx[k]]
-		names = append(names, frags[k][idx[k]])
-		if role, ok := strings.CutPrefix(ax.Param, "role_ports."); ok {
-			roleKeys = append(roleKeys, role)
-			roleVals = append(roleVals, v)
-			continue
-		}
-		if !first {
-			buf.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&buf, "%q:", ax.Param)
-		buf.Write(bytes.TrimSpace(v))
-	}
-	if len(roleKeys) > 0 {
-		if !first {
-			buf.WriteByte(',')
-		}
-		buf.WriteString(`"role_ports":{`)
-		for j, role := range roleKeys {
-			if j > 0 {
-				buf.WriteByte(',')
-			}
-			fmt.Fprintf(&buf, "%q:", role)
-			buf.Write(bytes.TrimSpace(roleVals[j]))
-		}
-		buf.WriteByte('}')
-	}
-	buf.WriteByte('}')
-	return Point{
-		Name:    g.Base + "~" + strings.Join(names, "~"),
-		Overlay: append([]byte(nil), buf.Bytes()...),
-	}
+	return pts, nil
 }
 
 // label renders one axis value for variant names: the explicit label when

@@ -9,6 +9,10 @@ import (
 	"sort"
 
 	"facile"
+	"facile/internal/bb"
+	"facile/internal/core"
+	"facile/internal/kernel"
+	"facile/internal/uarch"
 )
 
 // Workload is the block set a sweep evaluates every design point on.
@@ -86,28 +90,23 @@ type Result struct {
 	Failed []FailedVariant `json:"failed,omitempty"`
 }
 
-// groupPairs is about how many (block, design point) analyses one batch
-// call of Run carries: whole blocks, every live point of a block back to
-// back. Groups bound the requests and compact results Run holds at once,
-// let a point that fails stop being analyzed, and keep a sweep of few
-// points (one, as a designer trying one configuration makes) to a single
-// call. On the 108-point example grid over 32 blocks, groups of 256, 1024
-// or all pairs sweep equally fast; the whole sweep in one group allocates
-// 3.5 times the bytes.
-const groupPairs = 256
-
 // Run executes a sweep: one cached base pass over the workload, then every
-// grid point as an ephemeral variant, folded into the ranked frontier. The
-// variant passes run block-major: the blocks stream through the engine's
-// batch kernel (Engine.AnalyzeEach) in groups, each block analyzed for
-// every design point back to back, so the kernel decodes, renders and
-// bounds it once for all the points that leave those inputs alone. Each
-// analysis is read where the kernel yields it, into its prediction and
-// bottleneck mask, so the variant analyses allocate nothing. Each
-// variant's fold reads its own results in block order, and ranking breaks
-// ties by name — the Result is identical at any worker count.
+// grid point, folded into the ranked frontier. It derives the points in
+// typed form (see design): each axis value is decoded once, and a point is
+// the base with one setting per axis written onto it, checked by
+// Config.Validate. It then evaluates them factored: a component bound reads
+// the block and a few configuration fields (core.Reads), so per block it
+// builds the block once for each distinct tuple of the fields a build
+// reads (bb.Reads), and computes each bound once for each distinct tuple of
+// the fields that bound reads, among the points that derive. A pair's
+// prediction and bottlenecks are eq. 1/3's combination (Bounds.Combine) of
+// the bounds it looks up, exactly what an analysis of the pair computes.
+// Both phases, the per-block tables and the per-point folds, run on the
+// engine's batch workers. Each point folds its pairs in block order, and
+// ranking breaks ties by name — the Result is identical at any worker
+// count.
 //
-// ctx cancels the sweep between analyses; a cancelled run returns ctx's
+// ctx cancels the sweep between items; a cancelled run returns ctx's
 // error. Individually invalid design points do not fail the run: they are
 // reported in Result.Failed.
 func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts Options) (*Result, error) {
@@ -120,8 +119,7 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	if len(wl.Blocks) == 0 {
 		return nil, fmt.Errorf("sweep: empty workload")
 	}
-	points, err := grid.Enumerate()
-	if err != nil {
+	if err := grid.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -134,7 +132,7 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		reqs[i] = facile.Request{Code: code, Arch: grid.Base, Mode: wl.Mode}
 	}
 	baseTP := make([]float64, nb)
-	baseBn := make([]int, len(comps))
+	var baseBn [core.NumComponents]int
 	baseLogSum := 0.0
 	for i, r := range eng.AnalyzeBatchN(ctx, reqs, opts.Workers) {
 		if r.Err != nil {
@@ -149,14 +147,14 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		}
 		baseTP[i] = tp
 		baseLogSum += math.Log(tp)
-		countBottlenecks(baseBn, bottleneckMask(r.Analysis, comps))
+		countBottlenecks(&baseBn, bottleneckMask(r.Analysis, comps))
 	}
 
 	res := &Result{
 		Base:              grid.Base,
 		Mode:              wl.Mode,
 		Blocks:            nb,
-		Points:            len(points),
+		Points:            grid.Points(),
 		BaseGeomeanCycles: round4(math.Exp(baseLogSum / float64(nb))),
 		BaseRates:         make([]ComponentRate, len(comps)),
 	}
@@ -164,86 +162,49 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		res.BaseRates[i] = ComponentRate{Component: c, Pct: pct(baseBn[i], nb)}
 	}
 
-	// Derive every point; one that fails is reported and not analyzed.
-	reg := eng.Registry()
-	folds := make([]variantFold, len(points))
-	for pi, pt := range points {
-		f := &folds[pi]
-		f.pt = pt
-		if f.v, err = reg.DeriveVariant(pt.Name, grid.Base, pt.Overlay); err != nil {
-			f.err = err.Error()
-			continue
-		}
-		f.bn = make([]int, len(comps))
+	// The design points, then their pairs in groups of blocks: a group's
+	// block tables, then every point's fold over the group.
+	k := kernel.Of(eng)
+	base, err := k.Resolve(grid.Base)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: base %q: %w", grid.Base, err)
 	}
-
-	// Variant passes, block-major. Each pair's analysis is folded into a
-	// compact result as it is yielded; the results are then reduced in
-	// block order, so the Result does not depend on the worker count. A
-	// point that fails on a block drops out of the groups after it; within
-	// its group its later results are skipped, so each failure names the
-	// first failing block.
-	var (
-		live  []*variantFold
-		pairs []pairResult
-	)
-	for lo := 0; lo < nb; {
-		live = live[:0]
-		for pi := range folds {
-			if folds[pi].err == "" {
-				live = append(live, &folds[pi])
+	mode := core.TPU
+	if wl.Mode == facile.Loop {
+		mode = core.TPL
+	}
+	pl := newPlan(newDesign(grid, base), wl.Blocks, mode, baseTP)
+	for lo := 0; lo < nb && pl.live > 0; lo += pl.group {
+		hi := min(lo+pl.group, nb)
+		k.Each(hi-lo, opts.Workers, func(sc *kernel.Scratch, t int) {
+			if ctx.Err() == nil {
+				pl.tabulate(sc, lo+t, t)
 			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		hi := min(lo+max(groupPairs/len(live), 1), nb)
-		reqs = reqs[:0]
-		for i := lo; i < hi; i++ {
-			for _, f := range live {
-				reqs = append(reqs, facile.Request{Code: wl.Blocks[i], Mode: wl.Mode, Variant: f.v})
-			}
-		}
-		pairs = slices.Grow(pairs[:0], len(reqs))[:len(reqs)]
-		eng.AnalyzeEach(ctx, reqs, opts.Workers, func(k int, a *facile.Analysis, err error) {
-			if err != nil {
-				pairs[k] = pairResult{err: err}
-				return
-			}
-			pairs[k] = pairResult{tp: a.Prediction.CyclesPerIteration, bn: bottleneckMask(a, comps)}
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k := 0
-		for i := lo; i < hi; i++ {
-			for _, f := range live {
-				r := &pairs[k]
-				k++
-				switch {
-				case f.err != "":
-				case r.err != nil:
-					f.err = r.err.Error()
-				case r.tp <= 0:
-					f.err = fmt.Sprintf("block %d: non-positive prediction %g", i, r.tp)
-				default:
-					f.logSum += math.Log(baseTP[i] / r.tp)
-					countBottlenecks(f.bn, r.bn)
-				}
+		k.Each(len(pl.pts), opts.Workers, func(sc *kernel.Scratch, p int) {
+			if ctx.Err() == nil {
+				pl.fold(sc, p, lo, hi)
 			}
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		lo = hi
 	}
 
-	for pi := range folds {
-		f := &folds[pi]
-		if f.err != "" {
-			res.Failed = append(res.Failed, FailedVariant{Name: f.pt.Name, Overlay: f.pt.Overlay, Error: f.err})
+	var pairs uint64
+	for p := range pl.pts {
+		f := &pl.pts[p]
+		pairs += uint64(f.pairs)
+		if f.err != nil {
+			res.Failed = append(res.Failed, FailedVariant{Name: f.name, Overlay: pl.d.overlay(p), Error: f.err.Error()})
 			continue
 		}
 		row := VariantResult{
-			Name:           f.pt.Name,
-			Overlay:        f.pt.Overlay,
+			Name:           f.name,
+			Overlay:        pl.d.overlay(p),
 			GeomeanSpeedup: round4(math.Exp(f.logSum / float64(nb))),
 			Shifts:         make([]ComponentShift, len(comps)),
 		}
@@ -256,6 +217,7 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		}
 		res.Variants = append(res.Variants, row)
 	}
+	k.CountUncached(pairs)
 	sort.SliceStable(res.Variants, func(i, j int) bool {
 		a, b := &res.Variants[i], &res.Variants[j]
 		if a.GeomeanSpeedup != b.GeomeanSpeedup {
@@ -270,27 +232,244 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	return res, nil
 }
 
-// variantFold is one design point's running fold over the workload: its
-// log-speedup sum and bottleneck counts so far, or why it failed.
-type variantFold struct {
-	pt     Point
-	v      *facile.Variant
-	err    string
-	logSum float64
-	bn     []int
+// Kinds of plan entries: one per component bound, eq. 3's selection
+// context (whether the LSD may serve the loop), and the block build.
+const (
+	selKind   = int(core.NumComponents)
+	buildKind = selKind + 1
+	numKinds  = buildKind + 1
+)
+
+// kindReads returns the configuration fields, by spec key, a kind's
+// entries are keyed on: a build's, and a component's or the selection's
+// besides.
+func kindReads(j int) []string {
+	reads := slices.Clip(bb.Reads)
+	switch {
+	case j == selKind:
+		return append(reads, core.SelectionReads...)
+	case j < selKind:
+		return append(reads, core.Reads[j]...)
+	}
+	return reads
 }
 
-// pairResult is what the fold keeps of one (block, design point)
-// analysis: its prediction and bottleneck mask, or its error.
-type pairResult struct {
-	tp  float64
-	bn  uint32
-	err error
+// tableBudget bounds the bound values a plan tabulates at once, over the
+// blocks of a group.
+const tableBudget = 1 << 16
+
+// plan is a factored evaluation of a design over a workload. An entry of a
+// kind is one distinct tuple, among the points that derive, of the fields
+// the kind reads: the build's entries are the distinct descriptor tuples,
+// and each other entry lies within one of them. Every entry is computed
+// with the configuration of the first point that has it. Per block of a
+// group, a block table holds each entry's result; a point's fold looks its
+// entries up.
+type plan struct {
+	d      *design
+	blocks [][]byte
+	mode   core.Mode
+	baseTP []float64
+	pts    []pointFold
+	live   int
+	kinds  [numKinds]kindPlan
+	// reps holds the configurations the entries are computed with.
+	reps []uarch.Config
+	// byBuild lists each build entry's entries of the other kinds:
+	// those of build entry b are byBuild[buildAt[b]:buildAt[b+1]].
+	byBuild []entryRef
+	buildAt []int
+
+	// The block tables of a group of blocks, group rows each: the
+	// component bounds (kinds' entries back to back, from off), the
+	// selection, and per build entry the JCC-erratum flag and whether the
+	// build failed.
+	group        int
+	nv, ns, nc   int
+	off          [selKind]int
+	vals         []float64
+	elig         []bool
+	jcc, failing []bool
+}
+
+// kindPlan is one kind's entries: which axes key them, and per entry its
+// representative configuration and build entry.
+type kindPlan struct {
+	axes  []int
+	dense []int32 // per key (mixed radix over axes), the entry's id + 1; 0 for none yet
+	rep   []int32 // per entry, its index in plan.reps
+	build []int32 // per entry, its build entry
+}
+
+type entryRef struct {
+	kind int8
+	id   int32
+}
+
+// pointFold is one design point's fold over the workload: its name and
+// entries, its log-speedup sum, bottleneck counts and pairs so far, or why
+// it failed.
+type pointFold struct {
+	name   string
+	err    error
+	ids    [numKinds]int32
+	logSum float64
+	bn     [core.NumComponents]int
+	pairs  int
+}
+
+// newPlan derives every point of d and lays out their entries: serially,
+// so each entry's representative is its first point.
+func newPlan(d *design, blocks [][]byte, mode core.Mode, baseTP []float64) *plan {
+	pl := &plan{d: d, blocks: blocks, mode: mode, baseTP: baseTP, pts: make([]pointFold, d.points)}
+	for j := range pl.kinds {
+		kp := &pl.kinds[j]
+		reads := kindReads(j)
+		size := 1
+		for k := range d.axes {
+			if key := d.axes[k].settings[0].Key(); key != "" && slices.Contains(reads, key) {
+				kp.axes = append(kp.axes, k)
+				size *= len(d.axes[k].names)
+			}
+		}
+		kp.dense = make([]int32, size)
+	}
+	var cfg uarch.Config
+	settings := make([]*uarch.Setting, 0, len(d.axes))
+	for p := range pl.pts {
+		pt := &pl.pts[p]
+		pt.name = d.name(p)
+		if pt.err = d.derive(&cfg, p, pt.name, settings); pt.err != nil {
+			continue
+		}
+		pl.live++
+		rep := int32(-1)
+		for j := buildKind; j >= 0; j-- {
+			kp := &pl.kinds[j]
+			key := 0
+			for _, k := range kp.axes {
+				key = key*len(d.axes[k].names) + d.value(p, k)
+			}
+			if kp.dense[key] == 0 {
+				if rep < 0 {
+					rep = int32(len(pl.reps))
+					pl.reps = append(pl.reps, cfg)
+				}
+				kp.rep = append(kp.rep, rep)
+				kp.build = append(kp.build, pt.ids[buildKind])
+				kp.dense[key] = int32(len(kp.rep))
+			}
+			pt.ids[j] = kp.dense[key] - 1
+		}
+	}
+
+	pl.nc, pl.ns = len(pl.kinds[buildKind].rep), len(pl.kinds[selKind].rep)
+	pl.buildAt = make([]int, pl.nc+1)
+	for j := range selKind + 1 {
+		for _, b := range pl.kinds[j].build {
+			pl.buildAt[b+1]++
+		}
+		if j < selKind {
+			pl.off[j] = pl.nv
+			pl.nv += len(pl.kinds[j].rep)
+		}
+	}
+	for b := range pl.nc {
+		pl.buildAt[b+1] += pl.buildAt[b]
+	}
+	pl.byBuild = make([]entryRef, pl.buildAt[pl.nc])
+	next := slices.Clone(pl.buildAt[:pl.nc])
+	for j := range selKind + 1 {
+		for id, b := range pl.kinds[j].build {
+			pl.byBuild[next[b]] = entryRef{kind: int8(j), id: int32(id)}
+			next[b]++
+		}
+	}
+
+	pl.group = min(max(tableBudget/max(pl.nv, 1), 1), len(blocks))
+	pl.vals = make([]float64, pl.group*pl.nv)
+	pl.elig = make([]bool, pl.group*pl.ns)
+	pl.jcc = make([]bool, pl.group*pl.nc)
+	pl.failing = make([]bool, pl.group*pl.nc)
+	return pl
+}
+
+// tabulate fills row t of the block tables for block i: one build per
+// build entry, then each of its entries with its representative's
+// configuration, the components eq. 1/3 computes for the block among them.
+func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
+	block := &sc.Block
+	vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
+	elig := pl.elig[t*pl.ns : (t+1)*pl.ns]
+	jcc := pl.jcc[t*pl.nc : (t+1)*pl.nc]
+	failing := pl.failing[t*pl.nc : (t+1)*pl.nc]
+	for b := range pl.nc {
+		failing[b] = bb.BuildInto(block, &pl.reps[pl.kinds[buildKind].rep[b]], pl.blocks[i]) != nil
+		if failing[b] {
+			continue
+		}
+		jcc[b] = block.JCCErratumAffected()
+		need := core.Computed(pl.mode, jcc[b], true)
+		for _, e := range pl.byBuild[pl.buildAt[b]:pl.buildAt[b+1]] {
+			kp := &pl.kinds[e.kind]
+			block.Cfg = &pl.reps[kp.rep[e.id]]
+			switch c := core.Component(e.kind); {
+			case int(e.kind) == selKind:
+				elig[e.id] = core.LSDEligible(block)
+			case need.Has(c):
+				vals[pl.off[c]+int(e.id)] = sc.Ana.Bound(block, pl.mode, c)
+			}
+		}
+	}
+}
+
+// fold folds point p's pairs with the blocks [lo, hi), whose tables are
+// rows 0 to hi-lo-1, in block order. A pair's bounds are its entries'; its
+// prediction is their combination, rounded as an Analysis rounds it. A
+// point that fails on a block is not evaluated on later ones.
+func (pl *plan) fold(sc *kernel.Scratch, p, lo, hi int) {
+	f := &pl.pts[p]
+	if f.err != nil {
+		return
+	}
+	b := int(f.ids[buildKind])
+	for i := lo; i < hi; i++ {
+		t := i - lo
+		f.pairs++
+		if pl.failing[t*pl.nc+b] {
+			f.err = pl.buildError(sc, p, i)
+			return
+		}
+		jcc, elig := pl.jcc[t*pl.nc+b], pl.elig[t*pl.ns+int(f.ids[selKind])]
+		bounds := core.Bounds{Present: core.Computed(pl.mode, jcc, elig), JCCErratum: jcc, LSDEligible: elig}
+		vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
+		for c := core.Component(0); c < core.NumComponents; c++ {
+			if bounds.Has(c) {
+				bounds.V[c] = vals[pl.off[c]+int(f.ids[c])]
+			}
+		}
+		comb := bounds.Combine(pl.mode, core.AllComponents)
+		tp := round2(comb.TP)
+		if tp <= 0 {
+			f.err = fmt.Errorf("block %d: non-positive prediction %g", i, tp)
+			return
+		}
+		f.logSum += math.Log(pl.baseTP[i] / tp)
+		countBottlenecks(&f.bn, uint32(bounds.Bottlenecks(comb)))
+	}
+}
+
+// buildError returns the error building block i for point p reports,
+// naming p: the build of p's descriptor tuple failed on the block.
+func (pl *plan) buildError(sc *kernel.Scratch, p, i int) error {
+	cfg := new(uarch.Config)
+	pl.d.derive(cfg, p, pl.pts[p].name, make([]*uarch.Setting, 0, len(pl.d.axes)))
+	return bb.BuildInto(&sc.Block, cfg, pl.blocks[i])
 }
 
 // countBottlenecks increments counts[i] for every component i in the
 // bottleneck mask m.
-func countBottlenecks(counts []int, m uint32) {
+func countBottlenecks(counts *[core.NumComponents]int, m uint32) {
 	for i := range counts {
 		if m&(1<<i) != 0 {
 			counts[i]++

@@ -149,11 +149,20 @@ type specDoc struct {
 // the document's "base". Unknown fields are rejected, so a typo in an
 // overlay fails loudly instead of silently changing nothing.
 func decodeSpec(c *Config, data []byte) (base string, err error) {
+	base, err = decodeDoc(c, data)
+	if err != nil {
+		return "", specError(err)
+	}
+	return base, nil
+}
+
+// decodeDoc is decodeSpec with the decoder's own errors.
+func decodeDoc(c *Config, data []byte) (base string, err error) {
 	doc := specDoc{Config: c}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		return "", specError(err)
+		return "", err
 	}
 	return doc.Base, nil
 }
