@@ -1,12 +1,13 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"facile"
 	"facile/internal/bb"
@@ -123,33 +124,18 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		return nil, err
 	}
 
-	comps := facile.ComponentNames()
-
-	// Base pass: the registered base arch through the normal cached path.
-	nb := len(wl.Blocks)
-	reqs := make([]facile.Request, nb)
-	for i, code := range wl.Blocks {
-		reqs[i] = facile.Request{Code: code, Arch: grid.Base, Mode: wl.Mode}
+	bases, err := basePass(ctx, eng, grid.Base, wl, opts.Workers)
+	if err != nil {
+		return nil, err
 	}
-	baseTP := make([]float64, nb)
+	comps := facile.ComponentNames()
+	nb := len(wl.Blocks)
 	var baseBn [core.NumComponents]int
 	baseLogSum := 0.0
-	for i, r := range eng.AnalyzeBatchN(ctx, reqs, opts.Workers) {
-		if r.Err != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("sweep: base %q, block %d: %w", grid.Base, i, r.Err)
-		}
-		tp := r.Analysis.Prediction.CyclesPerIteration
-		if tp <= 0 {
-			return nil, fmt.Errorf("sweep: base %q, block %d: non-positive prediction %g", grid.Base, i, tp)
-		}
-		baseTP[i] = tp
-		baseLogSum += math.Log(tp)
-		countBottlenecks(&baseBn, bottleneckMask(r.Analysis, comps))
+	for i := range bases {
+		baseLogSum += math.Log(bases[i].tp)
+		countBottlenecks(&baseBn, bases[i].bn)
 	}
-
 	res := &Result{
 		Base:              grid.Base,
 		Mode:              wl.Mode,
@@ -162,39 +148,13 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		res.BaseRates[i] = ComponentRate{Component: c, Pct: pct(baseBn[i], nb)}
 	}
 
-	// The design points, then their pairs in groups of blocks: a group's
-	// block tables, then every point's fold over the group.
-	k := kernel.Of(eng)
-	base, err := k.Resolve(grid.Base)
+	pl, err := evaluate(ctx, eng, grid, wl, bases, opts.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: base %q: %w", grid.Base, err)
+		return nil, err
 	}
-	mode := core.TPU
-	if wl.Mode == facile.Loop {
-		mode = core.TPL
-	}
-	pl := newPlan(newDesign(grid, base), wl.Blocks, mode, baseTP)
-	for lo := 0; lo < nb && pl.live > 0; lo += pl.group {
-		hi := min(lo+pl.group, nb)
-		k.Each(hi-lo, opts.Workers, func(sc *kernel.Scratch, t int) {
-			if ctx.Err() == nil {
-				pl.tabulate(sc, lo+t, t)
-			}
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k.Each(len(pl.pts), opts.Workers, func(sc *kernel.Scratch, p int) {
-			if ctx.Err() == nil {
-				pl.fold(sc, p, lo, hi)
-			}
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
 	var pairs uint64
+	res.Variants = make([]VariantResult, 0, pl.live)
+	shifts := make([]ComponentShift, pl.live*len(comps))
 	for p := range pl.pts {
 		f := &pl.pts[p]
 		pairs += uint64(f.pairs)
@@ -206,8 +166,9 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 			Name:           f.name,
 			Overlay:        pl.d.overlay(p),
 			GeomeanSpeedup: round4(math.Exp(f.logSum / float64(nb))),
-			Shifts:         make([]ComponentShift, len(comps)),
+			Shifts:         shifts[:len(comps):len(comps)],
 		}
+		shifts = shifts[len(comps):]
 		for ci, c := range comps {
 			bp, vp := pct(baseBn[ci], nb), pct(f.bn[ci], nb)
 			row.Shifts[ci] = ComponentShift{
@@ -217,19 +178,78 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		}
 		res.Variants = append(res.Variants, row)
 	}
-	k.CountUncached(pairs)
-	sort.SliceStable(res.Variants, func(i, j int) bool {
-		a, b := &res.Variants[i], &res.Variants[j]
+	kernel.Of(eng).CountUncached(pairs)
+	slices.SortStableFunc(res.Variants, func(a, b VariantResult) int {
 		if a.GeomeanSpeedup != b.GeomeanSpeedup {
-			return a.GeomeanSpeedup > b.GeomeanSpeedup
+			return cmp.Compare(b.GeomeanSpeedup, a.GeomeanSpeedup)
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	for i := range res.Variants {
 		res.Variants[i].Rank = i + 1
 	}
-	sort.SliceStable(res.Failed, func(i, j int) bool { return res.Failed[i].Name < res.Failed[j].Name })
+	slices.SortStableFunc(res.Failed, func(a, b FailedVariant) int { return strings.Compare(a.Name, b.Name) })
 	return res, nil
+}
+
+// basePass analyzes the workload on the registered base arch through the
+// engine's cached path.
+func basePass(ctx context.Context, eng *facile.Engine, base string, wl Workload, workers int) ([]baseBlock, error) {
+	comps := facile.ComponentNames()
+	reqs := make([]facile.Request, len(wl.Blocks))
+	for i, code := range wl.Blocks {
+		reqs[i] = facile.Request{Code: code, Arch: base, Mode: wl.Mode}
+	}
+	bases := make([]baseBlock, len(reqs))
+	for i, r := range eng.AnalyzeBatchN(ctx, reqs, workers) {
+		if r.Err != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("sweep: base %q, block %d: %w", base, i, r.Err)
+		}
+		if tp := r.Analysis.Prediction.CyclesPerIteration; tp <= 0 {
+			return nil, fmt.Errorf("sweep: base %q, block %d: non-positive prediction %g", base, i, tp)
+		}
+		bases[i].scan(r.Analysis, comps)
+	}
+	return bases, nil
+}
+
+// evaluate derives the grid's points and folds each over the workload,
+// factored: the blocks in groups, a group's block tables, then every
+// point's fold over the group.
+func evaluate(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, bases []baseBlock, workers int) (*plan, error) {
+	k := kernel.Of(eng)
+	base, err := k.Resolve(grid.Base)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: base %q: %w", grid.Base, err)
+	}
+	mode := core.TPU
+	if wl.Mode == facile.Loop {
+		mode = core.TPL
+	}
+	pl := newPlan(newDesign(grid, base), wl.Blocks, mode, bases)
+	for lo := 0; lo < len(wl.Blocks) && pl.live > 0; lo += pl.group {
+		hi := min(lo+pl.group, len(wl.Blocks))
+		k.Each(hi-lo, workers, func(sc *kernel.Scratch, t int) {
+			if ctx.Err() == nil {
+				pl.tabulate(sc, lo+t, t)
+			}
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		k.Each(len(pl.pts), workers, func(sc *kernel.Scratch, p int) {
+			if ctx.Err() == nil {
+				pl.fold(sc, p, lo, hi)
+			}
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return pl, nil
 }
 
 // Kinds of plan entries: one per component bound, eq. 3's selection
@@ -240,19 +260,21 @@ const (
 	numKinds  = buildKind + 1
 )
 
-// kindReads returns the configuration fields, by spec key, a kind's
+// kindReads holds the configuration fields, by spec key, each kind's
 // entries are keyed on: a build's, and a component's or the selection's
 // besides.
-func kindReads(j int) []string {
-	reads := slices.Clip(bb.Reads)
-	switch {
-	case j == selKind:
-		return append(reads, core.SelectionReads...)
-	case j < selKind:
-		return append(reads, core.Reads[j]...)
+var kindReads = func() (reads [numKinds][]string) {
+	for j := range reads {
+		reads[j] = slices.Clip(bb.Reads)
+		switch {
+		case j == selKind:
+			reads[j] = append(reads[j], core.SelectionReads...)
+		case j < selKind:
+			reads[j] = append(reads[j], core.Reads[j]...)
+		}
 	}
 	return reads
-}
+}()
 
 // tableBudget bounds the bound values a plan tabulates at once, over the
 // blocks of a group.
@@ -269,7 +291,7 @@ type plan struct {
 	d      *design
 	blocks [][]byte
 	mode   core.Mode
-	baseTP []float64
+	bases  []baseBlock
 	pts    []pointFold
 	live   int
 	kinds  [numKinds]kindPlan
@@ -299,6 +321,10 @@ type kindPlan struct {
 	dense []int32 // per key (mixed radix over axes), the entry's id + 1; 0 for none yet
 	rep   []int32 // per entry, its index in plan.reps
 	build []int32 // per entry, its build entry
+	// fromBase tells, per entry, whether the base configuration agrees
+	// with it on the fields it reads, so that the base analysis's bound
+	// stands in for it.
+	fromBase []bool
 }
 
 type entryRef struct {
@@ -320,11 +346,11 @@ type pointFold struct {
 
 // newPlan derives every point of d and lays out their entries: serially,
 // so each entry's representative is its first point.
-func newPlan(d *design, blocks [][]byte, mode core.Mode, baseTP []float64) *plan {
-	pl := &plan{d: d, blocks: blocks, mode: mode, baseTP: baseTP, pts: make([]pointFold, d.points)}
+func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *plan {
+	pl := &plan{d: d, blocks: blocks, mode: mode, bases: bases, pts: make([]pointFold, d.points)}
 	for j := range pl.kinds {
 		kp := &pl.kinds[j]
-		reads := kindReads(j)
+		reads := kindReads[j]
 		size := 1
 		for k := range d.axes {
 			if key := d.axes[k].settings[0].Key(); key != "" && slices.Contains(reads, key) {
@@ -357,6 +383,7 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, baseTP []float64) *plan
 				}
 				kp.rep = append(kp.rep, rep)
 				kp.build = append(kp.build, pt.ids[buildKind])
+				kp.fromBase = append(kp.fromBase, uarch.SameFields(&cfg, d.cfg, kindReads[j]))
 				kp.dense[key] = int32(len(kp.rep))
 			}
 			pt.ids[j] = kp.dense[key] - 1
@@ -395,10 +422,11 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, baseTP []float64) *plan
 }
 
 // tabulate fills row t of the block tables for block i: one build per
-// build entry, then each of its entries with its representative's
-// configuration, the components eq. 1/3 computes for the block among them.
+// build entry, then each of its entries, the components eq. 1/3 computes
+// for the block among them: from the base analysis where the base agrees
+// with the entry, else with the entry's representative configuration.
 func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
-	block := &sc.Block
+	block, base := &sc.Block, &pl.bases[i]
 	vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
 	elig := pl.elig[t*pl.ns : (t+1)*pl.ns]
 	jcc := pl.jcc[t*pl.nc : (t+1)*pl.nc]
@@ -412,11 +440,16 @@ func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
 		need := core.Computed(pl.mode, jcc[b], true)
 		for _, e := range pl.byBuild[pl.buildAt[b]:pl.buildAt[b+1]] {
 			kp := &pl.kinds[e.kind]
-			block.Cfg = &pl.reps[kp.rep[e.id]]
-			switch c := core.Component(e.kind); {
+			c := core.Component(e.kind)
+			switch {
 			case int(e.kind) == selKind:
+				block.Cfg = &pl.reps[kp.rep[e.id]]
 				elig[e.id] = core.LSDEligible(block)
-			case need.Has(c):
+			case !need.Has(c):
+			case kp.fromBase[e.id] && base.present.Has(c):
+				vals[pl.off[c]+int(e.id)] = base.bounds[c]
+			default:
+				block.Cfg = &pl.reps[kp.rep[e.id]]
 				vals[pl.off[c]+int(e.id)] = sc.Ana.Bound(block, pl.mode, c)
 			}
 		}
@@ -432,31 +465,41 @@ func (pl *plan) fold(sc *kernel.Scratch, p, lo, hi int) {
 	if f.err != nil {
 		return
 	}
-	b := int(f.ids[buildKind])
 	for i := lo; i < hi; i++ {
-		t := i - lo
 		f.pairs++
-		if pl.failing[t*pl.nc+b] {
-			f.err = pl.buildError(sc, p, i)
+		tp, bn, err := pl.pair(sc, p, i, i-lo)
+		if err != nil {
+			f.err = err
 			return
 		}
-		jcc, elig := pl.jcc[t*pl.nc+b], pl.elig[t*pl.ns+int(f.ids[selKind])]
-		bounds := core.Bounds{Present: core.Computed(pl.mode, jcc, elig), JCCErratum: jcc, LSDEligible: elig}
-		vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
-		for c := core.Component(0); c < core.NumComponents; c++ {
-			if bounds.Has(c) {
-				bounds.V[c] = vals[pl.off[c]+int(f.ids[c])]
-			}
-		}
-		comb := bounds.Combine(pl.mode, core.AllComponents)
-		tp := round2(comb.TP)
-		if tp <= 0 {
-			f.err = fmt.Errorf("block %d: non-positive prediction %g", i, tp)
-			return
-		}
-		f.logSum += math.Log(pl.baseTP[i] / tp)
-		countBottlenecks(&f.bn, uint32(bounds.Bottlenecks(comb)))
+		f.logSum += math.Log(pl.bases[i].tp / tp)
+		countBottlenecks(&f.bn, uint32(bn))
 	}
+}
+
+// pair evaluates point p on block i, whose tables are row t: its
+// prediction, rounded as an Analysis rounds it, and its bottlenecks, or
+// the error the pair reports.
+func (pl *plan) pair(sc *kernel.Scratch, p, i, t int) (float64, core.ComponentSet, error) {
+	f := &pl.pts[p]
+	b := t*pl.nc + int(f.ids[buildKind])
+	if pl.failing[b] {
+		return 0, 0, pl.buildError(sc, p, i)
+	}
+	jcc, elig := pl.jcc[b], pl.elig[t*pl.ns+int(f.ids[selKind])]
+	bounds := core.Bounds{Present: core.Computed(pl.mode, jcc, elig), JCCErratum: jcc, LSDEligible: elig}
+	vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
+	for c := core.Component(0); c < core.NumComponents; c++ {
+		if bounds.Has(c) {
+			bounds.V[c] = vals[pl.off[c]+int(f.ids[c])]
+		}
+	}
+	comb := bounds.Combine(pl.mode, core.AllComponents)
+	tp := round2(comb.TP)
+	if tp <= 0 {
+		return 0, 0, fmt.Errorf("block %d: non-positive prediction %g", i, tp)
+	}
+	return tp, bounds.Bottlenecks(comb), nil
 }
 
 // buildError returns the error building block i for point p reports,
@@ -477,21 +520,32 @@ func countBottlenecks(counts *[core.NumComponents]int, m uint32) {
 	}
 }
 
-// bottleneckMask returns the components the analysis flags as bottlenecks,
-// bit i standing for comps[i]. Both a.Bounds and comps are in pipeline
-// order, so one forward scan of comps finds every bound's component.
-func bottleneckMask(a *facile.Analysis, comps []string) uint32 {
-	var m uint32
+// baseBlock is what a sweep keeps of a block's base analysis: its
+// prediction and bottlenecks, and its bounds, which stand in for the
+// entries that read what the base reads.
+type baseBlock struct {
+	tp      float64
+	bn      uint32 // bit i stands for the ith component
+	bounds  [core.NumComponents]float64
+	present core.ComponentSet
+}
+
+// scan sets b from the base analysis a. Both a.Bounds and comps are in
+// pipeline order, so one forward scan of comps finds every bound's
+// component.
+func (b *baseBlock) scan(a *facile.Analysis, comps []string) {
+	b.tp = a.Prediction.CyclesPerIteration
 	ci := 0
-	for _, b := range a.Bounds {
-		for comps[ci] != b.Component {
+	for _, cb := range a.Bounds {
+		for comps[ci] != cb.Component {
 			ci++
 		}
-		if b.Bottleneck {
-			m |= 1 << ci
+		b.bounds[ci] = cb.Cycles
+		b.present |= 1 << ci
+		if cb.Bottleneck {
+			b.bn |= 1 << ci
 		}
 	}
-	return m
 }
 
 func pct(n, total int) float64 {

@@ -154,11 +154,12 @@ func namedRoles(value []byte) uint32 {
 // member's value decodes through a decoding method (a role table, or a
 // generation given as a string).
 func (s *Setting) classify(err error, method bool) {
+	if err == nil {
+		return
+	}
 	var se *json.SyntaxError
 	var te *json.UnmarshalTypeError
 	switch {
-	case err == nil:
-		return
 	case errors.As(err, &se):
 		s.errAt = errSyntax
 	case method && (s.field == rolePortsField || !errors.As(err, &te)):
@@ -180,6 +181,18 @@ func (s *Setting) Key() string {
 
 // Err returns the error decoding the setting raised, if any.
 func (s *Setting) Err() error { return s.err }
+
+// SameFields reports whether a and b agree on the fields with the given
+// spec keys.
+func SameFields(a, b *Config, keys []string) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, key := range keys {
+		if f := fieldIndex(key); !va.Field(f).Equal(vb.Field(f)) {
+			return false
+		}
+	}
+	return true
+}
 
 // apply writes s's value onto c.
 func (s *Setting) apply(c *Config) {
