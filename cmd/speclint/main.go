@@ -10,9 +10,9 @@
 //
 // With -grid the arguments are design-space grid files (the JSON consumed
 // by cmd/facile-sweep and POST /v1/sweep) instead: each is parsed and
-// structurally validated, then every enumerated point is derived as an
-// ephemeral variant of its base, so a param/value combination the spec
-// validator would reject fails the lint rather than the sweep.
+// structurally validated, then every point is derived from its base as a
+// sweep derives it, so a param/value combination the spec validator would
+// reject fails the lint rather than the sweep.
 //
 // Usage:
 //
@@ -135,11 +135,12 @@ func main() {
 	os.Exit(fail)
 }
 
-// lintGrid parses and validates one grid file, then derives every
-// enumerated point against a scratch registry seeded with the built-ins.
-// Derivation is the semantic half of the lint: Grid.Validate defers
-// param/value legality to the spec validator, which only runs when a
-// point's overlay is applied.
+// lintGrid parses and validates one grid file, then derives every point
+// from its base in a scratch registry seeded with the built-ins, through
+// the typed derivation a sweep runs (sweep.Derive), so lint and sweep
+// agree on which points fail. Derivation is the semantic half of the lint:
+// Grid.Validate defers param/value legality to the spec validator, which
+// only runs when a point's settings are applied.
 func lintGrid(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -149,17 +150,20 @@ func lintGrid(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
-	points, err := grid.Enumerate()
+	base, err := uarch.NewRegistry().ByName(grid.Base)
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
-	scratch := facile.NewArchRegistry()
-	for _, pt := range points {
-		if _, err := scratch.DeriveVariant(pt.Name, grid.Base, pt.Overlay); err != nil {
-			return fmt.Errorf("%s: point %s: %v", path, pt.Name, err)
+	var first error
+	sweep.Derive(grid, base, func(_ int, name string, err error) {
+		if err != nil && first == nil {
+			first = fmt.Errorf("%s: point %s: %v", path, name, err)
 		}
+	})
+	if first != nil {
+		return first
 	}
 	fmt.Printf("ok  grid %s (base %s, %d axes, %d points)\n",
-		path, grid.Base, len(grid.Axes), len(points))
+		path, grid.Base, len(grid.Axes), grid.Points())
 	return nil
 }

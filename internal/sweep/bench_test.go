@@ -11,11 +11,12 @@ import (
 
 // BenchmarkSweep measures the design-space pipeline end to end on a fixed
 // workload: a 24-point SKL grid (issue width x LSD x decoders) over 64
-// deterministic loop blocks, every iteration a full Run — enumerate,
-// derive ephemeral variants, batch-analyze, fold, rank. Reported as
-// variants/s (design points evaluated per second) and analyses/s (the
-// underlying variant x block Analyze throughput); the CI bench job gates
-// variants/s into BENCH_10.json with a floor.
+// deterministic loop blocks, every iteration a full Run — the base pass
+// (warm after the first), typed derivation of every point, the factored
+// block tables and per-point folds, rank. Reported as variants/s (design
+// points evaluated per second) and analyses/s (the point x block pairs
+// per second); the CI bench job gates variants/s into BENCH_10.json with a
+// floor.
 func BenchmarkSweep(b *testing.B) {
 	grid, err := ParseGrid([]byte(`{
 		"base": "SKL",
@@ -59,9 +60,10 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkDeriveVariant isolates the ephemeral derivation cost — spec
-// overlay, validation, no registration — that every sweep point pays
-// before its first analysis.
+// BenchmarkDeriveVariant isolates the cost of deriving one ephemeral
+// variant from an overlay — spec decode, validation, no registration —
+// that DeriveVariant pays per call; a sweep decodes each axis value once
+// instead.
 func BenchmarkDeriveVariant(b *testing.B) {
 	eng, err := facile.NewEngine(facile.EngineConfig{Archs: []string{"SKL"}})
 	if err != nil {
