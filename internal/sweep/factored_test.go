@@ -42,7 +42,7 @@ var unreadFields = map[string]string{
 // a sweep would share a bound across points that differ in it. Every
 // listed key names a field.
 func TestFieldsMapToBounds(t *testing.T) {
-	keys := uarch.SpecKeys()
+	keys := specKeys()
 	read := map[string][]string{}
 	for _, k := range bb.Reads {
 		read[k] = append(read[k], "build")
@@ -74,6 +74,17 @@ func TestFieldsMapToBounds(t *testing.T) {
 			t.Errorf("unreadFields lists %q, which is no uarch.Config field", key)
 		}
 	}
+}
+
+// specKeys walks uarch.Config by reflection and returns each field's spec
+// key, in field order.
+func specKeys() []string {
+	typ := reflect.TypeFor[uarch.Config]()
+	keys := make([]string, typ.NumField())
+	for i := range keys {
+		keys[i], _, _ = strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+	}
+	return keys
 }
 
 // axisValues are values a random grid sweeps each spec field over, some of
@@ -115,7 +126,7 @@ var axisValues = map[string][]string{
 // sometimes the two axes that remove the FMA units besides.
 func randomGrid(rng *rand.Rand) *Grid {
 	var params []string
-	for _, key := range uarch.SpecKeys() {
+	for _, key := range specKeys() {
 		if _, ok := axisValues[key]; ok {
 			params = append(params, key)
 		}

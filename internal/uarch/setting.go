@@ -21,9 +21,6 @@ var specFields = func() []string {
 	return keys
 }()
 
-// SpecKeys returns the spec key of every Config field, in field order.
-func SpecKeys() []string { return append([]string(nil), specFields...) }
-
 // Indices of the fields a Setting treats apart from the others.
 var (
 	genField       = fieldIndex("gen")
@@ -178,9 +175,6 @@ func (s *Setting) Key() string {
 	}
 	return specFields[s.field]
 }
-
-// Err returns the error decoding the setting raised, if any.
-func (s *Setting) Err() error { return s.err }
 
 // SameFields reports whether a and b agree on the fields with the given
 // spec keys.

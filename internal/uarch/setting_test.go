@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func settingKind(key string) string {
 func TestDeriveMatchesDeriveConfig(t *testing.T) {
 	reg := NewRegistry()
 	base := reg.All()[4] // SKL
-	keys := append(SpecKeys(), "Issue_Width", "LSD_ENABLED", "p0", "Base", "base", "NAME", "Role_Ports", "p\x01", "a\"b", "\u00e9")
+	keys := append(slices.Clone(specFields), "Issue_Width", "LSD_ENABLED", "p0", "Base", "base", "NAME", "Role_Ports", "p\x01", "a\"b", "\u00e9")
 	roles := append(append([]string(nil), roleNames[:]...), "bogus", "ALU")
 	rng := rand.New(rand.NewSource(1))
 	pick := func(s []string) string { return s[rng.Intn(len(s))] }

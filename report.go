@@ -14,12 +14,6 @@ import (
 // files. The text is built in a stack buffer and copied out once, so a
 // typical report costs one allocation.
 func renderReport(a *Analysis) string {
-	var stack [4096]byte
-	return string(appendReport(stack[:0], a))
-}
-
-// appendReport appends a's rendered report to b.
-func appendReport(b []byte, a *Analysis) []byte {
 	p := &a.Prediction
 	primary := ""
 	if len(p.Bottlenecks) > 0 {
@@ -53,6 +47,8 @@ func appendReport(b []byte, a *Analysis) []byte {
 		}
 	}
 
+	var stack [4096]byte
+	b := stack[:0]
 	b = append(b, "Facile throughput report — "...)
 	b = append(b, p.Arch...)
 	b = append(b, ", "...)
@@ -129,7 +125,7 @@ func appendReport(b []byte, a *Analysis) []byte {
 			}
 		}
 	}
-	return b
+	return string(b)
 }
 
 // appendPadded appends s left-justified in a field of width bytes, as fmt's
