@@ -297,10 +297,8 @@ type plan struct {
 	kinds  [numKinds]kindPlan
 	// reps holds the configurations the entries are computed with.
 	reps []uarch.Config
-	// byBuild lists each build entry's entries of the other kinds:
-	// those of build entry b are byBuild[buildAt[b]:buildAt[b+1]].
-	byBuild []entryRef
-	buildAt []int
+	// byBuild lists each build entry's entries of the other kinds.
+	byBuild [][]entryRef
 
 	// The block tables of a group of blocks, group rows each: the
 	// component bounds (kinds' entries back to back, from off), the
@@ -315,12 +313,11 @@ type plan struct {
 }
 
 // kindPlan is one kind's entries: which axes key them, and per entry its
-// representative configuration and build entry.
+// representative configuration.
 type kindPlan struct {
 	axes  []int
 	dense []int32 // per key (mixed radix over axes), the entry's id + 1; 0 for none yet
 	rep   []int32 // per entry, its index in plan.reps
-	build []int32 // per entry, its build entry
 	// fromBase tells, per entry, whether the base configuration agrees
 	// with it on the fields it reads, so that the base analysis's bound
 	// stands in for it.
@@ -382,37 +379,24 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *pla
 					pl.reps = append(pl.reps, cfg)
 				}
 				kp.rep = append(kp.rep, rep)
-				kp.build = append(kp.build, pt.ids[buildKind])
 				kp.fromBase = append(kp.fromBase, uarch.SameFields(&cfg, d.cfg, kindReads[j]))
 				kp.dense[key] = int32(len(kp.rep))
+				if j == buildKind {
+					pl.byBuild = append(pl.byBuild, nil)
+				} else {
+					b := pt.ids[buildKind]
+					pl.byBuild[b] = append(pl.byBuild[b], entryRef{kind: int8(j), id: kp.dense[key] - 1})
+				}
 			}
 			pt.ids[j] = kp.dense[key] - 1
 		}
 	}
 
 	pl.nc, pl.ns = len(pl.kinds[buildKind].rep), len(pl.kinds[selKind].rep)
-	pl.buildAt = make([]int, pl.nc+1)
-	for j := range selKind + 1 {
-		for _, b := range pl.kinds[j].build {
-			pl.buildAt[b+1]++
-		}
-		if j < selKind {
-			pl.off[j] = pl.nv
-			pl.nv += len(pl.kinds[j].rep)
-		}
+	for j := range selKind {
+		pl.off[j] = pl.nv
+		pl.nv += len(pl.kinds[j].rep)
 	}
-	for b := range pl.nc {
-		pl.buildAt[b+1] += pl.buildAt[b]
-	}
-	pl.byBuild = make([]entryRef, pl.buildAt[pl.nc])
-	next := slices.Clone(pl.buildAt[:pl.nc])
-	for j := range selKind + 1 {
-		for id, b := range pl.kinds[j].build {
-			pl.byBuild[next[b]] = entryRef{kind: int8(j), id: int32(id)}
-			next[b]++
-		}
-	}
-
 	pl.group = min(max(tableBudget/max(pl.nv, 1), 1), len(blocks))
 	pl.vals = make([]float64, pl.group*pl.nv)
 	pl.elig = make([]bool, pl.group*pl.ns)
@@ -438,7 +422,7 @@ func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
 		}
 		jcc[b] = block.JCCErratumAffected()
 		need := core.Computed(pl.mode, jcc[b], true)
-		for _, e := range pl.byBuild[pl.buildAt[b]:pl.buildAt[b+1]] {
+		for _, e := range pl.byBuild[b] {
 			kp := &pl.kinds[e.kind]
 			c := core.Component(e.kind)
 			switch {
