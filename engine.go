@@ -584,9 +584,9 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // the two configs agree; the ports, predecoder and precedence bounds are
 // kept while the block's decode or descriptor generation and the
 // component's own config fields are unchanged. Ordering the requests so
-// that every analysis of one block comes back to back — as a design-space
-// sweep does — lets a batch decode, render and bound each block once for
-// all the design points that leave those inputs alone.
+// that every analysis of one block comes back to back lets a batch decode,
+// render and bound each block once for all the variants that leave those
+// inputs alone.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
 	if ctx == nil {
 		return e.AnalyzeBatchN(context.Background(), reqs, workers)
