@@ -13,15 +13,17 @@ import (
 var update = flag.Bool("update", false, "rewrite the -json goldens in testdata/")
 
 // jsonGoldens are the facile-sweep -json runs whose bytes are pinned in
-// testdata/: the example frontier grid over a fixed generated workload, and
-// a grid with failing points — values the spec decoder and Config.Validate
-// reject, and an fma role without ports beside two FMA blocks.
+// testdata/: the example frontier grid over a fixed generated workload, a
+// grid with failing points — values the spec decoder and Config.Validate
+// reject, and an fma role without ports beside two FMA blocks — and a grid
+// whose every point fails, which has no frontier at all.
 var jsonGoldens = []struct {
 	golden string
 	args   []string
 }{
 	{"skl_frontier.golden.json", []string{"-grid", "../../testdata/sweep/skl_frontier.json", "-gen-seed", "7", "-gen-blocks", "48"}},
 	{"failing_grid.golden.json", []string{"-grid", "testdata/failing_grid.json", "-blocks", "testdata/fma_blocks.hex"}},
+	{"invalid_grid.golden.json", []string{"-grid", "testdata/invalid_grid.json", "-blocks", "testdata/fma_blocks.hex"}},
 }
 
 // TestJSONGoldens: facile-sweep -json prints its golden's bytes at 1, 2 and

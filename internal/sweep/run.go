@@ -153,7 +153,9 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 		return nil, err
 	}
 	var pairs uint64
-	res.Variants = make([]VariantResult, 0, pl.live)
+	if pl.live > 0 {
+		res.Variants = make([]VariantResult, 0, pl.live)
+	}
 	shifts := make([]ComponentShift, pl.live*len(comps))
 	for p := range pl.pts {
 		f := &pl.pts[p]
