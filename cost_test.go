@@ -75,12 +75,10 @@ func TestAnalyzeCostNearLinear(t *testing.T) {
 	// a 64 KiB one allocates tens of MB and meets several, which would
 	// charge the collector's pacing to the algorithm. Before each, the
 	// engine analyzes another block, which keeps every timed run from
-	// reusing a kept decode, descriptors or bound: the scratch's block was
-	// last built from other bytes (and released, as every Analyze releases
-	// it), so the timed block decodes afresh under new decode and
-	// descriptor generations, which no result the scratch's Analysis kept
-	// matches. Every timed run pays for its decode and every bound, the
-	// precedence solve included. The goroutine stays on one OS thread, whose
+	// reusing a kept decode or descriptors: the scratch's block was last
+	// built from other bytes (and released, as every Analyze releases it),
+	// so the timed block decodes afresh. Every timed run pays for its
+	// decode and every bound, the precedence solve included. The goroutine stays on one OS thread, whose
 	// CPU clock times the analysis.
 	other := facile.Request{Code: []byte{0x48, 0x01, 0xd8}, Arch: "SKL"} // add rax, rbx
 	fastest := func(code []byte, mode facile.Mode) time.Duration {

@@ -578,15 +578,9 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, reqs []Request) []AnalysisRes
 // chunk.
 //
 // Requests may mix arches, modes, details and variants (Request.Variant).
-// A miss reuses what its inputs leave alone from the worker's previous
-// miss: a block built from the same bytes keeps its decode and rendered
-// instruction text, and its descriptors too when the descriptor fields of
-// the two configs agree; the ports, predecoder and precedence bounds are
-// kept while the block's decode or descriptor generation and the
-// component's own config fields are unchanged. Ordering the requests so
-// that every analysis of one block comes back to back lets a batch decode,
-// render and bound each block once for all the variants that leave those
-// inputs alone.
+// A miss built from the same bytes as the worker's previous miss keeps its
+// decode, and its descriptors too when the descriptor fields of the two
+// configs agree (see bb.BuildInto); every bound is computed afresh.
 func (e *Engine) AnalyzeBatchN(ctx context.Context, reqs []Request, workers int) []AnalysisResult {
 	if ctx == nil {
 		return e.AnalyzeBatchN(context.Background(), reqs, workers)
@@ -733,19 +727,15 @@ type workerScratch struct {
 // resultSlabs are the slabs analysis payloads are carved from: prediction
 // payloads, bound breakdowns, name lists, speedup lists and, for private
 // analyses, the Analysis itself. text is the buffer instruction texts are
-// rendered into, and insts the Instructions last rendered from it, for a
-// block of decode generation instsGen: a later analysis of a block with
-// that decode generation shares them (see publicPrediction). The slabs
-// never hand out memory twice, and their strings are copies of text.
+// rendered into (see publicPrediction). The slabs never hand out memory
+// twice, and their strings are copies of text.
 type resultSlabs struct {
-	ints     core.Slab[int]
-	bounds   core.Slab[ComponentBound]
-	strs     core.Slab[string]
-	sps      core.Slab[Speedup]
-	anas     core.Slab[Analysis]
-	text     []byte
-	insts    []string
-	instsGen uint64
+	ints   core.Slab[int]
+	bounds core.Slab[ComponentBound]
+	strs   core.Slab[string]
+	sps    core.Slab[Speedup]
+	anas   core.Slab[Analysis]
+	text   []byte
 }
 
 // blocksLeft sizes the slabs' fresh backing arrays for the n blocks, the
@@ -755,9 +745,8 @@ func (rs *resultSlabs) blocksLeft(n int) {
 	rs.sps.Blocks, rs.anas.Blocks = n, n
 }
 
-// drop lets go of durable slabs' backing arrays and shared instruction
-// texts, which the results carved from them keep, and keeps the render
-// buffer.
+// drop lets go of durable slabs' backing arrays, which the results carved
+// from them keep, and keeps the render buffer.
 func (rs *resultSlabs) drop() {
 	*rs = resultSlabs{text: rs.text[:0]}
 }
@@ -882,9 +871,39 @@ func init() {
 // module's other packages.
 type kernelEngine struct{ e *Engine }
 
-func (k kernelEngine) Each(n, workers int, item func(sc *kernel.Scratch, i int)) {
-	k.e.each(n, workers, func(sc *workerScratch, i, _ int) { item(&sc.Scratch, i) })
+func (k kernelEngine) Each(n, workers int, item func(sc *kernel.Scratch, i, left int)) {
+	k.e.each(n, workers, func(sc *workerScratch, i, left int) { item(&sc.Scratch, i, left) })
 }
+
+func (k kernelEngine) Analyze(ctx context.Context, sc *kernel.Scratch, left int, arch string, mode int, code []byte, out *kernel.Base) error {
+	ws := workerOf(sc)
+	req := Request{Code: code, Arch: arch, Mode: Mode(mode)}
+	a, err := k.e.analyze(ctx, &req, ws, left)
+	if err != nil {
+		return err
+	}
+	// A cached analysis's bound vector is its entry's; a private one's is
+	// the scratch's last prediction's.
+	b := &ws.pred.Bounds
+	if ent := a.Prediction.entry; ent != nil {
+		b = &ent.bounds
+	}
+	out.TP = a.Prediction.CyclesPerIteration
+	out.Bottlenecks = b.Bottlenecks(b.Combine(coreMode(req.Mode), core.AllComponents))
+	out.Bounds = *b
+	return nil
+}
+
+// workerOf returns the worker scratch whose kernel.Scratch sc is, as each
+// lends it to a kernel item.
+func workerOf(sc *kernel.Scratch) *workerScratch {
+	return (*workerScratch)(unsafe.Pointer(sc))
+}
+
+// The kernel.Scratch is a workerScratch's first field, which is what lets
+// workerOf convert between pointers to the two; the array length is not
+// zero, and this does not compile, otherwise.
+var _ [0]struct{} = [unsafe.Offsetof(workerScratch{}.Scratch)]struct{}{}
 
 func (k kernelEngine) Resolve(arch string) (*uarch.Config, error) {
 	cfg, _, err := k.e.resolve(arch)

@@ -199,11 +199,9 @@ const textBytesPerInst = 24
 // publicPrediction sets out to the exported Prediction of the core result:
 // the bottleneck set becomes an ordered name list. The name and
 // instruction lists are carved from the worker's slab, and the instruction
-// texts are rendered into the slabs' text buffer (see resultSlabs.text), of
-// which Instructions holds substrings. A block of the decode generation the
-// slabs last rendered renders the same text, so it shares those
-// Instructions instead. The per-component bounds are not copied here;
-// Analysis.Bounds carries them.
+// texts are rendered into the slabs' text buffer (see resultSlabs.text),
+// and Instructions holds substrings of one copy of it. The per-component
+// bounds are not copied here; Analysis.Bounds carries them.
 func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch string, mode Mode, rs *resultSlabs) {
 	*out = Prediction{
 		CyclesPerIteration: round2(p.TP),
@@ -218,12 +216,7 @@ func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch
 	// known up front and its part of the carve fills by append without
 	// growing.
 	nb := bits.OnesCount8(uint8(p.Bottlenecks))
-	kept := block.DecodeGen() == rs.instsGen
-	ni := len(block.Insts)
-	if kept {
-		ni = 0
-	}
-	strs := rs.strs.Carve(nb + ni)
+	strs := rs.strs.Carve(nb + len(block.Insts))
 	if nb > 0 {
 		out.Bottlenecks = strs[:0:nb]
 	}
@@ -235,24 +228,21 @@ func publicPrediction(out *Prediction, p *core.Prediction, block *bb.Block, arch
 	if mode == Loop {
 		out.FrontEndSource = p.FrontEndSource.String()
 	}
-	if !kept {
-		ins := strs[nb:]
-		buf := rs.text[:0]
-		if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
-			buf = make([]byte, 0, want)
-		}
-		for k := range block.Insts {
-			buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
-		}
-		rs.text = buf
-		text := string(buf)
-		for k := range ins {
-			end := strings.IndexByte(text, '\n')
-			ins[k], text = text[:end], text[end+1:]
-		}
-		rs.insts, rs.instsGen = ins, block.DecodeGen()
+	ins := strs[nb:]
+	buf := rs.text[:0]
+	if want := textBytesPerInst * len(block.Insts); cap(buf) < want {
+		buf = make([]byte, 0, want)
 	}
-	out.Instructions = rs.insts
+	for k := range block.Insts {
+		buf = append(block.Insts[k].Inst.AppendText(buf), '\n')
+	}
+	rs.text = buf
+	text := string(buf)
+	for k := range ins {
+		end := strings.IndexByte(text, '\n')
+		ins[k], text = text[:end], text[end+1:]
+	}
+	out.Instructions = ins
 }
 
 func simulateBlock(block *bb.Block, mode Mode) float64 {

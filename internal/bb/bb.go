@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"facile/internal/isa"
@@ -55,10 +54,6 @@ type Block struct {
 	execUops    []isa.Uop
 	decodeUnits []*Instr
 	jccErratum  bool
-
-	// The generations of the decode and of the descriptors (see DecodeGen
-	// and DescGen).
-	decodeGen, descGen uint64
 }
 
 // Reads lists the uarch.Config fields, by spec key, a build reads: those
@@ -66,9 +61,9 @@ type Block struct {
 // flag. Two configurations that agree on them build a block alike.
 var Reads = append(slices.Clip(isa.DescReads), "jcc_erratum")
 
-// generations hands out the process-unique decode and descriptor
-// generations of built blocks.
-var generations atomic.Uint64
+// testHookBuild, when non-nil, is called by each build that derives the
+// descriptors afresh, with whether it decoded afresh too.
+var testHookBuild func(decoded bool)
 
 // uopsPerInst sizes a block's µop array: real code averages about 1.3
 // unfused-domain µops per instruction.
@@ -104,14 +99,10 @@ func Build(cfg *uarch.Config, code []byte) (*Block, error) {
 //     when isa.SameDescs holds for the two configurations, redoing only the
 //     JCC-erratum flag when their jcc_erratum differs.
 //
-// Each build that decodes afresh stamps b with a new decode generation,
-// and each that derives the descriptors afresh with a new descriptor
-// generation (see DecodeGen and DescGen), so a result computed from a
-// block's decode or descriptors stays valid for as long as the generation
-// it was computed at does. A failed build and Release end this reuse. The
-// previous build's code is compared byte by byte, and its configuration
-// field by field, so neither must have changed since: a caller that
-// rewrites a buffer in place releases the block first.
+// A failed build and Release end this reuse. The previous build's code is
+// compared byte by byte, and its configuration field by field, so neither
+// must have changed since: a caller that rewrites a buffer in place
+// releases the block first.
 func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	kept := len(code) > 0 && b.Code != nil && bytes.Equal(b.Code, code)
 	// The instructions already point into code when it is the buffer the
@@ -137,9 +128,10 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 		b.Code = code
 		return nil
 	}
-	b.descGen = generations.Add(1)
+	if testHookBuild != nil {
+		testHookBuild(!kept)
+	}
 	if !kept {
-		b.decodeGen = b.descGen
 		// Decode straight into the instruction array, reserved up front so
 		// a fresh block grows it at most once.
 		held := len(b.Insts)
@@ -221,21 +213,6 @@ func BuildInto(b *Block, cfg *uarch.Config, code []byte) error {
 	b.Code = code
 	return nil
 }
-
-// DecodeGen returns the generation of b's decode: it changes whenever a
-// build decodes afresh, and is unique within the process, so what was
-// computed from the instructions' bytes, offsets and effects alone, such
-// as their text, is still valid for a block of the same decode generation.
-// A block that BuildInto has not built, such as one assembled by hand, has
-// generation 0, which stands for no generation.
-func (b *Block) DecodeGen() uint64 { return b.decodeGen }
-
-// DescGen returns the generation of b's descriptors, macro-fusion marks and
-// the views derived from them (everything but the JCC-erratum flag): it
-// changes whenever a build derives them afresh, which every new decode
-// does, and is unique within the process. 0 stands for no generation, as
-// for DecodeGen.
-func (b *Block) DescGen() uint64 { return b.descGen }
 
 // resize returns s with length n, reusing its array when it has room; the
 // elements are left for the caller to overwrite. The result is never nil,

@@ -347,13 +347,24 @@ func TestReleaseDropsCode(t *testing.T) {
 	}
 }
 
-// sameAsFresh reports whether b equals a fresh Build of the same block; the
-// generations record when b was built, not what it holds, so they are
-// ignored.
-func sameAsFresh(b, fresh *Block) bool {
-	got := *b
-	got.decodeGen, got.descGen = fresh.decodeGen, fresh.descGen
-	return reflect.DeepEqual(&got, fresh)
+// sameAsFresh reports whether b equals a fresh Build of the same block.
+func sameAsFresh(b, fresh *Block) bool { return reflect.DeepEqual(b, fresh) }
+
+// builds counts the builds that derive the descriptors afresh, and among
+// them those that decode afresh too, while the hook watchBuilds installs
+// is in place.
+type builds struct{ descs, decodes int }
+
+func watchBuilds(t *testing.T) *builds {
+	var n builds
+	testHookBuild = func(decoded bool) {
+		n.descs++
+		if decoded {
+			n.decodes++
+		}
+	}
+	t.Cleanup(func() { testHookBuild = nil })
+	return &n
 }
 
 // TestBuildIntoKeepsDecode: rebuilding the same bytes for another
@@ -381,14 +392,15 @@ func TestBuildIntoKeepsDecode(t *testing.T) {
 		asm.MkCC(x86.JCC, x86.CondNE, 64, asm.I(-2)),
 	)
 	var b Block
+	n := watchBuilds(t)
 	step := func(name string, cfg *uarch.Config, code []byte, wantKept bool) {
 		t.Helper()
 		code = append([]byte(nil), code...) // a new buffer every time
-		gen := b.DecodeGen()
+		before := *n
 		if err := BuildInto(&b, cfg, code); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if kept := b.DecodeGen() == gen; kept != wantKept {
+		if kept := n.decodes == before.decodes; kept != wantKept {
 			t.Fatalf("%s: decode kept %v, want %v", name, kept, wantKept)
 		}
 		fresh, err := Build(cfg, code)
@@ -430,11 +442,10 @@ func TestBuildIntoKeepsDecode(t *testing.T) {
 
 // TestBuildIntoKeepsDescriptors: rebuilding the same bytes for a
 // configuration that agrees with the last one on every field isa.SameDescs
-// compares keeps the descriptors, fusion marks and derived views under the
-// same descriptor generation, and redoes the JCC-erratum flag when only
-// jcc_erratum differs; a configuration that differs in a compared field
-// derives them afresh under a new one, keeping the decode generation. Every
-// block still equals a fresh Build.
+// compares keeps the descriptors, fusion marks and derived views, and
+// redoes the JCC-erratum flag when only jcc_erratum differs; a
+// configuration that differs in a compared field derives them afresh,
+// keeping the decode. Every block still equals a fresh Build.
 func TestBuildIntoKeepsDescriptors(t *testing.T) {
 	derive := func(overlay string) *uarch.Config {
 		cfg, err := uarch.Default().DeriveConfig("SKL-variant", "SKL", []byte(overlay))
@@ -467,19 +478,16 @@ func TestBuildIntoKeepsDescriptors(t *testing.T) {
 		t.Fatalf("loop is %d bytes, want 32", len(loop))
 	}
 	var b Block
+	n := watchBuilds(t)
 	step := func(name string, cfg *uarch.Config, code []byte, keepDecode, keepDescs bool) {
 		t.Helper()
-		decodeGen, descGen := b.DecodeGen(), b.DescGen()
+		before := *n
 		code = append([]byte(nil), code...)
 		if err := BuildInto(&b, cfg, code); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if b.DecodeGen() == 0 || b.DescGen() == 0 {
-			t.Fatalf("%s: built block has no generation", name)
-		}
-		if (b.DecodeGen() == decodeGen) != keepDecode || (b.DescGen() == descGen) != keepDescs {
-			t.Fatalf("%s: generations %d/%d after %d/%d, want decode kept %v, descriptors kept %v",
-				name, b.DecodeGen(), b.DescGen(), decodeGen, descGen, keepDecode, keepDescs)
+		if keptDecode, keptDescs := n.decodes == before.decodes, n.descs == before.descs; keptDecode != keepDecode || keptDescs != keepDescs {
+			t.Fatalf("%s: decode kept %v, descriptors kept %v; want %v, %v", name, keptDecode, keptDescs, keepDecode, keepDescs)
 		}
 		fresh, err := Build(cfg, code)
 		if err != nil {

@@ -20,7 +20,7 @@
 // Block that it releases (Block.Release) before pooling it again, and keeps
 // no block in its cache; Engine.Simulate builds a fresh Block with Build.
 // Rebuilding the same bytes keeps the decode, and for a configuration that
-// isa.SameDescs finds equivalent the descriptors too; the decode and
-// descriptor generations (Block.DecodeGen, Block.DescGen) tell results
-// computed from a block whether it still holds what they read.
+// isa.SameDescs finds equivalent the descriptors too: a design-space sweep
+// builds each block for its design points right after the block's base
+// analysis built it, so the block is decoded once.
 package bb

@@ -15,11 +15,9 @@ import (
 // the facile Engine both do) and hand one to at most one goroutine at a
 // time.
 type Analysis struct {
-	// Predecoder (predec.go): the last bound and its key, per-16-byte-block
-	// instruction counters, and the instructions' opcode and last-byte
-	// offsets (predecLCPOpc: the opcode offsets of the LCP instructions).
-	predecKey                              predecKey
-	predecV                                float64
+	// Predecoder (predec.go): per-16-byte-block instruction counters, and
+	// the instructions' opcode and last-byte offsets (predecLCPOpc: the
+	// opcode offsets of the LCP instructions).
 	predecL, predecO, predecLCP, predecCyc []int
 	predecOpc, predecLast, predecLCPOpc    []int
 
@@ -28,19 +26,14 @@ type Analysis struct {
 	decComplex []int
 	decFirst   []int
 
-	// Ports (ports.go): the last bound, its contended port combination and
-	// the descriptor generation they were computed at; distinct port
-	// combinations with per-combination µop counts, their pairwise unions,
-	// and the contended-instruction list.
-	portsGen    uint64
-	portsV      float64
-	portsPC     string
+	// Ports (ports.go): distinct port combinations with per-combination µop
+	// counts, their pairwise unions, and the contended-instruction list.
 	portsPCs    []uarch.PortMask
 	portsCounts []int
 	portsUnions []uarch.PortMask
 	portsInstrs []int
 
-	// Precedence (precedence.go): the last solve's input and results, the
+	// Precedence (precedence.go): the last solve's input and chain, the
 	// carried-value summary and the chain recovery's scratch.
 	prec precScratch
 }
@@ -59,28 +52,14 @@ type analysisDetail struct {
 	ports  string
 }
 
-// testHookReuse, when non-nil, is invoked each time a component that
-// keeps its last result (Predec, Ports, Precedence) is asked for a bound,
-// with whether it reused that result.
-var testHookReuse func(c Component, reused bool)
-
-// reuse reports hit to testHookReuse and returns it.
-func reuse(c Component, hit bool) bool {
-	if testHookReuse != nil {
-		testHookReuse(c, hit)
-	}
-	return hit
-}
-
 // testHookComponent, when non-nil, is invoked for every per-component
 // predictor run. Tests use it to assert that Predict and the speedup path
 // perform exactly one full bound computation per block.
 var testHookComponent func(Component)
 
 // Bound computes the bound of component c for a prepared block in mode,
-// reusing this Analysis's scratch state and kept results. It reads the
-// block's decode and descriptors and the fields of block.Cfg that Reads
-// lists for c.
+// reusing this Analysis's scratch state. It reads the block's decode and
+// descriptors and the fields of block.Cfg that Reads lists for c.
 func (a *Analysis) Bound(block *bb.Block, mode Mode, c Component) float64 {
 	return a.bound(block, mode, c, Options{}, nil)
 }

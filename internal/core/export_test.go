@@ -1,5 +1,5 @@
 package core
 
-// SetReuseHook installs f as testHookReuse for the package's external
-// tests; nil removes it.
-func SetReuseHook(f func(c Component, reused bool)) { testHookReuse = f }
+// SetComponentHook installs f as testHookComponent for the package's
+// external tests; nil removes it.
+func SetComponentHook(f func(c Component)) { testHookComponent = f }

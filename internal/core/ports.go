@@ -47,9 +47,7 @@ func containsMask(s []uarch.PortMask, m uarch.PortMask) bool {
 
 // portsBoundDetail computes the port-contention bound; the returned
 // instruction list points into Analysis scratch. The bound and its detail
-// read the block's descriptors, fusion marks and execution µops alone, so
-// a block of the descriptor generation this Analysis computed last takes
-// that computation's results.
+// read the block's descriptors, fusion marks and execution µops alone.
 //
 // If a set of µops can collectively only be dispatched to port combination
 // pc, the throughput is at least |set|/|pc| cycles. Instead of considering
@@ -58,17 +56,6 @@ func containsMask(s []uarch.PortMask, m uarch.PortMask) bool {
 // same bound as the full linear program on all generated benchmark blocks
 // (verified in tests against PortsBoundExact).
 func (a *Analysis) portsBoundDetail(block *bb.Block) (float64, []int, string) {
-	gen := block.DescGen()
-	if reuse(Ports, gen != 0 && gen == a.portsGen) {
-		return a.portsV, a.portsInstrs, a.portsPC
-	}
-	a.portsGen = gen
-	a.portsV, a.portsInstrs, a.portsPC = a.computePorts(block)
-	return a.portsV, a.portsInstrs, a.portsPC
-}
-
-// computePorts computes portsBoundDetail's results afresh.
-func (a *Analysis) computePorts(block *bb.Block) (float64, []int, string) {
 	uops := block.ExecUops()
 	if len(uops) == 0 {
 		return 0, a.portsInstrs[:0], ""

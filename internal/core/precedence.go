@@ -61,19 +61,15 @@ type instKey struct {
 	load                 bool
 }
 
-// precScratch is the precedence bound's state in an Analysis: the input and
-// results of its last solve with the descriptor generation it was computed
-// at, and scratch that grows to the largest block and the most carried
-// sources seen. Nothing in it is n×m: the summary is m×m, the per-register
-// vectors NumRegs×m, and the per-instruction arrays hold a few words per
-// instruction.
+// precScratch is the precedence bound's state in an Analysis: the input of
+// its last solve and its critical chain, and scratch that grows to the
+// largest block and the most carried sources seen. Nothing in it is n×m:
+// the summary is m×m, the per-register vectors NumRegs×m, and the
+// per-instruction arrays hold a few words per instruction.
 type precScratch struct {
-	// The last solve's key (see precedenceBound), input (see fillInput)
-	// and results (the zero value: an empty block, no cycle).
-	gen     uint64
+	// The last solve's input (see fillInput) and critical chain.
 	key     []instKey
 	loadLat int
-	bound   float64
 	chain   []int
 
 	vecs  []int64 // per-register vectors over the carried sources
@@ -122,31 +118,21 @@ type carried struct {
 //
 // The second result is the critical chain (see recoverChain); it points
 // into Analysis scratch. Both results are a function of the solve's input
-// alone: the instructions' effects, latencies and load bits, which the
-// block's descriptor generation fixes, and the load latency. So a block of
-// the descriptor generation this Analysis solved last, for an equal load
-// latency — as consecutive analyses of one block for design points that
-// leave its descriptors and load latency alone give — takes that solve's
-// results without solving again.
+// alone: the instructions' effects, latencies and load bits, and the load
+// latency.
 func (a *Analysis) precedenceBound(block *bb.Block) (float64, []int) {
 	p := &a.prec
-	gen := block.DescGen()
-	if reuse(Precedence, gen != 0 && gen == p.gen && block.Cfg.LoadLat == p.loadLat) {
-		return p.bound, p.chain
-	}
-	p.gen = gen
 	var c carried
 	p.fillInput(block, &c)
 	// The chain keeps its capacity: it is empty, not nil, without a cycle.
-	p.bound, p.chain = 0, p.chain[:0]
+	p.chain = p.chain[:0]
 	m := p.summarize(&c)
 	w, l, ok := maxCycleMean(p.summ, m, growN(&p.walks, (m+1)*m))
 	if !ok {
 		return 0, p.chain
 	}
-	p.bound = float64(w) / float64(l)
 	p.chain = p.recoverChain(&c, p.criticalCycle(m, w, l))
-	return p.bound, p.chain
+	return float64(w) / float64(l), p.chain
 }
 
 // fillInput writes the solve's whole input into p.key and p.loadLat: each

@@ -13,19 +13,9 @@ func PredecBound(block *bb.Block, mode Mode) float64 {
 	return v
 }
 
-// predecKey is what the predecoder bound reads beyond the block's decode:
-// the decode generation, the predecode width and the mode.
-type predecKey struct {
-	gen   uint64
-	width int
-	mode  Mode
-}
-
 // predecBound predicts the throughput bound of the predecoder (paper §4.3).
 // It reads the instructions' offsets, lengths and prefixes, which the
-// decode alone fixes, the predecode width and the mode, so a block of the
-// decode generation this Analysis computed last, for an equal width and
-// mode, takes that computation's bound.
+// decode alone fixes, the predecode width and the mode.
 //
 // The predecoder fetches aligned 16-byte blocks and predecodes up to
 // PredecWidth instructions per cycle. Instructions that cross a 16-byte
@@ -34,16 +24,6 @@ type predecKey struct {
 // length-changing prefix cost an extra 3 cycles each, partially hidden
 // behind the predecoding of the previous block.
 func (a *Analysis) predecBound(block *bb.Block, mode Mode) float64 {
-	k := predecKey{block.DecodeGen(), block.Cfg.PredecWidth, mode}
-	if reuse(Predec, k.gen != 0 && k == a.predecKey) {
-		return a.predecV
-	}
-	a.predecKey, a.predecV = k, a.computePredec(block, mode)
-	return a.predecV
-}
-
-// computePredec computes predecBound's result afresh.
-func (a *Analysis) computePredec(block *bb.Block, mode Mode) float64 {
 	l := block.Len()
 	if l == 0 {
 		return 0

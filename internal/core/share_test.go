@@ -11,41 +11,27 @@ import (
 	"facile/internal/sweep"
 )
 
-// reuseCounts counts, per component that keeps its last result, the bounds
-// computed afresh ([0]) and reused ([1]) while it is installed.
-type reuseCounts [core.NumComponents][2]int
-
-func countReuse(t *testing.T) *reuseCounts {
-	var n reuseCounts
-	core.SetReuseHook(func(c core.Component, reused bool) {
-		if reused {
-			n[c][1]++
-		} else {
-			n[c][0]++
-		}
-	})
-	t.Cleanup(func() { core.SetReuseHook(nil) })
+// countComputed counts, per component, the bounds computed while it is
+// installed.
+func countComputed(t *testing.T) *[core.NumComponents]int {
+	var n [core.NumComponents]int
+	core.SetComponentHook(func(c core.Component) { n[c]++ })
+	t.Cleanup(func() { core.SetComponentHook(nil) })
 	return &n
 }
 
-// share returns c's reused share of its bounds and their count.
-func (n *reuseCounts) share(c core.Component) (float64, int) {
-	total := n[c][0] + n[c][1]
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(n[c][1]) / float64(total), total
-}
-
-var keptComponents = []core.Component{core.Predec, core.Ports, core.Precedence}
+// sharedComponents are the components whose fields no axis of the
+// skl_frontier grid sweeps.
+var sharedComponents = []core.Component{core.Predec, core.Ports, core.Precedence}
 
 // TestReuseShare measures what computing a bound once per distinct input
 // buys: a sweep of the committed skl_frontier grid (108 points, loop mode,
-// one worker) computes each keeping component's bound at most once per
-// block, in its base pass — no axis of the grid changes a descriptor, the
-// predecode width or the load latency, so every point's entry for those
-// bounds reads what the base reads — and a cold stream of distinct blocks
-// reuses none of its bounds, every block being new.
+// one worker) computes each of the bounds whose fields it does not sweep
+// at most once per block, in the block's base analysis — no axis of the
+// grid changes a descriptor, the predecode width or the load latency, so
+// every point's entry for those bounds takes the base's — and a cold
+// stream of distinct blocks computes each of them once per analysis that
+// combines it.
 func TestReuseShare(t *testing.T) {
 	data, err := os.ReadFile("../../testdata/sweep/skl_frontier.json")
 	if err != nil {
@@ -64,15 +50,14 @@ func TestReuseShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := countReuse(t)
+	n := countComputed(t)
 	if _, err := sweep.Run(context.Background(), eng, grid, wl, sweep.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range keptComponents {
-		fresh := n[c][0]
-		t.Logf("skl_frontier sweep, %v: %d bounds computed for %d blocks", c, fresh, len(wl.Blocks))
-		if fresh > len(wl.Blocks) {
-			t.Errorf("skl_frontier sweep, %v: %d bounds computed for %d blocks, want at most one each", c, fresh, len(wl.Blocks))
+	for _, c := range sharedComponents {
+		t.Logf("skl_frontier sweep, %v: %d bounds computed for %d blocks", c, n[c], len(wl.Blocks))
+		if n[c] > len(wl.Blocks) {
+			t.Errorf("skl_frontier sweep, %v: %d bounds computed for %d blocks, want at most one each", c, n[c], len(wl.Blocks))
 		}
 	}
 
@@ -82,22 +67,31 @@ func TestReuseShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	*n = reuseCounts{}
+	*n = [core.NumComponents]int{}
+	var want [core.NumComponents]int
 	archs := []string{"SNB", "SKL", "ICL"}
+	comps := facile.ComponentNames()
 	for i, g := range bhive.GenerateBlocks(2, 600) {
 		req := facile.Request{Code: g.Code, Arch: archs[i%len(archs)], Mode: facile.Unroll}
 		if i%2 == 1 {
 			req.Code, req.Mode = g.LoopCode, facile.Loop
 		}
-		if _, err := eng.Analyze(context.Background(), req); err != nil {
+		a, err := eng.Analyze(context.Background(), req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ci := 0
+		for _, cb := range a.Bounds {
+			for comps[ci] != cb.Component {
+				ci++
+			}
+			want[ci]++
+		}
 	}
-	for _, c := range keptComponents {
-		s, total := n.share(c)
-		t.Logf("cold stream, %v: %d bounds, %.1f%% reused", c, total, 100*s)
-		if s != 0 {
-			t.Errorf("cold stream, %v: %.1f%% of %d bounds reused, want none", c, 100*s, total)
+	for _, c := range sharedComponents {
+		t.Logf("cold stream, %v: %d bounds computed", c, n[c])
+		if n[c] != want[c] {
+			t.Errorf("cold stream, %v: %d bounds computed for %d analyses that combine it", c, n[c], want[c])
 		}
 	}
 }

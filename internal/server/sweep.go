@@ -58,9 +58,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 		sweep.Workload{Blocks: blocks, Mode: mode},
 		sweep.Options{Workers: wire.Workers})
 	if err != nil {
-		// The engine judges the base arch and every block in the base pass:
-		// its rejections wrap facile.ErrBadRequest (400); context errors
-		// map to 499/504; the rest are server faults.
+		// The engine judges the base arch and every block in the block's
+		// base analysis, which the sweep's pass over the block resolves
+		// first: its rejections wrap facile.ErrBadRequest (400); context
+		// errors map to 499/504; the rest are server faults.
 		return nil, err
 	}
 	s.sweepPoints.Add(uint64(res.Points))

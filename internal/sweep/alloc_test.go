@@ -12,7 +12,7 @@ import (
 	"facile/internal/bhive"
 )
 
-// TestFactoredSweepZeroPerPairAllocs: on a warm engine — the base pass
+// TestFactoredSweepZeroPerPairAllocs: on a warm engine — the base analyses
 // served from the cache, the worker's block and analysis scratch grown — a
 // factored sweep allocates per call, for its points, rows and tables, and
 // nothing per (point, block) pair: an 8-point grid allocates the same over

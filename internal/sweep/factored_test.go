@@ -16,7 +16,6 @@ import (
 	"facile/internal/bb"
 	"facile/internal/bhive"
 	"facile/internal/core"
-	"facile/internal/kernel"
 	"facile/internal/uarch"
 	"facile/internal/x86"
 )
@@ -207,18 +206,17 @@ func TestFactoredMatchesVariantBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bases, err := basePass(ctx, eng, grid.Base, wl, 0)
+		pl, err := evaluate(ctx, eng, grid, wl, 1+trial%3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := evaluate(ctx, eng, grid, wl, bases, 1+trial%3)
-		if err != nil {
-			t.Fatal(err)
+		if len(pl.live) > 0 && pl.group < len(wl.Blocks) {
+			t.Fatalf("the tables of %d blocks span groups of %d", len(wl.Blocks), pl.group)
 		}
-		if pl.live > 0 && pl.group < len(wl.Blocks) {
-			t.Fatalf("the tables of %d blocks span %d groups", len(wl.Blocks), pl.group)
+		rowOf := make([]int, len(pl.pts))
+		for r, p := range pl.live {
+			rowOf[p] = r
 		}
-		sc := new(kernel.Scratch)
 		reg := eng.Registry()
 		for p := range pl.pts {
 			f := &pl.pts[p]
@@ -233,29 +231,32 @@ func TestFactoredMatchesVariantBatch(t *testing.T) {
 			}
 			var want pointFold
 			for i, r := range eng.AnalyzeVariantBatchN(ctx, v, requests(wl), 1) {
-				tp, bn, err := pl.pair(sc, p, i, i)
+				tp, bn, built := pl.pair(p, i)
+				var err error
+				if !built || tp <= 0 {
+					err = pl.pairError(p, i, i)
+				}
+				row := i*len(pl.live) + rowOf[p]
 				switch {
 				case (err == nil) != (r.Err == nil) || err != nil && err.Error() != r.Err.Error():
 					t.Fatalf("%s, block %d: error %v, analysis %v", what, i, err, r.Err)
+				case math.IsNaN(pl.logs[row]) != (err != nil):
+					t.Fatalf("%s, block %d: row log-speedup %v, error %v", what, i, pl.logs[row], err)
 				case err != nil:
 				case tp != r.Analysis.Prediction.CyclesPerIteration:
 					t.Fatalf("%s, block %d: %v cycles, analysis %v", what, i, tp, r.Analysis.Prediction.CyclesPerIteration)
-				default:
-					var b baseBlock
-					b.scan(r.Analysis, comps)
-					if uint32(bn) != b.bn {
-						t.Fatalf("%s, block %d: bottlenecks %b, analysis %b", what, i, bn, b.bn)
-					}
+				case bn != bottlenecks(r.Analysis, comps) || pl.bns[row] != bn:
+					t.Fatalf("%s, block %d: bottlenecks %b (row %b), analysis %b", what, i, bn, pl.bns[row], bottlenecks(r.Analysis, comps))
+				case pl.logs[row] != math.Log(pl.bases[i].TP/tp):
+					t.Fatalf("%s, block %d: row log-speedup %v, want %v", what, i, pl.logs[row], math.Log(pl.bases[i].TP/tp))
 				}
 				if want.err != nil {
 					continue
 				}
 				want.pairs++
 				if want.err = r.Err; r.Err == nil {
-					want.logSum += math.Log(bases[i].tp / r.Analysis.Prediction.CyclesPerIteration)
-					var b baseBlock
-					b.scan(r.Analysis, comps)
-					countBottlenecks(&want.bn, b.bn)
+					want.logSum += math.Log(pl.bases[i].TP / r.Analysis.Prediction.CyclesPerIteration)
+					countBottlenecks(&want.bn, bottlenecks(r.Analysis, comps))
 				}
 			}
 			if (f.err == nil) != (want.err == nil) || f.err != nil && f.err.Error() != want.err.Error() {
@@ -275,6 +276,22 @@ func TestFactoredMatchesVariantBatch(t *testing.T) {
 	if len(kinds) != 3 {
 		t.Fatalf("the random grids gave only %v", kinds)
 	}
+}
+
+// bottlenecks returns the set of a's bottleneck components; comps lists
+// the components in pipeline order, as a.Bounds does.
+func bottlenecks(a *facile.Analysis, comps []string) core.ComponentSet {
+	var s core.ComponentSet
+	ci := 0
+	for _, cb := range a.Bounds {
+		for comps[ci] != cb.Component {
+			ci++
+		}
+		if cb.Bottleneck {
+			s |= 1 << ci
+		}
+	}
+	return s
 }
 
 // requests are the workload's blocks as requests in its mode.

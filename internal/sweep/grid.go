@@ -226,8 +226,11 @@ func compactJSON(v json.RawMessage) (string, error) {
 // means rather than how it is spelled: numbers by their float64 value (4,
 // 4.0 and 4e0 are one value), object members in key order. A value
 // encoding/json cannot hold, such as a number beyond float64's range, keeps
-// its spelling.
+// its spelling, and so does one that spells its meaning (see plainValue).
 func valueKey(c string) string {
+	if plainValue(c) {
+		return c
+	}
 	var x any
 	if err := json.Unmarshal([]byte(c), &x); err != nil {
 		return c
@@ -237,4 +240,32 @@ func valueKey(c string) string {
 		return c
 	}
 	return string(b)
+}
+
+// plainValue reports whether the compact JSON value c is spelled as
+// encoding/json spells what it means: c holds nothing but arrays, true,
+// false, null and integers of at most 15 digits, which a float64 holds
+// exactly and encoding/json writes digit for digit — the spec's widths,
+// flags and port lists. Decoding such a value and encoding it again gives
+// c back, so valueKey skips the round trip.
+func plainValue(c string) bool {
+	digits := 0
+	for i := 0; i < len(c); i++ {
+		switch ch := c[i]; {
+		case '0' <= ch && ch <= '9':
+			if digits++; digits > 15 {
+				return false
+			}
+			continue
+		case ch == '-' || ch == '[' || ch == ']' || ch == ',':
+		case strings.HasPrefix(c[i:], "true"), strings.HasPrefix(c[i:], "null"):
+			i += len("true") - 1
+		case strings.HasPrefix(c[i:], "false"):
+			i += len("false") - 1
+		default:
+			return false
+		}
+		digits = 0
+	}
+	return true
 }

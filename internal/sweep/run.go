@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -91,21 +92,24 @@ type Result struct {
 	Failed []FailedVariant `json:"failed,omitempty"`
 }
 
-// Run executes a sweep: one cached base pass over the workload, then every
-// grid point, folded into the ranked frontier. It derives the points in
-// typed form (see design): each axis value is decoded once, and a point is
-// the base with one setting per axis written onto it, checked by
-// Config.Validate. It then evaluates them factored: a component bound reads
-// the block and a few configuration fields (core.Reads), so per block it
-// builds the block once for each distinct tuple of the fields a build
-// reads (bb.Reads), and computes each bound once for each distinct tuple of
-// the fields that bound reads, among the points that derive. A pair's
-// prediction and bottlenecks are eq. 1/3's combination (Bounds.Combine) of
-// the bounds it looks up, exactly what an analysis of the pair computes.
-// Both phases, the per-block tables and the per-point folds, run on the
-// engine's batch workers. Each point folds its pairs in block order, and
-// ranking breaks ties by name — the Result is identical at any worker
-// count.
+// Run executes a sweep. It derives the grid's points in typed form (see
+// design): each axis value is decoded once, and a point is the base with
+// one setting per axis written onto it, checked by Config.Validate. It
+// then evaluates them factored: a component bound reads the block and a
+// few configuration fields (core.Reads), so per block it builds the block
+// once for each distinct tuple of the fields a build reads (bb.Reads), and
+// computes each bound once for each distinct tuple of the fields that
+// bound reads, among the points that derive. A pair's prediction and
+// bottlenecks are eq. 1/3's combination (Bounds.Combine) of the bounds it
+// looks up, exactly what an analysis of the pair computes.
+//
+// Each block is one item on the engine's batch workers, which makes one
+// pass over it: the block's base analysis, through the engine's cached
+// path, whose bounds stand in wherever a point agrees with the base on
+// what a bound reads; the block's tables, whose first build keeps the
+// decode a base miss just made; and every point's pair. A serial
+// reduction then folds each point's pairs in block order, and ranking
+// breaks ties by name — the Result is identical at any worker count.
 //
 // ctx cancels the sweep between items; a cancelled run returns ctx's
 // error. Individually invalid design points do not fail the run: they are
@@ -123,135 +127,158 @@ func Run(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, opts 
 	if err := grid.Validate(); err != nil {
 		return nil, err
 	}
-
-	bases, err := basePass(ctx, eng, grid.Base, wl, opts.Workers)
+	pl, err := evaluate(ctx, eng, grid, wl, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
+
 	comps := facile.ComponentNames()
 	nb := len(wl.Blocks)
-	var baseBn [core.NumComponents]int
-	baseLogSum := 0.0
-	for i := range bases {
-		baseLogSum += math.Log(bases[i].tp)
-		countBottlenecks(&baseBn, bases[i].bn)
-	}
 	res := &Result{
 		Base:              grid.Base,
 		Mode:              wl.Mode,
 		Blocks:            nb,
 		Points:            grid.Points(),
-		BaseGeomeanCycles: round4(math.Exp(baseLogSum / float64(nb))),
+		BaseGeomeanCycles: round4(math.Exp(pl.baseLogSum / float64(nb))),
 		BaseRates:         make([]ComponentRate, len(comps)),
 	}
+	basePct := make([]float64, len(comps))
 	for i, c := range comps {
-		res.BaseRates[i] = ComponentRate{Component: c, Pct: pct(baseBn[i], nb)}
+		basePct[i] = pct(pl.baseBn[i], nb)
+		res.BaseRates[i] = ComponentRate{Component: c, Pct: basePct[i]}
 	}
 
-	pl, err := evaluate(ctx, eng, grid, wl, bases, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
+	// Rank the evaluated points by index, then lay their rows out in rank
+	// order: geomean speedup descending, ties by name ascending, and equal
+	// names (which a valid grid never has) in point order.
 	var pairs uint64
-	if pl.live > 0 {
-		res.Variants = make([]VariantResult, 0, pl.live)
-	}
-	shifts := make([]ComponentShift, pl.live*len(comps))
+	ranked := make([]int32, 0, len(pl.live))
+	var failed []int32
 	for p := range pl.pts {
 		f := &pl.pts[p]
 		pairs += uint64(f.pairs)
 		if f.err != nil {
-			res.Failed = append(res.Failed, FailedVariant{Name: f.name, Overlay: pl.d.overlay(p), Error: f.err.Error()})
+			failed = append(failed, int32(p))
 			continue
 		}
-		row := VariantResult{
+		f.speedup = round4(math.Exp(f.logSum / float64(nb)))
+		ranked = append(ranked, int32(p))
+	}
+	kernel.Of(eng).CountUncached(pairs)
+	slices.SortStableFunc(ranked, func(a, b int32) int {
+		fa, fb := &pl.pts[a], &pl.pts[b]
+		if fa.speedup != fb.speedup {
+			return cmp.Compare(fb.speedup, fa.speedup)
+		}
+		return strings.Compare(fa.name, fb.name)
+	})
+	if len(pl.live) > 0 {
+		res.Variants = make([]VariantResult, len(ranked))
+	}
+	shifts := make([]ComponentShift, len(ranked)*len(comps))
+	for r, p := range ranked {
+		f := &pl.pts[p]
+		row := &res.Variants[r]
+		*row = VariantResult{
+			Rank:           r + 1,
 			Name:           f.name,
-			Overlay:        pl.d.overlay(p),
-			GeomeanSpeedup: round4(math.Exp(f.logSum / float64(nb))),
+			Overlay:        pl.d.overlay(int(p)),
+			GeomeanSpeedup: f.speedup,
 			Shifts:         shifts[:len(comps):len(comps)],
 		}
 		shifts = shifts[len(comps):]
 		for ci, c := range comps {
-			bp, vp := pct(baseBn[ci], nb), pct(f.bn[ci], nb)
+			vp := pct(f.bn[ci], nb)
 			row.Shifts[ci] = ComponentShift{
-				Component: c, BasePct: bp, VariantPct: vp,
-				DeltaPP: round2(vp - bp),
+				Component: c, BasePct: basePct[ci], VariantPct: vp,
+				DeltaPP: round2(vp - basePct[ci]),
 			}
 		}
-		res.Variants = append(res.Variants, row)
 	}
-	kernel.Of(eng).CountUncached(pairs)
-	slices.SortStableFunc(res.Variants, func(a, b VariantResult) int {
-		if a.GeomeanSpeedup != b.GeomeanSpeedup {
-			return cmp.Compare(b.GeomeanSpeedup, a.GeomeanSpeedup)
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
-	for i := range res.Variants {
-		res.Variants[i].Rank = i + 1
+	slices.SortStableFunc(failed, func(a, b int32) int { return strings.Compare(pl.pts[a].name, pl.pts[b].name) })
+	for _, p := range failed {
+		f := &pl.pts[p]
+		res.Failed = append(res.Failed, FailedVariant{Name: f.name, Overlay: pl.d.overlay(int(p)), Error: f.err.Error()})
 	}
-	slices.SortStableFunc(res.Failed, func(a, b FailedVariant) int { return strings.Compare(a.Name, b.Name) })
 	return res, nil
 }
 
-// basePass analyzes the workload on the registered base arch through the
-// engine's cached path.
-func basePass(ctx context.Context, eng *facile.Engine, base string, wl Workload, workers int) ([]baseBlock, error) {
-	comps := facile.ComponentNames()
-	reqs := make([]facile.Request, len(wl.Blocks))
-	for i, code := range wl.Blocks {
-		reqs[i] = facile.Request{Code: code, Arch: base, Mode: wl.Mode}
-	}
-	bases := make([]baseBlock, len(reqs))
-	for i, r := range eng.AnalyzeBatchN(ctx, reqs, workers) {
-		if r.Err != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("sweep: base %q, block %d: %w", base, i, r.Err)
-		}
-		if tp := r.Analysis.Prediction.CyclesPerIteration; tp <= 0 {
-			return nil, fmt.Errorf("sweep: base %q, block %d: non-positive prediction %g", base, i, tp)
-		}
-		bases[i].scan(r.Analysis, comps)
-	}
-	return bases, nil
-}
-
-// evaluate derives the grid's points and folds each over the workload,
-// factored: the blocks in groups, a group's block tables, then every
-// point's fold over the group.
-func evaluate(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, bases []baseBlock, workers int) (*plan, error) {
+// evaluate derives the grid's points and evaluates them over the workload
+// in one pass per group of blocks: one item per block (see plan.item),
+// then the group's serial reduction, in block order.
+func evaluate(ctx context.Context, eng *facile.Engine, grid *Grid, wl Workload, workers int) (*plan, error) {
 	k := kernel.Of(eng)
 	base, err := k.Resolve(grid.Base)
 	if err != nil {
+		// Every block's base analysis fails as the first one's does.
+		if err := baseErrors(ctx, k, grid.Base, wl, 0, 1, workers); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("sweep: base %q: %w", grid.Base, err)
 	}
 	mode := core.TPU
 	if wl.Mode == facile.Loop {
 		mode = core.TPL
 	}
-	pl := newPlan(newDesign(grid, base), wl.Blocks, mode, bases)
-	for lo := 0; lo < len(wl.Blocks) && pl.live > 0; lo += pl.group {
-		hi := min(lo+pl.group, len(wl.Blocks))
-		k.Each(hi-lo, workers, func(sc *kernel.Scratch, t int) {
+	pl := newPlan(newDesign(grid, base), wl, mode)
+	nb := len(wl.Blocks)
+	for lo := 0; lo < nb; lo += pl.group {
+		hi := min(lo+pl.group, nb)
+		k.Each(hi-lo, workers, func(sc *kernel.Scratch, t, left int) {
 			if ctx.Err() == nil {
-				pl.tabulate(sc, lo+t, t)
+				pl.item(ctx, k, sc, lo+t, t, left)
 			}
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k.Each(len(pl.pts), workers, func(sc *kernel.Scratch, p int) {
-			if ctx.Err() == nil {
-				pl.fold(sc, p, lo, hi)
+		if err := pl.reduce(lo, hi); err != nil {
+			// Resolve the later blocks' base analyses too, so the
+			// engine's cache and Stats are what the base analyses of
+			// the whole workload leave, as when the sweep succeeds.
+			baseErrors(ctx, k, grid.Base, wl, hi, nb, workers)
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
 			}
-		})
-		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
 	return pl, nil
+}
+
+// baseOf sets out to block code's base analysis, resolved through k's
+// cached path on sc, whose chunk has left items to run, and returns the
+// error that fails the sweep, if any.
+func baseOf(ctx context.Context, k kernel.Engine, sc *kernel.Scratch, left int, arch string, mode facile.Mode, code []byte, out *kernel.Base) error {
+	if err := k.Analyze(ctx, sc, left, arch, int(mode), code, out); err != nil {
+		return err
+	}
+	if out.TP <= 0 {
+		return fmt.Errorf("non-positive prediction %g", out.TP)
+	}
+	return nil
+}
+
+// baseErrors resolves the base analyses of the workload's blocks [lo, hi)
+// and returns the first error among them, in block order, as the sweep
+// reports it: ctx's once ctx is done.
+func baseErrors(ctx context.Context, k kernel.Engine, arch string, wl Workload, lo, hi, workers int) error {
+	errs := make([]error, hi-lo)
+	k.Each(hi-lo, workers, func(sc *kernel.Scratch, t, left int) {
+		if ctx.Err() == nil {
+			var b kernel.Base
+			errs[t] = baseOf(ctx, k, sc, left, arch, wl.Mode, wl.Blocks[lo+t], &b)
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for t, err := range errs {
+		if err != nil {
+			return fmt.Errorf("sweep: base %q, block %d: %w", arch, lo+t, err)
+		}
+	}
+	return nil
 }
 
 // Kinds of plan entries: one per component bound, eq. 3's selection
@@ -262,56 +289,77 @@ const (
 	numKinds  = buildKind + 1
 )
 
-// kindReads holds the configuration fields, by spec key, each kind's
-// entries are keyed on: a build's, and a component's or the selection's
-// besides.
+// ownReads holds the configuration fields, by spec key, each kind's
+// entries are keyed on beyond those of their build entry: all of a
+// build's; a component's or the selection's own. kindReads holds all of
+// them, the build's included.
+var ownReads = func() (own [numKinds][]string) {
+	copy(own[:], core.Reads[:])
+	own[selKind], own[buildKind] = core.SelectionReads, bb.Reads
+	return own
+}()
+
 var kindReads = func() (reads [numKinds][]string) {
-	for j := range reads {
-		reads[j] = slices.Clip(bb.Reads)
-		switch {
-		case j == selKind:
-			reads[j] = append(reads[j], core.SelectionReads...)
-		case j < selKind:
-			reads[j] = append(reads[j], core.Reads[j]...)
+	for j, own := range ownReads {
+		reads[j] = own
+		if j != buildKind {
+			reads[j] = append(slices.Clip(bb.Reads), own...)
 		}
 	}
 	return reads
 }()
 
-// tableBudget bounds the bound values a plan tabulates at once, over the
-// blocks of a group.
-const tableBudget = 1 << 16
+// tableBudget bounds the values a plan holds per group of blocks: each
+// block's bound values and its live points' pair rows.
+var tableBudget = 1 << 16
 
 // plan is a factored evaluation of a design over a workload. An entry of a
 // kind is one distinct tuple, among the points that derive, of the fields
 // the kind reads: the build's entries are the distinct descriptor tuples,
 // and each other entry lies within one of them. Every entry is computed
 // with the configuration of the first point that has it. Per block of a
-// group, a block table holds each entry's result; a point's fold looks its
-// entries up.
+// group, a block table holds each entry's result, and a pair row each live
+// point's outcome, which the group's reduction folds.
 type plan struct {
 	d      *design
 	blocks [][]byte
+	wlMode facile.Mode
 	mode   core.Mode
-	bases  []baseBlock
 	pts    []pointFold
-	live   int
-	kinds  [numKinds]kindPlan
+	// live lists the points that derive; pair rows follow its order.
+	live  []int32
+	kinds [numKinds]kindPlan
 	// reps holds the configurations the entries are computed with.
 	reps []uarch.Config
 	// byBuild lists each build entry's entries of the other kinds.
 	byBuild [][]entryRef
 
-	// The block tables of a group of blocks, group rows each: the
-	// component bounds (kinds' entries back to back, from off), the
-	// selection, and per build entry the JCC-erratum flag and whether the
-	// build failed.
+	// dup holds, per selection case (see pairCase), for each live point
+	// the first live point that agrees with it on every field its pairs
+	// read in that case, so that their pairs are equal.
+	dup [4][]int32
+
+	// The rows of a group of blocks, group rows each: the base analyses
+	// and their errors, the component bounds (kinds' entries back to
+	// back, from off), the selection, per build entry the JCC-erratum
+	// flag and whether the build failed, and per live point its pair's
+	// log-speedup over the base (NaN for a pair that fails) and its
+	// bottlenecks.
 	group        int
+	bases        []kernel.Base
+	baseErrs     []error
 	nv, ns, nc   int
 	off          [selKind]int
 	vals         []float64
 	elig         []bool
 	jcc, failing []bool
+	logs         []float64
+	bns          []core.ComponentSet
+
+	// The base's log-prediction sum and bottleneck counts over the blocks
+	// reduced so far.
+	baseLogSum float64
+	baseBn     [core.NumComponents]int
 }
 
 // kindPlan is one kind's entries: which axes key them, and per entry its
@@ -333,20 +381,21 @@ type entryRef struct {
 
 // pointFold is one design point's fold over the workload: its name and
 // entries, its log-speedup sum, bottleneck counts and pairs so far, or why
-// it failed.
+// it failed; and, once folded, its geomean speedup.
 type pointFold struct {
-	name   string
-	err    error
-	ids    [numKinds]int32
-	logSum float64
-	bn     [core.NumComponents]int
-	pairs  int
+	name    string
+	err     error
+	ids     [numKinds]int32
+	logSum  float64
+	bn      [core.NumComponents]int
+	pairs   int
+	speedup float64
 }
 
 // newPlan derives every point of d and lays out their entries: serially,
 // so each entry's representative is its first point.
-func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *plan {
-	pl := &plan{d: d, blocks: blocks, mode: mode, bases: bases, pts: make([]pointFold, d.points)}
+func newPlan(d *design, wl Workload, mode core.Mode) *plan {
+	pl := &plan{d: d, blocks: wl.Blocks, wlMode: wl.Mode, mode: mode, pts: make([]pointFold, d.points)}
 	for j := range pl.kinds {
 		kp := &pl.kinds[j]
 		reads := kindReads[j]
@@ -367,7 +416,7 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *pla
 		if pt.err = d.derive(&cfg, p, pt.name, settings); pt.err != nil {
 			continue
 		}
-		pl.live++
+		pl.live = append(pl.live, int32(p))
 		rep := int32(-1)
 		for j := buildKind; j >= 0; j-- {
 			kp := &pl.kinds[j]
@@ -381,7 +430,10 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *pla
 					pl.reps = append(pl.reps, cfg)
 				}
 				kp.rep = append(kp.rep, rep)
-				kp.fromBase = append(kp.fromBase, uarch.SameFields(&cfg, d.cfg, kindReads[j]))
+				// An entry lies within its build entry, whose fields it
+				// reads too.
+				fromBase := j == buildKind || pl.kinds[buildKind].fromBase[pt.ids[buildKind]]
+				kp.fromBase = append(kp.fromBase, fromBase && uarch.SameFields(&cfg, d.cfg, ownReads[j]))
 				kp.dense[key] = int32(len(kp.rep))
 				if j == buildKind {
 					pl.byBuild = append(pl.byBuild, nil)
@@ -399,12 +451,83 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *pla
 		pl.off[j] = pl.nv
 		pl.nv += len(pl.kinds[j].rep)
 	}
-	pl.group = min(max(tableBudget/max(pl.nv, 1), 1), len(blocks))
+	nl := len(pl.live)
+	for c := range pl.dup {
+		pl.dup[c] = pl.dups(core.Computed(mode, c&1 != 0, c&2 != 0))
+	}
+	pl.group = min(max(tableBudget/max(pl.nv+nl, 1), 1), len(wl.Blocks))
+	pl.bases = make([]kernel.Base, pl.group)
+	pl.baseErrs = make([]error, pl.group)
 	pl.vals = make([]float64, pl.group*pl.nv)
 	pl.elig = make([]bool, pl.group*pl.ns)
 	pl.jcc = make([]bool, pl.group*pl.nc)
 	pl.failing = make([]bool, pl.group*pl.nc)
+	pl.logs = make([]float64, pl.group*nl)
+	pl.bns = make([]core.ComponentSet, pl.group*nl)
 	return pl
+}
+
+// pairCase numbers eq. 3's selection context, which decides the components
+// a pair combines: whether the block triggers the JCC erratum, and whether
+// the LSD may serve it.
+func pairCase(jcc, elig bool) int {
+	c := 0
+	if jcc {
+		c |= 1
+	}
+	if elig {
+		c |= 2
+	}
+	return c
+}
+
+// dups returns the dup list of a selection case that combines the
+// components present: live points are keyed by their values on the axes
+// that the build, the selection and those components read, and each maps
+// to the first with its key.
+func (pl *plan) dups(present core.ComponentSet) []int32 {
+	d := pl.d
+	read := make([]bool, len(d.axes))
+	for j := range pl.kinds {
+		if j >= selKind || present.Has(core.Component(j)) {
+			for _, k := range pl.kinds[j].axes {
+				read[k] = true
+			}
+		}
+	}
+	size := 1
+	for k, r := range read {
+		if r {
+			size *= len(d.axes[k].names)
+		}
+	}
+	first := make([]int32, size) // per key, the first live point's index + 1
+	dup := make([]int32, len(pl.live))
+	for r, p := range pl.live {
+		key := 0
+		for k := range d.axes {
+			if read[k] {
+				key = key*len(d.axes[k].names) + d.value(int(p), k)
+			}
+		}
+		if first[key] == 0 {
+			first[key] = int32(r) + 1
+		}
+		dup[r] = first[key] - 1
+	}
+	return dup
+}
+
+// item is block i's one pass, in row t of its group, on a worker's
+// scratch whose chunk has left items to run: the block's base analysis,
+// then, unless that fails, its tables and every live point's pair.
+func (pl *plan) item(ctx context.Context, k kernel.Engine, sc *kernel.Scratch, i, t, left int) {
+	pl.baseErrs[t] = baseOf(ctx, k, sc, left, pl.d.base, pl.wlMode, pl.blocks[i], &pl.bases[t])
+	if pl.baseErrs[t] != nil {
+		return
+	}
+	pl.tabulate(sc, i, t)
+	pl.fillRows(t)
 }
 
 // tabulate fills row t of the block tables for block i: one build per
@@ -412,7 +535,7 @@ func newPlan(d *design, blocks [][]byte, mode core.Mode, bases []baseBlock) *pla
 // for the block among them: from the base analysis where the base agrees
 // with the entry, else with the entry's representative configuration.
 func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
-	block, base := &sc.Block, &pl.bases[i]
+	block, base := &sc.Block, &pl.bases[t].Bounds
 	vals := pl.vals[t*pl.nv : (t+1)*pl.nv]
 	elig := pl.elig[t*pl.ns : (t+1)*pl.ns]
 	jcc := pl.jcc[t*pl.nc : (t+1)*pl.nc]
@@ -420,6 +543,7 @@ func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
 	for b := range pl.nc {
 		failing[b] = bb.BuildInto(block, &pl.reps[pl.kinds[buildKind].rep[b]], pl.blocks[i]) != nil
 		if failing[b] {
+			jcc[b] = false // every pair of the entry fails; the flag picks their dup list
 			continue
 		}
 		jcc[b] = block.JCCErratumAffected()
@@ -432,8 +556,8 @@ func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
 				block.Cfg = &pl.reps[kp.rep[e.id]]
 				elig[e.id] = core.LSDEligible(block)
 			case !need.Has(c):
-			case kp.fromBase[e.id] && base.present.Has(c):
-				vals[pl.off[c]+int(e.id)] = base.bounds[c]
+			case kp.fromBase[e.id] && base.Has(c):
+				vals[pl.off[c]+int(e.id)] = base.V[c]
 			default:
 				block.Cfg = &pl.reps[kp.rep[e.id]]
 				vals[pl.off[c]+int(e.id)] = sc.Ana.Bound(block, pl.mode, c)
@@ -442,35 +566,50 @@ func (pl *plan) tabulate(sc *kernel.Scratch, i, t int) {
 	}
 }
 
-// fold folds point p's pairs with the blocks [lo, hi), whose tables are
-// rows 0 to hi-lo-1, in block order. A pair's bounds are its entries'; its
-// prediction is their combination, rounded as an Analysis rounds it. A
-// point that fails on a block is not evaluated on later ones.
-func (pl *plan) fold(sc *kernel.Scratch, p, lo, hi int) {
-	f := &pl.pts[p]
-	if f.err != nil {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		f.pairs++
-		tp, bn, err := pl.pair(sc, p, i, i-lo)
-		if err != nil {
-			f.err = err
-			return
+// logMemoBits sizes the direct-mapped memo of a block's log-speedups, by
+// prediction: a block's pairs take few distinct predictions.
+const logMemoBits = 6
+
+type logMemo [1 << logMemoBits]struct{ tp, log float64 }
+
+// fillRows writes row t's pairs, one per live point: for a point whose
+// pair another's equals, a copy, else the log-speedup over the base of the
+// point's prediction on the group's block t, taken once per distinct
+// prediction of the block (a memo slot holds one; a positive prediction
+// is never the empty slot's 0), and its bottlenecks.
+func (pl *plan) fillRows(t int) {
+	var memo logMemo
+	base := pl.bases[t].TP
+	nl := len(pl.live)
+	logs, bns := pl.logs[t*nl:(t+1)*nl], pl.bns[t*nl:(t+1)*nl]
+	for r, p := range pl.live {
+		f := &pl.pts[p]
+		b := t*pl.nc + int(f.ids[buildKind])
+		if d := pl.dup[pairCase(pl.jcc[b], pl.elig[t*pl.ns+int(f.ids[selKind])])][r]; int(d) < r {
+			logs[r], bns[r] = logs[d], bns[d]
+			continue
 		}
-		f.logSum += math.Log(pl.bases[i].tp / tp)
-		countBottlenecks(&f.bn, uint32(bn))
+		tp, bn, built := pl.pair(int(p), t)
+		if !built || tp <= 0 {
+			logs[r] = math.NaN()
+			continue
+		}
+		m := &memo[math.Float64bits(tp)*0x9e3779b97f4a7c15>>(64-logMemoBits)]
+		if m.tp != tp {
+			m.tp, m.log = tp, math.Log(base/tp)
+		}
+		logs[r], bns[r] = m.log, bn
 	}
 }
 
-// pair evaluates point p on block i, whose tables are row t: its
+// pair evaluates point p on the block whose tables are row t: its
 // prediction, rounded as an Analysis rounds it, and its bottlenecks, or
-// the error the pair reports.
-func (pl *plan) pair(sc *kernel.Scratch, p, i, t int) (float64, core.ComponentSet, error) {
+// built false when the build of p's descriptor tuple failed on the block.
+func (pl *plan) pair(p, t int) (float64, core.ComponentSet, bool) {
 	f := &pl.pts[p]
 	b := t*pl.nc + int(f.ids[buildKind])
 	if pl.failing[b] {
-		return 0, 0, pl.buildError(sc, p, i)
+		return 0, 0, false
 	}
 	jcc, elig := pl.jcc[b], pl.elig[t*pl.ns+int(f.ids[selKind])]
 	bounds := core.Bounds{Present: core.Computed(pl.mode, jcc, elig), JCCErratum: jcc, LSDEligible: elig}
@@ -481,56 +620,57 @@ func (pl *plan) pair(sc *kernel.Scratch, p, i, t int) (float64, core.ComponentSe
 		}
 	}
 	comb := bounds.Combine(pl.mode, core.AllComponents)
-	tp := round2(comb.TP)
-	if tp <= 0 {
-		return 0, 0, fmt.Errorf("block %d: non-positive prediction %g", i, tp)
-	}
-	return tp, bounds.Bottlenecks(comb), nil
+	return round2(comb.TP), bounds.Bottlenecks(comb), true
 }
 
-// buildError returns the error building block i for point p reports,
-// naming p: the build of p's descriptor tuple failed on the block.
-func (pl *plan) buildError(sc *kernel.Scratch, p, i int) error {
+// reduce folds the rows of the group of blocks [lo, hi) into the base's
+// sums and each point's fold, block by block in order, and returns the
+// first of the group's base errors. A point that fails on a block is not
+// folded on later ones.
+func (pl *plan) reduce(lo, hi int) error {
+	nl := len(pl.live)
+	for t := range hi - lo {
+		i := lo + t
+		if err := pl.baseErrs[t]; err != nil {
+			return fmt.Errorf("sweep: base %q, block %d: %w", pl.d.base, i, err)
+		}
+		b := &pl.bases[t]
+		pl.baseLogSum += math.Log(b.TP)
+		countBottlenecks(&pl.baseBn, b.Bottlenecks)
+		logs, bns := pl.logs[t*nl:(t+1)*nl], pl.bns[t*nl:(t+1)*nl]
+		for r, p := range pl.live {
+			f := &pl.pts[p]
+			if f.err != nil {
+				continue
+			}
+			f.pairs++
+			if math.IsNaN(logs[r]) {
+				f.err = pl.pairError(int(p), i, t)
+				continue
+			}
+			f.logSum += logs[r]
+			countBottlenecks(&f.bn, bns[r])
+		}
+	}
+	return nil
+}
+
+// pairError returns the error point p reports on block i, whose tables
+// are row t: the build's error, naming p, or the non-positive prediction.
+func (pl *plan) pairError(p, i, t int) error {
+	if tp, _, built := pl.pair(p, t); built {
+		return fmt.Errorf("block %d: non-positive prediction %g", i, tp)
+	}
 	cfg := new(uarch.Config)
 	pl.d.derive(cfg, p, pl.pts[p].name, make([]*uarch.Setting, 0, len(pl.d.axes)))
-	return bb.BuildInto(&sc.Block, cfg, pl.blocks[i])
+	_, err := bb.Build(cfg, pl.blocks[i])
+	return err
 }
 
-// countBottlenecks increments counts[i] for every component i in the
-// bottleneck mask m.
-func countBottlenecks(counts *[core.NumComponents]int, m uint32) {
-	for i := range counts {
-		if m&(1<<i) != 0 {
-			counts[i]++
-		}
-	}
-}
-
-// baseBlock is what a sweep keeps of a block's base analysis: its
-// prediction and bottlenecks, and its bounds, which stand in for the
-// entries that read what the base reads.
-type baseBlock struct {
-	tp      float64
-	bn      uint32 // bit i stands for the ith component
-	bounds  [core.NumComponents]float64
-	present core.ComponentSet
-}
-
-// scan sets b from the base analysis a. Both a.Bounds and comps are in
-// pipeline order, so one forward scan of comps finds every bound's
-// component.
-func (b *baseBlock) scan(a *facile.Analysis, comps []string) {
-	b.tp = a.Prediction.CyclesPerIteration
-	ci := 0
-	for _, cb := range a.Bounds {
-		for comps[ci] != cb.Component {
-			ci++
-		}
-		b.bounds[ci] = cb.Cycles
-		b.present |= 1 << ci
-		if cb.Bottleneck {
-			b.bn |= 1 << ci
-		}
+// countBottlenecks increments counts[c] for every component c in m.
+func countBottlenecks(counts *[core.NumComponents]int, m core.ComponentSet) {
+	for ; m != 0; m &= m - 1 {
+		counts[bits.TrailingZeros8(uint8(m))]++
 	}
 }
 

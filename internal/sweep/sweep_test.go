@@ -98,6 +98,34 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// TestPlainValueKey: a value plainValue passes decodes and encodes back to
+// its own spelling, so valueKey's shortcut keys it as the round trip does;
+// the values it refuses are those that are spelled otherwise or might be.
+func TestPlainValueKey(t *testing.T) {
+	for _, c := range []struct {
+		value string
+		plain bool
+	}{
+		{"4", true}, {"-0", true}, {"[0,1,5,6]", true}, {"[]", true}, {"true", true},
+		{"false", true}, {"null", true}, {"[true,null,[1,[-2]]]", true},
+		{"123456789012345", true}, {"1234567890123456", false}, {"4.0", false},
+		{"4e0", false}, {"1e21", false}, {`"x"`, false}, {`{"b":1,"a":2}`, false},
+		{"100000000000000000001", false},
+	} {
+		var x any
+		if err := json.Unmarshal([]byte(c.value), &x); err != nil {
+			t.Fatal(err)
+		}
+		rt, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plainValue(c.value); got != c.plain || got && string(rt) != c.value {
+			t.Errorf("%s: plain %v, want %v; round trip %s", c.value, got, c.plain, rt)
+		}
+	}
+}
+
 // TestGridPointsExplosion: the cross product is bounded by MaxPoints even
 // when the naive product overflows.
 func TestGridPointsExplosion(t *testing.T) {

@@ -126,12 +126,12 @@ var fieldPerturbations = map[string]string{
 }
 
 // TestReuseExact: whatever a worker keeps between consecutive analyses of
-// one block — the decode, the descriptors, a component's last result — is
-// exactly what a fresh analysis computes. For every field of uarch.Config,
-// a variant of a SKL copy that changes that field alone is analyzed right
-// after the copy, block by block in both modes through one worker, and
-// every result must equal a fresh engine's. A field without a perturbation
-// fails the test, so a new field cannot slip past the reuse keys.
+// one block — the decode, the descriptors — is exactly what a fresh
+// analysis computes. For every field of uarch.Config, a variant of a SKL
+// copy that changes that field alone is analyzed right after the copy,
+// block by block in both modes through one worker, and every result must
+// equal a fresh engine's. A field without a perturbation fails the test,
+// so a new field cannot slip past isa.SameDescs.
 func TestReuseExact(t *testing.T) {
 	reg := facile.NewArchRegistry()
 	derive := func(name, overlay string) *facile.Variant {

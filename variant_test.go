@@ -114,11 +114,11 @@ func TestDeriveVariantsBeyondRegistryCapacity(t *testing.T) {
 }
 
 // TestBlockMajorBatchMatchesFresh: a batch ordered block-major — each block
-// analyzed back to back for several variants, arches and modes, as a sweep
-// orders it — lets a worker keep the block's decode, descriptors,
-// instruction text and kept bounds across consecutive misses. Every result must equal a
-// fresh engine's uncached analysis of the same request at DetailFull, also
-// after a miss that fails on the block and after an undecodable block.
+// analyzed back to back for several variants, arches and modes — lets a
+// worker keep the block's decode and descriptors across consecutive
+// misses. Every result must equal a fresh engine's uncached analysis of
+// the same request at DetailFull, also after a miss that fails on the
+// block and after an undecodable block.
 func TestBlockMajorBatchMatchesFresh(t *testing.T) {
 	reg := facile.NewArchRegistry()
 	var variants []*facile.Variant
